@@ -321,9 +321,8 @@ def align_crown(crown: CrownTemplate, targets: TargetVectors) -> AlignmentResult
     r1 = RigidTransform.rotation_between(n_mesial, targets.v_mesial_robust)
     r_total = r1 @ r_total
     m = r_total @ n_mesial
-    steps.append(AlignmentStep(
-        "mesial", _rotation_angle_deg(r1), float(m @ targets.v_mesial_robust)
-    ))
+    steps.append(AlignmentStep("mesial", RigidTransform(r1).rotation_angle_deg(),
+                               float(m @ targets.v_mesial_robust)))
 
     # (iii) rotation about the mesial axis matching the buccal projections
     axis = targets.v_mesial_robust
@@ -353,14 +352,8 @@ def align_crown(crown: CrownTemplate, targets: TargetVectors) -> AlignmentResult
     r3 = RigidTransform.rotation_between(o_now, targets.occlusal_axis)
     r_total = r3 @ r_total
     o_after = r_total @ n_occlusal
-    steps.append(AlignmentStep(
-        "occlusal", _rotation_angle_deg(r3), float(o_after @ targets.occlusal_axis)
-    ))
+    steps.append(AlignmentStep("occlusal", RigidTransform(r3).rotation_angle_deg(),
+                               float(o_after @ targets.occlusal_axis)))
 
     transform = RigidTransform(r_total, targets.prep_centroid - r_total @ centroid)
     return AlignmentResult(transform, tuple(steps))
-
-
-def _rotation_angle_deg(r: np.ndarray) -> float:
-    c = (np.trace(r) - 1.0) / 2.0
-    return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))

@@ -78,7 +78,7 @@ def baseline_geometric_classify(
     if len(features) < config.min_points:
         raise ClassificationError(
             f"too few points for classification ({len(features)} < {config.min_points})",
-            stage="classification",
+            stage="classify",
         )
     phi = features.azimuth
     span = _azimuthal_span_deg(phi, features.radius, config)
@@ -139,14 +139,14 @@ class ExternalSidecarClassifier:
 
     def classify(self, features: PointFeatures, mesh: LabeledMesh) -> tuple[ScanClass, float]:
         if self.sidecar_path is None:
-            raise ClassificationError("external classifier has no sidecar path", stage="classification")
+            raise ClassificationError("external classifier has no sidecar path", stage="classify")
         try:
             payload = json.loads(Path(self.sidecar_path).read_text())
             cls = ScanClass(payload["class"])
             confidence = float(payload["confidence"])
         except (OSError, KeyError, ValueError) as exc:
             raise ClassificationError(
-                f"bad classification sidecar {self.sidecar_path}: {exc}", stage="classification"
+                f"bad classification sidecar {self.sidecar_path}: {exc}", stage="classify"
             ) from exc
         return cls, confidence
 
@@ -174,4 +174,4 @@ def classify(provider, scan: LabeledMesh) -> tuple[ScanClass, float]:
     except ClassificationError:
         raise
     except Exception as exc:
-        raise ClassificationError(str(exc), stage="classification") from exc
+        raise ClassificationError(str(exc), stage="classify") from exc

@@ -7,6 +7,10 @@ crossing parity on a shared grid for watertight meshes, a proximity fallback
 for open shells. The error of the voxel estimate is O(surface area x
 resolution); the 1e-6 mm^3 threshold therefore acts as "no detectable
 overlap" at the configured resolution.
+
+Point inside tests use ray parity against watertight meshes, evaluated only
+on the (point, triangle) pairs whose boxes across the ray overlap, so their
+cost follows the points near the mesh rather than points x triangles.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, UnsupportedFeatureError
-from .mesh import LabeledMesh, estimate_vertex_normals, is_watertight, mesh_edges
+from .mesh import (LabeledMesh, component_ids, estimate_vertex_normals, is_watertight,
+                   mesh_edges)
 from .spatial import SpatialIndex
 
 # deterministic sub-voxel grid offsets and ray skew: keep sample lines off
@@ -24,6 +29,9 @@ from .spatial import SpatialIndex
 _GRID_SHIFT = (4.9e-4, 7.3e-4)
 _RAY_DIR = np.array([0.0317, 0.0523, 1.0]) / np.linalg.norm([0.0317, 0.0523, 1.0])
 _MAX_VOXELS = 6.0e7
+# rows: two independent axes across the ray, then the ray itself
+_RAY_FRAME = np.array([np.cross(_RAY_DIR, [1, 0, 0]), np.cross(_RAY_DIR, [0, 1, 0]), _RAY_DIR])
+_CULL_EPS = 1e-6  # mm; far above the rounding of the ray-triangle test
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,13 @@ def _column_parity(mesh: LabeledMesh, xs: np.ndarray, ys: np.ndarray,
 
 
 def points_inside_mesh(points, mesh: LabeledMesh, chunk: int = 2_000_000) -> np.ndarray:
-    """Ray-parity inside test for a watertight mesh (skewed fixed direction)."""
+    """Ray-parity inside test for a watertight mesh (skewed fixed direction).
+
+    Moller-Trumbore runs only on the (point, triangle) pairs that could hit:
+    the point lies in the triangle's box across the ray, widened by
+    ``_CULL_EPS``, and below its top vertex along the ray. ``chunk`` bounds
+    the size of the candidate mask.
+    """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     tri = mesh.vertices[mesh.faces]
     e1 = tri[:, 1] - tri[:, 0]
@@ -129,19 +143,32 @@ def points_inside_mesh(points, mesh: LabeledMesh, chunk: int = 2_000_000) -> np.
     pvec = np.cross(d, e2)
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > 1e-14
-    inv_det = np.zeros_like(det)
+    inv_det = np.zeros_like(det)  # t = 0 on near-parallel triangles: never a hit
     inv_det[ok] = 1.0 / det[ok]
+    # triangle boxes in (across, across, along) ray coordinates; along the
+    # ray only the top vertex bounds a candidate
+    proj = tri @ _RAY_FRAME.T
+    lo, hi = proj.min(axis=1) - _CULL_EPS, proj.max(axis=1) + _CULL_EPS
+    lo[:, 2] = -np.inf
+    q = pts @ _RAY_FRAME.T
+    # a point outside the union of the boxes has no candidate at all
+    near = np.nonzero(np.all((q >= lo.min(axis=0, initial=np.inf))
+                             & (q <= hi.max(axis=0, initial=-np.inf)), axis=1))[0]
     crossings = np.zeros(len(pts), dtype=np.int64)
     per = max(1, int(chunk // max(1, len(tri))))
-    for s in range(0, len(pts), per):
-        p = pts[s:s + per]
-        tvec = p[:, None, :] - tri[None, :, 0, :]          # (b, m, 3)
-        u = np.einsum("bmj,mj->bm", tvec, pvec) * inv_det
-        qvec = np.cross(tvec, e1[None, :, :])
-        v = np.einsum("bmj,j->bm", qvec, d) * inv_det
-        t = np.einsum("bmj,mj->bm", qvec, e2) * inv_det
-        hit = ok[None, :] & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
-        crossings[s:s + per] = hit.sum(axis=1)
+    for s in range(0, len(near), per):
+        sel = near[s:s + per]
+        qs = q[sel, None, :]
+        pi, ti = np.nonzero((qs[..., 0] >= lo[:, 0]) & (qs[..., 0] <= hi[:, 0])
+                            & (qs[..., 1] >= lo[:, 1]) & (qs[..., 1] <= hi[:, 1])
+                            & (qs[..., 2] <= hi[:, 2]))
+        tvec = pts[sel[pi]] - tri[ti, 0]
+        u = np.einsum("ij,ij->i", tvec, pvec[ti]) * inv_det[ti]
+        qvec = np.cross(tvec, e1[ti])
+        v = np.einsum("ij,j->i", qvec, d) * inv_det[ti]
+        t = np.einsum("ij,ij->i", qvec, e2[ti]) * inv_det[ti]
+        hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
+        crossings[sel] = np.bincount(pi[hit], minlength=len(sel))
     return crossings % 2 == 1
 
 
@@ -270,7 +297,7 @@ def interproximal_adapt(
             raise NonConvergenceError(
                 f"interproximal scaling did not converge in {params.max_scale_iters} steps",
                 trace=trace,
-                stage="fitting",
+                stage="fit",
             )
         scale *= factor
         current = scale_about(crown, scale, center)
@@ -283,24 +310,11 @@ def interproximal_adapt(
 
 
 def connected_components(mesh: LabeledMesh) -> list[np.ndarray]:
-    """Face index arrays of the mesh's vertex-connected components."""
-    parent = np.arange(mesh.n_vertices)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for f in mesh.faces:
-        ra = find(f[0])
-        for k in (1, 2):
-            rb = find(f[k])
-            if ra != rb:
-                parent[rb] = ra
-                ra = find(ra)
-    roots = np.array([find(v) for v in mesh.faces[:, 0]])
-    return [np.nonzero(roots == r)[0] for r in np.unique(roots)]
+    """Face index arrays of the mesh's vertex-connected components, ordered
+    by their lowest face index."""
+    face_comp = component_ids(mesh.n_vertices, mesh_edges(mesh))[mesh.faces[:, 0]]
+    _, first = np.unique(face_comp, return_index=True)
+    return [np.nonzero(face_comp == face_comp[f])[0] for f in np.sort(first)]
 
 
 def center_between_neighbors(crown: LabeledMesh, neighbors: LabeledMesh) -> LabeledMesh:
@@ -409,7 +423,7 @@ def occlusal_correct_posterior(
     raise NonConvergenceError(
         f"cusp tap-down unresolved after {params.max_tap_rounds} rounds",
         trace=trace,
-        stage="fitting",
+        stage="fit",
     )
 
 
@@ -445,7 +459,7 @@ def occlusal_correct_anterior(
     raise NonConvergenceError(
         f"anterior shift unresolved after {params.max_shift_iters} steps",
         trace=trace,
-        stage="fitting",
+        stage="fit",
     )
 
 

@@ -5,6 +5,10 @@ Energy: sum_f -log p_f(l_f) + lambda * sum_adjacent w_fg [l_f != l_g] with
 w_fg = exp(-beta (1 - cos theta_fg)) for the dihedral angle theta between
 face normals. Each expansion move is solved exactly by max-flow, so the
 refined energy never exceeds the argmax labeling's energy.
+
+The s-t graph's pattern is built once per refinement and each move refills
+its capacities; cuts and components come from scipy's csgraph, with no
+Python loop per face.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import MeshFormatError
-from .mesh import GINGIVA, LabeledMesh, face_adjacency, _freeze
+from .mesh import GINGIVA, LabeledMesh, _freeze, component_ids, face_adjacency
 
 PROB_CLAMP = 1e-12
 _FLOW_SCALE = 1e8       # preferred float-energy -> integer capacity scale
@@ -87,46 +91,45 @@ def labeling_energy(unary: np.ndarray, pairs: np.ndarray, weights: np.ndarray,
     return e
 
 
-def _min_cut_assignment(cost0: np.ndarray, cost1: np.ndarray,
-                        pairs: np.ndarray, pair_caps: np.ndarray) -> np.ndarray:
+def _cut_pattern(n: int, pairs: np.ndarray) -> tuple:
+    """CSR (indptr, indices) of the (n+2)-node s-t graph of every expansion
+    move, plus ``slot``: the CSR position of each s->f t-link, f->t t-link,
+    pair arc and zero-capacity reverse pair arc, in that order."""
+    source, sink = n, n + 1
+    rows = np.concatenate([np.full(n, source), np.arange(n), pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([np.arange(n), np.full(n, sink), pairs[:, 1], pairs[:, 0]])
+    keys, slot = np.unique(rows * (n + 2) + cols, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // (n + 2), minlength=n + 2))])
+    return indptr, keys % (n + 2), slot
+
+
+def _min_cut_assignment(cost0: np.ndarray, cost1: np.ndarray, pair_caps: np.ndarray,
+                        pattern: tuple) -> np.ndarray:
     """Exact binary submodular minimization; returns x in {0,1} per node.
 
     cost0/cost1 are per-node state costs; pair_caps is the capacity of the
-    directed edge a->b cut when x_a=0, x_b=1 (B+C-A-D of the reduction).
+    directed edge a->b cut when x_a=0, x_b=1 (B+C-A-D of the reduction), for
+    the pairs whose ``_cut_pattern`` is ``pattern``.
     """
     n = len(cost0)
     source, sink = n, n + 1
-    # t-links: s->f cut when f lands on the sink side (x=1) and costs cost1;
-    # f->t cut when f stays on the source side (x=0) and costs cost0
-    r, c, v = [], [], []
-    r.append(np.full(n, source)); c.append(np.arange(n)); v.append(cost1)
-    r.append(np.arange(n)); c.append(np.full(n, sink)); v.append(cost0)
-    if len(pairs):
-        r.append(pairs[:, 0]); c.append(pairs[:, 1]); v.append(pair_caps)
-        # reverse arcs with zero capacity keep the residual graph symmetric
-        r.append(pairs[:, 1]); c.append(pairs[:, 0]); v.append(np.zeros(len(pairs)))
-    rows = np.concatenate(r)
-    cols = np.concatenate(c)
-    vals = np.concatenate(v)
+    indptr, indices, slot = pattern
+    # s->f is cut when f lands on the sink side (x=1) and costs cost1;
+    # f->t is cut when f stays on the source side (x=0) and costs cost0
+    vals = np.concatenate([cost1, cost0, pair_caps, np.zeros(len(pair_caps))])
     # capacities must fit int32: scipy's max-flow wraps silently above that
     peak = float(vals.max()) if len(vals) else 0.0
     scale = _FLOW_SCALE if peak <= 0 else min(_FLOW_SCALE, _FLOW_CAP_MAX / peak)
     caps = np.round(vals * scale).astype(np.int64)
-    graph = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
-    result = maximum_flow(graph, source, sink)
-    residual = graph - result.flow
-    # BFS from source over positive residual arcs: reachable nodes keep x=0
+    data = np.bincount(slot, weights=caps, minlength=len(indices)).astype(np.int64)
+    graph = csr_matrix((data, indices, indptr), shape=(n + 2, n + 2))
+    residual = graph - maximum_flow(graph, source, sink).flow
+    # BFS from the source over strictly positive residual arcs (csgraph
+    # would walk stored zeros and negatives): reachable nodes keep x=0
+    residual.data[residual.data < 0] = 0
+    residual.eliminate_zeros()
     reachable = np.zeros(n + 2, dtype=bool)
-    stack = [source]
-    reachable[source] = True
-    indptr, indices, data = residual.indptr, residual.indices, residual.data
-    while stack:
-        u = stack.pop()
-        for e in range(indptr[u], indptr[u + 1]):
-            w_node = indices[e]
-            if data[e] > 0 and not reachable[w_node]:
-                reachable[w_node] = True
-                stack.append(w_node)
+    reachable[breadth_first_order(residual, source, return_predecessors=False)] = True
     return (~reachable[:n]).astype(np.int64)  # sink side takes x=1
 
 
@@ -151,35 +154,34 @@ def graphcut_refine(
     unary = -np.log(np.clip(probs.matrix, PROB_CLAMP, 1.0))
     pairs, weights = pairwise_weights(mesh, params)
     energy = labeling_energy(unary, pairs, weights, labels)
+    n = len(labels)
+    pattern = _cut_pattern(n, pairs)
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
 
     for _ in range(max_sweeps):
         improved = False
         for alpha in range(probs.n_classes):
             if np.all(labels == alpha):
                 continue
-            current_unary = unary[np.arange(len(labels)), labels]
+            current_unary = unary[np.arange(n), labels]
             cost0 = current_unary          # keep current label
             cost1 = unary[:, alpha]        # switch to alpha
             pinned = labels == alpha       # already alpha: both states identical
             cost0 = np.where(pinned, cost1, cost0)
-            pair_caps = np.zeros(len(pairs))
-            extra_s = np.zeros(len(labels))
-            extra_t = np.zeros(len(labels))
-            if len(pairs):
-                la = labels[pairs[:, 0]]
-                lb = labels[pairs[:, 1]]
-                # Potts expansion: A=w[la!=lb], B=w[la!=alpha], C=w[alpha!=lb], D=0
-                a_cost = weights * (la != lb)
-                b_cost = weights * (la != alpha)
-                c_cost = weights * (lb != alpha)
-                pair_caps = b_cost + c_cost - a_cost
-                lin_f = c_cost - a_cost    # coefficient of x_f
-                np.add.at(extra_s, pairs[:, 0], np.maximum(lin_f, 0.0))
-                np.add.at(extra_t, pairs[:, 0], np.maximum(-lin_f, 0.0))
-                lin_g = -c_cost            # coefficient of x_g (D - C)
-                np.add.at(extra_s, pairs[:, 1], np.maximum(lin_g, 0.0))
-                np.add.at(extra_t, pairs[:, 1], np.maximum(-lin_g, 0.0))
-            x = _min_cut_assignment(cost0 + extra_t, cost1 + extra_s, pairs, pair_caps)
+            la = labels[pairs[:, 0]]
+            lb = labels[pairs[:, 1]]
+            # Potts expansion: A=w[la!=lb], B=w[la!=alpha], C=w[alpha!=lb], D=0
+            a_cost = weights * (la != lb)
+            b_cost = weights * (la != alpha)
+            c_cost = weights * (lb != alpha)
+            pair_caps = b_cost + c_cost - a_cost
+            lin_f = c_cost - a_cost    # coefficient of x_f
+            lin_g = -c_cost            # coefficient of x_g (D - C)
+            lin = np.concatenate([lin_f, lin_g])
+            # bincount sums in input order, as sequential accumulation would
+            extra_s = np.bincount(ends, np.maximum(lin, 0.0), n)
+            extra_t = np.bincount(ends, np.maximum(-lin, 0.0), n)
+            x = _min_cut_assignment(cost0 + extra_t, cost1 + extra_s, pair_caps, pattern)
             new_labels = np.where(x == 1, alpha, labels)
             new_energy = labeling_energy(unary, pairs, weights, new_labels)
             if new_energy < energy - 1e-12:
@@ -225,22 +227,9 @@ def reassign_small_components(
     """Relabel same-label connected components smaller than min_faces to gingiva."""
     labels = np.asarray(labels, dtype=np.int64).copy()
     pairs = face_adjacency(mesh)
-    parent = np.arange(mesh.n_faces)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in pairs:
-        if labels[a] == labels[b]:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    roots = np.array([find(i) for i in range(mesh.n_faces)])
-    _, inverse, counts = np.unique(roots, return_inverse=True, return_counts=True)
-    labels[counts[inverse] < min_faces] = GINGIVA
+    same = pairs[labels[pairs[:, 0]] == labels[pairs[:, 1]]]
+    comp = component_ids(mesh.n_faces, same)
+    labels[np.bincount(comp)[comp] < min_faces] = GINGIVA
     return labels
 
 

@@ -10,6 +10,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import MeshWarning
 
@@ -25,6 +26,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+def _skew(axis: np.ndarray) -> np.ndarray:
+    """Cross-product matrix: _skew(a) @ v == np.cross(a, v)."""
+    return np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
 
 
 @dataclass(frozen=True)
@@ -173,13 +179,7 @@ class RigidTransform:
         if n == 0:
             raise ValueError("zero rotation axis")
         axis = axis / n
-        k = np.array(
-            [
-                [0, -axis[2], axis[1]],
-                [axis[2], 0, -axis[0]],
-                [-axis[1], axis[0], 0],
-            ]
-        )
+        k = _skew(axis)
         r = np.eye(3) + np.sin(angle_rad) * k + (1 - np.cos(angle_rad)) * (k @ k)
         return RigidTransform(r, np.asarray(translation, dtype=np.float64))
 
@@ -205,24 +205,12 @@ class RigidTransform:
                 if np.linalg.norm(perp) > 1e-8:
                     axis = perp / np.linalg.norm(perp)
                     break
-            k = np.array(
-                [
-                    [0, -axis[2], axis[1]],
-                    [axis[2], 0, -axis[0]],
-                    [-axis[1], axis[0], 0],
-                ]
-            )
+            k = _skew(axis)
             return np.eye(3) + 2.0 * (k @ k)
         axis = np.cross(a, b)
         s = np.linalg.norm(axis)
         axis = axis / s
-        k = np.array(
-            [
-                [0, -axis[2], axis[1]],
-                [axis[2], 0, -axis[0]],
-                [-axis[1], axis[0], 0],
-            ]
-        )
+        k = _skew(axis)
         return np.eye(3) + s * k + (1 - c) * (k @ k)
 
     def apply(self, points) -> np.ndarray:
@@ -334,14 +322,22 @@ def is_watertight(mesh: LabeledMesh) -> bool:
     """True when every edge is shared by exactly two consistently wound faces."""
     if mesh.n_faces == 0:
         return False
-    edges = mesh_edges(mesh)
-    und = np.sort(edges, axis=1)
-    _, counts = np.unique(und, axis=0, return_counts=True)
+    a, b = mesh_edges(mesh).T
+    n = mesh.n_vertices
+    # 1-D int64 edge keys: sorting them is far cheaper than unique rows
+    _, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
     if not np.all(counts == 2):
         return False
     # consistent winding: no directed edge may repeat
-    _, dcounts = np.unique(edges, axis=0, return_counts=True)
-    return bool(np.all(dcounts == 1))
+    directed = np.sort(a * n + b)
+    return bool(np.all(directed[1:] != directed[:-1]))
+
+
+def component_ids(n_nodes: int, pairs) -> np.ndarray:
+    """Connected-component id per node of the undirected graph on ``pairs``."""
+    graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n_nodes, n_nodes))
+    return csgraph.connected_components(graph, directed=False)[1]
 
 
 def face_adjacency(mesh: LabeledMesh) -> np.ndarray:

@@ -18,7 +18,7 @@ from .alignment import (AlignmentResult, CrownTemplate, TargetVectors, align_cro
                         fit_arch_spline, robust_target, spline_frame_at)
 from .classify import BaselineGeometricClassifier, ExternalSidecarClassifier, classify
 from .config import PipelineConfig
-from .errors import PipelineError
+from .errors import NonConvergenceError, PipelineError
 from .fitting import FittingReport, fit_crown, occlusal_direction
 from .labels import (FaceLabelProbabilities, corrupt_labels, graphcut_refine,
                      load_probabilities, reassign_small_components)
@@ -309,8 +309,9 @@ def run_pipeline(
     """Execute the pipeline, writing stage artifacts and the JSON report.
 
     ``stop_after`` gates execution to the stages up to and including the
-    named one; a stage failure aborts with the stage tag recorded and a
-    partial report written.
+    named one. Any exception aborts the run with a partial report whose
+    ``error`` names the stage in flight, the exception type and message (and
+    a ``NonConvergenceError``'s trace); the exception is then re-raised.
     """
     if not fdi_is_valid(fdi):
         raise ValueError(f"invalid FDI tooth number {fdi}")
@@ -323,6 +324,7 @@ def run_pipeline(
     def do_stage(name):
         return stop_after is None or STAGES.index(name) <= STAGES.index(stop_after)
 
+    stage = "classify"
     try:
         scan = _ensure_normals(load_mesh(scan_path))
 
@@ -333,6 +335,7 @@ def run_pipeline(
         if not do_stage("register"):
             return report
 
+        stage = "register"
         if config.template_dir is None:
             raise PipelineError("registration needs template_dir configured", stage="register")
         library = load_template_library(config.template_dir)
@@ -352,6 +355,7 @@ def run_pipeline(
         if not do_stage("refine"):
             return report
 
+        stage = "refine"
         t0 = time.perf_counter()
         labels, probs = stage_refine(canonical, config, scan_path)
         refined = canonical.with_labels(labels)
@@ -367,6 +371,7 @@ def run_pipeline(
         if not do_stage("retrieve"):
             return report
 
+        stage = "retrieve"
         t0 = time.perf_counter()
         retrieval = stage_retrieve(canonical, labels, fdi, config)
         report.add_stage("retrieve", time.perf_counter() - t0, {
@@ -378,6 +383,7 @@ def run_pipeline(
         if not do_stage("align"):
             return report
 
+        stage = "align"
         t0 = time.perf_counter()
         align_result, aligned, targets = stage_align(canonical, labels, fdi,
                                                      retrieval.crown, config)
@@ -394,6 +400,7 @@ def run_pipeline(
         if not do_stage("fit"):
             return report
 
+        stage = "fit"
         antagonist = None
         if antagonist_path is not None and Path(antagonist_path).exists():
             antagonist = load_mesh(antagonist_path)
@@ -406,8 +413,10 @@ def run_pipeline(
         report.add_stage("fit", time.perf_counter() - t0, payload)
         report.outputs["fitted_crown"] = str(fitted_path)
         return report
-    except PipelineError as exc:
-        report.error = {"stage": exc.stage, "message": str(exc)}
+    except Exception as exc:
+        report.error = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NonConvergenceError):
+            report.error["trace"] = list(exc.trace)
         raise
     finally:
         report.write(out_dir / "report.json")

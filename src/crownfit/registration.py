@@ -148,7 +148,7 @@ def coarse_register(
     if len(src) < 3 or len(tgt) < 3:
         raise CoarseRegistrationError(
             f"need >=3 points after downsampling, got {len(src)}/{len(tgt)}",
-            stage="coarse_registration",
+            stage="register",
         )
     src_fpfh = compute_fpfh(src, params.fpfh_radius).histograms
     tgt_fpfh = compute_fpfh(tgt, params.fpfh_radius).histograms
@@ -209,7 +209,7 @@ def coarse_register(
         raise CoarseRegistrationError(
             "no RANSAC candidate survived pruning",
             diagnostics={"tried": tried, "pruned_edge_gate": pruned_edges},
-            stage="coarse_registration",
+            stage="register",
         )
 
     transform = best[1]
@@ -327,7 +327,7 @@ def fine_register(
                 if not weighted:
                     raise RankDeficiencyError(
                         "degenerate normal covariance in point-to-plane system",
-                        stage="fine_registration",
+                        stage="register",
                     )
                 continue
             xi = np.linalg.solve(a, b)
@@ -442,7 +442,7 @@ def register_with_routing(
         raise RoutingError(
             f"coarse registration failed against both {side} partials: "
             + "; ".join(f"{jaw}: {exc}" for jaw, exc in failures),
-            stage="registration",
+            stage="register",
         )
     # highest fitness wins; Upper first on exact ties
     jaw, result = max(candidates, key=lambda item: (item[1].fitness, item[0] == "Upper"))

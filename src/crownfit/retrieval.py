@@ -77,7 +77,7 @@ def match_context(query: ContextQuery, index: EmbeddingIndex,
     break to the lexicographically smaller jaw id.
     """
     if not index.jaws:
-        raise NoMatchError("embedding index is empty", stage="retrieval")
+        raise NoMatchError("embedding index is empty", stage="retrieve")
     n_query = len(query.slots)
     best = None
     for jaw_id in sorted(index.jaws, key=str):
@@ -93,7 +93,7 @@ def match_context(query: ContextQuery, index: EmbeddingIndex,
     if best is None:
         raise NoMatchError(
             f"no candidate jaw shares at least half of the {n_query} context slots",
-            stage="retrieval",
+            stage="retrieve",
         )
     return best
 

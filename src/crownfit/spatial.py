@@ -63,7 +63,3 @@ class SpatialIndex:
                 idx = idx[np.lexsort((idx, dist))]
             out.append(idx)
         return out
-
-
-def build_spatial_index(points) -> SpatialIndex:
-    return SpatialIndex(points)

@@ -85,6 +85,7 @@ def routing_runs(template_library):
     return runs
 
 
+@pytest.mark.slow
 def test_registration_round_trip(routing_runs):
     ok_count = sum(1 for r in routing_runs
                    if r["rot_err"] <= 2.0 and r["trans_err"] <= 0.5)
@@ -94,6 +95,7 @@ def test_registration_round_trip(routing_runs):
            f"{ok_count}/100 within 2 deg / 0.5 mm; slowest scan {slowest:.2f}s (<= 10s)")
 
 
+@pytest.mark.slow
 def test_dual_template_routing(routing_runs):
     partials = [r for r in routing_runs if r["coverage"] != "full"]
     sample = partials[:40]

@@ -98,7 +98,7 @@ class TestProviders:
         provider = ExternalSidecarClassifier().for_scan(tmp_path / "absent.ply")
         with pytest.raises(ClassificationError) as err:
             classify(provider, mesh)
-        assert err.value.stage == "classification"
+        assert err.value.stage == "classify"
 
 
 def test_accuracy_on_100_scans_20_per_class():

@@ -77,6 +77,65 @@ class TestPointsInsideMesh:
                               (np.linalg.norm(pts - [1, 2, 3], axis=1) < 2.0)[~boundary])
 
 
+def brute_force_inside(points, mesh):
+    """Oracle: ray parity over every (point, triangle) pair, along the same ray."""
+    from crownfit.fitting import _RAY_DIR
+    tri = mesh.vertices[mesh.faces]
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    pvec = np.cross(_RAY_DIR, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.abs(det) > 1e-14
+    inside = []
+    for p in np.asarray(points, dtype=np.float64):
+        tvec = p - tri[:, 0]
+        qvec = np.cross(tvec, e1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.einsum("ij,ij->i", tvec, pvec) / det
+            v = qvec @ _RAY_DIR / det
+            t = np.einsum("ij,ij->i", qvec, e2) / det
+        hits = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
+        inside.append(hits.sum() % 2 == 1)
+    return np.array(inside)
+
+
+def inside_probe_points(mesh, rng):
+    """Random points around the mesh's box (many outside it), points below the
+    mesh along the ray, and points just off the faces on both sides."""
+    from crownfit.fitting import _RAY_DIR
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pad = 0.5 * (hi - lo)
+    around = rng.uniform(lo - pad, hi + pad, size=(300, 3))
+    below = rng.uniform(lo, hi, size=(100, 3)) - 3.0 * np.linalg.norm(hi - lo) * _RAY_DIR
+    pick = rng.choice(mesh.n_faces, size=min(mesh.n_faces, 100), replace=False)
+    centers = mesh.face_centroids()[pick]
+    normals = mesh.face_normals()[pick]
+    corners = mesh.vertices[mesh.faces[pick, 0]] + rng.normal(0, 1e-3, (len(pick), 3))
+    return np.concatenate([around, below, centers + 1e-6 * normals,
+                           centers - 1e-6 * normals, corners])
+
+
+class TestCulledInsideTestEquivalence:
+    @pytest.mark.parametrize("name", ["box", "sphere", "crown"])
+    def test_matches_all_pairs_oracle(self, name):
+        mesh = {
+            "box": lambda: make_box((0.3, -0.2, 0.1), (1.0, 2.0, 0.5)),
+            "sphere": lambda: make_uv_sphere((1, 2, 3), 2.0, 24, 32),
+            "crown": lambda: generate_crown_fixture("bumped_posterior").mesh,
+        }[name]()
+        pts = inside_probe_points(mesh, np.random.default_rng(7))
+        want = brute_force_inside(pts, mesh)
+        assert 0 < want.sum() < len(pts)
+        assert np.array_equal(points_inside_mesh(pts, mesh), want)
+        # a tiny chunk splits the candidate mask across many passes
+        assert np.array_equal(points_inside_mesh(pts, mesh, chunk=997), want)
+
+    def test_empty_inputs(self):
+        box = make_box((0, 0, 0), (1, 1, 1))
+        assert points_inside_mesh(np.zeros((0, 3)), box).shape == (0,)
+        empty = LabeledMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+        assert not points_inside_mesh([[0.0, 0.0, 0.0]], empty).any()
+
+
 class TestInterproximal:
     def test_case_a_collision_shrinks_clear(self):
         sphere = make_uv_sphere((0, 0, 0), 5.0, 36, 48)
@@ -157,6 +216,12 @@ class TestCentering:
     def test_connected_components_counts(self):
         assert len(connected_components(two_walls(10.0))) == 2
         assert len(connected_components(make_box((0, 0, 0), (1, 1, 1)))) == 1
+
+    def test_connected_components_ordered_by_lowest_face(self):
+        walls = two_walls(10.0)
+        faces = np.concatenate([walls.faces[12:], walls.faces[:12]])
+        comps = connected_components(LabeledMesh(walls.vertices, faces))
+        assert [c.tolist() for c in comps] == [list(range(12)), list(range(12, 24))]
 
 
 class TestCusps:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from crownfit.errors import MeshFormatError
-from crownfit.labels import (FaceLabelProbabilities, GraphCutParams, corrupt_labels,
-                             graphcut_refine, labeling_energy, load_probabilities,
-                             pairwise_weights, reassign_small_components,
-                             save_probabilities, tune_smoothness)
+from crownfit.labels import (FaceLabelProbabilities, GraphCutParams, _cut_pattern,
+                             _min_cut_assignment, corrupt_labels, graphcut_refine,
+                             labeling_energy, load_probabilities, pairwise_weights,
+                             reassign_small_components, save_probabilities,
+                             tune_smoothness)
 from crownfit.mesh import GINGIVA, LabeledMesh
 
 
@@ -142,6 +143,30 @@ class TestGraphCut:
     def test_negative_smoothness_rejected(self):
         with pytest.raises(ValueError):
             GraphCutParams(smoothness=-1.0)
+
+
+def cut_energy(x, cost0, cost1, pairs, caps):
+    e = cost0[x == 0].sum() + cost1[x == 1].sum()
+    return e + caps[(x[pairs[:, 0]] == 0) & (x[pairs[:, 1]] == 1)].sum()
+
+
+class TestMinCut:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_exhaustive_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # repeats and reverse arcs stay
+        # small integer costs stay exact under the integer capacity scale
+        cost0 = rng.integers(0, 10, n).astype(float)
+        cost1 = rng.integers(0, 10, n).astype(float)
+        caps = rng.integers(0, 10, len(pairs)).astype(float)
+        x = _min_cut_assignment(cost0, cost1, caps, _cut_pattern(n, pairs))
+        states = np.array(list(itertools.product((0, 1), repeat=n)))
+        energies = np.array([cut_energy(s, cost0, cost1, pairs, caps) for s in states])
+        assert cut_energy(x, cost0, cost1, pairs, caps) == energies.min()
+        # the source side is the minimal one: x=1 wherever any optimum has it
+        assert np.array_equal(x, states[energies == energies.min()].max(axis=0))
 
 
 class TestSmallComponents:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from crownfit.errors import MeshWarning
 from crownfit.mesh import (LabeledMesh, PointCloud, RigidTransform, bounding_box_diagonal,
-                           estimate_vertex_normals, face_adjacency, is_watertight,
-                           voxel_downsample)
+                           component_ids, estimate_vertex_normals, face_adjacency,
+                           is_watertight, voxel_downsample)
 from crownfit.synth import make_box, make_uv_sphere
 
 
@@ -172,6 +172,36 @@ class TestBoundingBoxDiagonal:
             bounding_box_diagonal(LabeledMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)))
 
 
+def topology_case(name):
+    box = make_box((0, 0, 0), (1, 1, 1))
+    if name == "box":
+        return box
+    if name == "sphere":
+        return make_uv_sphere((0, 0, 0), 1.0)
+    if name == "square":
+        return square_mesh()
+    faces = box.faces.copy()
+    if name == "flipped":
+        faces[3] = faces[3, ::-1]  # every edge still shared by two faces
+        return LabeledMesh(box.vertices, faces)
+    # "fin": a third face on one of the box's edges
+    a, b = faces[0, 0], faces[0, 1]
+    vertices = np.concatenate([box.vertices, [[5.0, 5.0, 5.0]]])
+    return LabeledMesh(vertices, np.concatenate([faces, [[a, b, len(box.vertices)]]]))
+
+
+def watertight_oracle(mesh):
+    """Every undirected edge in exactly two faces, every directed edge in one."""
+    undirected, directed = {}, {}
+    for f in mesh.faces.tolist():
+        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            key = (min(a, b), max(a, b))
+            undirected[key] = undirected.get(key, 0) + 1
+            directed[(a, b)] = directed.get((a, b), 0) + 1
+    return (all(c == 2 for c in undirected.values())
+            and all(c == 1 for c in directed.values()))
+
+
 class TestTopology:
     def test_box_watertight(self):
         assert is_watertight(make_box((0, 0, 0), (1, 1, 1)))
@@ -179,7 +209,55 @@ class TestTopology:
     def test_open_square_not_watertight(self):
         assert not is_watertight(square_mesh())
 
+    @pytest.mark.parametrize("name", ["box", "sphere", "flipped", "fin", "square"])
+    def test_watertight_matches_edge_count_oracle(self, name):
+        mesh = topology_case(name)
+        want = name in ("box", "sphere")
+        assert watertight_oracle(mesh) == want
+        assert is_watertight(mesh) == want
+
     def test_face_adjacency_square(self):
         pairs = face_adjacency(square_mesh())
         assert pairs.shape == (1, 2)
         assert sorted(pairs[0].tolist()) == [0, 1]
+
+
+def union_find_components(n_nodes, pairs):
+    """Oracle: component id per node by a plain union-find."""
+    parent = list(range(n_nodes))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return np.array([find(i) for i in range(n_nodes)])
+
+
+def same_partition(ids_a, ids_b):
+    # equal partitions map each id of one labelling to exactly one of the other
+    pairs = set(zip(ids_a.tolist(), ids_b.tolist()))
+    return len(pairs) == len(set(ids_a.tolist())) == len(set(ids_b.tolist()))
+
+
+class TestComponentIds:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_union_find(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        got = component_ids(n, pairs)
+        assert got.shape == (n,)
+        assert same_partition(got, union_find_components(n, pairs))
+
+    def test_no_pairs_gives_singletons(self):
+        assert sorted(component_ids(4, np.zeros((0, 2), dtype=int)).tolist()) == [0, 1, 2, 3]
+
+    def test_arch_faces_against_union_find(self, lower_arch):
+        mesh, gt = lower_arch
+        pairs = face_adjacency(mesh)
+        pairs = pairs[gt.labels[pairs[:, 0]] == gt.labels[pairs[:, 1]]]
+        got = component_ids(mesh.n_faces, pairs)
+        assert same_partition(got, union_find_components(mesh.n_faces, pairs))

@@ -179,6 +179,56 @@ class TestRunPipeline:
         assert [s["name"] for s in payload["stages"]] == ["classify", "register", "refine"]
 
 
+# one callee per stage, looked up through crownfit.pipeline
+STAGE_CALLEES = {
+    "classify": "classify",
+    "register": "register_with_routing",
+    "refine": "graphcut_refine",
+    "retrieve": "match_context",
+    "align": "align_crown",
+    "fit": "fit_crown",
+}
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_any_exception_is_reported_with_its_stage(self, corpus, tmp_path,
+                                                      monkeypatch, stage):
+        import crownfit.pipeline as pipeline
+
+        def boom(*args, **kwargs):
+            raise ValueError(f"injected into {stage}")
+
+        monkeypatch.setattr(pipeline, STAGE_CALLEES[stage], boom)
+        root, manifest = corpus
+        cfg = _with_output(load_config(root / "config.json"), tmp_path / "fault")
+        with pytest.raises(ValueError, match="injected"):
+            run_pipeline(manifest["case"]["scan"], 36, cfg,
+                         antagonist_path=manifest["case"]["antagonist"])
+        payload = json.loads((Path(cfg.output_dir) / "report.json").read_text())
+        assert payload["error"] == {"stage": stage, "type": "ValueError",
+                                    "message": f"injected into {stage}"}
+        assert [s["name"] for s in payload["stages"]] == list(STAGES[:STAGES.index(stage)])
+
+    def test_non_convergence_trace_is_reported(self, corpus, tmp_path, monkeypatch):
+        import crownfit.pipeline as pipeline
+        from crownfit.errors import NonConvergenceError
+
+        def stuck(*args, **kwargs):
+            raise NonConvergenceError("stuck", trace=[{"phase": "grow", "scale": 1.01}],
+                                      stage="fit")
+
+        monkeypatch.setattr(pipeline, "fit_crown", stuck)
+        root, manifest = corpus
+        cfg = _with_output(load_config(root / "config.json"), tmp_path / "stuck")
+        with pytest.raises(NonConvergenceError):
+            run_pipeline(manifest["case"]["scan"], 36, cfg)
+        error = json.loads((Path(cfg.output_dir) / "report.json").read_text())["error"]
+        assert error["stage"] == "fit"
+        assert error["type"] == "NonConvergenceError"
+        assert error["trace"] == [{"phase": "grow", "scale": 1.01}]
+
+
 class TestEvaluate:
     def test_perfect_prediction(self, corpus, tmp_path):
         root, manifest = corpus

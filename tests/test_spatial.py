@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crownfit.spatial import build_spatial_index
+from crownfit.spatial import SpatialIndex
 
 
 def linear_nearest(points, query):
@@ -11,7 +11,7 @@ def linear_nearest(points, query):
 
 def test_query_at_indexed_point(rng):
     pts = rng.normal(size=(50, 3))
-    index = build_spatial_index(pts)
+    index = SpatialIndex(pts)
     idx, dist = index.nearest(pts[17])
     assert idx[0] == 17
     assert dist[0] == 0.0
@@ -19,7 +19,7 @@ def test_query_at_indexed_point(rng):
 
 def test_matches_linear_scan_on_random_instances(rng):
     pts = rng.uniform(-5, 5, size=(1000, 3))
-    index = build_spatial_index(pts)
+    index = SpatialIndex(pts)
     queries = rng.uniform(-6, 6, size=(100, 3))
     idx, dist = index.nearest(queries)
     for q, i, d in zip(queries, idx[:, 0], dist[:, 0]):
@@ -30,7 +30,7 @@ def test_matches_linear_scan_on_random_instances(rng):
 
 def test_radius_matches_linear_scan(rng):
     pts = rng.uniform(0, 1, size=(300, 3))
-    index = build_spatial_index(pts)
+    index = SpatialIndex(pts)
     for q in rng.uniform(0, 1, size=(20, 3)):
         got = set(index.radius(q, 0.25).tolist())
         want = set(np.nonzero(np.linalg.norm(pts - q, axis=1) <= 0.25)[0].tolist())
@@ -39,14 +39,14 @@ def test_radius_matches_linear_scan(rng):
 
 def test_radius_zero_returns_only_coincident(rng):
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    index = build_spatial_index(pts)
+    index = SpatialIndex(pts)
     hits = index.radius([0, 0, 0], 0.0)
     assert set(hits.tolist()) == {0, 2}
 
 
 def test_radius_results_sorted_by_distance(rng):
     pts = rng.uniform(0, 1, size=(200, 3))
-    index = build_spatial_index(pts)
+    index = SpatialIndex(pts)
     hits = index.radius([0.5, 0.5, 0.5], 0.4)
     d = np.linalg.norm(pts[hits] - [0.5, 0.5, 0.5], axis=1)
     assert np.all(np.diff(d) >= 0)
@@ -54,4 +54,4 @@ def test_radius_results_sorted_by_distance(rng):
 
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
-        build_spatial_index(np.zeros((0, 3)))
+        SpatialIndex(np.zeros((0, 3)))
