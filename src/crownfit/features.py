@@ -4,7 +4,10 @@ The 8-D vector per point is (x, y, z, nx, ny, nz, r, phi) where (r, phi) are
 polar coordinates in the XY-plane about the cloud centroid after centering.
 FPFH follows the Rusu 2009 formulation: 11 bins per pair-feature angle,
 distance-weighted neighbor accumulation, each 11-bin block normalized to
-sum 100.
+sum 100. It runs on one flat list of (source, neighbour) pairs from
+``SpatialIndex.radius_pairs``: bin counts come from one ``np.bincount`` and
+the 1/distance-weighted neighbour sum from one sparse row-by-histogram
+product, with no loop over points.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import MeshWarning
 from .mesh import PointCloud, _freeze
@@ -91,35 +95,6 @@ class FpfhDescriptor:
         return len(self.histograms)
 
 
-def pair_features(p1, n1, p2, n2):
-    """Darboux-frame pair angles (f1, f2, f3) for a single point pair.
-
-    Returns None for coincident points or when the frame is degenerate
-    (connecting line parallel to the source normal).
-    """
-    d = p2 - p1
-    dist = np.linalg.norm(d)
-    if dist == 0:
-        return None
-    a1 = float(np.dot(n1, d)) / dist
-    a2 = float(np.dot(n2, d)) / dist
-    if np.arccos(np.clip(abs(a1), -1, 1)) > np.arccos(np.clip(abs(a2), -1, 1)):
-        p1, n1, p2, n2 = p2, n2, p1, n1
-        d = -d
-        f3 = a2
-    else:
-        f3 = a1
-    v = np.cross(d, n1)
-    vn = np.linalg.norm(v)
-    if vn == 0:
-        return None
-    v = v / vn
-    w = np.cross(n1, v)
-    f2 = float(np.dot(v, n2))
-    f1 = float(np.arctan2(np.dot(w, n2), np.dot(n1, n2)))
-    return f1, f2, f3
-
-
 def _bin_indices(f1, f2, f3):
     i1 = np.clip(np.floor(FPFH_BINS * (f1 + np.pi) / (2 * np.pi)), 0, FPFH_BINS - 1)
     i2 = np.clip(np.floor(FPFH_BINS * (f2 + 1.0) / 2.0), 0, FPFH_BINS - 1)
@@ -164,43 +139,28 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> FpfhDescriptor:
     pts = cloud.points
     nrm = cloud.normals
     n = len(pts)
-    index = SpatialIndex(pts)
-    neighbor_lists = index.radius_batch(pts, radius)
+    src, dst = SpatialIndex(pts).radius_pairs(radius)
 
-    src_idx, dst_idx = [], []
-    for i, nb in enumerate(neighbor_lists):
-        nb = nb[nb != i]
-        src_idx.append(np.full(len(nb), i, dtype=np.int64))
-        dst_idx.append(nb)
-    src_idx = np.concatenate(src_idx) if src_idx else np.zeros(0, dtype=np.int64)
-    dst_idx = np.concatenate(dst_idx) if dst_idx else np.zeros(0, dtype=np.int64)
-
-    spfh = np.zeros((n, 3 * FPFH_BINS))
-    pair_counts = np.zeros(n)
-    if len(src_idx):
-        f1, f2, f3, dist, ok = _pair_features_batch(
-            pts[src_idx], nrm[src_idx], pts[dst_idx], nrm[dst_idx]
-        )
-        i1, i2, i3 = _bin_indices(f1[ok], f2[ok], f3[ok])
-        src_ok = src_idx[ok]
-        np.add.at(spfh, (src_ok, i1), 1.0)
-        np.add.at(spfh, (src_ok, FPFH_BINS + i2), 1.0)
-        np.add.at(spfh, (src_ok, 2 * FPFH_BINS + i3), 1.0)
-        np.add.at(pair_counts, src_ok, 1.0)
+    f1, f2, f3, dist, ok = _pair_features_batch(pts[src], nrm[src], pts[dst], nrm[dst])
+    i1, i2, i3 = _bin_indices(f1[ok], f2[ok], f3[ok])
+    src_ok = src[ok]
+    cells = np.column_stack([i1, FPFH_BINS + i2, 2 * FPFH_BINS + i3])
+    cells += 3 * FPFH_BINS * src_ok[:, None]
+    spfh = np.bincount(cells.ravel(), minlength=3 * FPFH_BINS * n)
+    spfh = spfh.reshape(n, 3 * FPFH_BINS).astype(np.float64)
+    pair_counts = np.bincount(src_ok, minlength=n)
     nonzero = pair_counts > 0
     spfh[nonzero] /= pair_counts[nonzero, None]
 
-    fpfh = spfh.copy()
-    if len(src_idx):
-        dist_all = np.linalg.norm(pts[src_idx] - pts[dst_idx], axis=1)
-        w = np.zeros_like(dist_all)
-        pos = dist_all > 0
-        w[pos] = 1.0 / dist_all[pos]
-        k_counts = np.bincount(src_idx, minlength=n).astype(np.float64)
-        acc = np.zeros_like(spfh)
-        np.add.at(acc, src_idx, spfh[dst_idx] * w[:, None])
-        has_nb = k_counts > 0
-        fpfh[has_nb] += acc[has_nb] / k_counts[has_nb, None]
+    # row i of the sparse product adds w * spfh[dst] over i's pairs one at a
+    # time, in list order; coincident neighbours count with weight 0
+    w = np.zeros_like(dist)
+    pos = dist > 0
+    w[pos] = 1.0 / dist[pos]
+    k_counts = np.bincount(src, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(k_counts)])
+    acc = csr_matrix((w, dst, indptr), shape=(n, n)) @ spfh
+    fpfh = spfh + acc / np.maximum(k_counts, 1)[:, None]
 
     isolated = ~nonzero
     if np.any(isolated):

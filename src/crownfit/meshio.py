@@ -154,9 +154,12 @@ def _load_ply(data: bytes) -> LabeledMesh:
         faces = np.zeros((0, 3), dtype=np.int64)
         labels = None
     else:
-        for row in indices:
-            if len(row) != 3:
-                raise MeshFormatError("only triangle faces are supported")
+        if isinstance(indices, np.ndarray):
+            triangles = indices.shape[1] == 3
+        else:  # ascii rows may differ in length
+            triangles = all(len(row) == 3 for row in indices)
+        if not triangles:
+            raise MeshFormatError("only triangle faces are supported")
         faces = np.asarray(indices, dtype=np.int64)
         labels = face.get("label")
         if labels is not None:
@@ -194,47 +197,66 @@ def _parse_ply_ascii(data: bytes, offset: int, elements):
 
 
 def _parse_ply_binary(data: bytes, offset: int, elements):
+    """Read each element in one ``np.frombuffer`` call.
+
+    Every list property takes its length from the first record and every
+    record must repeat it, so an element is an array of fixed-size records.
+    """
     out = {}
     pos = offset
     for elem in elements:
-        has_list = any(p.list_count_dtype is not None for p in elem.properties)
-        cols = {p.name: [] for p in elem.properties}
-        if not has_list:
-            dtype = np.dtype([(p.name, "<" + p.dtype) for p in elem.properties])
-            end = pos + dtype.itemsize * elem.count
-            if end > len(data):
+        fields = []
+        lists = []  # (list name, its length in the first record)
+        head = pos
+        for prop in elem.properties:
+            if prop.list_count_dtype is None:
+                fields.append((prop.name, "<" + prop.dtype))
+                head += np.dtype(prop.dtype).itemsize
+                continue
+            cdt = np.dtype("<" + prop.list_count_dtype)
+            n = 0
+            if elem.count and head + cdt.itemsize <= len(data):
+                n = int(np.frombuffer(data, cdt, count=1, offset=head)[0])
+            fields += [(prop.name + " count", cdt), (prop.name, "<" + prop.dtype, (n,))]
+            lists.append((prop.name, n))
+            head += cdt.itemsize + np.dtype(prop.dtype).itemsize * n
+        if elem.count and head > len(data):
+            raise MeshFormatError(
+                f"truncated binary data in element {elem.name!r}", byte_offset=len(data)
+            )
+        try:
+            dtype = np.dtype(fields)
+        except ValueError:  # a repeated property name or a negative list length
+            raise MeshFormatError(
+                f"malformed properties in element {elem.name!r}", byte_offset=pos
+            ) from None
+        size = elem.count * dtype.itemsize
+        body = data[pos:pos + size]
+        # a short body is padded to whole records, so that a list length that
+        # changes mid-element is reported rather than the truncation it causes
+        whole = elem.count if len(body) == size else len(body) // dtype.itemsize + 1
+        rec = np.frombuffer(body.ljust(whole * dtype.itemsize, b"\0"), dtype, count=whole)
+        for name, n in lists:
+            field = name + " count"
+            bad = np.nonzero(rec[field] != n)[0]
+            if not len(bad):
+                continue
+            at = pos + int(bad[0]) * dtype.itemsize + dtype.fields[field][1]
+            if at + dtype[field].itemsize <= len(data):  # read from the file, not padding
                 raise MeshFormatError(
-                    f"truncated binary data in element {elem.name!r}", byte_offset=len(data)
+                    f"list {name!r} of element {elem.name!r} changes length from {n} "
+                    f"to {rec[field][bad[0]]} in record {bad[0]}",
+                    byte_offset=at,
                 )
-            rec = np.frombuffer(data[pos:end], dtype=dtype)
-            pos = end
-            out[elem.name] = {p.name: rec[p.name].astype(np.float64) for p in elem.properties}
-            continue
-        for _ in range(elem.count):
-            for prop in elem.properties:
-                try:
-                    if prop.list_count_dtype is not None:
-                        cdt = np.dtype("<" + prop.list_count_dtype)
-                        (n,) = np.frombuffer(data[pos:pos + cdt.itemsize], dtype=cdt)
-                        pos += cdt.itemsize
-                        vdt = np.dtype("<" + prop.dtype)
-                        vals = np.frombuffer(data[pos:pos + vdt.itemsize * int(n)], dtype=vdt)
-                        if len(vals) != int(n):
-                            raise ValueError
-                        pos += vdt.itemsize * int(n)
-                        cols[prop.name].append(vals.astype(np.int64).tolist())
-                    else:
-                        vdt = np.dtype("<" + prop.dtype)
-                        (v,) = np.frombuffer(data[pos:pos + vdt.itemsize], dtype=vdt)
-                        pos += vdt.itemsize
-                        cols[prop.name].append(float(v))
-                except ValueError:
-                    raise MeshFormatError(
-                        f"truncated binary data in element {elem.name!r}", byte_offset=pos
-                    ) from None
+        if len(body) < size:
+            raise MeshFormatError(
+                f"truncated binary data in element {elem.name!r}", byte_offset=len(data)
+            )
         out[elem.name] = {
-            k: (v if v and isinstance(v[0], list) else np.asarray(v)) for k, v in cols.items()
+            p.name: rec[p.name].astype(np.float64 if p.list_count_dtype is None else np.int64)
+            for p in elem.properties
         }
+        pos += size
     return out, pos
 
 

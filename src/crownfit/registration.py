@@ -5,6 +5,11 @@ similarity gate. Fine: point-to-plane ICP with a Tukey biweight kernel and a
 backtracking line search, so the traced robust objective is non-increasing
 by construction. Partial scans compete against the upper and lower partial
 templates of their side; the higher fitness wins.
+
+Nothing seed-independent is derived twice: ``prepare_cloud`` downsamples a
+cloud and computes its FPFH once (the scan once, however many templates it
+meets), ``register_pair`` matches features once per pair, and each restart
+only redraws RANSAC samples, polishes and runs ICP on the same clouds.
 """
 
 from __future__ import annotations
@@ -70,18 +75,42 @@ class RegistrationResult:
             raise ValueError("inlier_rmse must be non-negative")
 
 
-def edge_lengths_compatible(src_tri: np.ndarray, tgt_tri: np.ndarray, threshold: float) -> bool:
-    """RANSAC gate: every pairwise edge-length ratio (short/long) >= threshold."""
-    for i in range(3):
-        for j in range(i + 1, 3):
-            a = np.linalg.norm(src_tri[i] - src_tri[j])
-            b = np.linalg.norm(tgt_tri[i] - tgt_tri[j])
-            longer = max(a, b)
-            if longer == 0:
-                return False
-            if min(a, b) / longer < threshold:
-                return False
-    return True
+@dataclass(frozen=True)
+class PreparedCloud:
+    """A voxel-downsampled cloud and its FPFH rows, shared by every restart
+    and every template the cloud is registered against."""
+
+    cloud: PointCloud
+    fpfh: np.ndarray
+
+
+def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> PreparedCloud:
+    """Downsample once and compute FPFH once.
+
+    Raises CoarseRegistrationError when fewer than 3 points remain.
+    """
+    down = voxel_downsample(cloud, params.voxel)
+    if len(down) < 3:
+        raise CoarseRegistrationError(
+            f"need >=3 points after downsampling, got {len(down)}", stage="register"
+        )
+    return PreparedCloud(down, compute_fpfh(down, params.fpfh_radius).histograms)
+
+
+def edge_gate(src_tris: np.ndarray, tgt_tris: np.ndarray, similarity: float,
+              min_edge: float) -> np.ndarray:
+    """RANSAC gate over (b, 3, 3) triangle batches: True where every edge-length
+    ratio (short/long) is >= ``similarity`` and every source edge is longer
+    than ``min_edge`` (rejects degenerate, near-coincident samples)."""
+    ok = np.ones(len(src_tris), dtype=bool)
+    for i, j in [(0, 1), (1, 2), (0, 2)]:
+        a = np.linalg.norm(src_tris[:, i] - src_tris[:, j], axis=1)
+        b = np.linalg.norm(tgt_tris[:, i] - tgt_tris[:, j], axis=1)
+        longer = np.maximum(a, b)
+        ratio = np.where(longer > 0, np.minimum(a, b) / np.where(longer == 0, 1, longer), 0.0)
+        ok &= ratio >= similarity
+        ok &= a > min_edge
+    return ok
 
 
 def _kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
@@ -120,44 +149,37 @@ def _feature_correspondences(src_feat: np.ndarray, tgt_feat: np.ndarray) -> np.n
     return out
 
 
-def _mutual_pool(src_feat: np.ndarray, tgt_feat: np.ndarray, corr: np.ndarray) -> np.ndarray:
-    """Source indices whose feature match is reciprocal.
+def match_features(source: PreparedCloud, target: PreparedCloud):
+    """``(corr, pool)``: the nearest target FPFH row for each source point, and
+    the source points whose match is reciprocal, which RANSAC samples from.
 
     Mutual filtering drops most hallucinated matches on self-similar arch
-    regions and points outside the shared coverage.
+    regions and points outside the shared coverage; with fewer than 3
+    reciprocal matches every source point stays in the pool.
     """
-    back = _feature_correspondences(tgt_feat, src_feat)
-    mutual = back[corr] == np.arange(len(corr))
-    pool = np.nonzero(mutual)[0]
-    return pool if len(pool) >= 3 else np.arange(len(corr))
+    corr = _feature_correspondences(source.fpfh, target.fpfh)
+    back = _feature_correspondences(target.fpfh, source.fpfh)
+    pool = np.nonzero(back[corr] == np.arange(len(corr)))[0]
+    return corr, pool if len(pool) >= 3 else np.arange(len(corr))
 
 
 def coarse_register(
-    source: PointCloud,
-    target: PointCloud,
+    source: PreparedCloud,
+    target: PreparedCloud,
+    matches: tuple[np.ndarray, np.ndarray],
     params: RegistrationParams = RegistrationParams(),
     seed: int | None = None,
 ) -> RegistrationResult:
-    """FPFH + RANSAC global registration of source onto target.
+    """RANSAC global registration of source onto target over the
+    ``match_features`` matches.
 
     Deterministic for a fixed seed. Raises CoarseRegistrationError with
     best-attempt diagnostics when no candidate survives pruning.
     """
-    src = voxel_downsample(source, params.voxel)
-    tgt = voxel_downsample(target, params.voxel)
-    if len(src) < 3 or len(tgt) < 3:
-        raise CoarseRegistrationError(
-            f"need >=3 points after downsampling, got {len(src)}/{len(tgt)}",
-            stage="register",
-        )
-    src_fpfh = compute_fpfh(src, params.fpfh_radius).histograms
-    tgt_fpfh = compute_fpfh(tgt, params.fpfh_radius).histograms
-    corr = _feature_correspondences(src_fpfh, tgt_fpfh)
-    pool = _mutual_pool(src_fpfh, tgt_fpfh, corr)
-
+    corr, pool = matches
     rng = np.random.default_rng(params.seed if seed is None else seed)
-    spts = src.points
-    tpts = tgt.points
+    spts = source.cloud.points
+    tpts = target.cloud.points
     tgt_index = SpatialIndex(tpts)
     threshold = params.ransac_threshold
 
@@ -176,16 +198,7 @@ def coarse_register(
         tried += n_draw
         s_tri = spts[triples]                       # (b, 3, 3)
         t_tri = tpts[corr[triples]]
-        # vectorized edge-length similarity gate
-        pair_idx = [(0, 1), (1, 2), (0, 2)]
-        ok = np.ones(n_draw, dtype=bool)
-        for i, j in pair_idx:
-            a = np.linalg.norm(s_tri[:, i] - s_tri[:, j], axis=1)
-            b = np.linalg.norm(t_tri[:, i] - t_tri[:, j], axis=1)
-            longer = np.maximum(a, b)
-            ratio = np.where(longer > 0, np.minimum(a, b) / np.where(longer == 0, 1, longer), 0.0)
-            ok &= ratio >= params.edge_similarity
-            ok &= a > params.voxel  # reject degenerate/near-coincident samples
+        ok = edge_gate(s_tri, t_tri, params.edge_similarity, params.voxel)
         pruned_edges += int((~ok).sum())
         for row in np.nonzero(ok)[0]:
             candidate = _kabsch(s_tri[row], t_tri[row])
@@ -370,30 +383,30 @@ def _mesh_cloud(mesh: LabeledMesh) -> PointCloud:
 
 
 def register_pair(
-    source: PointCloud,
-    target: PointCloud,
+    source: PreparedCloud,
+    target: PreparedCloud,
     params: RegistrationParams,
     seed: int | None = None,
 ) -> RegistrationResult:
-    """Coarse then fine registration on voxel-downsampled clouds.
+    """Coarse then fine registration of prepared (downsampled) clouds.
 
     Re-runs the coarse stage with derived seeds (best final fitness wins)
     when the refined fitness stays below ``good_fitness``: self-similar arch
-    regions occasionally trap RANSAC in a rotated lock.
+    regions occasionally trap RANSAC in a rotated lock. The feature matches
+    do not depend on the seed and are computed once.
     """
     base_seed = params.seed if seed is None else seed
-    src = voxel_downsample(source, params.voxel)
-    tgt = voxel_downsample(target, params.voxel)
+    matches = match_features(source, target)
     best = None
     last_error = None
     for attempt in range(max(1, params.restarts)):
         attempt_seed = base_seed + attempt * 1_000_003
         try:
-            coarse = coarse_register(source, target, params, seed=attempt_seed)
+            coarse = coarse_register(source, target, matches, params, seed=attempt_seed)
         except CoarseRegistrationError as exc:
             last_error = exc
             continue
-        fine = fine_register(src, tgt, coarse.transform, params)
+        fine = fine_register(source.cloud, target.cloud, coarse.transform, params)
         if best is None or fine.fitness > best.fitness:
             best = fine
         if best.fitness >= params.good_fitness:
@@ -420,19 +433,24 @@ def register_with_routing(
     against the upper and lower partials of the side; the higher fitness
     wins, ties break to Upper.
     """
-    source = _mesh_cloud(scan)
     if scan_class.is_full:
         jaw = "Upper" if scan_class is ScanClass.FULL_UPPER else "Lower"
-        target = _mesh_cloud(library.master(jaw))
+        source = prepare_cloud(_mesh_cloud(scan), params)
+        target = prepare_cloud(_mesh_cloud(library.master(jaw)), params)
         result = register_pair(source, target, params, seed=seed)
         return replace(result, chosen_template=template_key(jaw, None))
 
     side = scan_class.side
+    try:
+        source = prepare_cloud(_mesh_cloud(scan), params)
+    except CoarseRegistrationError as exc:
+        raise RoutingError(f"scan cannot be registered against the {side} partials: {exc}",
+                           stage="register") from exc
     candidates = []
     failures = []
     for jaw in ("Upper", "Lower"):
-        target = _mesh_cloud(library.partial(jaw, side))
         try:
+            target = prepare_cloud(_mesh_cloud(library.partial(jaw, side)), params)
             result = register_pair(source, target, params, seed=seed)
         except CoarseRegistrationError as exc:
             failures.append((jaw, exc))

@@ -1,8 +1,10 @@
-"""Exact nearest-neighbor and radius queries over 3-D point sets.
+"""Exact nearest-neighbor queries and radius pairs over 3-D point sets.
 
 Thin wrapper around a k-d tree; results are exact and deterministically
-ordered (distance, then index) so they can be compared against linear scans.
-The index is read-only after construction and safe for concurrent queries.
+ordered so they can be compared against linear scans. ``radius_pairs``
+returns every (source, neighbour) pair of indexed points within a radius as
+one flat list, ordered by source, then distance, then neighbour index. The
+index is read-only after construction and safe for concurrent queries.
 """
 
 from __future__ import annotations
@@ -41,25 +43,16 @@ class SpatialIndex:
             return idx[0], dist[0]
         return idx, dist
 
-    def radius(self, query, radius: float):
-        """Indices of points within ``radius`` (inclusive), sorted by distance."""
-        query = np.asarray(query, dtype=np.float64).reshape(3)
-        idx = np.asarray(self._tree.query_ball_point(query, radius), dtype=np.int64)
-        if len(idx) == 0:
-            return idx
-        dist = np.linalg.norm(self._points[idx] - query, axis=1)
-        order = np.lexsort((idx, dist))
-        return idx[order]
+    def radius_pairs(self, radius: float):
+        """Flat ``(source, neighbour)`` index arrays of all pairs of distinct
+        indexed points at most ``radius`` apart (inclusive), both directions.
 
-    def radius_batch(self, queries, radius: float):
-        """List of sorted index arrays, one per query point."""
-        queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-        raw = self._tree.query_ball_point(queries, radius)
-        out = []
-        for q, members in zip(queries, raw):
-            idx = np.asarray(members, dtype=np.int64)
-            if len(idx):
-                dist = np.linalg.norm(self._points[idx] - q, axis=1)
-                idx = idx[np.lexsort((idx, dist))]
-            out.append(idx)
-        return out
+        Sorted by source, then distance, then neighbour index; coincident
+        duplicates pair up at distance 0, self-pairs are dropped.
+        """
+        pairs = self._tree.query_pairs(radius, output_type="ndarray")
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        dist = np.linalg.norm(self._points[dst] - self._points[src], axis=1)
+        order = np.lexsort((dst, dist, src))
+        return src[order], dst[order]

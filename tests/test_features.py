@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,10 +121,16 @@ class TestFpfh:
         assert np.isclose(RegistrationParams(voxel=0.8).fpfh_radius, 5.6)
 
     def test_matches_brute_force_reference(self):
-        cloud = random_cloud(50, 11)
-        got = compute_fpfh(cloud, 2.5).histograms
-        want = brute_force_fpfh(cloud.points, cloud.normals, 2.5)
-        assert np.abs(got - want).max() < 1e-6
+        dup = random_cloud(50, 12)
+        pts = dup.points.copy()
+        pts[[3, 4]] = pts[2]         # three coincident points
+        pts[49] = [40.0, 40.0, 40.0]  # isolated
+        for cloud in (random_cloud(50, 11), PointCloud(pts, dup.normals)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MeshWarning)
+                got = compute_fpfh(cloud, 2.5).histograms
+            want = brute_force_fpfh(cloud.points, cloud.normals, 2.5)
+            assert np.abs(got - want).max() < 1e-6
 
     def test_sub_histograms_sum_to_100(self):
         cloud = random_cloud(60, 3)

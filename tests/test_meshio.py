@@ -74,6 +74,25 @@ class TestPly:
             load_mesh(path, "PLY")
         assert err.value.byte_offset is not None
 
+    def test_binary_face_list_lengths(self, tmp_path):
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 4\n"
+                  "property double x\nproperty double y\nproperty double z\n"
+                  "element face 2\nproperty list uchar int vertex_indices\n"
+                  "end_header\n").encode()
+        body = header + np.arange(12, dtype="<f8").tobytes()
+
+        def face(*idx):
+            return bytes([len(idx)]) + np.array(idx, dtype="<i4").tobytes()
+
+        path = tmp_path / "faces.ply"
+        path.write_bytes(body + face(0, 1, 2, 3) + face(3, 2, 1, 0))
+        with pytest.raises(MeshFormatError, match="only triangle faces"):
+            load_mesh(path, "PLY")
+        path.write_bytes(body + face(0, 1, 2) + face(0, 1, 2, 3))
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path, "PLY")
+        assert err.value.byte_offset == len(body) + 13  # count byte of the second face
+
     def test_out_of_range_face_index_rejected(self, tmp_path):
         text = ("ply\nformat ascii 1.0\nelement vertex 3\n"
                 "property double x\nproperty double y\nproperty double z\n"

@@ -3,11 +3,11 @@ import pytest
 
 import crownfit.registration as registration
 from crownfit.classify import ScanClass
-from crownfit.errors import CoarseRegistrationError, RankDeficiencyError
-from crownfit.mesh import PointCloud, RigidTransform, voxel_downsample
+from crownfit.errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
+from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
 from crownfit.registration import (RegistrationParams, RegistrationResult, coarse_register,
-                                   edge_lengths_compatible, fine_register, register_pair,
-                                   register_with_routing, template_key)
+                                   edge_gate, fine_register, match_features, prepare_cloud,
+                                   register_pair, register_with_routing, template_key)
 from crownfit.synth import (ArchSpec, PerturbSpec, generate_arch, partial_spec,
                             perturb_pose)
 from crownfit.templates import build_template_library
@@ -30,6 +30,11 @@ def library():
     return build_template_library(upper, lower)
 
 
+def coarse(source, target, params=PARAMS, seed=None):
+    src, tgt = prepare_cloud(source, params), prepare_cloud(target, params)
+    return coarse_register(src, tgt, match_features(src, tgt), params, seed=seed)
+
+
 def pose_errors(recovered: RigidTransform, ideal: RigidTransform, probe):
     rot = recovered.rotation_distance_deg(ideal)
     trans = np.linalg.norm(recovered.apply(probe) - ideal.apply(probe))
@@ -39,19 +44,19 @@ def pose_errors(recovered: RigidTransform, ideal: RigidTransform, probe):
 class TestEdgeGate:
     def test_equal_triangles_pass(self):
         tri = np.array([[0, 0, 0], [4, 0, 0], [0, 3, 0]], dtype=float)
-        assert edge_lengths_compatible(tri, tri.copy(), 0.95)
+        assert edge_gate(tri[None], tri.copy()[None], 0.95, PARAMS.voxel).tolist() == [True]
 
     def test_single_short_edge_rejected(self):
         src = np.array([[0, 0, 0], [10.0, 0, 0], [0, 10.0, 0]])
         tgt = src.copy()
         tgt[1, 0] = 9.0  # one edge ratio 0.90 < 0.95
-        assert not edge_lengths_compatible(src, tgt, 0.95)
-        assert edge_lengths_compatible(src, tgt, 0.85)
+        assert edge_gate(src[None], tgt[None], 0.95, PARAMS.voxel).tolist() == [False]
+        assert edge_gate(src[None], tgt[None], 0.85, PARAMS.voxel).tolist() == [True]
 
 
 class TestCoarse:
     def test_self_registration_near_identity(self, arch_cloud):
-        result = coarse_register(arch_cloud, arch_cloud, PARAMS, seed=1)
+        result = coarse(arch_cloud, arch_cloud, PARAMS, seed=1)
         assert result.fitness >= 0.99
         assert result.transform.rotation_angle_deg() < 0.1
         assert np.linalg.norm(result.transform.translation) < 1e-3
@@ -59,7 +64,7 @@ class TestCoarse:
     def test_recovers_known_transform(self, arch_cloud):
         applied = RigidTransform.from_axis_angle((0, 0, 1), np.pi / 2, (10.0, 0, 0))
         moved = arch_cloud.transformed(applied)
-        result = coarse_register(moved, arch_cloud, PARAMS, seed=2)
+        result = coarse(moved, arch_cloud, PARAMS, seed=2)
         rot, trans = pose_errors(result.transform, applied.inverse(),
                                  moved.points.mean(axis=0))
         assert rot < 2.0
@@ -68,13 +73,13 @@ class TestCoarse:
     def test_too_few_points_rejected(self):
         tiny = PointCloud([[0, 0, 0]], normals=[[0, 0, 1]])
         with pytest.raises(CoarseRegistrationError):
-            coarse_register(tiny, tiny, PARAMS)
+            coarse(tiny, tiny, PARAMS)
 
     def test_deterministic_for_fixed_seed(self, arch_cloud):
         applied = RigidTransform.from_axis_angle((0, 0, 1), 1.0, (5.0, -3.0, 1.0))
         moved = arch_cloud.transformed(applied)
-        a = coarse_register(moved, arch_cloud, PARAMS, seed=7)
-        b = coarse_register(moved, arch_cloud, PARAMS, seed=7)
+        a = coarse(moved, arch_cloud, PARAMS, seed=7)
+        b = coarse(moved, arch_cloud, PARAMS, seed=7)
         assert np.array_equal(a.transform.rotation, b.transform.rotation)
         assert np.array_equal(a.transform.translation, b.transform.translation)
         assert a.fitness == b.fitness
@@ -169,8 +174,8 @@ class TestRouting:
         assert result.chosen_template == "partial_lower_left"
         # fitness margin over the competing upper template
         upper = register_pair(
-            registration._mesh_cloud(moved),
-            registration._mesh_cloud(library.partial("Upper", "Left")),
+            prepare_cloud(registration._mesh_cloud(moved), PARAMS),
+            prepare_cloud(registration._mesh_cloud(library.partial("Upper", "Left")), PARAMS),
             PARAMS, seed=3)
         assert result.fitness - upper.fitness > 0.05
 
@@ -210,9 +215,47 @@ class TestRouting:
         result = register_with_routing(mesh, ScanClass.PARTIAL_CENTER, library, PARAMS)
         assert result.chosen_template == "partial_upper_center"
 
+    def test_scan_too_small_keeps_error_type(self, library):
+        # three vertices inside one voxel downsample to a single point
+        tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
+        with pytest.raises(CoarseRegistrationError):
+            register_with_routing(tiny, ScanClass.FULL_LOWER, library, PARAMS)
+        with pytest.raises(RoutingError):
+            register_with_routing(tiny, ScanClass.PARTIAL_LEFT, library, PARAMS)
+
     def test_template_key_format(self):
         assert template_key("Upper", None) == "master_upper"
         assert template_key("Lower", "Left") == "partial_lower_left"
+
+
+class TestDerivedOnce:
+    """Downsampling and FPFH run once per cloud, however many restarts and
+    templates the cloud meets."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"compute_fpfh": 0, "voxel_downsample": 0, "coarse_register": 0}
+        for name in counts:
+            original = getattr(registration, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(registration, name, counting)
+        return counts
+
+    def test_full_scan_all_restarts(self, library, counts):
+        mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
+        params = RegistrationParams(good_fitness=1.01)  # unreachable: every restart runs
+        register_with_routing(mesh, ScanClass.FULL_UPPER, library, params, seed=1)
+        assert counts == {"compute_fpfh": 2, "voxel_downsample": 2,
+                          "coarse_register": params.restarts}
+
+    def test_partial_scan_shares_source(self, library, counts):
+        mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
+        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS, seed=1)
+        assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (3, 3)
 
 
 def test_registration_result_validation():

@@ -28,28 +28,37 @@ def test_matches_linear_scan_on_random_instances(rng):
         assert np.isclose(d, od)
 
 
+def linear_radius_pairs(points, radius):
+    """All (source, neighbour, distance) triples of distinct indices within radius."""
+    out = []
+    for i, p in enumerate(points):
+        d = np.linalg.norm(points - p, axis=1)
+        out += [(i, j, d[j]) for j in np.nonzero(d <= radius)[0] if j != i]
+    return out
+
+
 def test_radius_matches_linear_scan(rng):
     pts = rng.uniform(0, 1, size=(300, 3))
-    index = SpatialIndex(pts)
-    for q in rng.uniform(0, 1, size=(20, 3)):
-        got = set(index.radius(q, 0.25).tolist())
-        want = set(np.nonzero(np.linalg.norm(pts - q, axis=1) <= 0.25)[0].tolist())
-        assert got == want
+    pts[5] = pts[9]  # a coincident pair
+    src, dst = SpatialIndex(pts).radius_pairs(0.25)
+    want = linear_radius_pairs(pts, 0.25)
+    assert set(zip(src.tolist(), dst.tolist())) == {(i, j) for i, j, _ in want}
+    assert len(src) == len(want)
+    assert not np.any(src == dst)
 
 
 def test_radius_zero_returns_only_coincident(rng):
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    index = SpatialIndex(pts)
-    hits = index.radius([0, 0, 0], 0.0)
-    assert set(hits.tolist()) == {0, 2}
+    src, dst = SpatialIndex(pts).radius_pairs(0.0)
+    assert list(zip(src.tolist(), dst.tolist())) == [(0, 2), (2, 0)]
 
 
 def test_radius_results_sorted_by_distance(rng):
     pts = rng.uniform(0, 1, size=(200, 3))
-    index = SpatialIndex(pts)
-    hits = index.radius([0.5, 0.5, 0.5], 0.4)
-    d = np.linalg.norm(pts[hits] - [0.5, 0.5, 0.5], axis=1)
-    assert np.all(np.diff(d) >= 0)
+    pts[7] = pts[3] = pts[150]  # equal distances break ties by neighbour index
+    src, dst = SpatialIndex(pts).radius_pairs(0.4)
+    want = sorted(linear_radius_pairs(pts, 0.4), key=lambda t: (t[0], t[2], t[1]))
+    assert list(zip(src.tolist(), dst.tolist())) == [(i, j) for i, j, _ in want]
 
 
 def test_empty_input_rejected():
