@@ -2,15 +2,16 @@
 threshold, geometric centering between the neighbors, and two-mode occlusal
 correction (posterior cusp tap-down, anterior global shift).
 
-Intersection volumes come from voxelized inside tests: vertical-column
-crossing parity on a shared grid for watertight meshes, a proximity fallback
-for open shells. The error of the voxel estimate is O(surface area x
-resolution); the 1e-6 mm^3 threshold therefore acts as "no detectable
-overlap" at the configured resolution.
-
-Point inside tests use ray parity against watertight meshes, evaluated only
-on the (point, triangle) pairs whose boxes across the ray overlap, so their
-cost follows the points near the mesh rather than points x triangles.
+Every inside test is ray parity from one ray-crossing kernel, ``_ray_hits``,
+which runs Moller-Trumbore only on the (origin, triangle) pairs that a grid
+across the ray puts together, so its cost follows the origins near the mesh
+rather than origins x triangles. It has two callers. Points are tested
+along a fixed skewed ray (``points_inside_mesh``). Intersection volumes of
+watertight meshes cast +z rays from below the mesh, one per column of a
+shared voxel grid, and count the voxel centres with odd crossing parity
+below them; open shells fall back to a proximity estimate. The error of the
+voxel estimate is O(surface area x resolution); the 1e-6 mm^3 threshold
+therefore acts as "no detectable overlap" at the configured resolution.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError, UnsupportedFeatureError
+from .errors import NonConvergenceError
 from .mesh import (LabeledMesh, component_ids, estimate_vertex_normals, is_watertight,
                    mesh_edges)
 from .spatial import SpatialIndex
@@ -29,8 +30,6 @@ from .spatial import SpatialIndex
 _GRID_SHIFT = (4.9e-4, 7.3e-4)
 _RAY_DIR = np.array([0.0317, 0.0523, 1.0]) / np.linalg.norm([0.0317, 0.0523, 1.0])
 _MAX_VOXELS = 6.0e7
-# rows: two independent axes across the ray, then the ray itself
-_RAY_FRAME = np.array([np.cross(_RAY_DIR, [1, 0, 0]), np.cross(_RAY_DIR, [0, 1, 0]), _RAY_DIR])
 _CULL_EPS = 1e-6  # mm; far above the rounding of the ray-triangle test
 
 
@@ -81,95 +80,101 @@ class CuspSet:
 # ---------------------------------------------------------------- inside tests
 
 
-def _column_parity(mesh: LabeledMesh, xs: np.ndarray, ys: np.ndarray,
-                   z_centers: np.ndarray) -> np.ndarray:
-    """Inside mask (n_cols, n_z) by vertical-line crossing parity.
+def _group_ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    Crossings are rasterized per triangle on the (xs x ys) column grid;
-    vertical triangles project to zero area and are skipped (their crossing
-    set has measure zero for the shifted grid).
+
+def _ray_hits(origins: np.ndarray, mesh: LabeledMesh,
+              direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Origin index and ``t > 0`` of every crossing of the line
+    ``origin + t * direction`` with a triangle (Moller-Trumbore).
+
+    The test runs only on candidate (origin, triangle) pairs: the origins are
+    bucketed on a uniform grid across the ray, about one triangle wide, and
+    each triangle's box across the ray, widened by ``_CULL_EPS``, is spread
+    over the cells it covers; a candidate also lies below the triangle's top
+    vertex along the ray.
     """
-    nx, ny, nz = len(xs), len(ys), len(z_centers)
-    counts = np.zeros((nx * ny, nz + 1), dtype=np.int32)
     tri = mesh.vertices[mesh.faces]
-    x0, y0 = xs[0], ys[0]
-    dx = xs[1] - xs[0] if nx > 1 else 1.0
-    dy = ys[1] - ys[0] if ny > 1 else 1.0
-    for p0, p1, p2 in tri:
-        det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
-        if det == 0.0:
-            continue
-        lo_x = min(p0[0], p1[0], p2[0])
-        hi_x = max(p0[0], p1[0], p2[0])
-        lo_y = min(p0[1], p1[1], p2[1])
-        hi_y = max(p0[1], p1[1], p2[1])
-        i0 = max(0, int(np.ceil((lo_x - x0) / dx)))
-        i1 = min(nx - 1, int(np.floor((hi_x - x0) / dx)))
-        j0 = max(0, int(np.ceil((lo_y - y0) / dy)))
-        j1 = min(ny - 1, int(np.floor((hi_y - y0) / dy)))
-        if i0 > i1 or j0 > j1:
-            continue
-        gx = xs[i0:i1 + 1]
-        gy = ys[j0:j1 + 1]
-        px = gx[:, None] - p0[0]
-        py = gy[None, :] - p0[1]
-        u = ((p2[1] - p0[1]) * px - (p2[0] - p0[0]) * py) / det
-        v = (-(p1[1] - p0[1]) * px + (p1[0] - p0[0]) * py) / det
-        inside = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-        if not inside.any():
-            continue
-        z = p0[2] + u * (p1[2] - p0[2]) + v * (p2[2] - p0[2])
-        ii, jj = np.nonzero(inside)
-        cols = (i0 + ii) * ny + (j0 + jj)
-        layer = np.searchsorted(z_centers, z[ii, jj])
-        np.add.at(counts, (cols, layer), 1)
-    below = np.cumsum(counts[:, :-1], axis=1)
-    return (below % 2).astype(bool)
-
-
-def points_inside_mesh(points, mesh: LabeledMesh, chunk: int = 2_000_000) -> np.ndarray:
-    """Ray-parity inside test for a watertight mesh (skewed fixed direction).
-
-    Moller-Trumbore runs only on the (point, triangle) pairs that could hit:
-    the point lies in the triangle's box across the ray, widened by
-    ``_CULL_EPS``, and below its top vertex along the ray. ``chunk`` bounds
-    the size of the candidate mask.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    tri = mesh.vertices[mesh.faces]
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    d = _RAY_DIR
-    pvec = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.abs(det) > 1e-14
-    inv_det = np.zeros_like(det)  # t = 0 on near-parallel triangles: never a hit
-    inv_det[ok] = 1.0 / det[ok]
-    # triangle boxes in (across, across, along) ray coordinates; along the
-    # ray only the top vertex bounds a candidate
-    proj = tri @ _RAY_FRAME.T
+    # boxes in (across, across, along) ray coordinates; along the ray only the
+    # top vertex bounds a candidate
+    frame = np.array([np.cross(direction, [1, 0, 0]), np.cross(direction, [0, 1, 0]), direction])
+    proj = tri @ frame.T
     lo, hi = proj.min(axis=1) - _CULL_EPS, proj.max(axis=1) + _CULL_EPS
     lo[:, 2] = -np.inf
-    q = pts @ _RAY_FRAME.T
-    # a point outside the union of the boxes has no candidate at all
+    q = origins @ frame.T
+    # an origin outside the union of the boxes has no candidate at all, nor
+    # has a triangle whose box misses the remaining origins' box
     near = np.nonzero(np.all((q >= lo.min(axis=0, initial=np.inf))
                              & (q <= hi.max(axis=0, initial=-np.inf)), axis=1))[0]
-    crossings = np.zeros(len(pts), dtype=np.int64)
-    per = max(1, int(chunk // max(1, len(tri))))
-    for s in range(0, len(near), per):
-        sel = near[s:s + per]
-        qs = q[sel, None, :]
-        pi, ti = np.nonzero((qs[..., 0] >= lo[:, 0]) & (qs[..., 0] <= hi[:, 0])
-                            & (qs[..., 1] >= lo[:, 1]) & (qs[..., 1] <= hi[:, 1])
-                            & (qs[..., 2] <= hi[:, 2]))
-        tvec = pts[sel[pi]] - tri[ti, 0]
-        u = np.einsum("ij,ij->i", tvec, pvec[ti]) * inv_det[ti]
-        qvec = np.cross(tvec, e1[ti])
-        v = np.einsum("ij,j->i", qvec, d) * inv_det[ti]
-        t = np.einsum("ij,ij->i", qvec, e2[ti]) * inv_det[ti]
-        hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
-        crossings[sel] = np.bincount(pi[hit], minlength=len(sel))
-    return crossings % 2 == 1
+    reach = np.all((lo <= q[near].max(axis=0, initial=-np.inf))
+                   & (hi >= q[near].min(axis=0, initial=np.inf)), axis=1)
+    tri, lo, hi = tri[reach], lo[reach], hi[reach]
+    e1 = tri[:, 1] - tri[:, 0]
+    e2 = tri[:, 2] - tri[:, 0]
+    pvec = np.cross(direction, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.abs(det) > 1e-14  # near-parallel triangles never hit
+    inv_det = 1.0 / det[ok]
+    tri, lo, hi, e1, e2, pvec = (x[ok] for x in (tri, lo, hi, e1, e2, pvec))
+    if len(tri) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    # cells of the median triangle width, coarser if that many cells would
+    # outnumber the origins and triangles together
+    across = q[near, :2]
+    base = across.min(axis=0)
+    extent = across.max(axis=0) - base
+    cell = max(np.median((hi - lo)[:, :2].max(axis=1)),
+               np.sqrt(extent[0] * extent[1] / (len(near) + len(tri))))
+    dims = np.floor(extent / cell).astype(np.int64) + 1
+    key = (np.floor((across - base) / cell).astype(np.int64) * [dims[1], 1]).sum(axis=1)
+    order = np.argsort(key, kind="stable")
+    starts = np.searchsorted(key[order], np.arange(dims[0] * dims[1] + 1))
+    first = np.maximum(np.floor((lo[:, :2] - base) / cell), 0).astype(np.int64)
+    last = np.minimum(np.floor((hi[:, :2] - base) / cell), dims - 1).astype(np.int64)
+    width = last - first + 1
+    # every (triangle, covered cell), then every origin in that cell
+    n_cells = width[:, 0] * width[:, 1]
+    ti = np.repeat(np.arange(len(tri)), n_cells)
+    rank = _group_ranks(n_cells)
+    cells = ((first[ti, 0] + rank // width[ti, 1]) * dims[1]
+             + first[ti, 1] + rank % width[ti, 1])
+    per = starts[cells + 1] - starts[cells]
+    ti = np.repeat(ti, per)
+    oi = near[order[np.repeat(starts[cells], per) + _group_ranks(per)]]
+    qo = q[oi]
+    box = ((qo[:, 0] >= lo[ti, 0]) & (qo[:, 0] <= hi[ti, 0])
+           & (qo[:, 1] >= lo[ti, 1]) & (qo[:, 1] <= hi[ti, 1]) & (qo[:, 2] <= hi[ti, 2]))
+    oi, ti = oi[box], ti[box]
+    tvec = origins[oi] - tri[ti, 0]
+    u = np.einsum("ij,ij->i", tvec, pvec[ti]) * inv_det[ti]
+    qvec = np.cross(tvec, e1[ti])
+    v = np.einsum("ij,j->i", qvec, direction) * inv_det[ti]
+    t = np.einsum("ij,ij->i", qvec, e2[ti]) * inv_det[ti]
+    hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
+    return oi[hit], t[hit]
+
+
+def points_inside_mesh(points, mesh: LabeledMesh) -> np.ndarray:
+    """Ray-parity inside test for a watertight mesh (skewed fixed direction)."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    idx, _ = _ray_hits(pts, mesh, _RAY_DIR)
+    return np.bincount(idx, minlength=len(pts)) % 2 == 1
+
+
+def _column_inside(mesh: LabeledMesh, xs: np.ndarray, ys: np.ndarray,
+                   zs: np.ndarray) -> np.ndarray:
+    """Inside mask (len(xs) * len(ys), len(zs)) of the voxel centres: the
+    parity of the +z crossings at or below each centre, counted from one
+    origin per (x, y) column below the mesh."""
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    z0 = mesh.vertices[:, 2].min() - 1.0
+    origins = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, z0)])
+    col, t = _ray_hits(origins, mesh, np.array([0.0, 0.0, 1.0]))
+    flips = np.zeros((len(origins), len(zs) + 1), dtype=bool)
+    np.logical_xor.at(flips, (col, np.searchsorted(zs, z0 + t)), True)
+    return np.logical_xor.accumulate(flips[:, :-1], axis=1)
 
 
 def _points_in_offset_band(points, mesh: LabeledMesh, band: float) -> np.ndarray:
@@ -195,27 +200,15 @@ def penetrating_vertices(points, mesh: LabeledMesh, band: float = 0.5) -> np.nda
 
 
 def intersection_volume(a: LabeledMesh, b: LabeledMesh, resolution: float = 0.05,
-                        mode: str = "auto", band: float = 0.5) -> float:
+                        band: float = 0.5) -> float:
     """Volume of the overlap of two meshes, mm^3.
 
-    ``voxel`` counts shared-grid voxel centers inside both (watertight
-    required); ``proximity`` approximates with penetrating-vertex counts for
-    open shells; ``auto`` picks voxel when both are closed.
+    Two watertight meshes count the shared-grid voxel centres inside both;
+    otherwise penetrating-vertex counts approximate it for open shells.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if mode not in ("auto", "voxel", "proximity"):
-        raise ValueError(f"unknown intersection mode {mode!r}")
-    closed_a = is_watertight(a)
-    closed_b = is_watertight(b)
-    if mode == "voxel" and not (closed_a and closed_b):
-        raise UnsupportedFeatureError(
-            "volumetric mode requires watertight meshes; use proximity mode"
-        )
-    if mode == "auto":
-        mode = "voxel" if (closed_a and closed_b) else "proximity"
-
-    if mode == "proximity":
+    if not (is_watertight(a) and is_watertight(b)):
         n_pen = int(penetrating_vertices(a.vertices, b, band).sum())
         n_pen += int(penetrating_vertices(b.vertices, a, band).sum())
         return n_pen * resolution**3
@@ -249,7 +242,7 @@ def _voxel_overlap(a: LabeledMesh, b: LabeledMesh, resolution: float) -> float:
     xs = lo[0] + (np.arange(counts[0]) + 0.5 + _GRID_SHIFT[0]) * resolution
     ys = lo[1] + (np.arange(counts[1]) + 0.5 + _GRID_SHIFT[1]) * resolution
     zs = lo[2] + (np.arange(counts[2]) + 0.5 + _GRID_SHIFT[1] * 2) * resolution
-    inside = _column_parity(a, xs, ys, zs) & _column_parity(b, xs, ys, zs)
+    inside = _column_inside(a, xs, ys, zs) & _column_inside(b, xs, ys, zs)
     return float(inside.sum()) * resolution**3
 
 

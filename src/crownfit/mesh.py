@@ -93,13 +93,18 @@ class LabeledMesh:
         out[ok] = cross[ok] / norms[ok, None]
         return out
 
-    def centroid(self) -> np.ndarray:
-        """Area-weighted surface centroid (the mesh's geometric center)."""
-        areas = self.face_areas()
+    def centroid(self, faces=None) -> np.ndarray:
+        """Area-weighted surface centroid of the mesh (its geometric center),
+        or of the faces indexed by ``faces``; the plain mean of their face
+        centroids when they have no area."""
+        part = self if faces is None else LabeledMesh(self.vertices, self.faces[faces])
+        if part.n_faces == 0:
+            raise ValueError("empty face set has no centroid")
+        areas = part.face_areas()
         total = areas.sum()
         if total <= 0:
-            return self.vertices.mean(axis=0)
-        return (self.face_centroids() * areas[:, None]).sum(axis=0) / total
+            return part.face_centroids().mean(axis=0)
+        return (part.face_centroids() * areas[:, None]).sum(axis=0) / total
 
     def with_labels(self, face_labels) -> "LabeledMesh":
         return LabeledMesh(self.vertices, self.faces, self.vertex_normals, face_labels)
@@ -240,9 +245,6 @@ class RigidTransform:
 
     def rotation_distance_deg(self, other: "RigidTransform") -> float:
         return self.compose(other.inverse()).rotation_angle_deg()
-
-    def translation_distance(self, other: "RigidTransform") -> float:
-        return float(np.linalg.norm(self.translation - other.translation))
 
 
 def estimate_vertex_normals(mesh: LabeledMesh) -> LabeledMesh:

@@ -70,18 +70,6 @@ def macro_average(values) -> float | None:
     return float(np.mean(defined))
 
 
-def region_centroid(mesh: LabeledMesh, face_indices) -> np.ndarray:
-    faces = np.asarray(face_indices, dtype=np.int64)
-    if faces.size == 0:
-        raise ValueError("empty face set has no centroid")
-    areas = mesh.face_areas()[faces]
-    centers = mesh.face_centroids()[faces]
-    total = areas.sum()
-    if total <= 0:
-        return centers.mean(axis=0)
-    return (centers * areas[:, None]).sum(axis=0) / total
-
-
 def centroid_error(pred_faces, gt_faces, mesh: LabeledMesh, bbox_diag: float) -> tuple[float, bool]:
     """Distance between predicted and ground-truth region centroids, in mm.
 
@@ -94,7 +82,7 @@ def centroid_error(pred_faces, gt_faces, mesh: LabeledMesh, bbox_diag: float) ->
     pred_faces = np.asarray(pred_faces, dtype=np.int64)
     if pred_faces.size == 0:
         return float(bbox_diag), True
-    d = np.linalg.norm(region_centroid(mesh, pred_faces) - region_centroid(mesh, gt_faces))
+    d = np.linalg.norm(mesh.centroid(pred_faces) - mesh.centroid(gt_faces))
     return float(d), False
 
 

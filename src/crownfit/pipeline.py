@@ -55,12 +55,6 @@ def neighbor_fdis(fdi: int) -> tuple[int, int | None]:
     return mesial, distal
 
 
-def opposing_fdi(fdi: int) -> int:
-    """Same side and position on the antagonist jaw."""
-    q, p = fdi // 10, fdi % 10
-    return {1: 4, 2: 3, 3: 2, 4: 1}[q] * 10 + p
-
-
 @dataclass
 class RunReport:
     schema_version: int = REPORT_SCHEMA_VERSION

@@ -175,10 +175,8 @@ def geometric_embedding(mesh: LabeledMesh, face_indices=None, seed: int = 7) -> 
     if faces.size == 0:
         raise ValueError("cannot embed an empty face set")
     areas = mesh.face_areas()[faces]
-    centers = mesh.face_centroids()[faces]
     total = areas.sum()
-    centroid = (centers * areas[:, None]).sum(axis=0) / total
-    local = centers - centroid
+    local = mesh.face_centroids()[faces] - mesh.centroid(faces)
     cov = (local * areas[:, None]).T @ local / total
     eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
     extents = local.max(axis=0) - local.min(axis=0)

@@ -228,11 +228,6 @@ def _s_at_arc(spec: ArchSpec, arc):
     return np.interp(arc, cum, s)
 
 
-def _arc_at_s(spec: ArchSpec, sq):
-    s, cum = _arc_table(spec)
-    return np.interp(sq, s, cum)
-
-
 def _coverage_arc_range(spec: ArchSpec) -> tuple[float, float]:
     total = _arc_length(spec)
     if not spec.teeth:

@@ -35,16 +35,11 @@ def extract_tooth_centroids(scan: LabeledMesh) -> dict[int, np.ndarray]:
     if scan.face_labels is None or not np.any(scan.face_labels > GINGIVA):
         raise ValueError("scan carries no tooth labels")
     areas = scan.face_areas()
-    centers = scan.face_centroids()
     out = {}
     for cls in np.unique(scan.face_labels):
-        if cls == GINGIVA:
-            continue
-        mask = scan.face_labels == cls
-        total = areas[mask].sum()
-        if total <= 0:
-            continue
-        out[int(cls)] = (centers[mask] * areas[mask, None]).sum(axis=0) / total
+        faces = np.nonzero(scan.face_labels == cls)[0]
+        if cls != GINGIVA and areas[faces].sum() > 0:
+            out[int(cls)] = scan.centroid(faces)
     return out
 
 

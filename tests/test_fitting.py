@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crownfit.errors import NonConvergenceError, UnsupportedFeatureError
+from crownfit.errors import NonConvergenceError
 from crownfit.fitting import (CuspSet, FittingParams, center_between_neighbors,
                               connected_components, detect_cusps, fit_crown,
                               interproximal_adapt, intersection_volume, is_posterior,
@@ -44,18 +44,10 @@ class TestIntersectionVolume:
         v = intersection_volume(sphere, box, 0.02)
         assert abs(v - analytic) / analytic < 0.05
 
-    def test_open_mesh_voxel_mode_rejected(self):
-        open_mesh = LabeledMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-        closed = make_box((0, 0, 0), (1, 1, 1))
-        with pytest.raises(UnsupportedFeatureError, match="proximity"):
-            intersection_volume(open_mesh, closed, 0.05, mode="voxel")
-
     def test_bad_arguments(self):
         a = make_box((0, 0, 0), (1, 1, 1))
         with pytest.raises(ValueError):
             intersection_volume(a, a, 0.0)
-        with pytest.raises(ValueError):
-            intersection_volume(a, a, 0.05, mode="exact")
 
 
 class TestPointsInsideMesh:
@@ -114,26 +106,46 @@ def inside_probe_points(mesh, rng):
                            centers - 1e-6 * normals, corners])
 
 
+ORACLE_MESHES = {
+    "box": lambda: make_box((0.3, -0.2, 0.1), (1.0, 2.0, 0.5)),
+    "sphere": lambda: make_uv_sphere((1, 2, 3), 2.0, 24, 32),
+    "crown": lambda: generate_crown_fixture("bumped_posterior").mesh,
+}
+
+
 class TestCulledInsideTestEquivalence:
-    @pytest.mark.parametrize("name", ["box", "sphere", "crown"])
+    @pytest.mark.parametrize("name", list(ORACLE_MESHES))
     def test_matches_all_pairs_oracle(self, name):
-        mesh = {
-            "box": lambda: make_box((0.3, -0.2, 0.1), (1.0, 2.0, 0.5)),
-            "sphere": lambda: make_uv_sphere((1, 2, 3), 2.0, 24, 32),
-            "crown": lambda: generate_crown_fixture("bumped_posterior").mesh,
-        }[name]()
+        mesh = ORACLE_MESHES[name]()
         pts = inside_probe_points(mesh, np.random.default_rng(7))
         want = brute_force_inside(pts, mesh)
         assert 0 < want.sum() < len(pts)
         assert np.array_equal(points_inside_mesh(pts, mesh), want)
-        # a tiny chunk splits the candidate mask across many passes
-        assert np.array_equal(points_inside_mesh(pts, mesh, chunk=997), want)
 
     def test_empty_inputs(self):
         box = make_box((0, 0, 0), (1, 1, 1))
         assert points_inside_mesh(np.zeros((0, 3)), box).shape == (0,)
         empty = LabeledMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
         assert not points_inside_mesh([[0.0, 0.0, 0.0]], empty).any()
+
+
+class TestVoxelMaskEquivalence:
+    @pytest.mark.parametrize("name", list(ORACLE_MESHES))
+    def test_matches_all_pairs_oracle(self, name):
+        from crownfit.fitting import _GRID_SHIFT, _column_inside
+        mesh = ORACLE_MESHES[name]()
+        # a few thousand centres on _voxel_overlap's shifted grid, padded so
+        # that some lie outside the mesh on every side
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        lo, hi = lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)
+        res = float(np.prod(hi - lo) / 4000) ** (1 / 3)
+        shift = (_GRID_SHIFT[0], _GRID_SHIFT[1], 2 * _GRID_SHIFT[1])
+        xs, ys, zs = (lo[k] + (np.arange(int(np.ceil((hi[k] - lo[k]) / res))) + 0.5 + shift[k])
+                      * res for k in range(3))
+        centres = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+        want = brute_force_inside(centres, mesh)
+        assert 0 < want.sum() < len(want)
+        assert np.array_equal(_column_inside(mesh, xs, ys, zs).ravel(), want)
 
 
 class TestInterproximal:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from crownfit.mesh import LabeledMesh
 from crownfit.metrics import (MetricSummary, bootstrap_ci, centroid_error, confusion, dsc,
-                              macro_average, precision_recall, region_centroid, summarize)
+                              macro_average, precision_recall, summarize)
 
 
 def naive_confusion(pred, gt):
@@ -223,8 +223,13 @@ class TestSummarize:
 
 def test_region_centroid_area_weighted():
     vertices = [[0, 0, 0], [2, 0, 0], [0, 2, 0],       # area 2
-                [10, 0, 0], [11, 0, 0], [10, 1, 0]]    # area 0.5
-    mesh = LabeledMesh(vertices, [[0, 1, 2], [3, 4, 5]])
-    c = region_centroid(mesh, [0, 1])
+                [10, 0, 0], [11, 0, 0], [10, 1, 0],    # area 0.5
+                [20, 0, 0], [21, 0, 0], [22, 0, 0]]    # area 0
+    mesh = LabeledMesh(vertices, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    c = mesh.centroid([0, 1])
     manual = (2.0 * np.array([2 / 3, 2 / 3, 0]) + 0.5 * np.array([31 / 3, 1 / 3, 0])) / 2.5
     assert np.allclose(c, manual)
+    # a face set without area falls back to the plain mean of its face centroids
+    assert np.allclose(mesh.centroid([2]), [21, 0, 0])
+    with pytest.raises(ValueError):
+        mesh.centroid([])

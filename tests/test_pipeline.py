@@ -12,7 +12,7 @@ from crownfit.errors import PipelineError
 from crownfit.fixtures import generate_fixture_corpus
 from crownfit.mesh import PREPARED
 from crownfit.meshio import load_mesh
-from crownfit.pipeline import (STAGES, evaluate_labels, neighbor_fdis, opposing_fdi,
+from crownfit.pipeline import (STAGES, evaluate_labels, neighbor_fdis,
                                run_pipeline, segmentation_metrics)
 from crownfit.synth import fdi_to_class
 
@@ -52,10 +52,6 @@ class TestNeighborArithmetic:
         mesial, distal = neighbor_fdis(38)
         assert mesial == 37
         assert distal is None
-
-    def test_opposing(self):
-        assert opposing_fdi(36) == 26
-        assert opposing_fdi(16) == 46
 
     def test_invalid(self):
         with pytest.raises(ValueError):
