@@ -15,7 +15,6 @@ import click
 
 from .classify import ScanClass, classify
 from .config import PipelineConfig, load_config
-from .errors import PipelineError
 from .fixtures import generate_fixture_corpus
 from .mesh import estimate_vertex_normals
 from .meshio import load_mesh, save_mesh
@@ -184,11 +183,15 @@ def fit_cmd(ctx, crown, scan_path, fdi, antagonist_path, out_path):
 def run_cmd(ctx, scan, fdi, antagonist_path, stop_after, report_path):
     """Run the full pipeline on a scan."""
     cfg = _load_cfg(ctx)
+    run_report = Path(cfg.output_dir) / "report.json"
+    run_report.unlink(missing_ok=True)  # a failure is told from this run's report only
     try:
         report = run_pipeline(scan, fdi, cfg, antagonist_path=antagonist_path,
                               stop_after=stop_after)
-    except PipelineError as exc:
-        click.echo(f"pipeline failed at stage {exc.stage}: {exc}", err=True)
+    except Exception as exc:  # argument checks fail before any report is written
+        where = (f"at stage {json.loads(run_report.read_text())['error']['stage']}"
+                 if run_report.exists() else "before any stage")
+        click.echo(f"pipeline failed {where}: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
     for stage in report.stages:
         click.echo(f"{stage['name']}: {stage['seconds']:.2f}s")

@@ -4,10 +4,12 @@ The 8-D vector per point is (x, y, z, nx, ny, nz, r, phi) where (r, phi) are
 polar coordinates in the XY-plane about the cloud centroid after centering.
 FPFH follows the Rusu 2009 formulation: 11 bins per pair-feature angle,
 distance-weighted neighbor accumulation, each 11-bin block normalized to
-sum 100. It runs on one flat list of (source, neighbour) pairs from
-``SpatialIndex.radius_pairs``: bin counts come from one ``np.bincount`` and
-the 1/distance-weighted neighbour sum from one sparse row-by-histogram
-product, with no loop over points.
+sum 100, with no loop over points. Pair features are computed once per
+unordered pair of ``SpatialIndex.radius_pairs``; the reverse direction repeats
+f1 and f2 and negates f3, except on exact ties ``|a1| == |a2|``. One
+``np.bincount`` counts both directions' bins and one sparse product, its rows
+ordered by source, distance and neighbour so that every sum is reproducible
+to the bit, adds the 1/distance-weighted neighbours.
 """
 
 from __future__ import annotations
@@ -102,10 +104,10 @@ def _bin_indices(f1, f2, f3):
     return i1.astype(np.int64), i2.astype(np.int64), i3.astype(np.int64)
 
 
-def _pair_features_batch(p, n, q, m):
-    """Vectorized pair features for aligned arrays of source/target points."""
-    d = q - p
-    dist = np.linalg.norm(d, axis=1)
+def _pair_features_batch(n, m, d, dist):
+    """f1, f2, f3, the validity mask and the tie mask ``|a1| == |a2|`` of pairs
+    with source normals ``n``, target normals ``m`` and offsets ``d`` = target
+    - source of length ``dist``."""
     ok = dist > 0
     a1 = np.einsum("ij,ij->i", n, d)
     a2 = np.einsum("ij,ij->i", m, d)
@@ -124,7 +126,7 @@ def _pair_features_batch(p, n, q, m):
     w = np.cross(ns, v)
     f2 = np.einsum("ij,ij->i", v, nt)
     f1 = np.arctan2(np.einsum("ij,ij->i", w, nt), np.einsum("ij,ij->i", ns, nt))
-    return f1, f2, f3, dist, ok
+    return f1, f2, f3, ok, np.abs(a1) == np.abs(a2)
 
 
 def compute_fpfh(cloud: PointCloud, radius: float) -> FpfhDescriptor:
@@ -139,9 +141,15 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> FpfhDescriptor:
     pts = cloud.points
     nrm = cloud.normals
     n = len(pts)
-    src, dst = SpatialIndex(pts).radius_pairs(radius)
+    i, j, dist = SpatialIndex(pts).radius_pairs(radius)
+    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
 
-    f1, f2, f3, dist, ok = _pair_features_batch(pts[src], nrm[src], pts[dst], nrm[dst])
+    # j -> i repeats f1 and f2 of i -> j and negates f3, except on exact ties
+    f1, f2, f3, ok, tie = _pair_features_batch(nrm[i], nrm[j], pts[j] - pts[i], dist)
+    f1, f2, f3, ok = np.tile(f1, 2), np.tile(f2, 2), np.concatenate([f3, -f3]), np.tile(ok, 2)
+    back = np.concatenate([np.zeros_like(tie), tie])
+    f1[back], f2[back], f3[back], ok[back], _ = _pair_features_batch(
+        nrm[j[tie]], nrm[i[tie]], pts[i[tie]] - pts[j[tie]], dist[tie])
     i1, i2, i3 = _bin_indices(f1[ok], f2[ok], f3[ok])
     src_ok = src[ok]
     cells = np.column_stack([i1, FPFH_BINS + i2, 2 * FPFH_BINS + i3])
@@ -152,31 +160,27 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> FpfhDescriptor:
     nonzero = pair_counts > 0
     spfh[nonzero] /= pair_counts[nonzero, None]
 
-    # row i of the sparse product adds w * spfh[dst] over i's pairs one at a
-    # time, in list order; coincident neighbours count with weight 0
-    w = np.zeros_like(dist)
-    pos = dist > 0
-    w[pos] = 1.0 / dist[pos]
+    # row s of the sparse product adds w * spfh[t] over its pairs by distance,
+    # then t; i + j orders t within a row, so the pairs are ranked by (distance,
+    # i + j) and the rows sorted on one int64 key, below n * n_pairs
+    level = np.unique(dist, return_inverse=True)[1]
+    rank = np.empty(len(i), dtype=np.int64)
+    rank[np.argsort(level * (2 * n) + i + j)] = np.arange(len(i))
+    order = np.argsort(src * len(i) + np.tile(rank, 2))
+    w = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)  # coincident: 0
     k_counts = np.bincount(src, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(k_counts)])
-    acc = csr_matrix((w, dst, indptr), shape=(n, n)) @ spfh
+    acc = csr_matrix((np.tile(w, 2)[order], dst[order], indptr), shape=(n, n)) @ spfh
     fpfh = spfh + acc / np.maximum(k_counts, 1)[:, None]
 
-    isolated = ~nonzero
-    if np.any(isolated):
-        idx = np.nonzero(isolated)[0]
-        warnings.warn(
-            f"{len(idx)} points with no FPFH neighbors; zero histograms "
-            f"(first: {idx[:8].tolist()})",
-            MeshWarning,
-            stacklevel=2,
-        )
+    isolated = np.nonzero(~nonzero)[0]
+    if len(isolated):
+        warnings.warn(f"{len(isolated)} points with no FPFH neighbors; zero histograms "
+                      f"(first: {isolated[:8].tolist()})", MeshWarning, stacklevel=2)
         fpfh[isolated] = 0.0
 
-    # percentage convention per 11-bin block
-    for b in range(3):
-        block = fpfh[:, b * FPFH_BINS:(b + 1) * FPFH_BINS]
-        sums = block.sum(axis=1)
-        ok = sums > 0
-        block[ok] = block[ok] / sums[ok, None] * 100.0
+    # percentage convention per 11-bin block; an empty block stays zero
+    blocks = fpfh.reshape(n, 3, FPFH_BINS)
+    sums = blocks.sum(axis=2, keepdims=True)
+    blocks[:] = blocks / np.where(sums > 0, sums, 1.0) * 100.0
     return FpfhDescriptor(fpfh)

@@ -194,7 +194,11 @@ def _points_in_offset_band(points, mesh: LabeledMesh, band: float) -> np.ndarray
 def penetrating_vertices(points, mesh: LabeledMesh, band: float = 0.5) -> np.ndarray:
     """Mask of points inside the mesh: exact parity when watertight, the
     offset-band side test otherwise."""
-    if is_watertight(mesh):
+    return _penetrating(points, mesh, is_watertight(mesh), band)
+
+
+def _penetrating(points, mesh: LabeledMesh, watertight: bool, band: float) -> np.ndarray:
+    if watertight:
         return points_inside_mesh(points, mesh)
     return _points_in_offset_band(points, mesh, band)
 
@@ -208,25 +212,34 @@ def intersection_volume(a: LabeledMesh, b: LabeledMesh, resolution: float = 0.05
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if not (is_watertight(a) and is_watertight(b)):
-        n_pen = int(penetrating_vertices(a.vertices, b, band).sum())
-        n_pen += int(penetrating_vertices(b.vertices, a, band).sum())
+    return _overlap_volume(a, _components(a), b, _components(b), resolution, band)
+
+
+def _components(mesh: LabeledMesh) -> list[np.ndarray] | None:
+    """Face index arrays of a watertight mesh's connected components; None for
+    an open mesh. Both follow from the faces alone, so scaling keeps them."""
+    return connected_components(mesh) if is_watertight(mesh) else None
+
+
+def _overlap_volume(a: LabeledMesh, comps_a, b: LabeledMesh, comps_b, resolution: float,
+                    band: float) -> float:
+    if comps_a is None or comps_b is None:
+        n_pen = int(_penetrating(a.vertices, b, comps_b is not None, band).sum())
+        n_pen += int(_penetrating(b.vertices, a, comps_a is not None, band).sum())
         return n_pen * resolution**3
 
     # per component pair: disjoint solids make the volumes additive and keep
     # the voxel grid tight around each actual overlap region
     total = 0.0
-    for fa in _component_meshes(a):
-        for fb in _component_meshes(b):
+    parts_b = _component_meshes(b, comps_b)
+    for fa in _component_meshes(a, comps_a):
+        for fb in parts_b:
             total += _voxel_overlap(fa, fb, resolution)
     return total
 
 
-def _component_meshes(mesh: LabeledMesh) -> list[LabeledMesh]:
-    comps = connected_components(mesh)
-    if len(comps) <= 1:
-        return [mesh]
-    return [mesh.submesh(c) for c in comps]
+def _component_meshes(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[LabeledMesh]:
+    return [mesh] if len(comps) <= 1 else [mesh.submesh(c) for c in comps]
 
 
 def _voxel_overlap(a: LabeledMesh, b: LabeledMesh, resolution: float) -> float:
@@ -272,10 +285,11 @@ def interproximal_adapt(
     current = crown
     if trace is None:
         trace = []  # the trace also rides on any non-convergence error
+    comps, neighbor_comps = _components(crown), _components(neighbors)  # once per fit
 
     def volume(mesh):
-        return intersection_volume(mesh, neighbors, params.voxel_resolution,
-                                   band=params.proximity_band)
+        return _overlap_volume(mesh, comps, neighbors, neighbor_comps,
+                               params.voxel_resolution, params.proximity_band)
 
     v = volume(current)
     trace.append({"phase": "initial", "scale": scale, "volume": v})
@@ -329,15 +343,6 @@ def center_between_neighbors(crown: LabeledMesh, neighbors: LabeledMesh) -> Labe
 # ---------------------------------------------------------------- step 3
 
 
-def vertex_one_rings(mesh: LabeledMesh) -> list[np.ndarray]:
-    edges = mesh_edges(mesh)
-    order = np.argsort(edges[:, 0], kind="stable")
-    sorted_edges = edges[order]
-    starts = np.searchsorted(sorted_edges[:, 0], np.arange(mesh.n_vertices + 1))
-    return [np.unique(sorted_edges[starts[v]:starts[v + 1], 1])
-            for v in range(mesh.n_vertices)]
-
-
 def detect_cusps(crown: LabeledMesh, occlusal_dir, params: FittingParams = FittingParams()) -> CuspSet:
     """Strict one-ring height maxima whose normal faces the opposing jaw,
     keeping the top ``cusp_count`` by height."""
@@ -346,17 +351,12 @@ def detect_cusps(crown: LabeledMesh, occlusal_dir, params: FittingParams = Fitti
     d = np.asarray(occlusal_dir, dtype=np.float64)
     d = d / np.linalg.norm(d)
     heights = crown.vertices @ d
-    rings = vertex_one_rings(crown)
     facing = crown.vertex_normals @ d > params.cusp_normal_dot_min
-    apexes = []
-    for v in range(crown.n_vertices):
-        if not facing[v] or len(rings[v]) == 0:
-            continue
-        if np.all(heights[rings[v]] < heights[v]):
-            apexes.append(v)
-    if not apexes:
-        return CuspSet(np.zeros(0, dtype=np.int64), np.zeros(0))
-    apexes = np.asarray(apexes, dtype=np.int64)
+    # an apex has outgoing edges, each to a strictly lower vertex (NaN never is)
+    v, nb = mesh_edges(crown).T
+    n_out = np.bincount(v, minlength=crown.n_vertices)
+    n_below = np.bincount(v[heights[nb] < heights[v]], minlength=crown.n_vertices)
+    apexes = np.nonzero(facing & (n_out > 0) & (n_below == n_out))[0]
     order = np.argsort(-heights[apexes], kind="stable")
     keep = apexes[order][: params.cusp_count]
     return CuspSet(keep, heights[keep])

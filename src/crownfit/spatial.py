@@ -1,10 +1,10 @@
 """Exact nearest-neighbor queries and radius pairs over 3-D point sets.
 
-Thin wrapper around a k-d tree; results are exact and deterministically
-ordered so they can be compared against linear scans. ``radius_pairs``
-returns every (source, neighbour) pair of indexed points within a radius as
-one flat list, ordered by source, then distance, then neighbour index. The
-index is read-only after construction and safe for concurrent queries.
+Thin wrapper around a k-d tree; nearest-neighbour results are exact and
+deterministically ordered so they can be compared against linear scans.
+``radius_pairs`` returns each unordered pair within a radius once, unsorted;
+FPFH derives both directions and its summation order from it. The index is
+read-only after construction and safe for concurrent queries.
 """
 
 from __future__ import annotations
@@ -44,15 +44,8 @@ class SpatialIndex:
         return idx, dist
 
     def radius_pairs(self, radius: float):
-        """Flat ``(source, neighbour)`` index arrays of all pairs of distinct
-        indexed points at most ``radius`` apart (inclusive), both directions.
-
-        Sorted by source, then distance, then neighbour index; coincident
-        duplicates pair up at distance 0, self-pairs are dropped.
-        """
-        pairs = self._tree.query_pairs(radius, output_type="ndarray")
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        dist = np.linalg.norm(self._points[dst] - self._points[src], axis=1)
-        order = np.lexsort((dst, dist, src))
-        return src[order], dst[order]
+        """``(i, j, distance)`` arrays of every pair of distinct indexed points
+        at most ``radius`` apart (inclusive), once each with ``i < j``, unsorted;
+        coincident duplicates pair up at distance 0."""
+        i, j = self._tree.query_pairs(radius, output_type="ndarray").T
+        return i, j, np.linalg.norm(self._points[j] - self._points[i], axis=1)

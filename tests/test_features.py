@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 from crownfit.errors import MeshWarning
 from crownfit.features import FPFH_BINS, compute_fpfh, compute_point_features
-from crownfit.mesh import PointCloud, RigidTransform
+from crownfit.mesh import PointCloud, RigidTransform, estimate_vertex_normals, voxel_downsample
+from crownfit.synth import ArchSpec, generate_arch
 
 
 def random_cloud(n, seed, scale=3.0):
@@ -115,6 +118,98 @@ def brute_force_fpfh(points, normals, radius):
     return fpfh
 
 
+def directed_pair_fpfh(points, normals, radius):
+    """Reference FPFH over every directed pair: pairs sorted by (source,
+    distance, neighbour) with a lexsort and the Darboux angles computed for
+    both directions, in the same arithmetic, so results must match bit for bit."""
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    dist = np.linalg.norm(points[dst] - points[src], axis=1)
+    order = np.lexsort((dst, dist, src))
+    src, dst = src[order], dst[order]
+
+    p, nn, q, m = points[src], normals[src], points[dst], normals[dst]
+    d = q - p
+    dist = np.linalg.norm(d, axis=1)
+    ok = dist > 0
+    a1 = np.einsum("ij,ij->i", nn, d)
+    a2 = np.einsum("ij,ij->i", m, d)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a1 = np.where(ok, a1 / dist, 0.0)
+        a2 = np.where(ok, a2 / dist, 0.0)
+    swap = np.abs(a1) < np.abs(a2)
+    ns = np.where(swap[:, None], m, nn)
+    nt = np.where(swap[:, None], nn, m)
+    dd = np.where(swap[:, None], -d, d)
+    f3 = np.where(swap, a2, a1)
+    v = np.cross(dd, ns)
+    vn = np.linalg.norm(v, axis=1)
+    ok &= vn > 0
+    v = np.where(ok[:, None], v / np.where(vn[:, None] == 0, 1.0, vn[:, None]), 0.0)
+    w = np.cross(ns, v)
+    f2 = np.einsum("ij,ij->i", v, nt)
+    f1 = np.arctan2(np.einsum("ij,ij->i", w, nt), np.einsum("ij,ij->i", ns, nt))
+
+    bins = [np.clip(np.floor(FPFH_BINS * (f1[ok] + np.pi) / (2 * np.pi)), 0, FPFH_BINS - 1),
+            np.clip(np.floor(FPFH_BINS * (f2[ok] + 1.0) / 2.0), 0, FPFH_BINS - 1),
+            np.clip(np.floor(FPFH_BINS * (f3[ok] + 1.0) / 2.0), 0, FPFH_BINS - 1)]
+    cells = np.column_stack([b.astype(np.int64) + k * FPFH_BINS for k, b in enumerate(bins)])
+    cells += 3 * FPFH_BINS * src[ok][:, None]
+    spfh = np.bincount(cells.ravel(), minlength=3 * FPFH_BINS * n)
+    spfh = spfh.reshape(n, 3 * FPFH_BINS).astype(np.float64)
+    pair_counts = np.bincount(src[ok], minlength=n)
+    nonzero = pair_counts > 0
+    spfh[nonzero] /= pair_counts[nonzero, None]
+
+    wt = np.zeros_like(dist)
+    wt[dist > 0] = 1.0 / dist[dist > 0]
+    k_counts = np.bincount(src, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(k_counts)])
+    acc = csr_matrix((wt, dst, indptr), shape=(n, n)) @ spfh
+    fpfh = spfh + acc / np.maximum(k_counts, 1)[:, None]
+    fpfh[~nonzero] = 0.0
+    for b in range(3):
+        block = fpfh[:, b * FPFH_BINS:(b + 1) * FPFH_BINS]
+        sums = block.sum(axis=1)
+        block[sums > 0] = block[sums > 0] / sums[sums > 0, None] * 100.0
+    return fpfh
+
+
+def arch_cloud():
+    mesh, _ = generate_arch(ArchSpec.standard("Lower", "full", prepared=(36,), seed=4,
+                                              jitter_sigma=0.3))
+    return voxel_downsample(estimate_vertex_normals(mesh).to_point_cloud(), 0.8)
+
+
+def coincident_and_isolated_cloud():
+    cloud = random_cloud(60, 12)
+    pts = cloud.points.copy()
+    pts[[3, 4]] = pts[2]          # three coincident points
+    pts[59] = [40.0, 40.0, 40.0]  # isolated
+    return PointCloud(pts, cloud.normals)
+
+
+def coplanar_grid_cloud(tilt=0.0):
+    """6x6 grid in z = 0 with normals (+-sin(tilt), 0, cos(tilt)), the sign
+    alternating like a checkerboard. Every pair has |a1| == |a2| exactly, so
+    neither direction of a pair is the mirror of the other."""
+    grid = np.array([[x, y, 0.0] for x in range(6) for y in range(6)])
+    sign = np.where((grid[:, 0] + grid[:, 1]) % 2 == 0, 1.0, -1.0)
+    normals = np.column_stack([sign * np.sin(tilt), np.zeros(36), np.full(36, np.cos(tilt))])
+    return PointCloud(grid, normals)
+
+
+ORACLE_CLOUDS = {
+    "random": (lambda: random_cloud(300, 21), 2.5),
+    "coincident_and_isolated": (coincident_and_isolated_cloud, 2.5),
+    "coplanar_grid": (coplanar_grid_cloud, 2.5),
+    "coplanar_grid_tilted_normals": (lambda: coplanar_grid_cloud(0.4), 2.5),
+    "arch": (arch_cloud, 5.6),
+}
+
+
 class TestFpfh:
     def test_radius_from_voxel_factor(self):
         from crownfit.registration import RegistrationParams
@@ -131,6 +226,16 @@ class TestFpfh:
                 got = compute_fpfh(cloud, 2.5).histograms
             want = brute_force_fpfh(cloud.points, cloud.normals, 2.5)
             assert np.abs(got - want).max() < 1e-6
+
+    @pytest.mark.parametrize("name", list(ORACLE_CLOUDS))
+    def test_bitwise_equal_to_directed_pair_oracle(self, name):
+        make, radius = ORACLE_CLOUDS[name]
+        cloud = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MeshWarning)
+            got = compute_fpfh(cloud, radius).histograms
+        want = directed_pair_fpfh(cloud.points, cloud.normals, radius)
+        assert got.tobytes() == want.tobytes()
 
     def test_sub_histograms_sum_to_100(self):
         cloud = random_cloud(60, 3)

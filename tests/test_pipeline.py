@@ -301,9 +301,8 @@ class TestCli:
         assert out.exists()
         assert json.loads(rep.read_text())["fitness"] > 0.9
 
-    def test_run_command_with_stop_after(self, corpus, tmp_path):
-        root, manifest = corpus
-        runner = CliRunner()
+    @staticmethod
+    def _run_config(root, tmp_path):
         cfg_path = tmp_path / "config.json"
         payload = json.loads((root / "config.json").read_text())
         payload["output_dir"] = str(tmp_path / "cli_out")
@@ -311,6 +310,12 @@ class TestCli:
         payload["retrieval"]["jaw_store"] = str(root / "jaws.bin")
         payload["retrieval"]["crown_dir"] = str(root / "crowns")
         cfg_path.write_text(json.dumps(payload))
+        return cfg_path
+
+    def test_run_command_with_stop_after(self, corpus, tmp_path):
+        root, manifest = corpus
+        runner = CliRunner()
+        cfg_path = self._run_config(root, tmp_path)
         result = runner.invoke(main, [
             "--config", str(cfg_path),
             "run", manifest["case"]["scan"], "--fdi", "36",
@@ -319,6 +324,26 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "cli_out" / "refined_labels.ply").exists()
         assert not (tmp_path / "cli_out" / "aligned_crown.ply").exists()
+
+    def test_run_command_reports_any_failure(self, corpus, tmp_path, monkeypatch):
+        import crownfit.pipeline as pipeline
+
+        def boom(*args, **kwargs):
+            raise ValueError("injected into refine")
+
+        monkeypatch.setattr(pipeline, "graphcut_refine", boom)
+        root, manifest = corpus
+        cfg_path = self._run_config(root, tmp_path)
+        result = CliRunner().invoke(main, [
+            "--config", str(cfg_path), "run", manifest["case"]["scan"], "--fdi", "36",
+        ])
+        assert result.exit_code == 1
+        assert "pipeline failed at stage refine: ValueError: injected into refine" in result.output
+        result = CliRunner().invoke(main, [
+            "--config", str(cfg_path), "run", manifest["case"]["scan"], "--fdi", "99",
+        ])
+        assert result.exit_code == 1
+        assert "pipeline failed before any stage: ValueError: invalid FDI" in result.output
 
     def test_evaluate_command(self, corpus, tmp_path):
         root, manifest = corpus
