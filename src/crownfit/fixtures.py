@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import PipelineConfig, save_config
 from .meshio import save_mesh
+from .registration import store_prepared_templates
 from .retrieval import geometric_embedding, save_embedding_store
 from .synth import (ArchSpec, CrownDims, PerturbSpec, class_to_fdi, generate_arch,
                     generate_crown_fixture, perturb_pose)
@@ -124,6 +125,8 @@ def generate_fixture_corpus(out_dir, seed: int = 0, population: int = 4,
         retrieval=replace(base.retrieval, jaw_store="jaws.bin", crown_dir="crowns"),
     )
     save_config(config, out / "config.json")
+    # the templates' registration clouds, for the registration this config runs
+    store_prepared_templates(out / "templates", config.registration)
 
     manifest = {
         "templates": "templates",

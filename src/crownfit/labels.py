@@ -121,6 +121,12 @@ def _min_cut_assignment(cost0: np.ndarray, cost1: np.ndarray, pair_caps: np.ndar
     peak = float(vals.max()) if len(vals) else 0.0
     scale = _FLOW_SCALE if peak <= 0 else min(_FLOW_SCALE, _FLOW_CAP_MAX / peak)
     caps = np.round(vals * scale).astype(np.int64)
+    # every s-t cut severs exactly one t-link per node, so taking their common
+    # part off both leaves the set of minimum cuts, and so the minimal source
+    # side read off below, unchanged; the max-flow just has less to push
+    common = np.minimum(caps[:n], caps[n:2 * n])
+    caps[:n] -= common
+    caps[n:2 * n] -= common
     data = np.bincount(slot, weights=caps, minlength=len(indices)).astype(np.int64)
     graph = csr_matrix((data, indices, indptr), shape=(n + 2, n + 2))
     residual = graph - maximum_flow(graph, source, sink).flow

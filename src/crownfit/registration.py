@@ -8,8 +8,10 @@ templates of their side; the higher fitness wins.
 
 Nothing seed-independent is derived twice: ``prepare_cloud`` downsamples a
 cloud and computes its FPFH once (the scan once, however many templates it
-meets), ``register_pair`` matches features once per pair, and each restart
-only redraws RANSAC samples, polishes and runs ICP on the same clouds.
+meets), templates arrive prepared from the library's store
+(``store_prepared_templates``), ``register_pair`` matches features once per
+pair, and each restart only redraws RANSAC samples, polishes and runs ICP on
+the same clouds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
 from .features import compute_fpfh
 from .mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
 from .spatial import SpatialIndex
-from .templates import TemplateLibrary
+from .templates import (JAWS, SIDES, TemplateLibrary, load_template_library,
+                        save_prepared_clouds, template_key)
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,7 @@ def _evaluate(points: np.ndarray, transform: RigidTransform, target_index: Spati
               max_dist: float) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Fitness, inlier RMSE, NN indices and distances for transformed points."""
     moved = transform.apply(points)
-    idx, dist = target_index.nearest(moved)
-    idx = idx[:, 0]
-    dist = dist[:, 0]
+    idx, dist = target_index.nearest_within(moved, max_dist)
     inlier = dist <= max_dist
     fitness = float(inlier.mean()) if len(points) else 0.0
     rmse = float(np.sqrt(np.mean(dist[inlier] ** 2))) if inlier.any() else 0.0
@@ -138,13 +139,20 @@ def _evaluate(points: np.ndarray, transform: RigidTransform, target_index: Spati
 
 
 def _feature_correspondences(src_feat: np.ndarray, tgt_feat: np.ndarray) -> np.ndarray:
-    """Nearest target row (squared L2 over 33-D histograms) for each source row."""
+    """Nearest target row (squared L2 over 33-D histograms) for each source
+    row, the first one on ties.
+
+    ``|t|^2 - 2 s.t`` in one pass per 512-row block, with the -2 folded into
+    the target once: scaling by a power of two is exact, so the distances are
+    bitwise those of ``t2 - 2.0 * (s @ T.T)``.
+    """
     t2 = np.einsum("ij,ij->i", tgt_feat, tgt_feat)
+    tm2 = (-2.0 * tgt_feat).T
     out = np.empty(len(src_feat), dtype=np.int64)
     block = 512
     for start in range(0, len(src_feat), block):
-        sl = src_feat[start:start + block]
-        d2 = t2[None, :] - 2.0 * (sl @ tgt_feat.T)
+        d2 = src_feat[start:start + block] @ tm2
+        d2 += t2
         out[start:start + block] = np.argmin(d2, axis=1)
     return out
 
@@ -256,9 +264,7 @@ def _tukey_weight(r: np.ndarray, k: float) -> np.ndarray:
 def _objective(points, transform, target_index, target_points, target_normals, params):
     """Mean Tukey loss of point-to-plane residuals; unmatched points saturate."""
     moved = transform.apply(points)
-    idx, dist = target_index.nearest(moved)
-    idx = idx[:, 0]
-    dist = dist[:, 0]
+    idx, dist = target_index.nearest_within(moved, params.icp_max_corr_dist)
     matched = dist <= params.icp_max_corr_dist
     k = params.tukey_k
     rho = np.full(len(points), k * k / 6.0)
@@ -416,8 +422,29 @@ def register_pair(
     return best
 
 
-def template_key(jaw: str, side: str | None) -> str:
-    return f"master_{jaw.lower()}" if side is None else f"partial_{jaw.lower()}_{side.lower()}"
+def _template_cloud(library: TemplateLibrary, jaw: str, side: str | None,
+                    params: RegistrationParams) -> PreparedCloud:
+    """The library's stored cloud for a template when the store was prepared
+    with ``params``' ``voxel`` and ``fpfh_radius``, else ``prepare_cloud``."""
+    if library.prepared_key == (params.voxel, params.fpfh_radius):
+        return PreparedCloud(*library.prepared_cloud(jaw, side))
+    return prepare_cloud(_mesh_cloud(library.mesh(jaw, side)), params)
+
+
+def store_prepared_templates(directory, params: RegistrationParams) -> None:
+    """Prepare every template of the library saved in ``directory`` and store
+    the clouds with it, keyed by ``params``' ``voxel`` and ``fpfh_radius``.
+
+    The library is the one ``load_template_library`` returns, so the stored
+    clouds are exactly what registration would prepare from it.
+    """
+    library = load_template_library(directory)
+    clouds = {}
+    for jaw in JAWS:
+        for side in (None, *SIDES):
+            prepared = prepare_cloud(_mesh_cloud(library.mesh(jaw, side)), params)
+            clouds[template_key(jaw, side)] = (prepared.cloud, prepared.fpfh)
+    save_prepared_clouds(directory, (params.voxel, params.fpfh_radius), clouds)
 
 
 def register_with_routing(
@@ -436,7 +463,7 @@ def register_with_routing(
     if scan_class.is_full:
         jaw = "Upper" if scan_class is ScanClass.FULL_UPPER else "Lower"
         source = prepare_cloud(_mesh_cloud(scan), params)
-        target = prepare_cloud(_mesh_cloud(library.master(jaw)), params)
+        target = _template_cloud(library, jaw, None, params)
         result = register_pair(source, target, params, seed=seed)
         return replace(result, chosen_template=template_key(jaw, None))
 
@@ -450,7 +477,7 @@ def register_with_routing(
     failures = []
     for jaw in ("Upper", "Lower"):
         try:
-            target = prepare_cloud(_mesh_cloud(library.partial(jaw, side)), params)
+            target = _template_cloud(library, jaw, side, params)
             result = register_pair(source, target, params, seed=seed)
         except CoarseRegistrationError as exc:
             failures.append((jaw, exc))

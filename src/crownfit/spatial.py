@@ -1,7 +1,8 @@
 """Exact nearest-neighbor queries and radius pairs over 3-D point sets.
 
 Thin wrapper around a k-d tree; nearest-neighbour results are exact and
-deterministically ordered so they can be compared against linear scans.
+deterministically ordered so they can be compared against linear scans;
+``nearest_within`` prunes the search at a gate distance.
 ``radius_pairs`` returns each unordered pair within a radius once, unsorted;
 FPFH derives both directions and its summation order from it. The index is
 read-only after construction and safe for concurrent queries.
@@ -41,6 +42,21 @@ class SpatialIndex:
         idx = np.atleast_2d(idx).reshape(-1, k)
         if single:
             return idx[0], dist[0]
+        return idx, dist
+
+    def nearest_within(self, query, max_dist: float):
+        """``(indices, distances)``, shaped (n,), of the nearest indexed point
+        to each of the (n, 3) query points, searched only out to ``max_dist``.
+
+        A query whose nearest point is at most ``max_dist`` away (inclusive)
+        gets the same answer as from ``nearest``; callers gate on
+        ``distance <= max_dist``. A query with nothing in reach gets index
+        ``len(self)`` and distance inf. scipy's bound is strict, hence the
+        next float above ``max_dist``.
+        """
+        query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
+        dist, idx = self._tree.query(query, k=1,
+                                     distance_upper_bound=np.nextafter(max_dist, np.inf))
         return idx, dist
 
     def radius_pairs(self, radius: float):

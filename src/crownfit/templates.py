@@ -3,7 +3,10 @@ selection, and derived partial templates.
 
 The library holds one master mesh per jaw plus six partials (jaw x
 Left/Right/Center) cropped from the masters, and persists as a directory of
-PLY files with a JSON manifest.
+PLY files with a JSON manifest. The directory may also hold each template's
+registration cloud (downsampled points, normals and FPFH rows) in
+``prepared.npz``, which the manifest keys by the ``voxel`` and ``fpfh_radius``
+it was prepared with.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .mesh import GINGIVA, LabeledMesh
+from .mesh import GINGIVA, LabeledMesh, PointCloud
 from .meshio import load_mesh, save_mesh
 from .spatial import SpatialIndex
 
@@ -28,6 +31,12 @@ DEFAULT_CUT_SPECS = {
 GINGIVA_MARGIN_MM = 2.0
 SIDES = ("Left", "Right", "Center")
 JAWS = ("Upper", "Lower")
+
+
+def template_key(jaw: str, side: str | None) -> str:
+    """``master_<jaw>`` or ``partial_<jaw>_<side>``, lower case: a template's
+    name in reports, in the store and in its PLY file name."""
+    return f"master_{jaw.lower()}" if side is None else f"partial_{jaw.lower()}_{side.lower()}"
 
 
 def extract_tooth_centroids(scan: LabeledMesh) -> dict[int, np.ndarray]:
@@ -126,6 +135,10 @@ class TemplateLibrary:
     master_lower: LabeledMesh
     partials: dict  # (jaw, side) -> LabeledMesh
     cut_specs: dict = None
+    # the store of prepared registration clouds of a saved library and the
+    # (voxel, fpfh_radius) they were prepared with; None without a store
+    prepared_file: Path = None
+    prepared_key: tuple = None
 
     def __post_init__(self):
         if self.cut_specs is None:
@@ -139,6 +152,18 @@ class TemplateLibrary:
 
     def partial(self, jaw: str, side: str) -> LabeledMesh:
         return self.partials[(jaw, side)]
+
+    def mesh(self, jaw: str, side: str | None) -> LabeledMesh:
+        """The master of ``jaw`` when ``side`` is None, else its partial."""
+        return self.master(jaw) if side is None else self.partial(jaw, side)
+
+    def prepared_cloud(self, jaw: str, side: str | None) -> tuple:
+        """``(PointCloud, FPFH rows)`` of one template, read from the store
+        when asked for, so a case holds only the templates it meets."""
+        name = template_key(jaw, side)
+        with np.load(self.prepared_file) as store:
+            return (PointCloud(store[f"{name}.points"], store[f"{name}.normals"]),
+                    store[f"{name}.fpfh"])
 
 
 def build_template_library(
@@ -161,6 +186,7 @@ def build_template_library(
 
 MANIFEST_NAME = "templates.json"
 MANIFEST_VERSION = 1
+PREPARED_NAME = "prepared.npz"
 
 
 def save_template_library(library: TemplateLibrary, directory) -> None:
@@ -171,7 +197,7 @@ def save_template_library(library: TemplateLibrary, directory) -> None:
     save_mesh(library.master_lower, directory / files["master_lower"], "PLY")
     partial_files = {}
     for (jaw, side), mesh in library.partials.items():
-        name = f"partial_{jaw.lower()}_{side.lower()}.ply"
+        name = f"{template_key(jaw, side)}.ply"
         save_mesh(mesh, directory / name, "PLY")
         partial_files[f"{jaw}/{side}"] = name
     manifest = {
@@ -181,6 +207,22 @@ def save_template_library(library: TemplateLibrary, directory) -> None:
         "cut_specs": {side: sorted(spec) for side, spec in library.cut_specs.items()},
     }
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def save_prepared_clouds(directory, key: tuple, clouds: dict) -> None:
+    """Store ``clouds`` (template key -> (PointCloud with normals, FPFH rows))
+    in ``prepared.npz`` next to a saved library and record ``key``, the
+    ``(voxel, fpfh_radius)`` they were prepared with, in its manifest."""
+    directory = Path(directory)
+    arrays = {}
+    for name, (cloud, fpfh) in clouds.items():
+        arrays.update({f"{name}.points": cloud.points, f"{name}.normals": cloud.normals,
+                       f"{name}.fpfh": fpfh})
+    np.savez(directory / PREPARED_NAME, **arrays)
+    path = directory / MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    manifest["prepared"] = {"file": PREPARED_NAME, "voxel": key[0], "fpfh_radius": key[1]}
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_template_library(directory) -> TemplateLibrary:
@@ -194,4 +236,10 @@ def load_template_library(directory) -> TemplateLibrary:
         jaw, side = key.split("/")
         partials[(jaw, side)] = load_mesh(directory / name, "PLY")
     cut_specs = {side: tuple(v) for side, v in manifest["cut_specs"].items()}
-    return TemplateLibrary(masters["master_upper"], masters["master_lower"], partials, cut_specs)
+    prepared_file = prepared_key = None
+    if "prepared" in manifest:
+        entry = manifest["prepared"]
+        prepared_file = directory / entry["file"]
+        prepared_key = (entry["voxel"], entry["fpfh_radius"])
+    return TemplateLibrary(masters["master_upper"], masters["master_lower"], partials, cut_specs,
+                           prepared_file, prepared_key)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from crownfit.errors import MeshFormatError
 from crownfit.labels import (FaceLabelProbabilities, GraphCutParams, _cut_pattern,
@@ -9,7 +11,7 @@ from crownfit.labels import (FaceLabelProbabilities, GraphCutParams, _cut_patter
                              labeling_energy, load_probabilities, pairwise_weights,
                              reassign_small_components, save_probabilities,
                              tune_smoothness)
-from crownfit.mesh import GINGIVA, LabeledMesh
+from crownfit.mesh import GINGIVA, LabeledMesh, face_adjacency
 
 
 def strip_mesh(n_faces, seed=0, flat=False):
@@ -150,7 +152,37 @@ def cut_energy(x, cost0, cost1, pairs, caps):
     return e + caps[(x[pairs[:, 0]] == 0) & (x[pairs[:, 1]] == 1)].sum()
 
 
+def uncancelled_min_cut(cost0, cost1, pair_caps, pattern):
+    """``_min_cut_assignment`` with both full t-links of every node kept;
+    integer costs up to 18 keep the 1e8 capacity scale exact."""
+    n = len(cost0)
+    indptr, indices, slot = pattern
+    caps = np.concatenate([cost1, cost0, pair_caps, np.zeros(len(pair_caps))]) * 1e8
+    data = np.bincount(slot, weights=caps, minlength=len(indices)).astype(np.int64)
+    graph = csr_matrix((data, indices, indptr), shape=(n + 2, n + 2))
+    residual = graph - maximum_flow(graph, n, n + 1).flow
+    residual.data[residual.data < 0] = 0
+    residual.eliminate_zeros()
+    reachable = np.zeros(n + 2, dtype=bool)
+    reachable[breadth_first_order(residual, n, return_predecessors=False)] = True
+    return (~reachable[:n]).astype(np.int64)
+
+
 class TestMinCut:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tlink_cancellation_keeps_labels_on_strips(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        pairs = face_adjacency(strip_mesh(n, seed=seed))
+        # large shared t-link parts and many exact ties between the states
+        cost0 = rng.integers(0, 9, n).astype(float)
+        cost1 = rng.integers(0, 9, n).astype(float)
+        caps = rng.integers(0, 4, len(pairs)).astype(float)
+        pattern = _cut_pattern(n, pairs)
+        x = _min_cut_assignment(cost0, cost1, caps, pattern)
+        assert np.array_equal(x, uncancelled_min_cut(cost0, cost1, caps, pattern))
+        assert 0 < x.sum() < n
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_exhaustive_enumeration(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,3 +1,7 @@
+import json
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +11,12 @@ from crownfit.errors import CoarseRegistrationError, RankDeficiencyError, Routin
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
 from crownfit.registration import (RegistrationParams, RegistrationResult, coarse_register,
                                    edge_gate, fine_register, match_features, prepare_cloud,
-                                   register_pair, register_with_routing, template_key)
+                                   register_pair, register_with_routing,
+                                   store_prepared_templates, template_key)
 from crownfit.synth import (ArchSpec, PerturbSpec, generate_arch, partial_spec,
                             perturb_pose)
-from crownfit.templates import build_template_library
+from crownfit.templates import (JAWS, MANIFEST_NAME, SIDES, build_template_library,
+                                load_template_library, save_template_library)
 
 PARAMS = RegistrationParams()
 
@@ -28,6 +34,25 @@ def library():
     lower = [generate_arch(ArchSpec.standard("Lower", "full", seed=s,
                                              jitter_sigma=0.3))[0] for s in range(3)]
     return build_template_library(upper, lower)
+
+
+@pytest.fixture(scope="module")
+def saved_library(library, tmp_path_factory):
+    """Directory of ``library`` saved with its store of prepared clouds."""
+    directory = tmp_path_factory.mktemp("templates")
+    save_template_library(library, directory)
+    store_prepared_templates(directory, PARAMS)
+    return directory
+
+
+def edited_copy(directory, tmp_path, edit):
+    """Copy of a saved library whose manifest ``edit`` rewrites in place."""
+    copy = tmp_path / "templates"
+    shutil.copytree(directory, copy)
+    manifest = json.loads((copy / MANIFEST_NAME).read_text())
+    edit(manifest)
+    (copy / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return copy
 
 
 def coarse(source, target, params=PARAMS, seed=None):
@@ -228,6 +253,55 @@ class TestRouting:
         assert template_key("Lower", "Left") == "partial_lower_left"
 
 
+class TestFeatureCorrespondences:
+    def test_integer_features_match_brute_force_first_on_ties(self, rng):
+        # small integers make every distance exact, so ties are real ties
+        src = rng.integers(0, 3, size=(1100, 33)).astype(float)  # three 512-row blocks
+        tgt = rng.integers(0, 3, size=(300, 33)).astype(float)
+        tgt[150:] = tgt[:150]
+        src[::4] = tgt[rng.integers(0, 300, size=len(src[::4]))]
+        d2 = ((src[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)
+        got = registration._feature_correspondences(src, tgt)
+        assert np.array_equal(got, np.argmin(d2, axis=1))
+        assert np.all(got < 150)  # every row ties with its twin and takes the first
+
+    def test_bitwise_equal_to_unfused_distances(self, rng):
+        src = rng.random((1100, 33)) * 100
+        tgt = rng.random((700, 33)) * 100
+        t2 = np.einsum("ij,ij->i", tgt, tgt)
+        want = np.concatenate([np.argmin(t2 - 2.0 * (src[i:i + 512] @ tgt.T), axis=1)
+                               for i in range(0, len(src), 512)])
+        assert np.array_equal(registration._feature_correspondences(src, tgt), want)
+
+
+class TestTemplateStore:
+    def test_store_equals_prepare_cloud_on_reloaded_library(self, saved_library):
+        loaded = load_template_library(saved_library)
+        assert loaded.prepared_key == (PARAMS.voxel, PARAMS.fpfh_radius)
+        for jaw in JAWS:
+            for side in (None, *SIDES):
+                fresh = prepare_cloud(registration._mesh_cloud(loaded.mesh(jaw, side)), PARAMS)
+                cloud, fpfh = loaded.prepared_cloud(jaw, side)
+                assert cloud.points.tobytes() == fresh.cloud.points.tobytes()
+                assert cloud.normals.tobytes() == fresh.cloud.normals.tobytes()
+                assert fpfh.tobytes() == fresh.fpfh.tobytes()
+
+    @pytest.mark.parametrize("jaw, side, scan_class", [
+        ("Upper", "full", ScanClass.FULL_UPPER), ("Lower", "left", ScanClass.PARTIAL_LEFT)])
+    def test_routing_identical_with_and_without_store(self, saved_library, jaw, side,
+                                                      scan_class):
+        stored = load_template_library(saved_library)
+        bare = replace(stored, prepared_file=None, prepared_key=None)
+        spec = (ArchSpec.standard(jaw, "full", seed=5, jitter_sigma=0.3) if side == "full"
+                else partial_spec(jaw, side, seed=5, jitter_sigma=0.3))
+        mesh, _ = generate_arch(spec)
+        a = register_with_routing(mesh, scan_class, stored, PARAMS, seed=1)
+        b = register_with_routing(mesh, scan_class, bare, PARAMS, seed=1)
+        assert a.transform.matrix().tobytes() == b.transform.matrix().tobytes()
+        assert (a.fitness, a.inlier_rmse, a.chosen_template) == \
+            (b.fitness, b.inlier_rmse, b.chosen_template)
+
+
 class TestDerivedOnce:
     """Downsampling and FPFH run once per cloud, however many restarts and
     templates the cloud meets."""
@@ -256,6 +330,41 @@ class TestDerivedOnce:
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS, seed=1)
         assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (3, 3)
+
+    def test_stored_templates_full_scan_prepares_only_the_scan(self, saved_library, counts):
+        library = load_template_library(saved_library)
+        mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
+        params = RegistrationParams(good_fitness=1.01)
+        register_with_routing(mesh, ScanClass.FULL_UPPER, library, params, seed=1)
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1,
+                          "coarse_register": params.restarts}
+
+    def test_stored_templates_partial_scan_prepares_only_the_scan(self, saved_library,
+                                                                  counts):
+        library = load_template_library(saved_library)
+        mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
+        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS, seed=1)
+        assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (1, 1)
+
+    def test_store_of_other_voxel_recomputes(self, saved_library, tmp_path, counts):
+        def other_voxel(manifest):
+            manifest["prepared"]["voxel"] = PARAMS.voxel + 0.1
+
+        library = load_template_library(edited_copy(saved_library, tmp_path, other_voxel))
+        assert library.prepared_file is not None
+        mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
+        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS, seed=1)
+        assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (2, 2)
+
+    def test_manifest_without_store_loads_and_recomputes(self, saved_library, tmp_path,
+                                                         counts):
+        copy = edited_copy(saved_library, tmp_path, lambda manifest: manifest.pop("prepared"))
+        (copy / "prepared.npz").unlink()
+        library = load_template_library(copy)
+        assert (library.prepared_file, library.prepared_key) == (None, None)
+        mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
+        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS, seed=1)
+        assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (2, 2)
 
 
 def test_registration_result_validation():

@@ -28,6 +28,31 @@ def test_matches_linear_scan_on_random_instances(rng):
         assert np.isclose(d, od)
 
 
+def test_nearest_within_equals_nearest_inside_gate(rng):
+    pts = rng.uniform(-5, 5, size=(1000, 3))
+    index = SpatialIndex(pts)
+    queries = rng.uniform(-6, 6, size=(301, 3))
+    idx, dist = index.nearest(queries)
+    idx, dist = idx[:, 0], dist[:, 0]
+    gate = float(np.median(dist))  # one query lies exactly at the gate
+    inside = dist <= gate
+    got_idx, got_dist = index.nearest_within(queries, gate)
+    assert np.array_equal(got_dist <= gate, inside)
+    assert np.array_equal(got_idx[inside], idx[inside])
+    assert np.array_equal(got_dist[inside], dist[inside])
+    assert np.all(got_idx[~inside] == len(pts))
+    assert np.all(np.isinf(got_dist[~inside]))
+
+
+def test_nearest_within_keeps_point_exactly_at_gate():
+    index = SpatialIndex([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0]])
+    query = [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
+    idx, dist = index.nearest_within(query, 1.0)
+    assert idx.tolist() == [0, 0] and dist.tolist() == [1.0, 1.0]
+    idx, dist = index.nearest_within(query, np.nextafter(1.0, 0.0))
+    assert idx.tolist() == [2, 2] and np.all(np.isinf(dist))
+
+
 def linear_radius_pairs(points, radius):
     """{(i, j): distance} of all unordered pairs i < j within radius."""
     out = {}
