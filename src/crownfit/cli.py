@@ -82,7 +82,7 @@ def register_cmd(ctx, scan, scan_class_name, out_path, report_path):
     else:
         scan_class, _ = classify(_classifier_for(cfg, scan), mesh)
     library = load_template_library(cfg.template_dir)
-    result = register_with_routing(mesh, scan_class, library, cfg.registration, seed=cfg.seed)
+    result = register_with_routing(mesh, scan_class, library, cfg.registration)
     save_mesh(mesh.transformed(result.transform), out_path, "PLY")
     click.echo(f"template={result.chosen_template} fitness={result.fitness:.4f} "
                f"rmse={result.inlier_rmse:.4f}")

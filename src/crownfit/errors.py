@@ -38,7 +38,7 @@ class ClassificationError(PipelineError):
 
 
 class CoarseRegistrationError(PipelineError):
-    """RANSAC global registration failed. ``diagnostics`` holds best-attempt stats."""
+    """Coarse global registration failed. ``diagnostics`` holds the failed pass's stats."""
 
     def __init__(self, message, diagnostics=None, stage=None):
         super().__init__(message, stage=stage)

@@ -498,20 +498,23 @@ def fit_crown(
     fdi: int,
     params: FittingParams = FittingParams(),
 ) -> tuple[LabeledMesh, FittingReport]:
-    """Interproximal adaptation, centering, then occlusal correction.
+    """Centering, interproximal adaptation, then occlusal correction.
 
+    Centering comes first: the neighbour-centroid midpoint is not the middle
+    of the gap, so centering a crown already scaled to clear both neighbours
+    could push it back into one.
     A missing antagonist skips the occlusal step (flagged in the report);
     centering requires exactly two neighbor components and is skipped with a
     flag otherwise.
     """
-    scale_trace: list = []
-    current, scale = interproximal_adapt(crown, neighbors, params, trace=scale_trace)
-
     centering_applied = True
     try:
-        current = center_between_neighbors(current, neighbors)
+        crown = center_between_neighbors(crown, neighbors)
     except ValueError:
         centering_applied = False
+
+    scale_trace: list = []
+    current, scale = interproximal_adapt(crown, neighbors, params, trace=scale_trace)
 
     occlusal_trace: list = []
     if opposing is None:

@@ -334,8 +334,7 @@ def run_pipeline(
             raise PipelineError("registration needs template_dir configured", stage="register")
         library = load_template_library(config.template_dir)
         t0 = time.perf_counter()
-        reg = register_with_routing(scan, scan_class, library, config.registration,
-                                    seed=config.seed)
+        reg = register_with_routing(scan, scan_class, library, config.registration)
         canonical = scan.transformed(reg.transform)
         canonical_path = out_dir / "canonical_pose.ply"
         save_mesh(canonical, canonical_path, "PLY")

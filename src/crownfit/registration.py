@@ -1,17 +1,17 @@
 """Classification-guided coarse-to-fine rigid registration.
 
-Coarse: FPFH correspondences + RANSAC over 3-point sets with an edge-length
-similarity gate. Fine: point-to-plane ICP with a Tukey biweight kernel and a
-backtracking line search, so the traced robust objective is non-increasing
-by construction. Partial scans compete against the upper and lower partial
-templates of their side; the higher fitness wins.
+Coarse: reciprocal FPFH correspondences, filtered by second-order spatial
+compatibility (SC2-PCR, Chen et al. 2022) under an edge-length similarity
+gate; no random sampling. Fine: point-to-plane ICP with a Tukey biweight
+kernel and a backtracking line search, so the traced robust objective is
+non-increasing by construction. Partial scans compete against the upper and
+lower partial templates of their side; the higher fitness wins.
 
-Nothing seed-independent is derived twice: ``prepare_cloud`` downsamples a
-cloud and computes its FPFH once (the scan once, however many templates it
-meets), templates arrive prepared from the library's store
-(``store_prepared_templates``), ``register_pair`` matches features once per
-pair, and each restart only redraws RANSAC samples, polishes and runs ICP on
-the same clouds.
+Nothing is derived twice: ``prepare_cloud`` downsamples a cloud and computes
+its FPFH once (the scan once, however many templates it meets), templates
+arrive prepared from the library's store (``store_prepared_templates``), and
+``register_pair`` matches features, picks a coarse pose and runs ICP once
+per pair.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .classify import ScanClass
 from .errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
@@ -33,17 +34,11 @@ from .templates import (JAWS, SIDES, TemplateLibrary, load_template_library,
 class RegistrationParams:
     voxel: float = 0.8                       # downsampling size, mm
     fpfh_radius_factor: float = 7.0          # FPFH radius = factor * voxel
-    edge_similarity: float = 0.95            # RANSAC edge-length gate
-    ransac_max_iters: int = 100_000
-    ransac_confidence: float = 0.999
-    ransac_distance_threshold: float | None = None  # default 1.5 * voxel
+    edge_similarity: float = 0.95            # pairwise edge-length gate
     icp_max_corr_dist: float = 1.0           # mm; also the fitness gate
     icp_max_iters: int = 60
     icp_tolerance: float = 1e-6              # parameter-change stop
     tukey_k: float = 0.5                     # mm of point-to-plane residual
-    restarts: int = 3                        # coarse+fine attempts per pair
-    good_fitness: float = 0.8                # stop restarting at this fitness
-    seed: int = 0
 
     def __post_init__(self):
         if self.voxel <= 0:
@@ -56,10 +51,6 @@ class RegistrationParams:
     @property
     def fpfh_radius(self) -> float:
         return self.fpfh_radius_factor * self.voxel
-
-    @property
-    def ransac_threshold(self) -> float:
-        return self.ransac_distance_threshold or 1.5 * self.voxel
 
 
 @dataclass(frozen=True)
@@ -80,8 +71,8 @@ class RegistrationResult:
 
 @dataclass(frozen=True)
 class PreparedCloud:
-    """A voxel-downsampled cloud and its FPFH rows, shared by every restart
-    and every template the cloud is registered against."""
+    """A voxel-downsampled cloud and its FPFH rows, shared by every template
+    the cloud is registered against."""
 
     cloud: PointCloud
     fpfh: np.ndarray
@@ -100,20 +91,14 @@ def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> PreparedClou
     return PreparedCloud(down, compute_fpfh(down, params.fpfh_radius).histograms)
 
 
-def edge_gate(src_tris: np.ndarray, tgt_tris: np.ndarray, similarity: float,
+def edge_gate(src_len: np.ndarray, tgt_len: np.ndarray, similarity: float,
               min_edge: float) -> np.ndarray:
-    """RANSAC gate over (b, 3, 3) triangle batches: True where every edge-length
-    ratio (short/long) is >= ``similarity`` and every source edge is longer
-    than ``min_edge`` (rejects degenerate, near-coincident samples)."""
-    ok = np.ones(len(src_tris), dtype=bool)
-    for i, j in [(0, 1), (1, 2), (0, 2)]:
-        a = np.linalg.norm(src_tris[:, i] - src_tris[:, j], axis=1)
-        b = np.linalg.norm(tgt_tris[:, i] - tgt_tris[:, j], axis=1)
-        longer = np.maximum(a, b)
-        ratio = np.where(longer > 0, np.minimum(a, b) / np.where(longer == 0, 1, longer), 0.0)
-        ok &= ratio >= similarity
-        ok &= a > min_edge
-    return ok
+    """Pairwise compatibility gate over matching edge lengths: True where the
+    ratio short/long is >= ``similarity`` and the source edge is longer than
+    ``min_edge`` (rejects near-coincident pairs)."""
+    longer = np.maximum(src_len, tgt_len)
+    ratio = np.minimum(src_len, tgt_len) / np.where(longer == 0, 1, longer)
+    return (ratio >= similarity) & (src_len > min_edge)
 
 
 def _kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
@@ -159,16 +144,25 @@ def _feature_correspondences(src_feat: np.ndarray, tgt_feat: np.ndarray) -> np.n
 
 def match_features(source: PreparedCloud, target: PreparedCloud):
     """``(corr, pool)``: the nearest target FPFH row for each source point, and
-    the source points whose match is reciprocal, which RANSAC samples from.
+    the source points whose match is reciprocal, which the coarse stage
+    draws its correspondences from.
 
     Mutual filtering drops most hallucinated matches on self-similar arch
-    regions and points outside the shared coverage; with fewer than 3
-    reciprocal matches every source point stays in the pool.
+    regions and points outside the shared coverage. Raises
+    CoarseRegistrationError when fewer than 3 matches are reciprocal.
     """
     corr = _feature_correspondences(source.fpfh, target.fpfh)
     back = _feature_correspondences(target.fpfh, source.fpfh)
     pool = np.nonzero(back[corr] == np.arange(len(corr)))[0]
-    return corr, pool if len(pool) >= 3 else np.arange(len(corr))
+    if len(pool) < 3:
+        raise CoarseRegistrationError(
+            f"need >=3 reciprocal feature matches, got {len(pool)}", stage="register"
+        )
+    return corr, pool
+
+
+_SEEDS = 100       # correspondences with the most second-order support tried as seeds
+_SEED_GROUP = 30   # strongest partners fitted with each seed
 
 
 def coarse_register(
@@ -176,60 +170,56 @@ def coarse_register(
     target: PreparedCloud,
     matches: tuple[np.ndarray, np.ndarray],
     params: RegistrationParams = RegistrationParams(),
-    seed: int | None = None,
 ) -> RegistrationResult:
-    """RANSAC global registration of source onto target over the
-    ``match_features`` matches.
+    """Global registration of source onto target over the ``match_features``
+    matches, by second-order spatial compatibility.
 
-    Deterministic for a fixed seed. Raises CoarseRegistrationError with
-    best-attempt diagnostics when no candidate survives pruning.
+    Two correspondences are compatible when their pair passes ``edge_gate``;
+    ``sc2 = C * (C @ C)`` counts, for each compatible pair, the
+    correspondences compatible with both. The ``_SEEDS`` correspondences with
+    the largest ``sc2`` row sums each fit one pose (Kabsch) with their
+    ``_SEED_GROUP`` strongest partners, skipping seeds already in an earlier
+    group; the pose with the most full-cloud inliers, then the lowest RMSE,
+    wins and is re-fitted on its inliers. Deterministic: no sampling.
+    ``iterations`` counts the groups evaluated. Raises
+    CoarseRegistrationError when no group has 3 members.
     """
     corr, pool = matches
-    rng = np.random.default_rng(params.seed if seed is None else seed)
     spts = source.cloud.points
     tpts = target.cloud.points
-    tgt_index = SpatialIndex(tpts)
-    threshold = params.ransac_threshold
+    s, t = spts[pool], tpts[corr[pool]]
+    # 0/1 entries and counts below 2**24: float32 products are exact
+    compat = squareform(edge_gate(pdist(s), pdist(t), params.edge_similarity,
+                                  params.voxel).astype(np.float32))
+    sc2 = compat @ compat
+    sc2 *= compat
+    seeds = np.argsort(-sc2.sum(axis=1, dtype=np.float64), kind="stable")[:_SEEDS]
 
-    best = None  # (inliers, -rmse, transform)
-    tried = 0
-    pruned_edges = 0
-    batch = 256
-    min_trials = min(3 * batch, params.ransac_max_iters)
-    needed = params.ransac_max_iters
-    while tried < max(min(needed, params.ransac_max_iters), min_trials):
-        n_draw = min(batch, params.ransac_max_iters - tried)
-        if n_draw <= 0:
-            break
-        triples = pool[np.stack([rng.choice(len(pool), size=3, replace=False)
-                                 for _ in range(n_draw)])]
-        tried += n_draw
-        s_tri = spts[triples]                       # (b, 3, 3)
-        t_tri = tpts[corr[triples]]
-        ok = edge_gate(s_tri, t_tri, params.edge_similarity, params.voxel)
-        pruned_edges += int((~ok).sum())
-        for row in np.nonzero(ok)[0]:
-            candidate = _kabsch(s_tri[row], t_tri[row])
-            moved = candidate.apply(s_tri[row])
-            if np.max(np.linalg.norm(moved - t_tri[row], axis=1)) > threshold:
-                continue
-            fitness, rmse, _, _ = _evaluate(spts, candidate, tgt_index, threshold)
-            inliers = int(round(fitness * len(spts)))
-            key = (inliers, -rmse)
-            if best is None or key > best[0]:
-                best = (key, candidate)
-                w = max(inliers / len(spts), 1e-3)
-                est = np.log(max(1e-12, 1.0 - params.ransac_confidence)) / np.log(
-                    max(1e-12, 1.0 - min(w, 1.0 - 1e-9) ** 3)
-                )
-                needed = min(needed, max(1, int(np.ceil(est))))
-        if best is not None and tried >= max(needed, min_trials):
-            break
+    tgt_index = SpatialIndex(tpts)
+    threshold = 1.5 * params.voxel  # inlier distance of the coarse stage
+    grouped = np.zeros(len(pool), dtype=bool)
+    best = None  # (inliers, -rmse), transform
+    evaluated = 0
+    for seed in seeds:
+        if grouped[seed]:
+            continue
+        row = sc2[seed]
+        partners = np.argsort(-row, kind="stable")[:_SEED_GROUP]
+        group = np.concatenate([[seed], partners[row[partners] > 0]])
+        grouped[group] = True
+        if len(group) < 3:
+            continue
+        candidate = _kabsch(s[group], t[group])
+        fitness, rmse, _, _ = _evaluate(spts, candidate, tgt_index, threshold)
+        evaluated += 1
+        key = (int(round(fitness * len(spts))), -rmse)
+        if best is None or key > best[0]:
+            best = (key, candidate)
 
     if best is None:
         raise CoarseRegistrationError(
-            "no RANSAC candidate survived pruning",
-            diagnostics={"tried": tried, "pruned_edge_gate": pruned_edges},
+            "no correspondence has 2 compatible partners",
+            diagnostics={"pool": len(pool)},
             stage="register",
         )
 
@@ -240,7 +230,7 @@ def coarse_register(
     if inlier.sum() >= 3:
         transform = _kabsch(spts[inlier], tpts[idx[inlier]])
     fitness, rmse, _, _ = _evaluate(spts, transform, tgt_index, params.icp_max_corr_dist)
-    return RegistrationResult(transform, fitness, rmse, iterations=tried)
+    return RegistrationResult(transform, fitness, rmse, iterations=evaluated)
 
 
 # ---------------------------------------------------------------- fine (ICP)
@@ -392,34 +382,11 @@ def register_pair(
     source: PreparedCloud,
     target: PreparedCloud,
     params: RegistrationParams,
-    seed: int | None = None,
 ) -> RegistrationResult:
-    """Coarse then fine registration of prepared (downsampled) clouds.
-
-    Re-runs the coarse stage with derived seeds (best final fitness wins)
-    when the refined fitness stays below ``good_fitness``: self-similar arch
-    regions occasionally trap RANSAC in a rotated lock. The feature matches
-    do not depend on the seed and are computed once.
-    """
-    base_seed = params.seed if seed is None else seed
-    matches = match_features(source, target)
-    best = None
-    last_error = None
-    for attempt in range(max(1, params.restarts)):
-        attempt_seed = base_seed + attempt * 1_000_003
-        try:
-            coarse = coarse_register(source, target, matches, params, seed=attempt_seed)
-        except CoarseRegistrationError as exc:
-            last_error = exc
-            continue
-        fine = fine_register(source.cloud, target.cloud, coarse.transform, params)
-        if best is None or fine.fitness > best.fitness:
-            best = fine
-        if best.fitness >= params.good_fitness:
-            break
-    if best is None:
-        raise last_error
-    return best
+    """Coarse then fine registration of prepared (downsampled) clouds:
+    feature matching, one ``coarse_register`` and ICP from its pose."""
+    coarse = coarse_register(source, target, match_features(source, target), params)
+    return fine_register(source.cloud, target.cloud, coarse.transform, params)
 
 
 def _template_cloud(library: TemplateLibrary, jaw: str, side: str | None,
@@ -452,7 +419,6 @@ def register_with_routing(
     scan_class: ScanClass,
     library: TemplateLibrary,
     params: RegistrationParams = RegistrationParams(),
-    seed: int | None = None,
 ) -> RegistrationResult:
     """Register a scan against the templates its class routes to.
 
@@ -464,7 +430,7 @@ def register_with_routing(
         jaw = "Upper" if scan_class is ScanClass.FULL_UPPER else "Lower"
         source = prepare_cloud(_mesh_cloud(scan), params)
         target = _template_cloud(library, jaw, None, params)
-        result = register_pair(source, target, params, seed=seed)
+        result = register_pair(source, target, params)
         return replace(result, chosen_template=template_key(jaw, None))
 
     side = scan_class.side
@@ -478,7 +444,7 @@ def register_with_routing(
     for jaw in ("Upper", "Lower"):
         try:
             target = _template_cloud(library, jaw, side, params)
-            result = register_pair(source, target, params, seed=seed)
+            result = register_pair(source, target, params)
         except CoarseRegistrationError as exc:
             failures.append((jaw, exc))
             continue

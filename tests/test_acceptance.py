@@ -65,8 +65,7 @@ def routing_runs(template_library):
                 mesh, gt = generate_arch(spec)
                 moved, pose = perturb_pose(mesh, PerturbSpec.registration(seed=seed))
                 t0 = time.perf_counter()
-                result = register_with_routing(moved, gt.scan_class, template_library,
-                                               params, seed=seed)
+                result = register_with_routing(moved, gt.scan_class, template_library, params)
                 elapsed = time.perf_counter() - t0
                 ideal = pose.transform.inverse()
                 rot_err = result.transform.rotation_distance_deg(ideal)

@@ -391,6 +391,22 @@ class TestFitCrown:
                                    params=FittingParams(voxel_resolution=0.02))
         assert report.mode == "anterior"
 
+    def test_unequal_walls_centering_then_scaling_clears_both(self):
+        # walls 1 mm and 2 mm thick: their centroids' midpoint sits 0.25 mm off
+        # the middle of a gap only 2% wider than the crown
+        crown = generate_crown_fixture("bumped_posterior").mesh
+        lo, hi = crown.vertices[:, 0].min(), crown.vertices[:, 0].max()
+        mid, gap = (lo + hi) / 2, 1.02 * (hi - lo)
+        thin = make_box((mid - gap / 2 - 0.5, 0, 0), (0.5, 6.0, 6.0))
+        thick = make_box((mid + gap / 2 + 1.0, 0, 0), (1.0, 6.0, 6.0))
+        walls = LabeledMesh(np.concatenate([thin.vertices, thick.vertices]),
+                            np.concatenate([thin.faces, thick.faces + 8]))
+        params = FittingParams(voxel_resolution=0.02)
+        fitted, report = fit_crown(crown, walls, None, fdi=36, params=params)
+        assert report.centering_applied
+        assert report.residual_neighbor_volume <= params.v_int_threshold
+        assert intersection_volume(fitted, walls, 0.02) <= params.v_int_threshold
+
     def test_missing_opposing_skips_step3(self):
         crown, walls, _ = self.posterior_case()
         fitted, report = fit_crown(crown, walls, None, fdi=36,

@@ -73,6 +73,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown keys"):
             config_from_dict({"registration": {"vixel": 0.8}})
 
+    @pytest.mark.parametrize("key", ["ransac_max_iters", "ransac_confidence",
+                                     "ransac_distance_threshold", "restarts",
+                                     "good_fitness", "seed"])
+    def test_retired_registration_keys_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({"registration": {key: 1}})
+
     def test_relative_paths_resolved(self, tmp_path):
         (tmp_path / "c.json").write_text(json.dumps({"template_dir": "templates"}))
         cfg = load_config(tmp_path / "c.json")

@@ -4,14 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 import crownfit.registration as registration
 from crownfit.classify import ScanClass
 from crownfit.errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
-from crownfit.registration import (RegistrationParams, RegistrationResult, coarse_register,
-                                   edge_gate, fine_register, match_features, prepare_cloud,
-                                   register_pair, register_with_routing,
+from crownfit.registration import (PreparedCloud, RegistrationParams, RegistrationResult,
+                                   coarse_register, edge_gate, fine_register, match_features,
+                                   prepare_cloud, register_pair, register_with_routing,
                                    store_prepared_templates, template_key)
 from crownfit.synth import (ArchSpec, PerturbSpec, generate_arch, partial_spec,
                             perturb_pose)
@@ -55,9 +56,9 @@ def edited_copy(directory, tmp_path, edit):
     return copy
 
 
-def coarse(source, target, params=PARAMS, seed=None):
+def coarse(source, target, params=PARAMS):
     src, tgt = prepare_cloud(source, params), prepare_cloud(target, params)
-    return coarse_register(src, tgt, match_features(src, tgt), params, seed=seed)
+    return coarse_register(src, tgt, match_features(src, tgt), params)
 
 
 def pose_errors(recovered: RigidTransform, ideal: RigidTransform, probe):
@@ -68,20 +69,32 @@ def pose_errors(recovered: RigidTransform, ideal: RigidTransform, probe):
 
 class TestEdgeGate:
     def test_equal_triangles_pass(self):
-        tri = np.array([[0, 0, 0], [4, 0, 0], [0, 3, 0]], dtype=float)
-        assert edge_gate(tri[None], tri.copy()[None], 0.95, PARAMS.voxel).tolist() == [True]
+        edges = pdist(np.array([[0, 0, 0], [4, 0, 0], [0, 3, 0]], dtype=float))
+        assert edge_gate(edges, edges.copy(), 0.95, PARAMS.voxel).tolist() == [True] * 3
 
     def test_single_short_edge_rejected(self):
         src = np.array([[0, 0, 0], [10.0, 0, 0], [0, 10.0, 0]])
         tgt = src.copy()
-        tgt[1, 0] = 9.0  # one edge ratio 0.90 < 0.95
-        assert edge_gate(src[None], tgt[None], 0.95, PARAMS.voxel).tolist() == [False]
-        assert edge_gate(src[None], tgt[None], 0.85, PARAMS.voxel).tolist() == [True]
+        tgt[1, 0] = 9.0  # edge 0-1 ratio 0.90 < 0.95; edge 1-2 ratio 0.951
+        assert edge_gate(pdist(src), pdist(tgt), 0.95, PARAMS.voxel).tolist() == \
+            [False, True, True]
+        assert edge_gate(pdist(src), pdist(tgt), 0.85, PARAMS.voxel).tolist() == [True] * 3
+
+    def test_ratio_symmetric_and_inclusive(self):
+        src = np.array([10.0, 9.5, 10.0])
+        tgt = np.array([9.5, 10.0, 9.4])
+        assert edge_gate(src, tgt, 0.95, PARAMS.voxel).tolist() == [True, True, False]
+
+    def test_short_source_edges_rejected(self):
+        # the minimum applies to the source edge, strictly; a zero pair never passes
+        src = np.array([0.0, PARAMS.voxel, PARAMS.voxel + 0.01])
+        tgt = src.copy()
+        assert edge_gate(src, tgt, 0.95, PARAMS.voxel).tolist() == [False, False, True]
 
 
 class TestCoarse:
     def test_self_registration_near_identity(self, arch_cloud):
-        result = coarse(arch_cloud, arch_cloud, PARAMS, seed=1)
+        result = coarse(arch_cloud, arch_cloud, PARAMS)
         assert result.fitness >= 0.99
         assert result.transform.rotation_angle_deg() < 0.1
         assert np.linalg.norm(result.transform.translation) < 1e-3
@@ -89,25 +102,58 @@ class TestCoarse:
     def test_recovers_known_transform(self, arch_cloud):
         applied = RigidTransform.from_axis_angle((0, 0, 1), np.pi / 2, (10.0, 0, 0))
         moved = arch_cloud.transformed(applied)
-        result = coarse(moved, arch_cloud, PARAMS, seed=2)
+        result = coarse(moved, arch_cloud, PARAMS)
         rot, trans = pose_errors(result.transform, applied.inverse(),
                                  moved.points.mean(axis=0))
         assert rot < 2.0
         assert trans < 1.0
+
+    def test_recovers_pose_with_half_the_matches_redirected(self, arch_cloud):
+        rng = np.random.default_rng(17)
+        applied = RigidTransform.from_axis_angle((0.3, -0.2, 1.0), 2.0, (-6.0, 4.0, 2.0))
+        moved = arch_cloud.transformed(applied)
+        src, tgt = prepare_cloud(moved, PARAMS), prepare_cloud(arch_cloud, PARAMS)
+        corr, pool = match_features(src, tgt)
+        corr = corr.copy()
+        redirected = pool[rng.choice(len(pool), size=len(pool) // 2, replace=False)]
+        corr[redirected] = rng.integers(0, len(tgt.cloud), size=len(redirected))
+        result = coarse_register(src, tgt, (corr, pool), PARAMS)
+        rot, trans = pose_errors(result.transform, applied.inverse(),
+                                 moved.points.mean(axis=0))
+        assert rot < 2.0
+        assert trans < 1.0
+        assert result.iterations >= 1
 
     def test_too_few_points_rejected(self):
         tiny = PointCloud([[0, 0, 0]], normals=[[0, 0, 1]])
         with pytest.raises(CoarseRegistrationError):
             coarse(tiny, tiny, PARAMS)
 
-    def test_deterministic_for_fixed_seed(self, arch_cloud):
+    def test_too_few_reciprocal_matches_rejected(self, arch_cloud):
+        # identical rows: every match goes to row 0 and only 0 -> 0 is reciprocal
+        cloud = voxel_downsample(arch_cloud, PARAMS.voxel)
+        flat = PreparedCloud(cloud, np.ones((len(cloud), 33)))
+        with pytest.raises(CoarseRegistrationError, match="reciprocal"):
+            match_features(flat, flat)
+        with pytest.raises(CoarseRegistrationError, match="reciprocal"):
+            register_pair(flat, flat, PARAMS)
+
+    def test_no_compatible_pairs_rejected(self, arch_cloud):
+        # every edge doubles in length: no pair passes the gate
+        src = prepare_cloud(arch_cloud, PARAMS)
+        doubled = PreparedCloud(PointCloud(2.0 * src.cloud.points, src.cloud.normals), src.fpfh)
+        pool = np.arange(200)
+        with pytest.raises(CoarseRegistrationError, match="compatible"):
+            coarse_register(src, doubled, (np.arange(len(src.cloud)), pool), PARAMS)
+
+    def test_two_calls_bitwise_equal(self, arch_cloud):
         applied = RigidTransform.from_axis_angle((0, 0, 1), 1.0, (5.0, -3.0, 1.0))
         moved = arch_cloud.transformed(applied)
-        a = coarse(moved, arch_cloud, PARAMS, seed=7)
-        b = coarse(moved, arch_cloud, PARAMS, seed=7)
-        assert np.array_equal(a.transform.rotation, b.transform.rotation)
-        assert np.array_equal(a.transform.translation, b.transform.translation)
-        assert a.fitness == b.fitness
+        a = coarse(moved, arch_cloud, PARAMS)
+        b = coarse(moved, arch_cloud, PARAMS)
+        assert a.transform.matrix().tobytes() == b.transform.matrix().tobytes()
+        assert (a.fitness, a.inlier_rmse, a.iterations) == (b.fitness, b.inlier_rmse,
+                                                            b.iterations)
 
 
 class TestFine:
@@ -194,14 +240,13 @@ class TestRouting:
     def test_lower_left_partial_chooses_lower_template(self, library):
         mesh, _ = generate_arch(partial_spec("Lower", "left", seed=9, jitter_sigma=0.3))
         moved, _ = perturb_pose(mesh, PerturbSpec.registration(seed=4))
-        result = register_with_routing(moved, ScanClass.PARTIAL_LEFT, library,
-                                       PARAMS, seed=3)
+        result = register_with_routing(moved, ScanClass.PARTIAL_LEFT, library, PARAMS)
         assert result.chosen_template == "partial_lower_left"
         # fitness margin over the competing upper template
         upper = register_pair(
             prepare_cloud(registration._mesh_cloud(moved), PARAMS),
             prepare_cloud(registration._mesh_cloud(library.partial("Upper", "Left")), PARAMS),
-            PARAMS, seed=3)
+            PARAMS)
         assert result.fitness - upper.fitness > 0.05
 
     def test_full_scan_single_attempt(self, library, monkeypatch):
@@ -214,7 +259,7 @@ class TestRouting:
 
         monkeypatch.setattr(registration, "register_pair", counting)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        result = register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS, seed=1)
+        result = register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
         assert len(calls) == 1
         assert result.chosen_template == "master_upper"
 
@@ -228,7 +273,7 @@ class TestRouting:
 
         monkeypatch.setattr(registration, "register_pair", counting)
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS, seed=1)
+        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
         assert len(calls) == 2
 
     def test_identical_templates_tie_break_upper(self, library, monkeypatch):
@@ -295,16 +340,16 @@ class TestTemplateStore:
         spec = (ArchSpec.standard(jaw, "full", seed=5, jitter_sigma=0.3) if side == "full"
                 else partial_spec(jaw, side, seed=5, jitter_sigma=0.3))
         mesh, _ = generate_arch(spec)
-        a = register_with_routing(mesh, scan_class, stored, PARAMS, seed=1)
-        b = register_with_routing(mesh, scan_class, bare, PARAMS, seed=1)
+        a = register_with_routing(mesh, scan_class, stored, PARAMS)
+        b = register_with_routing(mesh, scan_class, bare, PARAMS)
         assert a.transform.matrix().tobytes() == b.transform.matrix().tobytes()
         assert (a.fitness, a.inlier_rmse, a.chosen_template) == \
             (b.fitness, b.inlier_rmse, b.chosen_template)
 
 
 class TestDerivedOnce:
-    """Downsampling and FPFH run once per cloud, however many restarts and
-    templates the cloud meets."""
+    """Downsampling and FPFH run once per cloud, however many templates the
+    cloud meets; the coarse stage runs once per template."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -319,32 +364,28 @@ class TestDerivedOnce:
             monkeypatch.setattr(registration, name, counting)
         return counts
 
-    def test_full_scan_all_restarts(self, library, counts):
+    def test_full_scan_one_coarse_pass(self, library, counts):
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        params = RegistrationParams(good_fitness=1.01)  # unreachable: every restart runs
-        register_with_routing(mesh, ScanClass.FULL_UPPER, library, params, seed=1)
-        assert counts == {"compute_fpfh": 2, "voxel_downsample": 2,
-                          "coarse_register": params.restarts}
+        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
+        assert counts == {"compute_fpfh": 2, "voxel_downsample": 2, "coarse_register": 1}
 
     def test_partial_scan_shares_source(self, library, counts):
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS, seed=1)
-        assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (3, 3)
+        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
+        assert counts == {"compute_fpfh": 3, "voxel_downsample": 3, "coarse_register": 2}
 
     def test_stored_templates_full_scan_prepares_only_the_scan(self, saved_library, counts):
         library = load_template_library(saved_library)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        params = RegistrationParams(good_fitness=1.01)
-        register_with_routing(mesh, ScanClass.FULL_UPPER, library, params, seed=1)
-        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1,
-                          "coarse_register": params.restarts}
+        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 1}
 
     def test_stored_templates_partial_scan_prepares_only_the_scan(self, saved_library,
                                                                   counts):
         library = load_template_library(saved_library)
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS, seed=1)
-        assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (1, 1)
+        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 2}
 
     def test_store_of_other_voxel_recomputes(self, saved_library, tmp_path, counts):
         def other_voxel(manifest):
@@ -353,7 +394,7 @@ class TestDerivedOnce:
         library = load_template_library(edited_copy(saved_library, tmp_path, other_voxel))
         assert library.prepared_file is not None
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS, seed=1)
+        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
         assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (2, 2)
 
     def test_manifest_without_store_loads_and_recomputes(self, saved_library, tmp_path,
@@ -363,7 +404,7 @@ class TestDerivedOnce:
         library = load_template_library(copy)
         assert (library.prepared_file, library.prepared_key) == (None, None)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS, seed=1)
+        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
         assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (2, 2)
 
 
