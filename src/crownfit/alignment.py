@@ -32,9 +32,7 @@ class ArchSpline:
     """Natural cubic spline through tooth-centroid (x, y), chord-length knots.
 
     ``midline_t`` marks the dental midline parameter used to orient mesial
-    directions; when the caller cannot supply one it defaults to the apex
-    heuristic (point farthest from the endpoint chord), falling back to the
-    middle knot for straight arches.
+    directions.
     """
 
     knots: np.ndarray       # (n,) parameter values
@@ -100,11 +98,11 @@ class ArchSpline:
         return float((a + b) / 2.0)
 
 
-def fit_arch_spline(centroids, midline_index: float | None = None) -> ArchSpline:
+def fit_arch_spline(centroids, midline_index: float) -> ArchSpline:
     """Natural cubic spline through the (x, y) of arch-ordered centroids.
 
     ``midline_index`` is the (possibly fractional) position of the dental
-    midline within the ordered list; omitted, the apex heuristic applies.
+    midline within the ordered list.
     """
     pts = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)[:, :2]
     if len(pts) < 3:
@@ -114,24 +112,11 @@ def fit_arch_spline(centroids, midline_index: float | None = None) -> ArchSpline
         raise DegenerateGeometryError("duplicate consecutive centroids")
     knots = np.concatenate([[0.0], np.cumsum(seg)])
 
-    if midline_index is not None:
-        if not 0 <= midline_index <= len(pts) - 1:
-            raise ValueError("midline_index outside the centroid list")
-        i = int(np.floor(midline_index))
-        frac = midline_index - i
-        midline_t = knots[i] if i == len(pts) - 1 else knots[i] * (1 - frac) + knots[i + 1] * frac
-    else:
-        chord = pts[-1] - pts[0]
-        norm = np.linalg.norm(chord)
-        if norm > 0:
-            d = np.abs(np.cross(np.append(chord / norm, 0.0),
-                                np.c_[pts - pts[0], np.zeros(len(pts))])[:, 2])
-            if d.max() > 1e-9:
-                midline_t = float(knots[int(np.argmax(d))])
-            else:
-                midline_t = float(knots[len(pts) // 2])
-        else:
-            midline_t = float(knots[len(pts) // 2])
+    if not 0 <= midline_index <= len(pts) - 1:
+        raise ValueError("midline_index outside the centroid list")
+    i = int(np.floor(midline_index))
+    frac = midline_index - i
+    midline_t = knots[i] if i == len(pts) - 1 else knots[i] * (1 - frac) + knots[i + 1] * frac
     return ArchSpline(knots, pts, float(midline_t))
 
 

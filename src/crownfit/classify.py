@@ -120,28 +120,16 @@ class BaselineGeometricClassifier:
 
 
 class ExternalSidecarClassifier:
-    """Reads {"class": ..., "confidence": ...} from a per-scan sidecar JSON.
+    """Reads {"class": ..., "confidence": ...} from a scan's sidecar JSON: the
+    scan path with a ``.class.json`` suffix."""
 
-    The sidecar path is the scan path with a ``.class.json`` suffix; it must
-    be set via ``for_scan`` before classification.
-    """
-
-    def __init__(self, sidecar_path=None):
-        self.sidecar_path = sidecar_path
-
-    @staticmethod
-    def sidecar_for(scan_path) -> Path:
+    def __init__(self, scan_path):
         p = Path(scan_path)
-        return p.with_suffix(p.suffix + ".class.json")
-
-    def for_scan(self, scan_path) -> "ExternalSidecarClassifier":
-        return ExternalSidecarClassifier(self.sidecar_for(scan_path))
+        self.sidecar_path = p.with_suffix(p.suffix + ".class.json")
 
     def classify(self, features: PointFeatures, mesh: LabeledMesh) -> tuple[ScanClass, float]:
-        if self.sidecar_path is None:
-            raise ClassificationError("external classifier has no sidecar path", stage="classify")
         try:
-            payload = json.loads(Path(self.sidecar_path).read_text())
+            payload = json.loads(self.sidecar_path.read_text())
             cls = ScanClass(payload["class"])
             confidence = float(payload["confidence"])
         except (OSError, KeyError, ValueError) as exc:
@@ -149,17 +137,6 @@ class ExternalSidecarClassifier:
                 f"bad classification sidecar {self.sidecar_path}: {exc}", stage="classify"
             ) from exc
         return cls, confidence
-
-
-class ConstantClassifier:
-    """Always answers the same class (mock provider for routing tests)."""
-
-    def __init__(self, scan_class: ScanClass, confidence: float = 1.0):
-        self.scan_class = scan_class
-        self.confidence = confidence
-
-    def classify(self, features, mesh) -> tuple[ScanClass, float]:
-        return self.scan_class, self.confidence
 
 
 def classify(provider, scan: LabeledMesh) -> tuple[ScanClass, float]:

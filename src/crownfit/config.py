@@ -26,17 +26,6 @@ class ClassifierSection(ClassifierConfig):
         if self.provider not in ("baseline", "external"):
             raise ValueError(f"unknown classifier provider {self.provider!r}")
 
-    def thresholds(self) -> ClassifierConfig:
-        return ClassifierConfig(
-            full_span_deg=self.full_span_deg,
-            center_band_deg=self.center_band_deg,
-            span_bins=self.span_bins,
-            span_mass_threshold=self.span_mass_threshold,
-            span_radial_power=self.span_radial_power,
-            occlusal_dot_min=self.occlusal_dot_min,
-            min_points=self.min_points,
-        )
-
 
 @dataclass(frozen=True)
 class SegmentationConfig:

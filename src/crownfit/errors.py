@@ -38,11 +38,7 @@ class ClassificationError(PipelineError):
 
 
 class CoarseRegistrationError(PipelineError):
-    """Coarse global registration failed. ``diagnostics`` holds the failed pass's stats."""
-
-    def __init__(self, message, diagnostics=None, stage=None):
-        super().__init__(message, stage=stage)
-        self.diagnostics = diagnostics or {}
+    """Coarse global registration failed."""
 
 
 class RoutingError(PipelineError):

@@ -32,18 +32,12 @@ class PointFeatures:
     """Columns: x, y, z (centered, mm), nx, ny, nz, r (mm), phi (rad in (-pi, pi])."""
 
     values: np.ndarray
-    centroid: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.float64)))
-        object.__setattr__(self, "centroid", _freeze(np.asarray(self.centroid, dtype=np.float64)))
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.values[:, 0:3]
 
     @property
     def normals(self) -> np.ndarray:
@@ -58,43 +52,18 @@ class PointFeatures:
         return self.values[:, 7]
 
 
-def compute_point_features(cloud: PointCloud, unit_scale: bool = False) -> PointFeatures:
-    """8-D features for a cloud with unit normals.
-
-    ``unit_scale`` divides the centered coordinates (and r) by the largest
-    point radius, leaving normals and phi untouched.
-    """
+def compute_point_features(cloud: PointCloud) -> PointFeatures:
+    """8-D features for a cloud with unit normals."""
     if cloud.normals is None:
         raise ValueError("point features require normals")
     norms = np.linalg.norm(cloud.normals, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("normals must be unit length")
-    centroid = cloud.points.mean(axis=0)
-    pos = cloud.points - centroid
-    if unit_scale:
-        extent = np.linalg.norm(pos, axis=1).max()
-        if extent > 0:
-            pos = pos / extent
+    pos = cloud.points - cloud.points.mean(axis=0)
     r = np.hypot(pos[:, 0], pos[:, 1])
     phi = np.arctan2(pos[:, 1], pos[:, 0])
     phi[(pos[:, 0] == 0) & (pos[:, 1] == 0)] = 0.0
-    values = np.column_stack([pos, cloud.normals, r, phi])
-    return PointFeatures(values, centroid)
-
-
-@dataclass(frozen=True)
-class FpfhDescriptor:
-    """Per-point 33-bin histograms (3 blocks of 11); each block sums to 100."""
-
-    histograms: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "histograms", _freeze(np.asarray(self.histograms, dtype=np.float64))
-        )
-
-    def __len__(self) -> int:
-        return len(self.histograms)
+    return PointFeatures(np.column_stack([pos, cloud.normals, r, phi]))
 
 
 def _bin_indices(f1, f2, f3):
@@ -129,10 +98,11 @@ def _pair_features_batch(n, m, d, dist):
     return f1, f2, f3, ok, np.abs(a1) == np.abs(a2)
 
 
-def compute_fpfh(cloud: PointCloud, radius: float) -> FpfhDescriptor:
+def compute_fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     """Two-pass FPFH: SPFH per point over radius neighbors, then 1/distance
-    weighted neighbor accumulation. Points with no neighbors get a zero
-    histogram and are reported in a MeshWarning.
+    weighted neighbor accumulation. Returns the frozen (n, 33) histograms,
+    3 blocks of 11 bins, each block summing to 100. Points with no neighbors
+    get a zero histogram and are reported in a MeshWarning.
     """
     if radius <= 0:
         raise ValueError("FPFH radius must be positive")
@@ -183,4 +153,4 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> FpfhDescriptor:
     blocks = fpfh.reshape(n, 3, FPFH_BINS)
     sums = blocks.sum(axis=2, keepdims=True)
     blocks[:] = blocks / np.where(sums > 0, sums, 1.0) * 100.0
-    return FpfhDescriptor(fpfh)
+    return _freeze(fpfh)

@@ -479,17 +479,6 @@ class FittingReport:
     opposing_checked: bool
     residual_neighbor_volume: float
 
-    def to_dict(self) -> dict:
-        return {
-            "final_scale": self.final_scale,
-            "scale_trace": list(self.scale_trace),
-            "mode": self.mode,
-            "occlusal_trace": list(self.occlusal_trace),
-            "centering_applied": self.centering_applied,
-            "opposing_checked": self.opposing_checked,
-            "residual_neighbor_volume": self.residual_neighbor_volume,
-        }
-
 
 def fit_crown(
     crown: LabeledMesh,

@@ -31,7 +31,7 @@ CROWN_KINDS = {
 }
 
 
-def build_crown_library(directory, seed: int = 0) -> None:
+def build_crown_library(directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"templates": {}}
@@ -64,8 +64,9 @@ def build_donor_store(path, n_jaws: int = 6, seed: int = 0) -> None:
     save_embedding_store(embeddings, keys, Path(path))
 
 
-def build_demo_case(directory, seed: int = 0, fdi: int = 36) -> dict:
-    """Lower-jaw scan with a prepared molar, its antagonist, and a wired config."""
+def build_demo_case(directory, seed: int = 0) -> dict:
+    """Lower-jaw scan with prepared molar 36 and its antagonist."""
+    fdi = 36
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     spec = ArchSpec.standard("Lower", "full", prepared=(fdi,), seed=seed + 500, jitter_sigma=0.3)
@@ -103,7 +104,7 @@ def generate_fixture_corpus(out_dir, seed: int = 0, population: int = 4,
     library = build_template_library(upper, lower)
     save_template_library(library, out / "templates")
 
-    build_crown_library(out / "crowns", seed=seed)
+    build_crown_library(out / "crowns")
     build_donor_store(out / "jaws.bin", n_jaws=donor_jaws, seed=seed)
     case = build_demo_case(out / "case", seed=seed)
 

@@ -26,6 +26,7 @@ from .errors import MeshFormatError
 from .mesh import GINGIVA, LabeledMesh, _freeze, component_ids, face_adjacency
 
 PROB_CLAMP = 1e-12
+_MAX_SWEEPS = 10        # alpha-expansion sweeps over all labels
 _FLOW_SCALE = 1e8       # preferred float-energy -> integer capacity scale
 _FLOW_CAP_MAX = 1.8e9   # scipy's max-flow wraps beyond int32; stay under it
 
@@ -143,7 +144,6 @@ def graphcut_refine(
     mesh: LabeledMesh,
     probs: FaceLabelProbabilities,
     params: GraphCutParams = GraphCutParams(),
-    max_sweeps: int = 10,
 ) -> np.ndarray:
     """Alpha-expansion refinement of the argmax labeling.
 
@@ -164,7 +164,7 @@ def graphcut_refine(
     pattern = _cut_pattern(n, pairs)
     ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         for alpha in range(probs.n_classes):
             if np.all(labels == alpha):
@@ -202,19 +202,19 @@ def graphcut_refine(
 def tune_smoothness(
     cases: list,
     candidates=(1.0, 2.0, 5.0, 10.0, 20.0, 30.0),
-    dihedral_sharpness: float = 5.0,
 ) -> float:
     """Validation-set tuning of the smoothness weight.
 
     ``cases`` is a list of (mesh, probabilities, ground-truth labels); the
     candidate maximizing mean refined accuracy wins, ties to the smaller
-    value. The chosen value is then applied unchanged downstream.
+    value. The dihedral sharpness stays at its ``GraphCutParams`` default. The
+    chosen value is then applied unchanged downstream.
     """
     if not cases:
         raise ValueError("tuning needs at least one validation case")
     best = None
     for lam in candidates:
-        params = GraphCutParams(lam, dihedral_sharpness)
+        params = GraphCutParams(lam)
         accs = []
         for mesh, probs, gt in cases:
             refined = graphcut_refine(mesh, probs, params)
@@ -244,20 +244,6 @@ def reassign_small_components(
 _PROB_MAGIC = b"FPRB"
 
 
-def save_probabilities(probs: FaceLabelProbabilities, path) -> None:
-    path = Path(path)
-    if path.suffix == ".json":
-        payload = {
-            "faces": probs.n_faces,
-            "classes": probs.n_classes,
-            "rows": probs.matrix.tolist(),
-        }
-        path.write_text(json.dumps(payload))
-        return
-    header = _PROB_MAGIC + struct.pack("<II", probs.n_faces, probs.n_classes)
-    path.write_bytes(header + probs.matrix.astype("<f4").tobytes())
-
-
 def load_probabilities(path) -> FaceLabelProbabilities:
     path = Path(path)
     if path.suffix == ".json":
@@ -269,6 +255,9 @@ def load_probabilities(path) -> FaceLabelProbabilities:
     data = path.read_bytes()
     if data[:4] != _PROB_MAGIC:
         raise MeshFormatError(f"bad probability file magic in {path}", byte_offset=0)
+    if len(data) < 12:
+        raise MeshFormatError(f"probability file {path} shorter than its 12-byte header",
+                              byte_offset=len(data))
     n, k = struct.unpack_from("<II", data, 4)
     expected = 12 + 4 * n * k
     if len(data) < expected:

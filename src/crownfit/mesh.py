@@ -174,10 +174,6 @@ class RigidTransform:
         object.__setattr__(self, "translation", _freeze(t))
 
     @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform()
-
-    @staticmethod
     def from_axis_angle(axis, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
         axis = np.asarray(axis, dtype=np.float64)
         n = np.linalg.norm(axis)

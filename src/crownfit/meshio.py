@@ -1,7 +1,8 @@
-"""Mesh file readers and writers: PLY (binary little-endian + ASCII), OBJ, STL.
+"""Mesh file readers and writers: PLY, OBJ, STL.
 
-PLY is the canonical interchange format. Per-face semantic labels travel as
-``property uchar label`` on the face element; binary PLY stores coordinates
+PLY is the canonical interchange format: binary little-endian and ASCII PLY
+are read, binary PLY is written. Per-face semantic labels travel as
+``property uchar label`` on the face element; written PLY stores coordinates
 as doubles so geometry round-trips bit-identically. OBJ drops labels with a
 warning; STL cannot carry labels at all.
 """
@@ -50,10 +51,10 @@ def load_mesh(path, format: str | None = None) -> LabeledMesh:
     return _load_stl(data)
 
 
-def save_mesh(mesh: LabeledMesh, path, format: str | None = None, binary: bool = True) -> None:
+def save_mesh(mesh: LabeledMesh, path, format: str | None = None) -> None:
     fmt = _normalize_format(format, path)
     if fmt == "PLY":
-        data = _dump_ply(mesh, binary=binary)
+        data = _dump_ply(mesh)
     elif fmt == "OBJ":
         if mesh.face_labels is not None:
             warnings.warn(
@@ -260,12 +261,12 @@ def _parse_ply_binary(data: bytes, offset: int, elements):
     return out, pos
 
 
-def _dump_ply(mesh: LabeledMesh, binary: bool) -> bytes:
+def _dump_ply(mesh: LabeledMesh) -> bytes:
     has_normals = mesh.vertex_normals is not None
     has_labels = mesh.face_labels is not None
     if has_labels and (mesh.face_labels.min(initial=0) < 0 or mesh.face_labels.max(initial=0) > 255):
         raise UnsupportedFeatureError("PLY face labels must fit uint8")
-    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0"]
+    header = ["ply", "format binary_little_endian 1.0"]
     header.append(f"element vertex {mesh.n_vertices}")
     for name in ("x", "y", "z"):
         header.append(f"property double {name}")
@@ -279,37 +280,23 @@ def _dump_ply(mesh: LabeledMesh, binary: bool) -> bytes:
     header.append("end_header")
     head = ("\n".join(header) + "\n").encode("ascii")
 
-    if binary:
-        chunks = [head]
-        vcols = [mesh.vertices]
-        if has_normals:
-            vcols.append(mesh.vertex_normals)
-        chunks.append(np.hstack(vcols).astype("<f8").tobytes())
-        if mesh.n_faces:
-            if has_labels:
-                fdt = np.dtype([("n", "u1"), ("idx", "<i4", (3,)), ("label", "u1")])
-            else:
-                fdt = np.dtype([("n", "u1"), ("idx", "<i4", (3,))])
-            rec = np.empty(mesh.n_faces, dtype=fdt)
-            rec["n"] = 3
-            rec["idx"] = mesh.faces.astype("<i4")
-            if has_labels:
-                rec["label"] = mesh.face_labels.astype("u1")
-            chunks.append(rec.tobytes())
-        return b"".join(chunks)
-
-    lines = []
-    for i in range(mesh.n_vertices):
-        row = [repr(float(v)) for v in mesh.vertices[i]]
-        if has_normals:
-            row += [repr(float(v)) for v in mesh.vertex_normals[i]]
-        lines.append(" ".join(row))
-    for i in range(mesh.n_faces):
-        row = "3 " + " ".join(str(int(v)) for v in mesh.faces[i])
+    chunks = [head]
+    vcols = [mesh.vertices]
+    if has_normals:
+        vcols.append(mesh.vertex_normals)
+    chunks.append(np.hstack(vcols).astype("<f8").tobytes())
+    if mesh.n_faces:
         if has_labels:
-            row += f" {int(mesh.face_labels[i])}"
-        lines.append(row)
-    return head + ("\n".join(lines) + ("\n" if lines else "")).encode("ascii")
+            fdt = np.dtype([("n", "u1"), ("idx", "<i4", (3,)), ("label", "u1")])
+        else:
+            fdt = np.dtype([("n", "u1"), ("idx", "<i4", (3,))])
+        rec = np.empty(mesh.n_faces, dtype=fdt)
+        rec["n"] = 3
+        rec["idx"] = mesh.faces.astype("<i4")
+        if has_labels:
+            rec["label"] = mesh.face_labels.astype("u1")
+        chunks.append(rec.tobytes())
+    return b"".join(chunks)
 
 
 # ---------------------------------------------------------------- OBJ
@@ -367,11 +354,13 @@ def _dump_obj(mesh: LabeledMesh) -> bytes:
 
 
 def _load_stl(data: bytes) -> LabeledMesh:
-    if len(data) < 84:
-        raise MeshFormatError("binary STL shorter than its 84-byte preamble", byte_offset=len(data))
-    if data[:5] == b"solid" and len(data) == 84:
+    count = struct.unpack_from("<I", data, 80)[0] if len(data) >= 84 else None
+    # ascii STL starts with "solid"; a binary header may too, but then the
+    # file size matches its triangle count
+    if data[:5] == b"solid" and (count is None or len(data) != 84 + count * 50):
         raise MeshFormatError("ascii STL is not supported", byte_offset=0)
-    (count,) = struct.unpack_from("<I", data, 80)
+    if count is None:
+        raise MeshFormatError("binary STL shorter than its 84-byte preamble", byte_offset=len(data))
     expected = 84 + count * 50
     if len(data) < expected:
         raise MeshFormatError(

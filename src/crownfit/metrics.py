@@ -121,17 +121,6 @@ class MetricSummary:
         if not 0.0 <= self.miss_rate <= 1.0:
             raise ValueError("miss_rate must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "median": self.median,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "miss_rate": self.miss_rate,
-            "n": self.n,
-        }
-
 
 def summarize(samples, misses: int = 0, b: int = 10_000, seed: int = 0) -> MetricSummary:
     """Mean, sample std (n-1), median (midpoint for even n), bootstrap CI and

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .metrics import (centroid_error, confusion, dsc, macro_average, precision_r
 from .registration import register_with_routing
 from .retrieval import (ContextQuery, geometric_embedding, load_embedding_index,
                         match_context, retrieve_crown)
-from .synth import fdi_is_valid, fdi_jaw, fdi_to_class
+from .synth import fdi_is_valid, fdi_to_class
 from .templates import load_template_library
 
 REPORT_SCHEMA_VERSION = 1
@@ -68,25 +68,14 @@ class RunReport:
     def add_stage(self, name: str, seconds: float, payload: dict) -> None:
         self.stages.append({"name": name, "seconds": seconds, **payload})
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "scan_path": self.scan_path,
-            "target_fdi": self.target_fdi,
-            "seed": self.seed,
-            "stages": self.stages,
-            "outputs": self.outputs,
-            "error": self.error,
-        }
-
     def write(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
 def _classifier_for(config: PipelineConfig, scan_path):
     if config.classifier.provider == "external":
-        return ExternalSidecarClassifier().for_scan(scan_path)
-    return BaselineGeometricClassifier(config.classifier.thresholds())
+        return ExternalSidecarClassifier(scan_path)
+    return BaselineGeometricClassifier(config.classifier)
 
 
 def _ensure_normals(mesh: LabeledMesh) -> LabeledMesh:
@@ -139,7 +128,7 @@ def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
         "per_class": per_class,
         "macro": macro,
         "summary": {
-            "dsc": summarize(dsc_values, seed=seed).to_dict() if len(dsc_values) else None,
+            "dsc": asdict(summarize(dsc_values, seed=seed)) if len(dsc_values) else None,
         },
         "bbox_diagonal": diag,
     }
@@ -207,7 +196,7 @@ def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
     return RetrievalOutcome(donor_jaw, jaw_score, template_id, crown_score, crown)
 
 
-def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh, jaw: str,
+def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
                            target_fdi: int) -> tuple[list, float, np.ndarray]:
     """Arch-ordered tooth centroids, the midline index, and the prep centroid.
 
@@ -249,8 +238,7 @@ def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh, jaw: str,
 def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
                 crown: CrownTemplate, config: PipelineConfig
                 ) -> tuple[AlignmentResult, LabeledMesh, TargetVectors]:
-    jaw = fdi_jaw(fdi)
-    seq, midline_index, prep_centroid = arch_centroid_sequence(labels, canonical, jaw, fdi)
+    seq, midline_index, prep_centroid = arch_centroid_sequence(labels, canonical, fdi)
     spline = fit_arch_spline([c for _, c in seq], midline_index=midline_index)
     v_m_ref, v_b_ref = spline_frame_at(spline, prep_centroid)
 
@@ -401,7 +389,7 @@ def run_pipeline(
         fitted, fit_report = stage_fit(aligned, canonical, labels, fdi, antagonist, config)
         fitted_path = out_dir / "fitted_crown.ply"
         save_mesh(fitted, fitted_path, "PLY")
-        payload = fit_report.to_dict()
+        payload = asdict(fit_report)
         payload["antagonist_missing"] = antagonist is None
         report.add_stage("fit", time.perf_counter() - t0, payload)
         report.outputs["fitted_crown"] = str(fitted_path)

@@ -88,7 +88,7 @@ def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> PreparedClou
         raise CoarseRegistrationError(
             f"need >=3 points after downsampling, got {len(down)}", stage="register"
         )
-    return PreparedCloud(down, compute_fpfh(down, params.fpfh_radius).histograms)
+    return PreparedCloud(down, compute_fpfh(down, params.fpfh_radius))
 
 
 def edge_gate(src_len: np.ndarray, tgt_len: np.ndarray, similarity: float,
@@ -218,9 +218,7 @@ def coarse_register(
 
     if best is None:
         raise CoarseRegistrationError(
-            "no correspondence has 2 compatible partners",
-            diagnostics={"pool": len(pool)},
-            stage="register",
+            "no correspondence has 2 compatible partners", stage="register"
         )
 
     transform = best[1]

@@ -20,12 +20,12 @@ from .errors import MeshFormatError, NoMatchError
 from .mesh import LabeledMesh, _freeze
 
 EMBEDDING_DIM = 256
+_PROJECTION_SEED = 7  # seed of the geometric embedder's fixed projection
 
 
 @dataclass(frozen=True)
 class Embedding:
     vector: np.ndarray
-    key: tuple = ()
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.float64).reshape(-1)
@@ -48,11 +48,6 @@ class EmbeddingIndex:
     jaws: dict            # jaw id -> {fdi position -> Embedding}
     crown_library: dict   # template id -> Embedding
 
-    def __post_init__(self):
-        for jaw_id, slots in self.jaws.items():
-            if len(slots) != len(set(slots)):
-                raise ValueError(f"duplicate slots in jaw {jaw_id}")
-
 
 @dataclass(frozen=True)
 class ContextQuery:
@@ -68,13 +63,12 @@ class ContextQuery:
             raise ValueError("target position must not appear among context slots")
 
 
-def match_context(query: ContextQuery, index: EmbeddingIndex,
-                  require_target: bool = True) -> tuple[str, float]:
+def match_context(query: ContextQuery, index: EmbeddingIndex) -> tuple[str, float]:
     """Donor jaw with the highest macro-average cosine over shared slots.
 
     Jaws sharing fewer than half of the query slots are skipped, as are jaws
-    lacking the target position when ``require_target`` is set. Exact ties
-    break to the lexicographically smaller jaw id.
+    lacking the target position. Exact ties break to the lexicographically
+    smaller jaw id.
     """
     if not index.jaws:
         raise NoMatchError("embedding index is empty", stage="retrieve")
@@ -82,7 +76,7 @@ def match_context(query: ContextQuery, index: EmbeddingIndex,
     best = None
     for jaw_id in sorted(index.jaws, key=str):
         slots = index.jaws[jaw_id]
-        if require_target and query.target_fdi not in slots:
+        if query.target_fdi not in slots:
             continue
         shared = [p for p in query.slots if p in slots]
         if 2 * len(shared) < n_query:
@@ -132,6 +126,9 @@ def load_embedding_store(path) -> tuple[list[Embedding], list]:
     data = path.read_bytes()
     if data[:4] != _STORE_MAGIC:
         raise MeshFormatError(f"bad embedding store magic in {path}", byte_offset=0)
+    if len(data) < 12:
+        raise MeshFormatError(f"embedding store {path} shorter than its 12-byte header",
+                              byte_offset=len(data))
     count, dim = struct.unpack_from("<II", data, 4)
     if dim != EMBEDDING_DIM:
         raise MeshFormatError(f"embedding store dim {dim} != {EMBEDDING_DIM}")
@@ -147,26 +144,33 @@ def load_embedding_store(path) -> tuple[list[Embedding], list]:
 
 def load_embedding_index(jaw_store_path, crown_store_path) -> EmbeddingIndex:
     """Index from two stores: jaw rows keyed {"jaw", "fdi"}, crown rows
-    keyed {"template"}."""
+    keyed {"template"}; a key repeated within a store is a format error."""
     jaw_embeddings, jaw_keys = load_embedding_store(jaw_store_path)
     jaws: dict = {}
     for emb, key in zip(jaw_embeddings, jaw_keys):
-        jaws.setdefault(str(key["jaw"]), {})[int(key["fdi"])] = emb
+        slots = jaws.setdefault(str(key["jaw"]), {})
+        if int(key["fdi"]) in slots:
+            raise MeshFormatError(f"duplicate row {key} in embedding store {jaw_store_path}")
+        slots[int(key["fdi"])] = emb
     crown_embeddings, crown_keys = load_embedding_store(crown_store_path)
-    crowns = {str(key["template"]): emb for emb, key in zip(crown_embeddings, crown_keys)}
+    crowns = {}
+    for emb, key in zip(crown_embeddings, crown_keys):
+        if str(key["template"]) in crowns:
+            raise MeshFormatError(f"duplicate row {key} in embedding store {crown_store_path}")
+        crowns[str(key["template"])] = emb
     return EmbeddingIndex(jaws, crowns)
 
 
 # ---------------------------------------------------------------- geometric stand-in
 
 
-def geometric_embedding(mesh: LabeledMesh, face_indices=None, seed: int = 7) -> Embedding:
+def geometric_embedding(mesh: LabeledMesh, face_indices=None) -> Embedding:
     """Deterministic 256-D embedding of a tooth region from geometric moments.
 
     A stand-in for the trained feature extractor: a fixed seeded projection
     of scale/shape moments (extents, central second moments, height profile,
     surface area). Similar shapes map to nearby vectors; the output depends
-    only on the geometry and the seed.
+    only on the geometry.
     """
     if face_indices is None:
         faces = np.arange(mesh.n_faces)
@@ -195,7 +199,7 @@ def geometric_embedding(mesh: LabeledMesh, face_indices=None, seed: int = 7) -> 
     # bring the moments to comparable magnitude at tooth scale (mm, mm^2)
     scale = np.concatenate([[50.0, 7.0], [8.0] * 3, [4.0] * 3, [2.0] * 3, [2.0] * 5, [4.0]])
     moments = moments / scale
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROJECTION_SEED)
     projection = rng.normal(size=(EMBEDDING_DIM, len(moments)))
     vec = projection @ moments
     vec = vec / np.linalg.norm(vec)

@@ -17,7 +17,7 @@ deterministic for a fixed spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,10 +25,10 @@ from .classify import ScanClass
 from .errors import DegenerateGeometryError
 from .mesh import GINGIVA, PREPARED, LabeledMesh, RigidTransform, estimate_vertex_normals
 
-# nominal slot widths (mm) per within-quadrant position 1..8
-_SLOT_WIDTHS = {1: 8.0, 2: 7.0, 3: 8.0, 4: 7.5, 5: 7.5, 6: 10.5, 7: 10.0, 8: 9.5}
+# nominal slot widths (mm) per within-quadrant position 1..7
+_SLOT_WIDTHS = {1: 8.0, 2: 7.0, 3: 8.0, 4: 7.5, 5: 7.5, 6: 10.5, 7: 10.0}
 # nominal bump heights (mm) per position
-_BUMP_HEIGHTS = {1: 4.6, 2: 4.2, 3: 4.8, 4: 4.2, 5: 4.2, 6: 3.8, 7: 3.6, 8: 3.4}
+_BUMP_HEIGHTS = {1: 4.6, 2: 4.2, 3: 4.8, 4: 4.2, 5: 4.2, 6: 3.8, 7: 3.6}
 
 
 def fdi_quadrant(fdi: int) -> int:
@@ -41,10 +41,6 @@ def fdi_position(fdi: int) -> int:
 
 def fdi_is_valid(fdi: int) -> bool:
     return 1 <= fdi_quadrant(fdi) <= 4 and 1 <= fdi_position(fdi) <= 8
-
-
-def fdi_jaw(fdi: int) -> str:
-    return "Upper" if fdi_quadrant(fdi) in (1, 2) else "Lower"
 
 
 def fdi_to_class(fdi: int) -> int:
@@ -97,9 +93,9 @@ class ArchSpec:
         prepared: tuple[int, ...] = (),
         seed: int = 0,
         jitter_sigma: float = 0.0,
-        include_wisdom: bool = False,
     ) -> "ArchSpec":
-        """Auto-laid-out arch. Jaw picks the dimensions; coverage the tooth span."""
+        """Auto-laid-out arch of positions 1-7 per quadrant. Jaw picks the
+        dimensions; coverage the tooth span."""
         if jaw not in ("Upper", "Lower"):
             raise ValueError(f"jaw must be Upper or Lower, got {jaw!r}")
         if coverage not in ("full", "left", "right", "center"):
@@ -108,15 +104,14 @@ class ArchSpec:
             half_width, depth, h_scale = 26.0, 42.0, 1.0
         else:
             half_width, depth, h_scale = 24.0, 38.0, 0.92
-        max_pos = 8 if include_wisdom else 7
         spec = ArchSpec(jaw=jaw, coverage=coverage, half_width=half_width, depth=depth, seed=seed)
         arc_len = _arc_length(spec)
 
         # tooth sequence along u: right distal -> midline -> left distal
         q_right = 1 if jaw == "Upper" else 4
         q_left = 2 if jaw == "Upper" else 3
-        seq = [q_right * 10 + p for p in range(max_pos, 0, -1)]
-        seq += [q_left * 10 + p for p in range(1, max_pos + 1)]
+        seq = [q_right * 10 + p for p in range(7, 0, -1)]
+        seq += [q_left * 10 + p for p in range(1, 8)]
 
         widths = np.array([_SLOT_WIDTHS[fdi_position(f)] for f in seq])
         margin = 3.0
@@ -172,8 +167,6 @@ class GroundTruth:
     scan_class: ScanClass
     labels: np.ndarray                       # per-face class ids
     centroids: dict                          # class -> area-weighted centroid (3,)
-    tooth_centers: dict                      # class -> bump apex point (3,)
-    tooth_fdis: dict                         # class -> FDI code
     prepared_classes: tuple[int, ...] = ()
 
 
@@ -367,22 +360,6 @@ def generate_arch(spec: ArchSpec) -> tuple[LabeledMesh, GroundTruth]:
     for cls in sums:
         centroids[cls] = sums[cls] / areas[cls]
 
-    tooth_centers = {}
-    tooth_fdis = {}
-    for t in teeth:
-        cls = PREPARED if t.prepared else fdi_to_class(t.fdi)
-        s_t = float(_s_at_arc(spec, t.arc_pos))
-        c = _centerline(spec, s_t)
-        out = _outward(spec, s_t)
-        cx, cy = c + out * t.cross_pos
-        base_h = spec.gingiva_height * (1.0 - 2.0 * (t.cross_pos / spec.ridge_width) ** 2)
-        tooth_centers[cls] = np.array([cx, cy, zsign * (base_h + t.height) + z_shift])
-        tooth_fdis[cls] = t.fdi
-    # also keep the underlying position class for prepared teeth
-    for t in teeth:
-        if t.prepared:
-            tooth_fdis.setdefault(fdi_to_class(t.fdi), t.fdi)
-
     if spec.coverage == "full":
         scan_class = ScanClass.FULL_UPPER if spec.jaw == "Upper" else ScanClass.FULL_LOWER
     elif spec.coverage == "left":
@@ -396,8 +373,6 @@ def generate_arch(spec: ArchSpec) -> tuple[LabeledMesh, GroundTruth]:
         scan_class=scan_class,
         labels=labels,
         centroids=centroids,
-        tooth_centers=tooth_centers,
-        tooth_fdis=tooth_fdis,
         prepared_classes=prepared_classes,
     )
     return mesh, gt
@@ -460,17 +435,6 @@ def perturb_pose(mesh: LabeledMesh, spec: PerturbSpec) -> tuple[LabeledMesh, Pos
         normals = mesh.vertex_normals @ transform.rotation.T
     out = LabeledMesh(pts, mesh.faces, normals, mesh.face_labels)
     return out, PoseSample(transform=transform, scale=scale)
-
-
-def mirror_x(mesh: LabeledMesh) -> LabeledMesh:
-    """Mirror across the sagittal plane (x -> -x), keeping outward winding."""
-    v = mesh.vertices.copy()
-    v[:, 0] *= -1.0
-    n = None
-    if mesh.vertex_normals is not None:
-        n = mesh.vertex_normals.copy()
-        n[:, 0] *= -1.0
-    return LabeledMesh(v, mesh.faces[:, [0, 2, 1]], n, mesh.face_labels)
 
 
 # ---------------------------------------------------------------- crown fixtures
@@ -573,63 +537,3 @@ def generate_crown_fixture(kind: str, dims: CrownDims = CrownDims()):
     object.__setattr__(template, "cusp_vertices", apex_vertices)
     object.__setattr__(template, "cusp_heights", apex_heights)
     return template
-
-
-# ---------------------------------------------------------------- simple solids
-
-
-def make_box(center, half_extents) -> LabeledMesh:
-    """Axis-aligned watertight box (12 triangles, outward winding)."""
-    c = np.asarray(center, dtype=np.float64)
-    e = np.asarray(half_extents, dtype=np.float64)
-    corners = np.array(
-        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-        dtype=np.float64,
-    )
-    vertices = c + corners * e
-    faces = np.array(
-        [
-            [0, 1, 3], [0, 3, 2],   # x-
-            [4, 6, 7], [4, 7, 5],   # x+
-            [0, 4, 5], [0, 5, 1],   # y-
-            [2, 3, 7], [2, 7, 6],   # y+
-            [0, 2, 6], [0, 6, 4],   # z-
-            [1, 5, 7], [1, 7, 3],   # z+
-        ],
-        dtype=np.int64,
-    )
-    return LabeledMesh(vertices, faces)
-
-
-def make_uv_sphere(center, radius: float, n_lat: int = 24, n_lon: int = 32) -> LabeledMesh:
-    """Watertight UV sphere with outward winding."""
-    c = np.asarray(center, dtype=np.float64)
-    verts = [c + np.array([0.0, 0.0, radius])]
-    for i in range(1, n_lat):
-        theta = np.pi * i / n_lat
-        for j in range(n_lon):
-            phi = 2 * np.pi * j / n_lon
-            verts.append(
-                c + radius * np.array(
-                    [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-                )
-            )
-    verts.append(c + np.array([0.0, 0.0, -radius]))
-    vertices = np.asarray(verts)
-    last = len(vertices) - 1
-
-    def ring(i, j):
-        return 1 + (i - 1) * n_lon + (j % n_lon)
-
-    faces = []
-    for j in range(n_lon):
-        faces.append((0, ring(1, j), ring(1, j + 1)))
-    for i in range(1, n_lat - 1):
-        for j in range(n_lon):
-            a, b = ring(i, j), ring(i, j + 1)
-            d, e2 = ring(i + 1, j), ring(i + 1, j + 1)
-            faces.append((a, d, e2))
-            faces.append((a, e2, b))
-    for j in range(n_lon):
-        faces.append((last, ring(n_lat - 1, j + 1), ring(n_lat - 1, j)))
-    return LabeledMesh(vertices, np.asarray(faces, dtype=np.int64))

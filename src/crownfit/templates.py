@@ -22,7 +22,7 @@ from .mesh import GINGIVA, LabeledMesh, PointCloud
 from .meshio import load_mesh, save_mesh
 from .spatial import SpatialIndex
 
-# partial cut specs: which tooth classes each derived template keeps
+# which tooth classes each derived partial template keeps
 DEFAULT_CUT_SPECS = {
     "Left": tuple(range(11, 17)),           # left canine through molars
     "Right": tuple(range(3, 9)),            # right canine through molars
@@ -100,21 +100,18 @@ def select_canonical(scans: list[LabeledMesh], curve: CentroidCurve) -> int:
     return best_idx
 
 
-def derive_partials(master: LabeledMesh, side: str, cut_spec=None) -> LabeledMesh:
-    """Crop a partial template: faces of the cut classes plus nearby gingiva.
+def derive_partials(master: LabeledMesh, side: str) -> LabeledMesh:
+    """Crop a partial template: faces of the side's ``DEFAULT_CUT_SPECS``
+    classes plus nearby gingiva.
 
     Gingiva faces are kept when their centroid lies within GINGIVA_MARGIN_MM
     of any kept tooth face vertex. Coordinates are preserved exactly.
     """
-    if cut_spec is None:
-        cut_spec = DEFAULT_CUT_SPECS[side]
-    cut_spec = set(cut_spec)
-    if not cut_spec:
-        raise ValueError("empty cut spec")
+    cut_spec = DEFAULT_CUT_SPECS[side]
     if master.face_labels is None:
         raise ValueError("master template carries no labels")
     labels = master.face_labels
-    tooth_mask = np.isin(labels, list(cut_spec))
+    tooth_mask = np.isin(labels, cut_spec)
     if not tooth_mask.any():
         raise DegenerateGeometryError(f"cut spec {sorted(cut_spec)} selects no tooth faces")
     tooth_vertices = master.vertices[np.unique(master.faces[tooth_mask])]
@@ -134,15 +131,12 @@ class TemplateLibrary:
     master_upper: LabeledMesh
     master_lower: LabeledMesh
     partials: dict  # (jaw, side) -> LabeledMesh
-    cut_specs: dict = None
     # the store of prepared registration clouds of a saved library and the
     # (voxel, fpfh_radius) they were prepared with; None without a store
     prepared_file: Path = None
     prepared_key: tuple = None
 
     def __post_init__(self):
-        if self.cut_specs is None:
-            object.__setattr__(self, "cut_specs", dict(DEFAULT_CUT_SPECS))
         missing = [(j, s) for j in JAWS for s in SIDES if (j, s) not in self.partials]
         if missing:
             raise ValueError(f"template library incomplete, missing partials: {missing}")
@@ -169,19 +163,17 @@ class TemplateLibrary:
 def build_template_library(
     upper_scans: list[LabeledMesh],
     lower_scans: list[LabeledMesh],
-    cut_specs=None,
 ) -> TemplateLibrary:
     """Select canonical masters against the shared average curve, then crop
     the six partial templates."""
-    cut_specs = dict(cut_specs or DEFAULT_CUT_SPECS)
     curve = build_average_curve(upper_scans + lower_scans)
     master_upper = upper_scans[select_canonical(upper_scans, curve)]
     master_lower = lower_scans[select_canonical(lower_scans, curve)]
     partials = {}
     for jaw, master in (("Upper", master_upper), ("Lower", master_lower)):
         for side in SIDES:
-            partials[(jaw, side)] = derive_partials(master, side, cut_specs[side])
-    return TemplateLibrary(master_upper, master_lower, partials, cut_specs)
+            partials[(jaw, side)] = derive_partials(master, side)
+    return TemplateLibrary(master_upper, master_lower, partials)
 
 
 MANIFEST_NAME = "templates.json"
@@ -204,7 +196,6 @@ def save_template_library(library: TemplateLibrary, directory) -> None:
         "version": MANIFEST_VERSION,
         "masters": files,
         "partials": partial_files,
-        "cut_specs": {side: sorted(spec) for side, spec in library.cut_specs.items()},
     }
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -235,11 +226,12 @@ def load_template_library(directory) -> TemplateLibrary:
     for key, name in manifest["partials"].items():
         jaw, side = key.split("/")
         partials[(jaw, side)] = load_mesh(directory / name, "PLY")
-    cut_specs = {side: tuple(v) for side, v in manifest["cut_specs"].items()}
+    # the cut is always DEFAULT_CUT_SPECS: a "cut_specs" entry of an older
+    # manifest is not read
     prepared_file = prepared_key = None
     if "prepared" in manifest:
         entry = manifest["prepared"]
         prepared_file = directory / entry["file"]
         prepared_key = (entry["voxel"], entry["fpfh_radius"])
-    return TemplateLibrary(masters["master_upper"], masters["master_lower"], partials, cut_specs,
+    return TemplateLibrary(masters["master_upper"], masters["master_lower"], partials,
                            prepared_file, prepared_key)

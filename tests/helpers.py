@@ -1,0 +1,110 @@
+"""Test-only helpers: simple solids, a mirrored mesh, a fixed-answer
+classifier and a probability-file writer. The pipeline never needs them."""
+
+import json
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from crownfit.classify import ScanClass
+from crownfit.labels import _PROB_MAGIC, FaceLabelProbabilities
+from crownfit.mesh import LabeledMesh
+
+
+def fdi_jaw(fdi: int) -> str:
+    return "Upper" if fdi // 10 in (1, 2) else "Lower"
+
+
+def make_box(center, half_extents) -> LabeledMesh:
+    """Axis-aligned watertight box (12 triangles, outward winding)."""
+    c = np.asarray(center, dtype=np.float64)
+    e = np.asarray(half_extents, dtype=np.float64)
+    corners = np.array(
+        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+        dtype=np.float64,
+    )
+    vertices = c + corners * e
+    faces = np.array(
+        [
+            [0, 1, 3], [0, 3, 2],   # x-
+            [4, 6, 7], [4, 7, 5],   # x+
+            [0, 4, 5], [0, 5, 1],   # y-
+            [2, 3, 7], [2, 7, 6],   # y+
+            [0, 2, 6], [0, 6, 4],   # z-
+            [1, 5, 7], [1, 7, 3],   # z+
+        ],
+        dtype=np.int64,
+    )
+    return LabeledMesh(vertices, faces)
+
+
+def make_uv_sphere(center, radius: float, n_lat: int = 24, n_lon: int = 32) -> LabeledMesh:
+    """Watertight UV sphere with outward winding."""
+    c = np.asarray(center, dtype=np.float64)
+    verts = [c + np.array([0.0, 0.0, radius])]
+    for i in range(1, n_lat):
+        theta = np.pi * i / n_lat
+        for j in range(n_lon):
+            phi = 2 * np.pi * j / n_lon
+            verts.append(
+                c + radius * np.array(
+                    [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+                )
+            )
+    verts.append(c + np.array([0.0, 0.0, -radius]))
+    vertices = np.asarray(verts)
+    last = len(vertices) - 1
+
+    def ring(i, j):
+        return 1 + (i - 1) * n_lon + (j % n_lon)
+
+    faces = []
+    for j in range(n_lon):
+        faces.append((0, ring(1, j), ring(1, j + 1)))
+    for i in range(1, n_lat - 1):
+        for j in range(n_lon):
+            a, b = ring(i, j), ring(i, j + 1)
+            d, e2 = ring(i + 1, j), ring(i + 1, j + 1)
+            faces.append((a, d, e2))
+            faces.append((a, e2, b))
+    for j in range(n_lon):
+        faces.append((last, ring(n_lat - 1, j + 1), ring(n_lat - 1, j)))
+    return LabeledMesh(vertices, np.asarray(faces, dtype=np.int64))
+
+
+def mirror_x(mesh: LabeledMesh) -> LabeledMesh:
+    """Mirror across the sagittal plane (x -> -x), keeping outward winding."""
+    v = mesh.vertices.copy()
+    v[:, 0] *= -1.0
+    n = None
+    if mesh.vertex_normals is not None:
+        n = mesh.vertex_normals.copy()
+        n[:, 0] *= -1.0
+    return LabeledMesh(v, mesh.faces[:, [0, 2, 1]], n, mesh.face_labels)
+
+
+class ConstantClassifier:
+    """Always answers the same class (mock provider for routing tests)."""
+
+    def __init__(self, scan_class: ScanClass, confidence: float = 1.0):
+        self.scan_class = scan_class
+        self.confidence = confidence
+
+    def classify(self, features, mesh) -> tuple[ScanClass, float]:
+        return self.scan_class, self.confidence
+
+
+def save_probabilities(probs: FaceLabelProbabilities, path) -> None:
+    """Write the JSON (``.json`` suffix) or binary form ``load_probabilities`` reads."""
+    path = Path(path)
+    if path.suffix == ".json":
+        payload = {
+            "faces": probs.n_faces,
+            "classes": probs.n_classes,
+            "rows": probs.matrix.tolist(),
+        }
+        path.write_text(json.dumps(payload))
+        return
+    header = _PROB_MAGIC + struct.pack("<II", probs.n_faces, probs.n_classes)
+    path.write_bytes(header + probs.matrix.astype("<f4").tobytes())

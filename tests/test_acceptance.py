@@ -26,9 +26,9 @@ from crownfit.metrics import bootstrap_ci, centroid_error, confusion, dsc, preci
 from crownfit.registration import RegistrationParams, fine_register, register_with_routing
 from crownfit.retrieval import EMBEDDING_DIM, Embedding, EmbeddingIndex, cosine, retrieve_crown
 from crownfit.synth import (ArchSpec, CrownDims, PerturbSpec, generate_arch,
-                            generate_crown_fixture, make_box, make_uv_sphere,
-                            partial_spec, perturb_pose)
+                            generate_crown_fixture, partial_spec, perturb_pose)
 from crownfit.templates import build_template_library
+from helpers import make_box, make_uv_sphere
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -117,13 +117,13 @@ def test_robust_icp_outlier_tolerance():
         src_pts = applied.apply(noisy)
         src_nrm = target.normals @ applied.rotation.T
         clean = fine_register(PointCloud(src_pts, src_nrm), target,
-                              RigidTransform.identity(), params)
+                              RigidTransform(), params)
         pts = src_pts.copy()
         n_out = int(0.2 * len(pts))
         pick = rng.choice(len(pts), size=n_out, replace=False)
         pts[pick] += rng.uniform(20.0, 60.0, size=(n_out, 3))  # residuals >> 10k
         cont = fine_register(PointCloud(pts, src_nrm), target,
-                             RigidTransform.identity(), params)
+                             RigidTransform(), params)
         ideal = applied.inverse()
         probe = src_pts.mean(axis=0)
         clean_rot.append(clean.transform.rotation_distance_deg(ideal))

@@ -33,20 +33,20 @@ def aligned_targets(crown, occlusal=None):
 class TestArchSpline:
     def test_collinear_centroids_constant_tangent(self):
         pts = z3([[0, 0], [1, 0], [2, 0], [3, 0]])
-        spline = fit_arch_spline(pts)
+        spline = fit_arch_spline(pts, midline_index=2.0)
         for t in np.linspace(spline.t_min, spline.t_max, 7):
             assert np.allclose(spline.tangent(t), [1, 0], atol=1e-9)
 
     def test_interpolates_knots_exactly(self):
         pts = z3([[0, 0], [1, 2], [3, 1], [4, 4]])
-        spline = fit_arch_spline(pts)
+        spline = fit_arch_spline(pts, midline_index=1.5)
         for knot, p in zip(spline.knots, pts[:, :2]):
             assert np.allclose(spline.evaluate(knot), p, atol=1e-9)
 
     def test_parabola_midpoints_within_tolerance(self):
         xs = np.arange(-20, 21, 5, dtype=float)
         pts = z3(np.column_stack([xs, xs**2 / 20.0]))
-        spline = fit_arch_spline(pts)
+        spline = fit_arch_spline(pts, midline_index=4.0)
         for xm in (xs[:-1] + xs[1:]) / 2.0:
             target = np.array([xm, xm**2 / 20.0])
             t = spline.project(target)
@@ -54,16 +54,16 @@ class TestArchSpline:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit_arch_spline(z3([[0, 0], [1, 1]]))
+            fit_arch_spline(z3([[0, 0], [1, 1]]), midline_index=0.5)
 
     def test_duplicate_consecutive_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            fit_arch_spline(z3([[0, 0], [0, 0], [1, 1]]))
+            fit_arch_spline(z3([[0, 0], [0, 0], [1, 1]]), midline_index=1.0)
 
 
 class TestSplineFrame:
     def test_straight_line_rule(self):
-        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]]))
+        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]]), midline_index=2.0)
         v_m, v_b = spline_frame_at(spline, [2.0, 1.0, 0.0])
         assert np.isclose(abs(v_m[0]), 1.0) and v_m[2] == 0.0
         # outward via the arch-centroid fallback: toward the prep side
@@ -71,14 +71,14 @@ class TestSplineFrame:
 
     def test_parabola_apex_buccal_away_from_concavity(self):
         xs = np.arange(-20, 21, 5, dtype=float)
-        spline = fit_arch_spline(z3(np.column_stack([xs, xs**2 / 20.0])))
+        spline = fit_arch_spline(z3(np.column_stack([xs, xs**2 / 20.0])), midline_index=4.0)
         _, v_b = spline_frame_at(spline, [0.0, 0.0, 0.0])
         assert np.allclose(v_b, [0, -1, 0], atol=1e-6)
 
     def test_tangent_has_zero_z(self):
         xs = np.arange(-20, 21, 5, dtype=float)
         pts = np.column_stack([xs, xs**2 / 20.0, np.linspace(-3, 3, len(xs))])
-        spline = fit_arch_spline(pts)
+        spline = fit_arch_spline(pts, midline_index=4.0)
         v_m, v_b = spline_frame_at(spline, [5.0, 2.0, 7.0])
         assert v_m[2] == 0.0
         assert v_b[2] == 0.0
@@ -94,7 +94,7 @@ class TestSplineFrame:
         assert v_m_left[0] < 0
 
     def test_projection_outside_range_warns(self):
-        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0]]))
+        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0]]), midline_index=1.0)
         with pytest.warns(AlignmentWarning, match="clamped"):
             spline_frame_at(spline, [10.0, 0.0, 0.0])
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from crownfit.classify import (BaselineGeometricClassifier, ConstantClassifier,
-                               ExternalSidecarClassifier, ScanClass, classify)
+from crownfit.classify import (BaselineGeometricClassifier, ExternalSidecarClassifier,
+                               ScanClass, classify)
 from crownfit.errors import ClassificationError
 from crownfit.mesh import RigidTransform, estimate_vertex_normals
-from crownfit.synth import (ArchSpec, PerturbSpec, generate_arch, mirror_x, partial_spec,
-                            perturb_pose)
+from crownfit.synth import ArchSpec, PerturbSpec, generate_arch, partial_spec, perturb_pose
+from helpers import ConstantClassifier, mirror_x
 
 
 def all_class_cases(seeds, jitter=0.4):
@@ -86,16 +86,16 @@ class TestProviders:
     def test_external_sidecar(self, tmp_path, lower_arch):
         mesh, _ = lower_arch
         scan_path = tmp_path / "scan.ply"
-        sidecar = ExternalSidecarClassifier.sidecar_for(scan_path)
-        sidecar.write_text('{"class": "PartialCenter", "confidence": 0.66}')
-        provider = ExternalSidecarClassifier().for_scan(scan_path)
+        provider = ExternalSidecarClassifier(scan_path)
+        assert provider.sidecar_path == tmp_path / "scan.ply.class.json"
+        provider.sidecar_path.write_text('{"class": "PartialCenter", "confidence": 0.66}')
         got, conf = classify(provider, mesh)
         assert got is ScanClass.PARTIAL_CENTER
         assert conf == 0.66
 
     def test_external_sidecar_missing_raises_with_stage(self, tmp_path, lower_arch):
         mesh, _ = lower_arch
-        provider = ExternalSidecarClassifier().for_scan(tmp_path / "absent.ply")
+        provider = ExternalSidecarClassifier(tmp_path / "absent.ply")
         with pytest.raises(ClassificationError) as err:
             classify(provider, mesh)
         assert err.value.stage == "classify"

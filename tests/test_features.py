@@ -45,12 +45,6 @@ class TestPointFeatures:
         dphi = np.angle(np.exp(1j * (f1.azimuth - f0.azimuth - theta)))
         assert np.abs(dphi).max() < 1e-9
 
-    def test_unit_scale_variant(self):
-        cloud = PointCloud([[3, 4, 0], [-3, -4, 0]], normals=[[0, 0, 1]] * 2)
-        f = compute_point_features(cloud, unit_scale=True)
-        assert np.isclose(f.radius.max(), 1.0)
-        assert np.isclose(f.azimuth[0], np.arctan2(4, 3))
-
     def test_missing_normals_rejected(self):
         with pytest.raises(ValueError, match="normals"):
             compute_point_features(PointCloud([[0, 0, 0]]))
@@ -223,7 +217,7 @@ class TestFpfh:
         for cloud in (random_cloud(50, 11), PointCloud(pts, dup.normals)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", MeshWarning)
-                got = compute_fpfh(cloud, 2.5).histograms
+                got = compute_fpfh(cloud, 2.5)
             want = brute_force_fpfh(cloud.points, cloud.normals, 2.5)
             assert np.abs(got - want).max() < 1e-6
 
@@ -233,31 +227,32 @@ class TestFpfh:
         cloud = make()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MeshWarning)
-            got = compute_fpfh(cloud, radius).histograms
+            got = compute_fpfh(cloud, radius)
         want = directed_pair_fpfh(cloud.points, cloud.normals, radius)
         assert got.tobytes() == want.tobytes()
 
     def test_sub_histograms_sum_to_100(self):
         cloud = random_cloud(60, 3)
-        h = compute_fpfh(cloud, 2.5).histograms
+        h = compute_fpfh(cloud, 2.5)
+        assert h.shape == (60, 3 * FPFH_BINS) and not h.flags.writeable
         for b in range(3):
             sums = h[:, b * FPFH_BINS:(b + 1) * FPFH_BINS].sum(axis=1)
             assert np.abs(sums[sums > 0] - 100.0).max() < 1e-6
 
     def test_rigid_invariance(self, rng):
         cloud = random_cloud(70, 9)
-        h0 = compute_fpfh(cloud, 2.5).histograms
+        h0 = compute_fpfh(cloud, 2.5)
         for seed in range(3):
             r = np.random.default_rng(seed)
             t = RigidTransform.from_axis_angle(r.normal(size=3), r.uniform(0.2, 2.8),
                                                r.uniform(-10, 10, size=3))
-            h1 = compute_fpfh(cloud.transformed(t), 2.5).histograms
+            h1 = compute_fpfh(cloud.transformed(t), 2.5)
             assert np.abs(h1 - h0).max() < 1e-5
 
     def test_coplanar_identical_normals_concentrate(self):
         pts = np.array([[x, y, 0.0] for x in range(5) for y in range(5)], dtype=float)
         cloud = PointCloud(pts, normals=np.tile([0.0, 0, 1], (25, 1)))
-        h = compute_fpfh(cloud, 3.0).histograms
+        h = compute_fpfh(cloud, 3.0)
         # all pair angles identical: exactly one occupied bin per block
         for b in range(3):
             block = h[:, b * FPFH_BINS:(b + 1) * FPFH_BINS]
@@ -268,7 +263,7 @@ class TestFpfh:
         pts = np.array([[0, 0, 0], [0.1, 0, 0], [50, 50, 50]])
         normals = np.tile([0.0, 0, 1], (3, 1))
         with pytest.warns(MeshWarning, match="no FPFH neighbors"):
-            h = compute_fpfh(PointCloud(pts, normals), 1.0).histograms
+            h = compute_fpfh(PointCloud(pts, normals), 1.0)
         assert np.all(h[2] == 0)
 
     def test_bad_arguments(self):

@@ -8,7 +8,8 @@ from crownfit.fitting import (CuspSet, FittingParams, center_between_neighbors,
                               occlusal_correct_anterior, occlusal_correct_posterior,
                               occlusal_direction, points_inside_mesh, scale_about)
 from crownfit.mesh import LabeledMesh, estimate_vertex_normals
-from crownfit.synth import CrownDims, generate_crown_fixture, make_box, make_uv_sphere
+from crownfit.synth import CrownDims, generate_crown_fixture
+from helpers import make_box, make_uv_sphere
 
 
 def two_walls(gap, half=(1.0, 6.0, 6.0)):

@@ -9,9 +9,9 @@ from crownfit.errors import MeshFormatError
 from crownfit.labels import (FaceLabelProbabilities, GraphCutParams, _cut_pattern,
                              _min_cut_assignment, corrupt_labels, graphcut_refine,
                              labeling_energy, load_probabilities, pairwise_weights,
-                             reassign_small_components, save_probabilities,
-                             tune_smoothness)
+                             reassign_small_components, tune_smoothness)
 from crownfit.mesh import GINGIVA, LabeledMesh, face_adjacency
+from helpers import save_probabilities
 
 
 def strip_mesh(n_faces, seed=0, flat=False):
@@ -69,6 +69,13 @@ class TestProbabilities:
         path.write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(MeshFormatError):
             load_probabilities(path)
+
+    def test_short_header_reports_offset(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"FPRB\x02\x00")
+        with pytest.raises(MeshFormatError, match="header") as err:
+            load_probabilities(path)
+        assert err.value.byte_offset == 6
 
 
 class TestGraphCut:

@@ -7,7 +7,7 @@ from crownfit.errors import MeshWarning
 from crownfit.mesh import (LabeledMesh, PointCloud, RigidTransform, bounding_box_diagonal,
                            component_ids, estimate_vertex_normals, face_adjacency,
                            is_watertight, voxel_downsample)
-from crownfit.synth import make_box, make_uv_sphere
+from helpers import make_box, make_uv_sphere
 
 
 def square_mesh():
@@ -46,7 +46,7 @@ class TestLabeledMesh:
 
 class TestRigidTransform:
     def test_identity(self):
-        t = RigidTransform.identity()
+        t = RigidTransform()
         pts = np.random.default_rng(0).normal(size=(5, 3))
         assert np.allclose(t.apply(pts), pts)
 

@@ -4,7 +4,7 @@ import pytest
 from crownfit.errors import MeshFormatError, MeshWarning, UnsupportedFeatureError
 from crownfit.mesh import LabeledMesh, estimate_vertex_normals
 from crownfit.meshio import load_mesh, save_mesh
-from crownfit.synth import make_box
+from helpers import make_box
 
 
 def unit_cube_ply_text():
@@ -42,9 +42,16 @@ class TestPly:
         assert np.array_equal(back.vertex_normals, mesh.vertex_normals)
 
     def test_ascii_round_trip(self, tmp_path):
+        # ascii PLY is read, not written: the text holds each double's repr
         mesh = make_box((0.123456789, -0.5, 2.25), (0.5, 1.0, 0.25))
+        lines = ["ply", "format ascii 1.0", f"element vertex {mesh.n_vertices}",
+                 "property double x", "property double y", "property double z",
+                 f"element face {mesh.n_faces}", "property list uchar int vertex_indices",
+                 "end_header"]
+        lines += [" ".join(repr(float(c)) for c in v) for v in mesh.vertices]
+        lines += ["3 " + " ".join(str(i) for i in f) for f in mesh.faces]
         path = tmp_path / "box.ply"
-        save_mesh(mesh, path, "PLY", binary=False)
+        path.write_text("\n".join(lines) + "\n")
         back = load_mesh(path, "PLY")
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.faces, mesh.faces)
@@ -155,6 +162,21 @@ class TestStl:
         path.write_bytes(b"\0" * 50)
         with pytest.raises(MeshFormatError):
             load_mesh(path, "STL")
+
+    def test_ascii_reported_as_unsupported(self, tmp_path):
+        path = tmp_path / "facet.stl"
+        path.write_text("solid one\n facet normal 0 0 1\n  outer loop\n"
+                        "   vertex 0 0 0\n   vertex 1 0 0\n   vertex 0 1 0\n"
+                        "  endloop\n endfacet\nendsolid one\n")
+        with pytest.raises(MeshFormatError, match="ascii STL is not supported"):
+            load_mesh(path, "STL")
+
+    def test_binary_header_may_start_with_solid(self, tmp_path):
+        path = tmp_path / "box.stl"
+        save_mesh(make_box((0, 0, 0), (1, 1, 1)), path, "STL")
+        data = path.read_bytes()
+        path.write_bytes(b"solid box".ljust(80, b"\0") + data[80:])
+        assert load_mesh(path, "STL").n_faces == 12
 
 
 def test_format_inferred_from_extension(tmp_path):

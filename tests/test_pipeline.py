@@ -377,7 +377,8 @@ class TestCli:
         assert (tmp_path / "fx" / "config.json").exists()
 
     def test_refine_command_with_probability_file(self, finished_run, tmp_path):
-        from crownfit.labels import corrupt_labels, save_probabilities
+        from crownfit.labels import corrupt_labels
+        from helpers import save_probabilities
         root, manifest, cfg, _ = finished_run
         canonical = Path(cfg.output_dir) / "refined_labels.ply"
         mesh = load_mesh(canonical)

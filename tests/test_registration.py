@@ -159,7 +159,7 @@ class TestCoarse:
 class TestFine:
     def test_fixed_point_returns_init(self, arch_cloud):
         src = voxel_downsample(arch_cloud, PARAMS.voxel)
-        result = fine_register(src, src, RigidTransform.identity(), PARAMS)
+        result = fine_register(src, src, RigidTransform(), PARAMS)
         assert result.transform.rotation_angle_deg() < 1e-6
         assert np.linalg.norm(result.transform.translation) < 1e-6
         assert result.iterations == 1
@@ -169,7 +169,7 @@ class TestFine:
         applied = RigidTransform.from_axis_angle((0.2, 0.3, 1.0), np.radians(5.0),
                                                  (1.2, -1.0, 0.8))
         src = tgt.transformed(applied)
-        result = fine_register(src, tgt, RigidTransform.identity(), PARAMS)
+        result = fine_register(src, tgt, RigidTransform(), PARAMS)
         rot, trans = pose_errors(result.transform, applied.inverse(),
                                  src.points.mean(axis=0))
         assert rot < 0.2
@@ -180,7 +180,7 @@ class TestFine:
         tgt = voxel_downsample(arch_cloud, PARAMS.voxel)
         applied = RigidTransform.from_axis_angle((0, 0, 1), np.radians(4.0), (1.0, 0.5, -0.5))
         src = tgt.transformed(applied)
-        clean = fine_register(src, tgt, RigidTransform.identity(), PARAMS)
+        clean = fine_register(src, tgt, RigidTransform(), PARAMS)
 
         pts = src.points.copy()
         nrm = src.normals.copy()
@@ -188,7 +188,7 @@ class TestFine:
         pick = rng.choice(len(pts), size=n_out, replace=False)
         pts[pick] += rng.uniform(20, 60, size=(n_out, 3))  # residuals >> 10 k
         contaminated = fine_register(PointCloud(pts, nrm), tgt,
-                                     RigidTransform.identity(), PARAMS)
+                                     RigidTransform(), PARAMS)
         rot = contaminated.transform.rotation_distance_deg(clean.transform)
         probe = src.points.mean(axis=0)
         trans = np.linalg.norm(contaminated.transform.apply(probe)
@@ -202,7 +202,7 @@ class TestFine:
                                                  (1.5, 1.0, -0.5))
         src = tgt.transformed(applied)
         trace = []
-        fine_register(src, tgt, RigidTransform.identity(), PARAMS, trace=trace)
+        fine_register(src, tgt, RigidTransform(), PARAMS, trace=trace)
         assert len(trace) >= 2
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
@@ -213,18 +213,18 @@ class TestFine:
         plane = PointCloud(pts, normals)
         shifted = PointCloud(pts + [0.0, 0.0, 0.3], normals)
         with pytest.raises(RankDeficiencyError):
-            fine_register(shifted, plane, RigidTransform.identity(), PARAMS)
+            fine_register(shifted, plane, RigidTransform(), PARAMS)
 
     def test_missing_target_normals_rejected(self, arch_cloud):
         bare = PointCloud(arch_cloud.points)
         with pytest.raises(ValueError, match="normals"):
-            fine_register(arch_cloud, bare, RigidTransform.identity(), PARAMS)
+            fine_register(arch_cloud, bare, RigidTransform(), PARAMS)
 
     def test_equivariance_under_source_pre_rotation(self, arch_cloud):
         tgt = voxel_downsample(arch_cloud, PARAMS.voxel)
         applied = RigidTransform.from_axis_angle((0, 0, 1), np.radians(3.0), (0.5, 0.4, 0.1))
         src = tgt.transformed(applied)
-        base = fine_register(src, tgt, RigidTransform.identity(), PARAMS)
+        base = fine_register(src, tgt, RigidTransform(), PARAMS)
         q = RigidTransform.from_axis_angle((0, 1, 0), np.radians(2.0), (0.7, 0, 0))
         pre = src.transformed(q)
         composed = fine_register(pre, tgt, base.transform.compose(q.inverse()), PARAMS)
@@ -279,7 +279,7 @@ class TestRouting:
     def test_identical_templates_tie_break_upper(self, library, monkeypatch):
         mesh, _ = generate_arch(partial_spec("Lower", "center", seed=2, jitter_sigma=0.3))
 
-        fixed = RegistrationResult(RigidTransform.identity(), 0.5, 0.1)
+        fixed = RegistrationResult(RigidTransform(), 0.5, 0.1)
         monkeypatch.setattr(registration, "register_pair",
                             lambda *args, **kwargs: fixed)
         result = register_with_routing(mesh, ScanClass.PARTIAL_CENTER, library, PARAMS)
@@ -410,9 +410,9 @@ class TestDerivedOnce:
 
 def test_registration_result_validation():
     with pytest.raises(ValueError):
-        RegistrationResult(RigidTransform.identity(), 1.2, 0.0)
+        RegistrationResult(RigidTransform(), 1.2, 0.0)
     with pytest.raises(ValueError):
-        RegistrationResult(RigidTransform.identity(), 0.5, -1.0)
+        RegistrationResult(RigidTransform(), 0.5, -1.0)
 
 
 def test_params_validation():

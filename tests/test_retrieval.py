@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crownfit.errors import NoMatchError
+from crownfit.errors import MeshFormatError, NoMatchError
 from crownfit.retrieval import (EMBEDDING_DIM, ContextQuery, Embedding, EmbeddingIndex,
                                 cosine, geometric_embedding, load_embedding_index,
                                 load_embedding_store, match_context, retrieve_crown,
@@ -173,6 +173,25 @@ class TestStore:
         index = load_embedding_index(tmp_path / "jaws.bin", tmp_path / "crowns.bin")
         assert set(index.jaws["j0"]) == {35, 37}
         assert set(index.crown_library) == {"c0"}
+
+    @pytest.mark.parametrize("jaw_keys, crown_keys", [
+        ([{"jaw": "j0", "fdi": 35}, {"jaw": "j0", "fdi": 35}],
+         [{"template": "c0"}, {"template": "c1"}]),
+        ([{"jaw": "j0", "fdi": 35}, {"jaw": "j1", "fdi": 35}],
+         [{"template": "c0"}, {"template": "c0"}]),
+    ], ids=["jaw", "template"])
+    def test_repeated_key_rejected(self, tmp_path, jaw_keys, crown_keys):
+        save_embedding_store([unit(1), unit(2)], jaw_keys, tmp_path / "jaws.bin")
+        save_embedding_store([unit(3), unit(4)], crown_keys, tmp_path / "crowns.bin")
+        with pytest.raises(MeshFormatError, match="duplicate"):
+            load_embedding_index(tmp_path / "jaws.bin", tmp_path / "crowns.bin")
+
+    def test_short_header_reports_offset(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"EMBD\x01")
+        with pytest.raises(MeshFormatError, match="header") as err:
+            load_embedding_store(path)
+        assert err.value.byte_offset == 5
 
 
 class TestGeometricEmbedding:

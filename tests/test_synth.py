@@ -5,9 +5,10 @@ from crownfit.classify import ScanClass
 from crownfit.errors import DegenerateGeometryError
 from crownfit.mesh import GINGIVA, PREPARED, is_watertight, mesh_edges
 from crownfit.synth import (ArchSpec, CrownDims, PerturbSpec, ToothSpec, class_to_fdi,
-                            fdi_jaw, fdi_to_class, generate_arch, generate_crown_fixture,
-                            make_box, make_uv_sphere, mirror_x, partial_spec, perturb_pose)
+                            fdi_to_class, generate_arch, generate_crown_fixture,
+                            partial_spec, perturb_pose)
 from crownfit.templates import extract_tooth_centroids
+from helpers import fdi_jaw, make_box, make_uv_sphere, mirror_x
 
 
 class TestFdi:

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from crownfit.errors import DegenerateGeometryError
 from crownfit.mesh import GINGIVA, LabeledMesh, PointCloud, RigidTransform
-from crownfit.synth import ArchSpec, fdi_to_class, generate_arch
+from crownfit.synth import ArchSpec, fdi_to_class, generate_arch, partial_spec
 from crownfit.templates import (CentroidCurve, build_average_curve, build_template_library,
                                 derive_partials, extract_tooth_centroids,
                                 load_template_library, save_template_library,
@@ -60,7 +62,7 @@ class TestAverageCurve:
             assert curve.counts[cls] == 1
 
     def test_mirrored_pair_symmetric_in_x(self):
-        from crownfit.synth import mirror_x
+        from helpers import mirror_x
         mesh, _ = generate_arch(ArchSpec.standard("Lower", "full"))
         # mirroring swaps left/right classes; relabel so classes align
         mirrored = mirror_x(mesh)
@@ -133,13 +135,6 @@ class TestSelectCanonical:
 
 
 class TestDerivePartials:
-    def test_identity_cut_keeps_all_teeth(self, lower_arch):
-        mesh, _ = lower_arch
-        partial = derive_partials(mesh, "Left", cut_spec=tuple(range(1, 17)))
-        kept = set(np.unique(partial.face_labels)) - {GINGIVA}
-        want = set(np.unique(mesh.face_labels)) - {GINGIVA}
-        assert kept == want
-
     def test_left_cut_keeps_left_lateral_classes_only(self, lower_arch):
         mesh, _ = lower_arch
         partial = derive_partials(mesh, "Left")
@@ -159,13 +154,11 @@ class TestDerivePartials:
         master_set = {tuple(v) for v in mesh.vertices}
         assert all(tuple(v) in master_set for v in partial.vertices)
 
-    def test_empty_cut_rejected(self, lower_arch):
-        mesh, _ = lower_arch
-        with pytest.raises(ValueError):
-            derive_partials(mesh, "Left", cut_spec=())
-        with pytest.raises(DegenerateGeometryError):
-            derive_partials(mesh, "Left", cut_spec=(16,) if 16 not in
-                            set(np.unique(mesh.face_labels)) else (99,))
+    def test_empty_cut_rejected(self):
+        # a right side scan holds none of the Left cut's classes
+        right, _ = generate_arch(partial_spec("Lower", "right"))
+        with pytest.raises(DegenerateGeometryError, match="selects no tooth faces"):
+            derive_partials(right, "Left")
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +181,7 @@ class TestLibrary:
         partial = library.partial("Lower", "Left")
         src = voxel_downsample(PointCloud(partial.vertices), 0.8)
         tgt = voxel_downsample(master.to_point_cloud(), 0.8)
-        result = fine_register(src, tgt, RigidTransform.identity(), RegistrationParams())
+        result = fine_register(src, tgt, RigidTransform(), RegistrationParams())
         assert result.fitness >= 0.99
 
     def test_persistence_round_trip(self, library, tmp_path):
@@ -198,6 +191,18 @@ class TestLibrary:
         for key, mesh in library.partials.items():
             assert np.array_equal(back.partials[key].faces, mesh.faces)
             assert np.array_equal(back.partials[key].face_labels, mesh.face_labels)
+
+    def test_manifest_with_cut_specs_still_loads(self, library, tmp_path):
+        # older manifests also listed the cut specs; the entry is not read
+        save_template_library(library, tmp_path / "lib")
+        path = tmp_path / "lib" / "templates.json"
+        manifest = json.loads(path.read_text())
+        assert "cut_specs" not in manifest
+        manifest["cut_specs"] = {side: [99] for side in DEFAULT_CUT_SPECS}
+        path.write_text(json.dumps(manifest))
+        back = load_template_library(tmp_path / "lib")
+        for key, mesh in library.partials.items():
+            assert np.array_equal(back.partials[key].faces, mesh.faces)
 
 
 def test_prepared_tooth_class_present(prepared_lower_arch):

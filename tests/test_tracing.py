@@ -8,7 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from crownfit.synth import make_box
+from helpers import make_box
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -1,0 +1,49 @@
+"""Every module-level function and class of ``src/crownfit`` has a caller.
+
+A definition that only tests reach belongs in ``tests/helpers.py``. A
+reference is any name, attribute or import of the definition's name in
+``src/crownfit`` or ``perfbench/`` outside the definition itself; click
+commands are reached through their group and need none.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "crownfit"
+
+
+def referenced_names(node, skip=None) -> set:
+    names = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
+        stack.extend(ast.iter_child_nodes(n))
+    return names
+
+
+def is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def test_every_definition_has_a_caller():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or is_click_command(node):
+                continue
+            if not any(node.name in referenced_names(tree, node if other == path else None)
+                       for other, tree in trees.items()):
+                unused.append(f"{path.name}: {node.name}")
+    assert not unused, f"defined but never referenced outside tests: {unused}"
