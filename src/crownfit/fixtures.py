@@ -1,9 +1,9 @@
 """Synthetic fixture corpus: template library, crown library with embeddings,
 donor-jaw embedding store, and a wired demo case.
 
-Everything is deterministic for a fixed seed; the demo case's config.json
-points at the generated stores with relative paths so the directory is
-relocatable.
+Everything is deterministic for a fixed seed; config.json and the manifest
+fixtures.json name every file relative to the corpus directory, so the
+directory is relocatable.
 """
 
 from __future__ import annotations
@@ -53,21 +53,20 @@ def build_donor_store(path, n_jaws: int = 6, seed: int = 0) -> None:
         for jaw in ("Upper", "Lower"):
             spec = ArchSpec.standard(jaw, "full", seed=seed + 100 + j, jitter_sigma=0.35)
             mesh, gt = generate_arch(spec)
-            for cls in sorted(gt.centroids):
+            for cls in np.unique(gt.labels).tolist():
                 if not 1 <= cls <= 16:
                     continue
                 faces = np.nonzero(gt.labels == cls)[0]
-                if faces.size == 0:
-                    continue
                 embeddings.append(geometric_embedding(mesh, faces))
                 keys.append({"jaw": f"donor_{jaw.lower()}_{j:02d}", "fdi": class_to_fdi(cls, jaw)})
     save_embedding_store(embeddings, keys, Path(path))
 
 
-def build_demo_case(directory, seed: int = 0) -> dict:
-    """Lower-jaw scan with prepared molar 36 and its antagonist."""
+def build_demo_case(root: Path, seed: int = 0) -> dict:
+    """Lower-jaw scan with prepared molar 36 and its antagonist, written to
+    ``root/case``; the returned paths are relative to ``root``."""
     fdi = 36
-    directory = Path(directory)
+    directory = root / "case"
     directory.mkdir(parents=True, exist_ok=True)
     spec = ArchSpec.standard("Lower", "full", prepared=(fdi,), seed=seed + 500, jitter_sigma=0.3)
     mesh, gt = generate_arch(spec)
@@ -75,17 +74,15 @@ def build_demo_case(directory, seed: int = 0) -> dict:
     # augmentation of training data, not for registration inputs
     pose_spec = replace(PerturbSpec.mild(seed=seed + 501), scale_range=(1.0, 1.0))
     perturbed, pose = perturb_pose(mesh, pose_spec)
-    scan_path = directory / "scan.ply"
-    save_mesh(perturbed, scan_path, "PLY")
+    save_mesh(perturbed, directory / "scan.ply", "PLY")
     (directory / "gt_labels.json").write_text(json.dumps(gt.labels.tolist()))
 
     ant_spec = ArchSpec.standard("Upper", "full", seed=seed + 502, jitter_sigma=0.3)
     ant_mesh, _ = generate_arch(ant_spec)
-    ant_path = directory / "antagonist.ply"
-    save_mesh(ant_mesh, ant_path, "PLY")
+    save_mesh(ant_mesh, directory / "antagonist.ply", "PLY")
     return {
-        "scan": str(scan_path),
-        "antagonist": str(ant_path),
+        "scan": "case/scan.ply",
+        "antagonist": "case/antagonist.ply",
         "target_fdi": fdi,
         "pose": {"matrix": pose.transform.matrix().tolist(), "scale": pose.scale},
     }
@@ -93,7 +90,8 @@ def build_demo_case(directory, seed: int = 0) -> dict:
 
 def generate_fixture_corpus(out_dir, seed: int = 0, population: int = 4,
                             donor_jaws: int = 6) -> dict:
-    """Write the full corpus and return a manifest of what landed where."""
+    """Write the full corpus and return its manifest, ``fixtures.json``:
+    every path in it is relative to ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -106,7 +104,7 @@ def generate_fixture_corpus(out_dir, seed: int = 0, population: int = 4,
 
     build_crown_library(out / "crowns")
     build_donor_store(out / "jaws.bin", n_jaws=donor_jaws, seed=seed)
-    case = build_demo_case(out / "case", seed=seed)
+    case = build_demo_case(out, seed=seed)
 
     # smoothness tuned on a held-out validation arch, then applied unchanged
     from .labels import corrupt_labels, tune_smoothness

@@ -9,10 +9,17 @@ Geometric conventions used throughout the repo:
 * Per-face class ids: position 1-8 on the right, 8+position on the left,
   shared between jaws; 0 is gingiva, 17 a prepared stump.
 
-Arches are closed "pillow" height fields over a parabolic ridge: a top
-surface with superellipse tooth bumps, a flat bottom, and stitched walls.
-The construction is watertight with consistent outward winding and fully
-deterministic for a fixed spec.
+Arches and crowns are closed slabs (``_closed_slab``): a height-field top
+grid, the bottom grid below it, and four walls stitching their rims. An arch
+is a "pillow" over a parabolic ridge, its top carrying superellipse tooth
+bumps and its bottom a V-keel; a crown is a flat-bottomed block with
+Gaussian cusp bumps. Both are watertight with consistent outward winding and
+fully deterministic for a fixed spec.
+
+``generate_arch`` returns the mesh with its ``GroundTruth``: the per-face
+class ids (the segmentation answer) and the ``ScanClass`` (the classification
+answer). Anything else a test needs, such as per-tooth centroids, it derives
+from those labels.
 """
 
 from __future__ import annotations
@@ -156,18 +163,11 @@ class PerturbSpec:
         """Augmentation-style ranges: +-5 deg X/Y, +-15 deg Z, +-5 mm X/Y, +-2 mm Z, scale 0.9-1.1."""
         return PerturbSpec((5.0, 5.0, 15.0), (5.0, 5.0, 2.0), (0.9, 1.1), seed)
 
-    @staticmethod
-    def registration(seed: int = 0) -> "PerturbSpec":
-        """Round-trip ranges: up to +-180 deg about z and +-20 mm translation."""
-        return PerturbSpec((0.0, 0.0, 180.0), (20.0, 20.0, 20.0), (1.0, 1.0), seed)
-
 
 @dataclass(frozen=True)
 class GroundTruth:
     scan_class: ScanClass
     labels: np.ndarray                       # per-face class ids
-    centroids: dict                          # class -> area-weighted centroid (3,)
-    prepared_classes: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,39 @@ def _coverage_arc_range(spec: ArchSpec) -> tuple[float, float]:
     return max(0.0, lo - margin), min(total, hi + margin)
 
 
+def _closed_slab(nu: int, nv: int) -> np.ndarray:
+    """Faces of the closed slab over an (nu+1) x (nv+1) top grid, vertex
+    ``i * (nv+1) + j``, and the bottom grid stored after it.
+
+    Order: per cell (i, j), row-major, two top then two bottom triangles;
+    then per i the j = 0 and j = nv wall pairs; then per j the i = 0 and
+    i = nu wall pairs. Top faces wind towards +z, bottom faces towards -z and
+    walls outward.
+    """
+    top = np.arange((nu + 1) * (nv + 1)).reshape(nu + 1, nv + 1)
+    bot = top + top.size
+
+    def tris(*corners):
+        return np.stack([np.stack(c, axis=-1) for c in corners], axis=-2)
+
+    # cell corners (i, j), (i+1, j), (i+1, j+1), (i, j+1); upper case on the bottom
+    a, b, c, d = top[:-1, :-1], top[1:, :-1], top[1:, 1:], top[:-1, 1:]
+    A, B, C, D = bot[:-1, :-1], bot[1:, :-1], bot[1:, 1:], bot[:-1, 1:]
+    cells = tris((a, b, c), (a, c, d), (A, C, B), (A, D, C))
+
+    def rims(t, b):
+        """Segment ends of a top rim ``t`` and the bottom rim ``b`` below it."""
+        return t[:-1], t[1:], b[:-1], b[1:]
+
+    t0, t1, b0, b1 = rims(top[:, 0], bot[:, 0])
+    T0, T1, B0, B1 = rims(top[:, nv], bot[:, nv])
+    walls_i = tris((t0, b0, b1), (t0, b1, t1), (T0, T1, B1), (T0, B1, B0))
+    t0, t1, b0, b1 = rims(top[0], bot[0])
+    T0, T1, B0, B1 = rims(top[nu], bot[nu])
+    walls_j = tris((t0, t1, b1), (t0, b1, b0), (T0, B0, B1), (T0, B1, T1))
+    return np.concatenate([block.reshape(-1, 3) for block in (cells, walls_i, walls_j)])
+
+
 def generate_arch(spec: ArchSpec) -> tuple[LabeledMesh, GroundTruth]:
     """Closed labeled arch mesh plus its ground truth. Deterministic per spec."""
     teeth = sorted(spec.teeth, key=lambda t: t.arc_pos)
@@ -239,8 +272,6 @@ def generate_arch(spec: ArchSpec) -> tuple[LabeledMesh, GroundTruth]:
             raise DegenerateGeometryError(
                 f"tooth footprints overlap: FDI {a.fdi} and {b.fdi}"
             )
-    covered = {t.fdi for t in teeth}
-    prepared_classes = tuple(sorted(fdi_to_class(t.fdi) for t in teeth if t.prepared))
 
     arc_lo, arc_hi = _coverage_arc_range(spec)
     span = arc_hi - arc_lo
@@ -283,82 +314,32 @@ def generate_arch(spec: ArchSpec) -> tuple[LabeledMesh, GroundTruth]:
 
     top = np.concatenate([xy, h_grid[..., None]], axis=-1)
     bottom = np.concatenate([xy, keel_grid[..., None]], axis=-1)
-
-    def vid_top(i, j):
-        return i * (nv + 1) + j
-
-    n_top = (nu + 1) * (nv + 1)
-
-    def vid_bot(i, j):
-        return n_top + i * (nv + 1) + j
-
     vertices = np.concatenate([top.reshape(-1, 3), bottom.reshape(-1, 3)], axis=0)
 
-    faces = []
-    labels = []
-    # face labels come from the cell-center footprint test
+    # face labels come from the cell-center footprint test; the top pair of
+    # each cell takes its label, the bottom and every wall stay gingiva
     cell_arc = (arcs[:-1] + arcs[1:]) / 2.0
     cell_cross = (cross_mm[:-1] + cross_mm[1:]) / 2.0
     _, cell_label = height_and_label(
         np.broadcast_to(cell_arc[:, None], (nu, nv)),
         np.broadcast_to(cell_cross[None, :], (nu, nv)),
     )
-    for i in range(nu):
-        for j in range(nv):
-            a, b, c, d = vid_top(i, j), vid_top(i + 1, j), vid_top(i + 1, j + 1), vid_top(i, j + 1)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-            labels += [cell_label[i, j]] * 2
-            a, b, c, d = vid_bot(i, j), vid_bot(i + 1, j), vid_bot(i + 1, j + 1), vid_bot(i, j + 1)
-            faces.append((a, c, b))
-            faces.append((a, d, c))
-            labels += [GINGIVA] * 2
-    # walls: j = 0 and j = nv strips plus the two arch ends
-    for i in range(nu):
-        faces.append((vid_top(i, 0), vid_bot(i, 0), vid_bot(i + 1, 0)))
-        faces.append((vid_top(i, 0), vid_bot(i + 1, 0), vid_top(i + 1, 0)))
-        faces.append((vid_top(i, nv), vid_top(i + 1, nv), vid_bot(i + 1, nv)))
-        faces.append((vid_top(i, nv), vid_bot(i + 1, nv), vid_bot(i, nv)))
-        labels += [GINGIVA] * 4
-    for j in range(nv):
-        faces.append((vid_top(0, j), vid_top(0, j + 1), vid_bot(0, j + 1)))
-        faces.append((vid_top(0, j), vid_bot(0, j + 1), vid_bot(0, j)))
-        faces.append((vid_top(nu, j), vid_bot(nu, j), vid_bot(nu, j + 1)))
-        faces.append((vid_top(nu, j), vid_bot(nu, j + 1), vid_top(nu, j + 1)))
-        labels += [GINGIVA] * 4
+    faces = _closed_slab(nu, nv)
+    labels = np.full(len(faces), GINGIVA, dtype=np.int64)
+    labels[: 4 * nu * nv].reshape(nu, nv, 4)[..., :2] = cell_label[..., None]
 
-    faces = np.asarray(faces, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
     if zsign < 0:  # upper jaw: mirror z and flip winding to keep outward normals
-        vertices = vertices.copy()
         vertices[:, 2] *= -1.0
         faces = faces[:, [0, 2, 1]]
     # canonical frame: the occlusal plane is z=0; tooth tips overshoot it
     # slightly so jaws in occlusion make light cusp contact
     overshoot = 0.25
-    vertices = vertices.copy()
     if zsign > 0:
         z_shift = overshoot - vertices[:, 2].max()
     else:
         z_shift = -overshoot - vertices[:, 2].min()
     vertices[:, 2] += z_shift
     mesh = estimate_vertex_normals(LabeledMesh(vertices, faces, None, labels))
-
-    # ground truth centroids via an independent per-face accumulation
-    centroids = {}
-    sums = {}
-    areas = {}
-    for f_idx in range(len(faces)):
-        cls = int(labels[f_idx])
-        if cls == GINGIVA:
-            continue
-        p0, p1, p2 = vertices[faces[f_idx]]
-        area = 0.5 * float(np.linalg.norm(np.cross(p1 - p0, p2 - p0)))
-        ctr = (p0 + p1 + p2) / 3.0
-        sums[cls] = sums.get(cls, 0.0) + ctr * area
-        areas[cls] = areas.get(cls, 0.0) + area
-    for cls in sums:
-        centroids[cls] = sums[cls] / areas[cls]
 
     if spec.coverage == "full":
         scan_class = ScanClass.FULL_UPPER if spec.jaw == "Upper" else ScanClass.FULL_LOWER
@@ -369,13 +350,7 @@ def generate_arch(spec: ArchSpec) -> tuple[LabeledMesh, GroundTruth]:
     else:
         scan_class = ScanClass.PARTIAL_CENTER
 
-    gt = GroundTruth(
-        scan_class=scan_class,
-        labels=labels,
-        centroids=centroids,
-        prepared_classes=prepared_classes,
-    )
-    return mesh, gt
+    return mesh, GroundTruth(scan_class=scan_class, labels=labels)
 
 
 def coverage_classes(coverage: str) -> tuple[int, ...]:
@@ -394,13 +369,13 @@ def coverage_classes(coverage: str) -> tuple[int, ...]:
 def partial_spec(
     jaw: str,
     side: str,
-    missing: tuple[int, ...] = (),
     prepared: tuple[int, ...] = (),
     seed: int = 0,
     jitter_sigma: float = 0.0,
 ) -> ArchSpec:
     """Arch spec restricted to one partial coverage, dropping out-of-span teeth."""
-    full = ArchSpec.standard(jaw, "full", missing, prepared, seed, jitter_sigma)
+    full = ArchSpec.standard(jaw, "full", prepared=prepared, seed=seed,
+                             jitter_sigma=jitter_sigma)
     keep = set(coverage_classes(side))
     teeth = tuple(t for t in full.teeth if fdi_to_class(t.fdi) in keep)
     if not teeth:
@@ -483,56 +458,25 @@ def generate_crown_fixture(kind: str, dims: CrownDims = CrownDims()):
     h = np.full_like(gx, dims.base_height)
     if kind == "smooth_anterior":
         h = h + 0.25 * (gx + dims.half_mesial)  # monotone ramp: no local maxima
-    apex_ij = []
     for i, j, height in bump_centers:
         d2 = (gx - xs[i]) ** 2 + (gy - ys[j]) ** 2
         h = h + height * np.exp(-d2 / (2.0 * dims.bump_sigma**2))
-        apex_ij.append((i, j, height))
-
-    def vid_top(i, j):
-        return i * (n + 1) + j
-
-    n_top = (n + 1) * (n + 1)
-
-    def vid_bot(i, j):
-        return n_top + i * (n + 1) + j
 
     top = np.stack([gx, gy, h], axis=-1).reshape(-1, 3)
     bot = np.stack([gx, gy, np.zeros_like(h)], axis=-1).reshape(-1, 3)
     vertices = np.concatenate([top, bot], axis=0)
 
-    faces, labels = [], []
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = vid_top(i, j), vid_top(i + 1, j), vid_top(i + 1, j + 1), vid_top(i, j + 1)
-            faces += [(a, b, c), (a, c, d)]
-            labels += [LABEL_OCCLUSAL] * 2
-            a, b, c, d = vid_bot(i, j), vid_bot(i + 1, j), vid_bot(i + 1, j + 1), vid_bot(i, j + 1)
-            faces += [(a, c, b), (a, d, c)]
-            labels += [0] * 2
-    for i in range(n):
-        # y- wall (lingual, unlabeled) and y+ wall (buccal)
-        faces += [(vid_top(i, 0), vid_bot(i, 0), vid_bot(i + 1, 0)),
-                  (vid_top(i, 0), vid_bot(i + 1, 0), vid_top(i + 1, 0))]
-        labels += [0] * 2
-        faces += [(vid_top(i, n), vid_top(i + 1, n), vid_bot(i + 1, n)),
-                  (vid_top(i, n), vid_bot(i + 1, n), vid_bot(i, n))]
-        labels += [LABEL_BUCCAL] * 2
-    for j in range(n):
-        # x- wall (distal, unlabeled) and x+ wall (mesial)
-        faces += [(vid_top(0, j), vid_top(0, j + 1), vid_bot(0, j + 1)),
-                  (vid_top(0, j), vid_bot(0, j + 1), vid_bot(0, j))]
-        labels += [0] * 2
-        faces += [(vid_top(n, j), vid_bot(n, j), vid_bot(n, j + 1)),
-                  (vid_top(n, j), vid_bot(n, j + 1), vid_top(n, j + 1))]
-        labels += [LABEL_MESIAL] * 2
+    faces = _closed_slab(n, n)
+    labels = np.zeros(len(faces), dtype=np.int64)
+    labels[: 4 * n * n].reshape(n, n, 4)[..., :2] = LABEL_OCCLUSAL
+    # per i: the y- wall (lingual) stays unlabeled, the y+ wall is buccal;
+    # per j: the x- wall (distal) stays unlabeled, the x+ wall is mesial
+    labels[4 * n * n: 4 * n * (n + 1)].reshape(n, 4)[:, 2:] = LABEL_BUCCAL
+    labels[4 * n * (n + 1):].reshape(n, 4)[:, 2:] = LABEL_MESIAL
 
-    mesh = estimate_vertex_normals(
-        LabeledMesh(vertices, np.asarray(faces, dtype=np.int64), None,
-                    np.asarray(labels, dtype=np.int64))
-    )
-    apex_vertices = tuple(vid_top(i, j) for i, j, _ in apex_ij)
-    apex_heights = tuple(float(h.reshape(-1)[v]) for v in apex_vertices)
+    mesh = estimate_vertex_normals(LabeledMesh(vertices, faces, None, labels))
+    apex_vertices = tuple(i * (n + 1) + j for i, j, _ in bump_centers)
+    apex_heights = tuple(float(h[i, j]) for i, j, _ in bump_centers)
     template = CrownTemplate.from_mesh(mesh)
     object.__setattr__(template, "cusp_vertices", apex_vertices)
     object.__setattr__(template, "cusp_heights", apex_heights)

@@ -1,5 +1,6 @@
 """Test-only helpers: simple solids, a mirrored mesh, a fixed-answer
-classifier and a probability-file writer. The pipeline never needs them."""
+classifier, a probability-file writer, the registration round trip's pose
+ranges and a per-face centroid oracle. The pipeline never needs them."""
 
 import json
 import struct
@@ -9,7 +10,8 @@ import numpy as np
 
 from crownfit.classify import ScanClass
 from crownfit.labels import _PROB_MAGIC, FaceLabelProbabilities
-from crownfit.mesh import LabeledMesh
+from crownfit.mesh import GINGIVA, LabeledMesh
+from crownfit.synth import PerturbSpec
 
 
 def fdi_jaw(fdi: int) -> str:
@@ -108,3 +110,22 @@ def save_probabilities(probs: FaceLabelProbabilities, path) -> None:
         return
     header = _PROB_MAGIC + struct.pack("<II", probs.n_faces, probs.n_classes)
     path.write_bytes(header + probs.matrix.astype("<f4").tobytes())
+
+
+def registration_perturb(seed: int = 0) -> PerturbSpec:
+    """Round-trip ranges: up to +-180 deg about z and +-20 mm translation."""
+    return PerturbSpec((0.0, 0.0, 180.0), (20.0, 20.0, 20.0), (1.0, 1.0), seed)
+
+
+def face_accumulated_centroids(mesh: LabeledMesh, labels) -> dict:
+    """Area-weighted centroid per tooth class of ``labels``, accumulated one
+    face at a time: an oracle independent of ``extract_tooth_centroids``."""
+    sums, areas = {}, {}
+    for face, cls in zip(mesh.faces, np.asarray(labels).tolist()):
+        if cls == GINGIVA:
+            continue
+        p0, p1, p2 = mesh.vertices[face]
+        area = 0.5 * float(np.linalg.norm(np.cross(p1 - p0, p2 - p0)))
+        sums[cls] = sums.get(cls, 0.0) + (p0 + p1 + p2) / 3.0 * area
+        areas[cls] = areas.get(cls, 0.0) + area
+    return {cls: sums[cls] / areas[cls] for cls in sums}

@@ -25,10 +25,10 @@ from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsam
 from crownfit.metrics import bootstrap_ci, centroid_error, confusion, dsc, precision_recall
 from crownfit.registration import RegistrationParams, fine_register, register_with_routing
 from crownfit.retrieval import EMBEDDING_DIM, Embedding, EmbeddingIndex, cosine, retrieve_crown
-from crownfit.synth import (ArchSpec, CrownDims, PerturbSpec, generate_arch,
-                            generate_crown_fixture, partial_spec, perturb_pose)
+from crownfit.synth import (ArchSpec, CrownDims, generate_arch, generate_crown_fixture,
+                            partial_spec, perturb_pose)
 from crownfit.templates import build_template_library
-from helpers import make_box, make_uv_sphere
+from helpers import make_box, make_uv_sphere, registration_perturb
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -63,7 +63,7 @@ def routing_runs(template_library):
                 else:
                     spec = partial_spec(jaw, coverage, seed=seed, jitter_sigma=0.3)
                 mesh, gt = generate_arch(spec)
-                moved, pose = perturb_pose(mesh, PerturbSpec.registration(seed=seed))
+                moved, pose = perturb_pose(mesh, registration_perturb(seed=seed))
                 t0 = time.perf_counter()
                 result = register_with_routing(moved, gt.scan_class, template_library, params)
                 elapsed = time.perf_counter() - t0
@@ -416,14 +416,15 @@ def test_end_to_end_determinism(tmp_path):
     from crownfit.pipeline import run_pipeline
     from dataclasses import replace
 
-    manifest = generate_fixture_corpus(tmp_path / "fx", seed=0)
-    cfg0 = load_config(tmp_path / "fx" / "config.json")
+    root = tmp_path / "fx"
+    case = generate_fixture_corpus(root, seed=0)["case"]
+    cfg0 = load_config(root / "config.json")
     outputs, reports, elapsed = [], [], []
     for run in range(2):
         cfg = replace(cfg0, output_dir=str(tmp_path / f"run{run}"))
         t0 = time.perf_counter()
-        run_pipeline(manifest["case"]["scan"], manifest["case"]["target_fdi"], cfg,
-                     antagonist_path=manifest["case"]["antagonist"])
+        run_pipeline(root / case["scan"], case["target_fdi"], cfg,
+                     antagonist_path=root / case["antagonist"])
         elapsed.append(time.perf_counter() - t0)
         out = Path(cfg.output_dir)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.ply"))})

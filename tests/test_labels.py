@@ -26,12 +26,19 @@ def strip_mesh(n_faces, seed=0, flat=False):
 
 
 def brute_force_optimum(unary, pairs, weights, n_classes):
-    best = np.inf
+    """Minimum energy over all n_classes ** n labelings, scored 2 ** 16 at a
+    time: labeling ``code`` gives face f the base-n_classes digit f of code."""
     n = len(unary)
-    for combo in itertools.product(range(n_classes), repeat=n):
-        labels = np.asarray(combo)
-        e = labeling_energy(unary, pairs, weights, labels)
-        best = min(best, e)
+    total, block = n_classes ** n, 1 << 16
+    powers = n_classes ** np.arange(n)
+    best = np.inf
+    for start in range(0, total, block):
+        codes = np.arange(start, min(start + block, total))
+        labels = codes[:, None] // powers % n_classes
+        e = unary[np.arange(n), labels].sum(axis=1)
+        if len(pairs):
+            e += (labels[:, pairs[:, 0]] != labels[:, pairs[:, 1]]) @ weights
+        best = min(best, float(e.min()))
     return best
 
 

@@ -21,7 +21,22 @@ from crownfit.synth import fdi_to_class
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     manifest = generate_fixture_corpus(root, seed=0)
-    return root, manifest
+    # the manifest names the case files relative to the corpus root
+    case = dict(manifest["case"], scan=str(root / manifest["case"]["scan"]),
+                antagonist=str(root / manifest["case"]["antagonist"]))
+    return root, dict(manifest, case=case)
+
+
+def test_corpus_manifest_relocates(corpus, tmp_path, monkeypatch):
+    root, _ = corpus
+    shutil.copytree(root, tmp_path / "moved")
+    monkeypatch.chdir(tmp_path)
+    copy = Path("moved")
+    case = json.loads((copy / "fixtures.json").read_text())["case"]
+    for key in ("scan", "antagonist"):
+        path = copy / case[key]
+        assert path.resolve().is_relative_to((tmp_path / "moved").resolve())
+        assert path.read_bytes() == (root / "case" / f"{key}.ply").read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -14,10 +14,10 @@ from crownfit.registration import (PreparedCloud, RegistrationParams, Registrati
                                    coarse_register, edge_gate, fine_register, match_features,
                                    prepare_cloud, register_pair, register_with_routing,
                                    store_prepared_templates, template_key)
-from crownfit.synth import (ArchSpec, PerturbSpec, generate_arch, partial_spec,
-                            perturb_pose)
+from crownfit.synth import ArchSpec, generate_arch, partial_spec, perturb_pose
 from crownfit.templates import (JAWS, MANIFEST_NAME, SIDES, build_template_library,
                                 load_template_library, save_template_library)
+from helpers import registration_perturb
 
 PARAMS = RegistrationParams()
 
@@ -239,7 +239,7 @@ class TestFine:
 class TestRouting:
     def test_lower_left_partial_chooses_lower_template(self, library):
         mesh, _ = generate_arch(partial_spec("Lower", "left", seed=9, jitter_sigma=0.3))
-        moved, _ = perturb_pose(mesh, PerturbSpec.registration(seed=4))
+        moved, _ = perturb_pose(mesh, registration_perturb(seed=4))
         result = register_with_routing(moved, ScanClass.PARTIAL_LEFT, library, PARAMS)
         assert result.chosen_template == "partial_lower_left"
         # fitness margin over the competing upper template

@@ -1,14 +1,102 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from crownfit.alignment import LABEL_BUCCAL, LABEL_MESIAL, LABEL_OCCLUSAL
 from crownfit.classify import ScanClass
 from crownfit.errors import DegenerateGeometryError
 from crownfit.mesh import GINGIVA, PREPARED, is_watertight, mesh_edges
-from crownfit.synth import (ArchSpec, CrownDims, PerturbSpec, ToothSpec, class_to_fdi,
-                            fdi_to_class, generate_arch, generate_crown_fixture,
-                            partial_spec, perturb_pose)
+from crownfit.synth import (ArchSpec, CrownDims, PerturbSpec, ToothSpec,
+                            _coverage_arc_range, class_to_fdi, fdi_to_class, generate_arch,
+                            generate_crown_fixture, partial_spec, perturb_pose)
 from crownfit.templates import extract_tooth_centroids
-from helpers import fdi_jaw, make_box, make_uv_sphere, mirror_x
+from helpers import (face_accumulated_centroids, fdi_jaw, make_box, make_uv_sphere,
+                     mirror_x)
+
+
+def loop_slab(cell_label, far_j_label, far_i_label):
+    """Reference mesher: the per-cell and per-wall loops ``generate_arch`` and
+    ``generate_crown_fixture`` each carried before ``_closed_slab``. Top faces
+    take ``cell_label``; the j = nv and i = nu walls take the far labels;
+    the bottom and the other two walls get 0."""
+    nu, nv = cell_label.shape
+
+    def vid_top(i, j):
+        return i * (nv + 1) + j
+
+    n_top = (nu + 1) * (nv + 1)
+
+    def vid_bot(i, j):
+        return n_top + i * (nv + 1) + j
+
+    faces, labels = [], []
+    for i in range(nu):
+        for j in range(nv):
+            a, b, c, d = vid_top(i, j), vid_top(i + 1, j), vid_top(i + 1, j + 1), vid_top(i, j + 1)
+            faces += [(a, b, c), (a, c, d)]
+            labels += [cell_label[i, j]] * 2
+            a, b, c, d = vid_bot(i, j), vid_bot(i + 1, j), vid_bot(i + 1, j + 1), vid_bot(i, j + 1)
+            faces += [(a, c, b), (a, d, c)]
+            labels += [0] * 2
+    for i in range(nu):
+        faces += [(vid_top(i, 0), vid_bot(i, 0), vid_bot(i + 1, 0)),
+                  (vid_top(i, 0), vid_bot(i + 1, 0), vid_top(i + 1, 0))]
+        faces += [(vid_top(i, nv), vid_top(i + 1, nv), vid_bot(i + 1, nv)),
+                  (vid_top(i, nv), vid_bot(i + 1, nv), vid_bot(i, nv))]
+        labels += [0] * 2 + [far_j_label] * 2
+    for j in range(nv):
+        faces += [(vid_top(0, j), vid_top(0, j + 1), vid_bot(0, j + 1)),
+                  (vid_top(0, j), vid_bot(0, j + 1), vid_bot(0, j))]
+        faces += [(vid_top(nu, j), vid_bot(nu, j), vid_bot(nu, j + 1)),
+                  (vid_top(nu, j), vid_bot(nu, j + 1), vid_top(nu, j + 1))]
+        labels += [0] * 2 + [far_i_label] * 2
+    return np.asarray(faces, dtype=np.int64), np.asarray(labels, dtype=np.int64)
+
+
+def loop_arch(spec):
+    """``loop_slab`` with the cell-centre footprint labels of an arch, whose
+    upper jaw flips the winding."""
+    arc_lo, arc_hi = _coverage_arc_range(spec)
+    nu = max(8, int(round((arc_hi - arc_lo) * spec.cells_per_mm)))
+    arcs = np.linspace(arc_lo, arc_hi, nu + 1)
+    cross_mm = np.linspace(-0.5, 0.5, spec.cross_cells + 1) * spec.ridge_width
+    cell_arc = ((arcs[:-1] + arcs[1:]) / 2.0)[:, None]
+    cell_cross = ((cross_mm[:-1] + cross_mm[1:]) / 2.0)[None, :]
+    cell_label = np.full((nu, spec.cross_cells), GINGIVA, dtype=np.int64)
+    for t in spec.teeth:
+        q = (np.abs(cell_arc - t.arc_pos) / t.half_arc) ** 4 \
+            + (np.abs(cell_cross - t.cross_pos) / t.half_cross) ** 4
+        cell_label[q < 1.0] = PREPARED if t.prepared else fdi_to_class(t.fdi)
+    faces, labels = loop_slab(cell_label, GINGIVA, GINGIVA)
+    if spec.jaw == "Upper":
+        faces = faces[:, [0, 2, 1]]
+    return faces, labels
+
+
+class TestSlabMesher:
+    @pytest.mark.parametrize("spec", [
+        ArchSpec.standard("Lower", "full", prepared=(36,), seed=3, jitter_sigma=0.3),
+        ArchSpec.standard("Upper", "full", seed=4, jitter_sigma=0.3),
+        partial_spec("Lower", "left", prepared=(34,), seed=5, jitter_sigma=0.3),
+        partial_spec("Upper", "center", seed=6, jitter_sigma=0.3),
+        replace(ArchSpec.standard("Lower", "full", seed=7), cells_per_mm=3.2, cross_cells=24),
+    ], ids=["lower-full", "upper-full", "lower-left", "upper-center", "lower-full-2x"])
+    def test_arch_matches_loops(self, spec):
+        mesh, gt = generate_arch(spec)
+        faces, labels = loop_arch(spec)
+        assert mesh.faces.tobytes() == faces.tobytes()
+        assert gt.labels.tobytes() == labels.tobytes()
+        assert mesh.face_labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("kind", ["bumped_posterior", "smooth_anterior"])
+    def test_crown_matches_loops(self, kind):
+        dims = CrownDims()
+        mesh = generate_crown_fixture(kind, dims).mesh
+        cells = np.full((dims.cells, dims.cells), LABEL_OCCLUSAL, dtype=np.int64)
+        faces, labels = loop_slab(cells, LABEL_BUCCAL, LABEL_MESIAL)
+        assert mesh.faces.tobytes() == faces.tobytes()
+        assert mesh.face_labels.tobytes() == labels.tobytes()
 
 
 class TestFdi:
@@ -68,14 +156,21 @@ class TestGenerateArch:
         mesh, gt = generate_arch(ArchSpec.standard("Upper", "full", seed=2,
                                                    jitter_sigma=0.4))
         cents = extract_tooth_centroids(mesh)
-        for cls, want in gt.centroids.items():
-            assert np.linalg.norm(cents[cls] - want) < 0.1
+        want = face_accumulated_centroids(mesh, gt.labels)
+        assert sorted(cents) == sorted(want)
+        for cls in want:
+            assert np.linalg.norm(cents[cls] - want[cls]) < 0.1
 
-    def test_prepared_tooth_labeled_17(self, prepared_lower_arch):
+    def test_prepared_tooth_labeled_17(self, prepared_lower_arch, lower_arch):
         mesh, gt = prepared_lower_arch
-        assert PREPARED in np.unique(gt.labels)
-        assert gt.prepared_classes == (fdi_to_class(36),)
+        _, plain = lower_arch
         assert fdi_to_class(36) not in np.unique(gt.labels)
+        # the shrunken stump lies inside the footprint tooth 36 has unprepared
+        stump = gt.labels == PREPARED
+        assert stump.any()
+        assert np.all(plain.labels[stump] == fdi_to_class(36))
+        assert np.array_equal(gt.labels[~stump], np.where(plain.labels == fdi_to_class(36),
+                                                          GINGIVA, plain.labels)[~stump])
 
     def test_missing_tooth_absent(self):
         mesh, gt = generate_arch(ArchSpec.standard("Lower", "full", missing=(46,)))

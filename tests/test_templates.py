@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from crownfit.errors import DegenerateGeometryError
-from crownfit.mesh import GINGIVA, LabeledMesh, PointCloud, RigidTransform
+from crownfit.mesh import GINGIVA, PREPARED, LabeledMesh, PointCloud, RigidTransform
 from crownfit.synth import ArchSpec, fdi_to_class, generate_arch, partial_spec
 from crownfit.templates import (CentroidCurve, build_average_curve, build_template_library,
                                 derive_partials, extract_tooth_centroids,
                                 load_template_library, save_template_library,
                                 select_canonical, DEFAULT_CUT_SPECS)
+from helpers import face_accumulated_centroids
 
 
 def tiny_labeled_mesh(face_specs):
@@ -43,8 +44,10 @@ class TestExtractCentroids:
     def test_arch_matches_generator_ground_truth(self, lower_arch):
         mesh, gt = lower_arch
         cents = extract_tooth_centroids(mesh)
-        for cls, want in gt.centroids.items():
-            assert np.linalg.norm(cents[cls] - want) < 0.1
+        want = face_accumulated_centroids(mesh, gt.labels)
+        assert sorted(cents) == sorted(want)
+        for cls in want:
+            assert np.linalg.norm(cents[cls] - want[cls]) < 0.1
 
     def test_unlabeled_rejected(self):
         mesh = tiny_labeled_mesh([([[0, 0, 0], [1, 0, 0], [0, 1, 0]], GINGIVA)])
@@ -207,5 +210,5 @@ class TestLibrary:
 
 def test_prepared_tooth_class_present(prepared_lower_arch):
     mesh, gt = prepared_lower_arch
-    assert 17 in gt.centroids
+    assert PREPARED in face_accumulated_centroids(mesh, gt.labels)
     assert fdi_to_class(36) not in np.unique(mesh.face_labels)
