@@ -60,6 +60,9 @@ class RefineConfig:
     dihedral_sharpness: float = 5.0
     min_component_faces: int = 10
 
+    def __post_init__(self):
+        self.graphcut_params()  # rejects a bad smoothness before any stage runs
+
     def graphcut_params(self) -> GraphCutParams:
         return GraphCutParams(self.smoothness, self.dihedral_sharpness)
 

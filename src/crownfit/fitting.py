@@ -2,20 +2,28 @@
 threshold, geometric centering between the neighbors, and two-mode occlusal
 correction (posterior cusp tap-down, anterior global shift).
 
-Every inside test is ray parity from one ray-crossing kernel, ``_ray_hits``,
+The crown is a watertight solid; interproximal scaling and
+``intersection_volume`` reject any other. The neighbours and the antagonist
+are obstacles, and ``_obstacle`` alone decides, once per call, how to test
+inside one: ray parity when watertight, else the offset band behind an open
+shell. It keeps one k-d tree over the obstacle's vertices for every step.
+
+Every ray-parity test comes from one ray-crossing kernel, ``_ray_hits``,
 which runs Moller-Trumbore only on the (origin, triangle) pairs that a grid
 across the ray puts together, so its cost follows the origins near the mesh
 rather than origins x triangles. It has two callers. Points are tested
-along a fixed skewed ray (``points_inside_mesh``). Intersection volumes of
-watertight meshes cast +z rays from below the mesh, one per column of a
-shared voxel grid, and count the voxel centres with odd crossing parity
-below them; open shells fall back to a proximity estimate. The error of the
-voxel estimate is O(surface area x resolution); the 1e-6 mm^3 threshold
-therefore acts as "no detectable overlap" at the configured resolution.
+along a fixed skewed ray (``points_inside_mesh``). The overlap volume with a
+watertight obstacle casts +z rays from below the meshes, one per column of a
+shared voxel grid, and counts the voxel centres with odd crossing parity
+below them; against an open obstacle the penetrating vertices of either
+mesh, one voxel each, stand in for it. The error of the voxel estimate is
+O(surface area x resolution); the 1e-6 mm^3 threshold therefore acts as "no
+detectable overlap" at the configured resolution.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +60,12 @@ class FittingParams:
     def __post_init__(self):
         if not 0 < self.shrink < 1 < self.grow:
             raise ValueError("need 0 < shrink < 1 < grow")
-        if self.delta <= 0 or self.v_int_threshold < 0 or self.voxel_resolution <= 0:
-            raise ValueError("steps and thresholds must be positive")
+        for name in ("delta", "falloff_radius", "proximity_band", "voxel_resolution"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("v_int_threshold", "cusp_count", "proximity_dist"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -177,69 +189,73 @@ def _column_inside(mesh: LabeledMesh, xs: np.ndarray, ys: np.ndarray,
     return np.logical_xor.accumulate(flips[:, :-1], axis=1)
 
 
-def _points_in_offset_band(points, mesh: LabeledMesh, band: float) -> np.ndarray:
-    """Open-shell penetration heuristic: behind the nearest vertex normal AND
-    within the offset band of the surface."""
+def _component_meshes(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[LabeledMesh]:
+    return [mesh] if len(comps) <= 1 else [mesh.submesh(c) for c in comps]
+
+
+@dataclass(frozen=True)
+class _Obstacle:
+    """A mesh the crown must not enter, with what its tests reuse."""
+
+    mesh: LabeledMesh
+    solids: list[LabeledMesh] | None   # its components when watertight, else None
+    index: SpatialIndex                # over its vertices
+    inside: Callable[[np.ndarray], np.ndarray]
+
+
+def _obstacle(mesh: LabeledMesh, band: float) -> _Obstacle:
+    """Decide once how to test inside ``mesh``: ray parity when watertight,
+    else the offset-band side test, behind the nearest vertex normal and
+    within ``band`` of that vertex."""
+    index = SpatialIndex(mesh.vertices)
+    if is_watertight(mesh):
+        return _Obstacle(mesh, _component_meshes(mesh, connected_components(mesh)), index,
+                         lambda points: points_inside_mesh(points, mesh))
     if mesh.vertex_normals is None:
         mesh = estimate_vertex_normals(mesh)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    index = SpatialIndex(mesh.vertices)
-    idx, dist = index.nearest(pts)
-    nearest = mesh.vertices[idx[:, 0]]
-    normals = mesh.vertex_normals[idx[:, 0]]
-    behind = np.einsum("ij,ij->i", pts - nearest, normals) < 0
-    return behind & (dist[:, 0] < band)
+
+    def in_band(points):
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        idx, dist = index.nearest(pts)
+        behind = np.einsum("ij,ij->i", pts - mesh.vertices[idx], mesh.vertex_normals[idx]) < 0
+        return behind & (dist < band)
+
+    return _Obstacle(mesh, None, index, in_band)
 
 
-def penetrating_vertices(points, mesh: LabeledMesh, band: float = 0.5) -> np.ndarray:
-    """Mask of points inside the mesh: exact parity when watertight, the
-    offset-band side test otherwise."""
-    return _penetrating(points, mesh, is_watertight(mesh), band)
+def _crown_components(crown: LabeledMesh) -> list[np.ndarray]:
+    """Face index arrays of the crown's components; scaling keeps them."""
+    if not is_watertight(crown):
+        raise ValueError("the crown must be a watertight solid")
+    return connected_components(crown)
 
 
-def _penetrating(points, mesh: LabeledMesh, watertight: bool, band: float) -> np.ndarray:
-    if watertight:
-        return points_inside_mesh(points, mesh)
-    return _points_in_offset_band(points, mesh, band)
-
-
-def intersection_volume(a: LabeledMesh, b: LabeledMesh, resolution: float = 0.05,
+def intersection_volume(crown: LabeledMesh, other: LabeledMesh, resolution: float = 0.05,
                         band: float = 0.5) -> float:
-    """Volume of the overlap of two meshes, mm^3.
+    """Volume of the overlap of a watertight crown with another mesh, mm^3.
 
-    Two watertight meshes count the shared-grid voxel centres inside both;
-    otherwise penetrating-vertex counts approximate it for open shells.
+    Against a watertight mesh it counts the shared-grid voxel centres inside
+    both; against an open shell the penetrating vertices approximate it.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    return _overlap_volume(a, _components(a), b, _components(b), resolution, band)
+    return _overlap_volume(crown, _crown_components(crown), _obstacle(other, band), resolution)
 
 
-def _components(mesh: LabeledMesh) -> list[np.ndarray] | None:
-    """Face index arrays of a watertight mesh's connected components; None for
-    an open mesh. Both follow from the faces alone, so scaling keeps them."""
-    return connected_components(mesh) if is_watertight(mesh) else None
-
-
-def _overlap_volume(a: LabeledMesh, comps_a, b: LabeledMesh, comps_b, resolution: float,
-                    band: float) -> float:
-    if comps_a is None or comps_b is None:
-        n_pen = int(_penetrating(a.vertices, b, comps_b is not None, band).sum())
-        n_pen += int(_penetrating(b.vertices, a, comps_a is not None, band).sum())
+def _overlap_volume(crown: LabeledMesh, comps: list[np.ndarray], obstacle: _Obstacle,
+                    resolution: float) -> float:
+    if obstacle.solids is None:
+        n_pen = int(obstacle.inside(crown.vertices).sum())
+        n_pen += int(points_inside_mesh(obstacle.mesh.vertices, crown).sum())
         return n_pen * resolution**3
 
     # per component pair: disjoint solids make the volumes additive and keep
     # the voxel grid tight around each actual overlap region
     total = 0.0
-    parts_b = _component_meshes(b, comps_b)
-    for fa in _component_meshes(a, comps_a):
-        for fb in parts_b:
+    for fa in _component_meshes(crown, comps):
+        for fb in obstacle.solids:
             total += _voxel_overlap(fa, fb, resolution)
     return total
-
-
-def _component_meshes(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[LabeledMesh]:
-    return [mesh] if len(comps) <= 1 else [mesh.submesh(c) for c in comps]
 
 
 def _voxel_overlap(a: LabeledMesh, b: LabeledMesh, resolution: float) -> float:
@@ -285,11 +301,11 @@ def interproximal_adapt(
     current = crown
     if trace is None:
         trace = []  # the trace also rides on any non-convergence error
-    comps, neighbor_comps = _components(crown), _components(neighbors)  # once per fit
+    comps = _crown_components(crown)
+    neighbor = _obstacle(neighbors, params.proximity_band)
 
     def volume(mesh):
-        return _overlap_volume(mesh, comps, neighbors, neighbor_comps,
-                               params.voxel_resolution, params.proximity_band)
+        return _overlap_volume(mesh, comps, neighbor, params.voxel_resolution)
 
     v = volume(current)
     trace.append({"phase": "initial", "scale": scale, "volume": v})
@@ -362,19 +378,14 @@ def detect_cusps(crown: LabeledMesh, occlusal_dir, params: FittingParams = Fitti
     return CuspSet(keep, heights[keep])
 
 
-def _colliding_cusps(crown: LabeledMesh, cusps: CuspSet, opposing: LabeledMesh,
-                     params: FittingParams) -> np.ndarray:
-    """Cusp vertices colliding with (or, failing that, near) the opposing jaw."""
-    if len(cusps) == 0:
-        return np.zeros(0, dtype=np.int64)
-    pts = crown.vertices[cusps.vertex_indices]
-    hit = penetrating_vertices(pts, opposing, params.proximity_band)
+def _interfering(points, obstacle: _Obstacle, params: FittingParams) -> np.ndarray:
+    """Mask of the points inside the obstacle or, when none is, of the points
+    within ``proximity_dist`` of its vertices."""
+    hit = obstacle.inside(points)
     if hit.any():
-        return cusps.vertex_indices[hit]
-    index = SpatialIndex(opposing.vertices)
-    _, dist = index.nearest(pts)
-    near = dist[:, 0] < params.proximity_dist
-    return cusps.vertex_indices[near]
+        return hit
+    _, dist = obstacle.index.nearest(points)
+    return dist < params.proximity_dist
 
 
 def occlusal_correct_posterior(
@@ -399,9 +410,11 @@ def occlusal_correct_posterior(
     sigma = params.falloff_radius / 2.0
     if trace is None:
         trace = []
+    obstacle = _obstacle(opposing, params.proximity_band)
+    tips = cusps.vertex_indices
     for round_no in range(params.max_tap_rounds):
         current = LabeledMesh(vertices, crown.faces, None, labels)
-        coll = _colliding_cusps(current, cusps, opposing, params)
+        coll = tips[_interfering(vertices[tips], obstacle, params)]
         trace.append({"round": round_no, "colliding": [int(c) for c in coll]})
         if len(coll) == 0:
             return current
@@ -420,15 +433,6 @@ def occlusal_correct_posterior(
     )
 
 
-def _has_interference(crown: LabeledMesh, opposing: LabeledMesh,
-                      opposing_index: SpatialIndex, params: FittingParams) -> bool:
-    inside = penetrating_vertices(crown.vertices, opposing, params.proximity_band)
-    if inside.any():
-        return True
-    _, dist = opposing_index.nearest(crown.vertices)
-    return bool(np.any(dist[:, 0] < params.proximity_dist))
-
-
 def occlusal_correct_anterior(
     crown: LabeledMesh,
     opposing: LabeledMesh,
@@ -439,12 +443,12 @@ def occlusal_correct_anterior(
     """Mode B: rigid global shifts away from the antagonist until clear."""
     d = np.asarray(occlusal_dir, dtype=np.float64)
     d = d / np.linalg.norm(d)
-    index = SpatialIndex(opposing.vertices)
+    obstacle = _obstacle(opposing, params.proximity_band)
     current = crown
     if trace is None:
         trace = []
     for step in range(params.max_shift_iters + 1):
-        if not _has_interference(current, opposing, index, params):
+        if not _interfering(current.vertices, obstacle, params).any():
             trace.append({"shifts": step, "offset": step * params.delta})
             return current
         current = current.with_vertices(current.vertices - params.delta * d)

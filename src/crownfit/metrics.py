@@ -86,9 +86,8 @@ def centroid_error(pred_faces, gt_faces, mesh: LabeledMesh, bbox_diag: float) ->
     return float(d), False
 
 
-def bootstrap_ci(samples, b: int = 10_000, seed: int = 0,
-                 levels: tuple[float, float] = (2.5, 97.5)) -> tuple[float, float]:
-    """Percentile bootstrap CI of the mean over ``b`` resamples with replacement.
+def bootstrap_ci(samples, b: int = 10_000, seed: int = 0) -> tuple[float, float]:
+    """95% percentile bootstrap CI of the mean over ``b`` resamples with replacement.
 
     Samples are sorted before resampling so the result is invariant to input
     order; deterministic for a fixed seed.
@@ -99,7 +98,7 @@ def bootstrap_ci(samples, b: int = 10_000, seed: int = 0,
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(samples), size=(b, len(samples)))
     means = samples[idx].mean(axis=1)
-    lo, hi = np.percentile(means, levels)
+    lo, hi = np.percentile(means, (2.5, 97.5))
     return float(lo), float(hi)
 
 

@@ -288,14 +288,13 @@ def fine_register(
     target: PointCloud,
     init: RigidTransform,
     params: RegistrationParams = RegistrationParams(),
-    trace: list | None = None,
 ) -> RegistrationResult:
     """Tukey-weighted point-to-plane ICP refinement of ``init``.
 
     The robust objective (mean Tukey loss, unmatched points saturated) is
     re-evaluated with fresh correspondences for every accepted step, so the
-    recorded trace is monotone non-increasing. Raises RankDeficiencyError for
-    degenerate normal covariance.
+    result's ``objective_trace`` is monotone non-increasing. Raises
+    RankDeficiencyError for degenerate normal covariance.
     """
     if target.normals is None:
         raise ValueError("fine registration requires target normals")
@@ -306,8 +305,7 @@ def fine_register(
 
     transform = init
     obj, idx, matched = _objective(pts, transform, tgt_index, tpts, tnrm, params)
-    if trace is not None:
-        trace.append(obj)
+    trace = [obj]
     iterations = 0
     for iterations in range(1, params.icp_max_iters + 1):
         if not matched.any():
@@ -353,16 +351,13 @@ def fine_register(
         if step is None:
             break  # no descent direction: converged at a robust minimum
         xi, transform, obj, idx, matched = step
-        if trace is not None:
-            trace.append(obj)
+        trace.append(obj)
         if np.linalg.norm(xi) < params.icp_tolerance:
             break
 
     fitness, rmse, _, _ = _evaluate(pts, transform, tgt_index, params.icp_max_corr_dist)
-    return RegistrationResult(
-        transform, fitness, rmse, iterations=iterations,
-        objective_trace=tuple(trace) if trace is not None else (),
-    )
+    return RegistrationResult(transform, fitness, rmse, iterations=iterations,
+                              objective_trace=tuple(trace))
 
 
 # ---------------------------------------------------------------- routing

@@ -29,19 +29,11 @@ class SpatialIndex:
     def points(self) -> np.ndarray:
         return self._points
 
-    def nearest(self, query, k: int = 1):
-        """Indices and distances of the k nearest points to each query point.
-
-        Returns ``(indices, distances)`` shaped (k,) for a single query or
-        (n, k) for a batch.
-        """
-        query = np.asarray(query, dtype=np.float64)
-        single = query.ndim == 1
-        dist, idx = self._tree.query(np.atleast_2d(query), k=k)
-        dist = np.atleast_2d(dist).reshape(-1, k)
-        idx = np.atleast_2d(idx).reshape(-1, k)
-        if single:
-            return idx[0], dist[0]
+    def nearest(self, query):
+        """``(indices, distances)``, shaped (n,), of the nearest indexed point
+        to each of the (n, 3) query points."""
+        query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
+        dist, idx = self._tree.query(query, k=1)
         return idx, dist
 
     def nearest_within(self, query, max_dist: float):

@@ -96,7 +96,6 @@ class ArchSpec:
     def standard(
         jaw: str = "Lower",
         coverage: str = "full",
-        missing: tuple[int, ...] = (),
         prepared: tuple[int, ...] = (),
         seed: int = 0,
         jitter_sigma: float = 0.0,
@@ -128,8 +127,6 @@ class ArchSpec:
         rng = np.random.default_rng(seed)
         teeth = []
         for fdi, w, c in zip(seq, widths * scale, centers):
-            if fdi in missing:
-                continue
             pos = fdi_position(fdi)
             height = _BUMP_HEIGHTS[pos] * h_scale
             arc_pos = float(c)

@@ -54,10 +54,9 @@ def extract_tooth_centroids(scan: LabeledMesh) -> dict[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class CentroidCurve:
-    """Population-mean tooth centroids keyed by class id, with sample counts."""
+    """Population-mean tooth centroids keyed by class id."""
 
     means: dict
-    counts: dict
 
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted(self.means))
@@ -76,7 +75,7 @@ def build_average_curve(scans: list[LabeledMesh]) -> CentroidCurve:
             sums[cls] = sums.get(cls, 0.0) + c
             counts[cls] = counts.get(cls, 0) + 1
     means = {cls: sums[cls] / counts[cls] for cls in sums}
-    return CentroidCurve(means, counts)
+    return CentroidCurve(means)
 
 
 def select_canonical(scans: list[LabeledMesh], curve: CentroidCurve) -> int:
@@ -121,7 +120,7 @@ def derive_partials(master: LabeledMesh, side: str) -> LabeledMesh:
     if gingiva_mask.any():
         _, dist = index.nearest(master.face_centroids()[gingiva_mask])
         near = np.zeros(master.n_faces, dtype=bool)
-        near[np.nonzero(gingiva_mask)[0][dist[:, 0] <= GINGIVA_MARGIN_MM]] = True
+        near[np.nonzero(gingiva_mask)[0][dist <= GINGIVA_MARGIN_MM]] = True
         keep |= near
     return master.submesh(keep)
 

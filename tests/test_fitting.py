@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from crownfit import fitting
 from crownfit.errors import NonConvergenceError
-from crownfit.fitting import (CuspSet, FittingParams, center_between_neighbors,
+from crownfit.fitting import (CuspSet, FittingParams, _obstacle, center_between_neighbors,
                               connected_components, detect_cusps, fit_crown,
                               interproximal_adapt, intersection_volume, is_posterior,
                               occlusal_correct_anterior, occlusal_correct_posterior,
@@ -17,6 +18,32 @@ def two_walls(gap, half=(1.0, 6.0, 6.0)):
     w2 = make_box((gap / 2 + half[0], 0, 0), half)
     return LabeledMesh(np.concatenate([w1.vertices, w2.vertices]),
                        np.concatenate([w1.faces, w2.faces + 8]))
+
+
+def open_sheet(center, u, v, half_size, spacing=0.25):
+    """Open square grid of triangles through ``center``, spanned by the unit
+    vectors ``u`` and ``v``; its winding points the normals along u x v."""
+    n = int(round(2 * half_size / spacing))
+    i, j = np.meshgrid(np.arange(n + 1) - n / 2, np.arange(n + 1) - n / 2, indexing="ij")
+    offsets = i.reshape(-1, 1) * np.asarray(u) + j.reshape(-1, 1) * np.asarray(v)
+    vertices = np.asarray(center, dtype=np.float64) + spacing * offsets
+    k = (np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]).ravel()  # cell corner (i, j)
+    faces = np.concatenate([np.stack([k, k + n + 1, k + n + 2], axis=1),
+                            np.stack([k, k + n + 2, k + 1], axis=1)])
+    return LabeledMesh(vertices, faces)
+
+
+def open_patches(gap, half_size=6.0):
+    """Two open sheets at x = -gap/2 and x = +gap/2, each facing the gap."""
+    left = open_sheet((-gap / 2, 0, 0), (0, 1, 0), (0, 0, 1), half_size)    # normal +x
+    right = open_sheet((gap / 2, 0, 0), (0, 0, 1), (0, 1, 0), half_size)    # normal -x
+    return LabeledMesh(np.concatenate([left.vertices, right.vertices]),
+                       np.concatenate([left.faces, right.faces + left.n_vertices]))
+
+
+def open_plate(height, half_size=7.0):
+    """Open horizontal sheet at z = height facing down, toward a crown below."""
+    return open_sheet((0, 0, height), (0, 1, 0), (1, 0, 0), half_size)
 
 
 class TestIntersectionVolume:
@@ -49,6 +76,37 @@ class TestIntersectionVolume:
         a = make_box((0, 0, 0), (1, 1, 1))
         with pytest.raises(ValueError):
             intersection_volume(a, a, 0.0)
+
+
+    def test_open_crown_rejected(self):
+        box = make_box((0, 0, 0), (1, 1, 1))
+        open_box = box.submesh(np.arange(1, box.n_faces))
+        with pytest.raises(ValueError, match="watertight"):
+            intersection_volume(open_box, make_box((0.5, 0, 0), (1, 1, 1)))
+
+    def test_open_obstacle_counts_penetrating_vertices(self):
+        # a thin box straddling an open sheet: its four lower corners lie
+        # behind the sheet within the band, and the 7 x 7 sheet vertices with
+        # |x|, |y| <= 0.75 lie inside it; each counts one voxel
+        sheet = open_sheet((0, 0, 0), (1, 0, 0), (0, 1, 0), 2.5)
+        crown = make_box((0, 0, 0), (0.9, 0.9, 0.2))
+        v = intersection_volume(crown, sheet, 0.05, band=0.5)
+        assert v == (4 + 49) * 0.05**3
+        assert intersection_volume(crown, sheet.with_vertices(sheet.vertices + [0, 0, 1.0]),
+                                   0.05, band=0.5) == 0.0
+
+
+class TestOpenObstacle:
+    def test_band_semantics_on_open_sheet(self):
+        sheet = open_sheet((0, 0, 0), (1, 0, 0), (0, 1, 0), 2.5)  # normal +z
+        obstacle = _obstacle(sheet, band=0.5)
+        assert obstacle.solids is None
+        pts = [[0.1, 0.1, -0.2],   # behind, within the band
+               [0.1, 0.1, -0.8],   # behind, beyond the band
+               [0.1, 0.1, 0.2],    # in front, within the band
+               [9.0, 0.0, -0.2]]   # behind the sheet's plane, far from the sheet
+        assert obstacle.inside(pts).tolist() == [True, False, False, False]
+        assert obstacle.inside(np.zeros((0, 3))).shape == (0,)
 
 
 class TestPointsInsideMesh:
@@ -209,6 +267,29 @@ class TestInterproximal:
         assert len(err.value.trace) >= 1
 
 
+    @pytest.mark.parametrize("radius, gap, phase", [(5.0, 9.9, "shrink"), (4.0, 10.0, "grow")])
+    def test_open_patches(self, radius, gap, phase):
+        sphere = make_uv_sphere((0, 0, 0), radius, 24, 32)
+        trace = []
+        fitted, scale = interproximal_adapt(sphere, open_patches(gap),
+                                            FittingParams(voxel_resolution=0.02), trace=trace)
+        phases = {t["phase"] for t in trace}
+        assert phase in phases and phases <= {"initial", phase, "functional_gap"}
+        assert trace[0]["volume"] > 0 if phase == "shrink" else trace[0]["volume"] == 0
+        assert trace[-1]["volume"] == 0.0
+        # the crown ends clear of both sheets' planes
+        assert np.abs(fitted.vertices[:, 0]).max() < gap / 2
+        if phase == "grow":
+            predicted = gap / (2 * radius) * 0.99
+            assert predicted * 0.99 <= scale <= predicted * 1.01
+
+    def test_open_crown_rejected(self):
+        sphere = make_uv_sphere((0, 0, 0), 4.0, 24, 32)
+        open_crown = sphere.submesh(np.arange(1, sphere.n_faces))
+        with pytest.raises(ValueError, match="watertight"):
+            interproximal_adapt(open_crown, two_walls(10.0))
+
+
 class TestCentering:
     def test_moves_to_midpoint_xy_only(self):
         crown = make_uv_sphere((1.0, 0.5, 2.0), 3.0, 16, 24)
@@ -329,6 +410,42 @@ class TestModeA:
                                        FittingParams(max_tap_rounds=2))
 
 
+    def test_open_plate_tap_down(self):
+        fixture = generate_crown_fixture("bumped_posterior")
+        crown = fixture.mesh
+        plate_z = crown.vertices[:, 2].max() - 0.15
+        plate = open_plate(plate_z)  # clips the three tallest cusps
+        params = FittingParams()
+        trace = []
+        out = occlusal_correct_posterior(crown, plate, (0, 0, 1), params, trace=trace)
+        clipped = [v for v in fixture.cusp_vertices if crown.vertices[v, 2] > plate_z]
+        assert len(clipped) == 3
+        assert sorted(trace[0]["colliding"]) == sorted(clipped)
+        assert trace[-1]["colliding"] == []
+        assert np.all(out.vertices[clipped, 2] < plate_z)
+        assert not _obstacle(plate, params.proximity_band).inside(out.vertices).any()
+        colliding = {v for t in trace for v in t["colliding"]}
+        d_to_coll = np.min(np.linalg.norm(
+            crown.vertices[:, None, :] - crown.vertices[list(colliding)][None, :, :],
+            axis=2), axis=1)
+        far = d_to_coll > params.falloff_radius
+        assert np.array_equal(out.vertices[far], crown.vertices[far])
+
+
+def oracle_shifts(crown, plate_vertices, plate_z, params):
+    """Shift count of the anterior mode against a downward-facing flat sheet,
+    from all-pairs distances: a vertex interferes when it lies above the sheet
+    within the band of its nearest sheet vertex or, if none does, within
+    proximity_dist of a sheet vertex."""
+    for k in range(params.max_shift_iters + 1):
+        pts = crown.vertices - [0, 0, k * params.delta]
+        dist = np.linalg.norm(pts[:, None, :] - plate_vertices[None], axis=2).min(axis=1)
+        inside = (pts[:, 2] > plate_z) & (dist < params.proximity_band)
+        if not inside.any() and not (dist < params.proximity_dist).any():
+            return k
+    raise AssertionError("oracle found no clear shift")
+
+
 class TestModeB:
     def test_shift_count_matches_penetration_depth(self):
         fixture = generate_crown_fixture("smooth_anterior")
@@ -361,6 +478,44 @@ class TestModeB:
         before = np.linalg.norm(crown.vertices[idx[:, 0]] - crown.vertices[idx[:, 1]], axis=1)
         after = np.linalg.norm(out.vertices[idx[:, 0]] - out.vertices[idx[:, 1]], axis=1)
         assert np.abs(before - after).max() <= 1e-12
+
+
+    def test_open_plate_shift_count_matches_oracle(self):
+        fixture = generate_crown_fixture("smooth_anterior")
+        crown = fixture.mesh
+        plate_z = crown.vertices[:, 2].max() - 0.25
+        plate = open_plate(plate_z)
+        params = FittingParams()
+        trace = []
+        out = occlusal_correct_anterior(crown, plate, (0, 0, 1), params, trace=trace)
+        want = oracle_shifts(crown, plate.vertices, plate_z, params)
+        assert want > 3  # the vertex proximity term acts beyond the 0.25 mm depth
+        assert trace[-1]["shifts"] == want
+        assert np.allclose(crown.vertices - out.vertices, [0, 0, want * params.delta])
+
+    def test_obstacle_derived_once_over_many_steps(self, monkeypatch):
+        fixture = generate_crown_fixture("smooth_anterior")
+        crown = fixture.mesh
+        plate = open_plate(crown.vertices[:, 2].max() - 0.25)
+        builds, checks = [], []
+        index_cls, watertight = fitting.SpatialIndex, fitting.is_watertight
+
+        class CountingIndex(index_cls):
+            def __init__(self, points):
+                builds.append(len(points))
+                super().__init__(points)
+
+        def counting_watertight(mesh):
+            checks.append(mesh.n_faces)
+            return watertight(mesh)
+
+        monkeypatch.setattr(fitting, "SpatialIndex", CountingIndex)
+        monkeypatch.setattr(fitting, "is_watertight", counting_watertight)
+        trace = []
+        occlusal_correct_anterior(crown, plate, (0, 0, 1), FittingParams(), trace=trace)
+        assert trace[-1]["shifts"] > 3
+        assert builds == [plate.n_vertices]
+        assert checks == [plate.n_faces]
 
 
 class TestFitCrown:

@@ -10,7 +10,7 @@ from crownfit.cli import main
 from crownfit.config import PipelineConfig, config_from_dict, load_config
 from crownfit.errors import PipelineError
 from crownfit.fixtures import generate_fixture_corpus
-from crownfit.mesh import PREPARED
+from crownfit.mesh import PREPARED, is_watertight
 from crownfit.meshio import load_mesh
 from crownfit.pipeline import (STAGES, evaluate_labels, neighbor_fdis,
                                run_pipeline, segmentation_metrics)
@@ -95,6 +95,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             config_from_dict({"registration": {key: 1}})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("fitting", "falloff_radius", 0.0),
+        ("fitting", "cusp_count", -1),
+        ("fitting", "proximity_band", 0.0),
+        ("fitting", "proximity_dist", -0.1),
+        ("refine", "smoothness", -1.0),
+    ])
+    def test_values_that_fail_mid_run_rejected_at_load(self, tmp_path, section, key, value):
+        (tmp_path / "c.json").write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ValueError, match=key):
+            load_config(tmp_path / "c.json")
+
     def test_relative_paths_resolved(self, tmp_path):
         (tmp_path / "c.json").write_text(json.dumps({"template_dir": "templates"}))
         cfg = load_config(tmp_path / "c.json")
@@ -117,7 +129,7 @@ class TestRunPipeline:
         assert fit["residual_neighbor_volume"] <= cfg.fitting.v_int_threshold
 
     def test_fitted_crown_passes_post_invariants(self, finished_run):
-        from crownfit.fitting import intersection_volume, penetrating_vertices
+        from crownfit.fitting import intersection_volume, points_inside_mesh
         root, manifest, cfg, report = finished_run
         out_dir = Path(cfg.output_dir)
         fitted = load_mesh(out_dir / "fitted_crown.ply")
@@ -130,7 +142,8 @@ class TestRunPipeline:
                                 band=cfg.fitting.proximity_band)
         assert v <= cfg.fitting.v_int_threshold
         antagonist = load_mesh(manifest["case"]["antagonist"])
-        assert not penetrating_vertices(fitted.vertices, antagonist).any()
+        assert is_watertight(antagonist)
+        assert not points_inside_mesh(fitted.vertices, antagonist).any()
 
     def test_refine_metrics_recorded(self, finished_run):
         _, _, _, report = finished_run

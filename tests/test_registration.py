@@ -201,8 +201,7 @@ class TestFine:
         applied = RigidTransform.from_axis_angle((0.1, 0.2, 0.9), np.radians(5.0),
                                                  (1.5, 1.0, -0.5))
         src = tgt.transformed(applied)
-        trace = []
-        fine_register(src, tgt, RigidTransform(), PARAMS, trace=trace)
+        trace = fine_register(src, tgt, RigidTransform(), PARAMS).objective_trace
         assert len(trace) >= 2
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 

@@ -12,7 +12,8 @@ def linear_nearest(points, query):
 def test_query_at_indexed_point(rng):
     pts = rng.normal(size=(50, 3))
     index = SpatialIndex(pts)
-    idx, dist = index.nearest(pts[17])
+    idx, dist = index.nearest(pts[17:18])  # a single query is a batch of one
+    assert idx.shape == dist.shape == (1,)
     assert idx[0] == 17
     assert dist[0] == 0.0
 
@@ -22,7 +23,8 @@ def test_matches_linear_scan_on_random_instances(rng):
     index = SpatialIndex(pts)
     queries = rng.uniform(-6, 6, size=(100, 3))
     idx, dist = index.nearest(queries)
-    for q, i, d in zip(queries, idx[:, 0], dist[:, 0]):
+    assert idx.shape == dist.shape == (100,)
+    for q, i, d in zip(queries, idx, dist):
         oi, od = linear_nearest(pts, q)
         assert i == oi
         assert np.isclose(d, od)
@@ -33,7 +35,6 @@ def test_nearest_within_equals_nearest_inside_gate(rng):
     index = SpatialIndex(pts)
     queries = rng.uniform(-6, 6, size=(301, 3))
     idx, dist = index.nearest(queries)
-    idx, dist = idx[:, 0], dist[:, 0]
     gate = float(np.median(dist))  # one query lies exactly at the gate
     inside = dist <= gate
     got_idx, got_dist = index.nearest_within(queries, gate)

@@ -172,10 +172,6 @@ class TestGenerateArch:
         assert np.array_equal(gt.labels[~stump], np.where(plain.labels == fdi_to_class(36),
                                                           GINGIVA, plain.labels)[~stump])
 
-    def test_missing_tooth_absent(self):
-        mesh, gt = generate_arch(ArchSpec.standard("Lower", "full", missing=(46,)))
-        assert fdi_to_class(46) not in np.unique(gt.labels)
-
     def test_overlapping_footprints_rejected(self):
         teeth = (ToothSpec(31, 10.0, 3.0, 2.0, 4.0),
                  ToothSpec(32, 12.0, 3.0, 2.0, 4.0))

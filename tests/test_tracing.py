@@ -1,13 +1,17 @@
 """The benchmark's span tracer still finds every layer it wraps.
 
 ``perfbench/tracing.py`` patches functions by module attribute; a refactor
-that drops or renames one of them fails here rather than in a traced run.
+that drops or renames one of them, or routes a call around it, fails here
+rather than in a traced run.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from crownfit.mesh import LabeledMesh
 from helpers import make_box
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -37,3 +41,24 @@ def test_trace_targets_install_and_restore():
         tracer.restore()
     for (mod, attr), value in original.items():
         assert getattr(importlib.import_module(mod), attr) is value, f"{mod}.{attr} not restored"
+
+
+def test_traced_fit_reaches_every_fitting_layer():
+    fitting = importlib.import_module("crownfit.fitting")
+    crown = make_box((0, 0, 0), (2.0, 2.0, 2.0))
+    walls = [make_box((x, 0, 0), (1.0, 3.0, 3.0)) for x in (-3.2, 3.2)]
+    neighbors = LabeledMesh(np.concatenate([w.vertices for w in walls]),
+                            np.concatenate([walls[0].faces, walls[1].faces + 8]))
+    plate = make_box((0, 0, 2.9), (3.0, 3.0, 1.0))  # 0.1 mm into the crown's top
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        _, report = fitting.fit_crown(crown, neighbors, plate, fdi=31)
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert report.mode == "anterior"
+    for name in ("fitting.interproximal_adapt", "fitting.occlusal_correct",
+                 "fitting.points_inside_mesh"):
+        assert name in names, name
+    assert names.count("fitting.intersection_volume") == 1  # the residual
