@@ -4,26 +4,28 @@ correction (posterior cusp tap-down, anterior global shift).
 
 The crown is a watertight solid; interproximal scaling and
 ``intersection_volume`` reject any other. The neighbours and the antagonist
-are obstacles, and ``_obstacle`` alone decides, once per call, how to test
-inside one: ray parity when watertight, else the offset band behind an open
-shell. It keeps one k-d tree over the obstacle's vertices for every step.
+are obstacles, open or watertight, and every inside test against one is the
+parity of crossings on a ray from the point toward the obstacle's occlusal
+side: the side facing the crown's jaw for the antagonist, the side facing
+the antagonist for the neighbours. A neighbour patch cut from a scan is open
+only at its gum line, on the other side, so the ray never leaves through the
+hole; a watertight mesh gives the same parity along any ray.
 
 Every ray-parity test comes from one ray-crossing kernel, ``_ray_hits``,
 which runs Moller-Trumbore only on the (origin, triangle) pairs that a grid
 across the ray puts together, so its cost follows the origins near the mesh
 rather than origins x triangles. It has two callers. Points are tested
-along a fixed skewed ray (``points_inside_mesh``). The overlap volume with a
-watertight obstacle casts +z rays from below the meshes, one per column of a
-shared voxel grid, and counts the voxel centres with odd crossing parity
-below them; against an open obstacle the penetrating vertices of either
-mesh, one voxel each, stand in for it. The error of the voxel estimate is
-O(surface area x resolution); the 1e-6 mm^3 threshold therefore acts as "no
-detectable overlap" at the configured resolution.
+along a fixed skewed ray (``points_inside_mesh``). The overlap volume casts
++z rays from below the meshes, one per column of a shared voxel grid, and
+counts the voxel centres with odd crossing parity toward the occlusal side
+in both meshes; the crown's columns are cast only where the obstacle has an
+inside voxel. The error of the voxel estimate is O(surface area x
+resolution); the 1e-6 mm^3 threshold therefore acts as "no detectable
+overlap" at the configured resolution.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ from .spatial import SpatialIndex
 
 # deterministic sub-voxel grid offsets and ray skew: keep sample lines off
 # mesh vertices/edges of axis-aligned fixtures
-_GRID_SHIFT = (4.9e-4, 7.3e-4)
+_GRID_SHIFT = (4.9e-4, 7.3e-4, 1.46e-3)
 _RAY_DIR = np.array([0.0317, 0.0523, 1.0]) / np.linalg.norm([0.0317, 0.0523, 1.0])
 _MAX_VOXELS = 6.0e7
 _CULL_EPS = 1e-6  # mm; far above the rounding of the ray-triangle test
@@ -51,7 +53,6 @@ class FittingParams:
     cusp_count: int = 5
     cusp_normal_dot_min: float = 0.5
     proximity_dist: float = 0.2       # mm
-    proximity_band: float = 0.5       # offset band for open-shell penetration, mm
     max_scale_iters: int = 500
     max_tap_rounds: int = 50
     max_shift_iters: int = 200
@@ -60,7 +61,7 @@ class FittingParams:
     def __post_init__(self):
         if not 0 < self.shrink < 1 < self.grow:
             raise ValueError("need 0 < shrink < 1 < grow")
-        for name in ("delta", "falloff_radius", "proximity_band", "voxel_resolution"):
+        for name in ("delta", "falloff_radius", "voxel_resolution"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("v_int_threshold", "cusp_count", "proximity_dist"):
@@ -108,12 +109,11 @@ def _ray_hits(origins: np.ndarray, mesh: LabeledMesh,
     over the cells it covers; a candidate also lies below the triangle's top
     vertex along the ray.
     """
-    tri = mesh.vertices[mesh.faces]
     # boxes in (across, across, along) ray coordinates; along the ray only the
     # top vertex bounds a candidate
     frame = np.array([np.cross(direction, [1, 0, 0]), np.cross(direction, [0, 1, 0]), direction])
-    proj = tri @ frame.T
-    lo, hi = proj.min(axis=1) - _CULL_EPS, proj.max(axis=1) + _CULL_EPS
+    corners = (mesh.vertices @ frame.T)[mesh.faces.T]  # (corner, face, axis)
+    lo, hi = corners.min(axis=0) - _CULL_EPS, corners.max(axis=0) + _CULL_EPS
     lo[:, 2] = -np.inf
     q = origins @ frame.T
     # an origin outside the union of the boxes has no candidate at all, nor
@@ -122,7 +122,7 @@ def _ray_hits(origins: np.ndarray, mesh: LabeledMesh,
                              & (q <= hi.max(axis=0, initial=-np.inf)), axis=1))[0]
     reach = np.all((lo <= q[near].max(axis=0, initial=-np.inf))
                    & (hi >= q[near].min(axis=0, initial=np.inf)), axis=1)
-    tri, lo, hi = tri[reach], lo[reach], hi[reach]
+    tri, lo, hi = mesh.vertices[mesh.faces[reach]], lo[reach], hi[reach]
     e1 = tri[:, 1] - tri[:, 0]
     e2 = tri[:, 2] - tri[:, 0]
     pvec = np.cross(direction, e2)
@@ -168,25 +168,30 @@ def _ray_hits(origins: np.ndarray, mesh: LabeledMesh,
     return oi[hit], t[hit]
 
 
-def points_inside_mesh(points, mesh: LabeledMesh) -> np.ndarray:
-    """Ray-parity inside test for a watertight mesh (skewed fixed direction)."""
+def points_inside_mesh(points, mesh: LabeledMesh, direction) -> np.ndarray:
+    """Ray-parity inside test along a fixed skewed ray, cast toward the side
+    ``direction`` points to: any side of a watertight mesh, the side away
+    from the hole of an open one."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    idx, _ = _ray_hits(pts, mesh, _RAY_DIR)
+    ray = _RAY_DIR if _RAY_DIR @ np.asarray(direction, dtype=np.float64) >= 0 else -_RAY_DIR
+    idx, _ = _ray_hits(pts, mesh, ray)
     return np.bincount(idx, minlength=len(pts)) % 2 == 1
 
 
-def _column_inside(mesh: LabeledMesh, xs: np.ndarray, ys: np.ndarray,
-                   zs: np.ndarray) -> np.ndarray:
-    """Inside mask (len(xs) * len(ys), len(zs)) of the voxel centres: the
-    parity of the +z crossings at or below each centre, counted from one
-    origin per (x, y) column below the mesh."""
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+def _column_inside(mesh: LabeledMesh, xy: np.ndarray, zs: np.ndarray, up: bool) -> np.ndarray:
+    """Inside mask (len(xy), len(zs)) of the voxel centres above the columns
+    ``xy``: the parity of the column's crossings above each centre when
+    ``up``, else at or below it, from one +z ray per column cast from below
+    the mesh."""
     z0 = mesh.vertices[:, 2].min() - 1.0
-    origins = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, z0)])
+    origins = np.column_stack([xy, np.full(len(xy), z0)])
     col, t = _ray_hits(origins, mesh, np.array([0.0, 0.0, 1.0]))
     flips = np.zeros((len(origins), len(zs) + 1), dtype=bool)
     np.logical_xor.at(flips, (col, np.searchsorted(zs, z0 + t)), True)
-    return np.logical_xor.accumulate(flips[:, :-1], axis=1)
+    below = np.logical_xor.accumulate(flips, axis=1)
+    # the last entry is the column's total parity: crossings above a centre
+    # are the total less those at or below it
+    return below[:, :-1] ^ below[:, -1:] if up else below[:, :-1]
 
 
 def _component_meshes(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[LabeledMesh]:
@@ -195,32 +200,19 @@ def _component_meshes(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[Labele
 
 @dataclass(frozen=True)
 class _Obstacle:
-    """A mesh the crown must not enter, with what its tests reuse."""
+    """A mesh the crown must not enter, tested from its occlusal side."""
 
     mesh: LabeledMesh
-    solids: list[LabeledMesh] | None   # its components when watertight, else None
-    index: SpatialIndex                # over its vertices
-    inside: Callable[[np.ndarray], np.ndarray]
+    solids: list[LabeledMesh]   # its components
+    side: np.ndarray            # toward its occlusal side
+
+    def inside(self, points) -> np.ndarray:
+        return points_inside_mesh(points, self.mesh, self.side)
 
 
-def _obstacle(mesh: LabeledMesh, band: float) -> _Obstacle:
-    """Decide once how to test inside ``mesh``: ray parity when watertight,
-    else the offset-band side test, behind the nearest vertex normal and
-    within ``band`` of that vertex."""
-    index = SpatialIndex(mesh.vertices)
-    if is_watertight(mesh):
-        return _Obstacle(mesh, _component_meshes(mesh, connected_components(mesh)), index,
-                         lambda points: points_inside_mesh(points, mesh))
-    if mesh.vertex_normals is None:
-        mesh = estimate_vertex_normals(mesh)
-
-    def in_band(points):
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        idx, dist = index.nearest(pts)
-        behind = np.einsum("ij,ij->i", pts - mesh.vertices[idx], mesh.vertex_normals[idx]) < 0
-        return behind & (dist < band)
-
-    return _Obstacle(mesh, None, index, in_band)
+def _obstacle(mesh: LabeledMesh, occlusal_dir) -> _Obstacle:
+    return _Obstacle(mesh, _component_meshes(mesh, connected_components(mesh)),
+                     np.asarray(occlusal_dir, dtype=np.float64))
 
 
 def _crown_components(crown: LabeledMesh) -> list[np.ndarray]:
@@ -230,37 +222,32 @@ def _crown_components(crown: LabeledMesh) -> list[np.ndarray]:
     return connected_components(crown)
 
 
-def intersection_volume(crown: LabeledMesh, other: LabeledMesh, resolution: float = 0.05,
-                        band: float = 0.5) -> float:
-    """Volume of the overlap of a watertight crown with another mesh, mm^3.
-
-    Against a watertight mesh it counts the shared-grid voxel centres inside
-    both; against an open shell the penetrating vertices approximate it.
-    """
+def intersection_volume(crown: LabeledMesh, other: LabeledMesh, occlusal_dir,
+                        resolution: float = 0.05) -> float:
+    """Volume of the overlap of a watertight crown with another mesh, mm^3:
+    the shared-grid voxel centres inside both, ``other`` tested from the side
+    ``occlusal_dir`` points to."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    return _overlap_volume(crown, _crown_components(crown), _obstacle(other, band), resolution)
+    return _overlap_volume(crown, _crown_components(crown), _obstacle(other, occlusal_dir),
+                           resolution)
 
 
 def _overlap_volume(crown: LabeledMesh, comps: list[np.ndarray], obstacle: _Obstacle,
                     resolution: float) -> float:
-    if obstacle.solids is None:
-        n_pen = int(obstacle.inside(crown.vertices).sum())
-        n_pen += int(points_inside_mesh(obstacle.mesh.vertices, crown).sum())
-        return n_pen * resolution**3
-
     # per component pair: disjoint solids make the volumes additive and keep
     # the voxel grid tight around each actual overlap region
+    up = bool(obstacle.side[2] > 0)
     total = 0.0
     for fa in _component_meshes(crown, comps):
         for fb in obstacle.solids:
-            total += _voxel_overlap(fa, fb, resolution)
+            total += _voxel_overlap(fa, fb, up, resolution)
     return total
 
 
-def _voxel_overlap(a: LabeledMesh, b: LabeledMesh, resolution: float) -> float:
-    lo = np.maximum(a.vertices.min(axis=0), b.vertices.min(axis=0))
-    hi = np.minimum(a.vertices.max(axis=0), b.vertices.max(axis=0))
+def _voxel_overlap(crown: LabeledMesh, solid: LabeledMesh, up: bool, resolution: float) -> float:
+    lo = np.maximum(crown.vertices.min(axis=0), solid.vertices.min(axis=0))
+    hi = np.minimum(crown.vertices.max(axis=0), solid.vertices.max(axis=0))
     if np.any(hi <= lo):
         return 0.0
     counts = [max(1, int(np.ceil((hi[k] - lo[k]) / resolution))) for k in range(3)]
@@ -268,11 +255,17 @@ def _voxel_overlap(a: LabeledMesh, b: LabeledMesh, resolution: float) -> float:
         raise ValueError(
             f"voxel grid {counts} exceeds the budget; use a coarser resolution"
         )
-    xs = lo[0] + (np.arange(counts[0]) + 0.5 + _GRID_SHIFT[0]) * resolution
-    ys = lo[1] + (np.arange(counts[1]) + 0.5 + _GRID_SHIFT[1]) * resolution
-    zs = lo[2] + (np.arange(counts[2]) + 0.5 + _GRID_SHIFT[1] * 2) * resolution
-    inside = _column_inside(a, xs, ys, zs) & _column_inside(b, xs, ys, zs)
-    return float(inside.sum()) * resolution**3
+    centres = [lo[k] + (np.arange(counts[k]) + 0.5 + _GRID_SHIFT[k]) * resolution
+               for k in range(3)]
+    # beyond the shared box a closed mesh holds no centre, and an open one
+    # would reach past its hole
+    xs, ys, zs = (c[c < hi[k]] for k, c in enumerate(centres))
+    xy = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    inside = _column_inside(solid, xy, zs, up)
+    # only columns with an inside voxel of the solid can add volume
+    cols = inside.any(axis=1)
+    both = inside[cols] & _column_inside(crown, xy[cols], zs, up)
+    return float(both.sum()) * resolution**3
 
 
 # ---------------------------------------------------------------- step 1 & 2
@@ -286,6 +279,7 @@ def scale_about(mesh: LabeledMesh, factor: float, center) -> LabeledMesh:
 def interproximal_adapt(
     crown: LabeledMesh,
     neighbors: LabeledMesh,
+    occlusal_dir,
     params: FittingParams = FittingParams(),
     trace: list | None = None,
 ) -> tuple[LabeledMesh, float]:
@@ -293,8 +287,9 @@ def interproximal_adapt(
 
     Case A (initial overlap): shrink by the shrink factor until the
     intersection volume drops to the threshold. Case B: grow until contact
-    appears. Either way a final shrink opens the functional gap. Returns the
-    scaled crown and the cumulative scale factor.
+    appears. Either way a final shrink opens the functional gap. The
+    neighbours are tested from ``occlusal_dir``, the side facing the
+    antagonist. Returns the scaled crown and the cumulative scale factor.
     """
     center = crown.centroid()
     scale = 1.0
@@ -302,7 +297,7 @@ def interproximal_adapt(
     if trace is None:
         trace = []  # the trace also rides on any non-convergence error
     comps = _crown_components(crown)
-    neighbor = _obstacle(neighbors, params.proximity_band)
+    neighbor = _obstacle(neighbors, occlusal_dir)
 
     def volume(mesh):
         return _overlap_volume(mesh, comps, neighbor, params.voxel_resolution)
@@ -378,13 +373,14 @@ def detect_cusps(crown: LabeledMesh, occlusal_dir, params: FittingParams = Fitti
     return CuspSet(keep, heights[keep])
 
 
-def _interfering(points, obstacle: _Obstacle, params: FittingParams) -> np.ndarray:
+def _interfering(points, obstacle: _Obstacle, index: SpatialIndex,
+                 params: FittingParams) -> np.ndarray:
     """Mask of the points inside the obstacle or, when none is, of the points
-    within ``proximity_dist`` of its vertices."""
+    within ``proximity_dist`` of its vertices (``index``)."""
     hit = obstacle.inside(points)
     if hit.any():
         return hit
-    _, dist = obstacle.index.nearest(points)
+    _, dist = index.nearest(points)
     return dist < params.proximity_dist
 
 
@@ -410,11 +406,12 @@ def occlusal_correct_posterior(
     sigma = params.falloff_radius / 2.0
     if trace is None:
         trace = []
-    obstacle = _obstacle(opposing, params.proximity_band)
+    obstacle = _obstacle(opposing, -d)
+    index = SpatialIndex(opposing.vertices)
     tips = cusps.vertex_indices
     for round_no in range(params.max_tap_rounds):
         current = LabeledMesh(vertices, crown.faces, None, labels)
-        coll = tips[_interfering(vertices[tips], obstacle, params)]
+        coll = tips[_interfering(vertices[tips], obstacle, index, params)]
         trace.append({"round": round_no, "colliding": [int(c) for c in coll]})
         if len(coll) == 0:
             return current
@@ -443,12 +440,13 @@ def occlusal_correct_anterior(
     """Mode B: rigid global shifts away from the antagonist until clear."""
     d = np.asarray(occlusal_dir, dtype=np.float64)
     d = d / np.linalg.norm(d)
-    obstacle = _obstacle(opposing, params.proximity_band)
+    obstacle = _obstacle(opposing, -d)
+    index = SpatialIndex(opposing.vertices)
     current = crown
     if trace is None:
         trace = []
     for step in range(params.max_shift_iters + 1):
-        if not _interfering(current.vertices, obstacle, params).any():
+        if not _interfering(current.vertices, obstacle, index, params).any():
             trace.append({"shifts": step, "offset": step * params.delta})
             return current
         current = current.with_vertices(current.vertices - params.delta * d)
@@ -506,25 +504,21 @@ def fit_crown(
     except ValueError:
         centering_applied = False
 
+    d = occlusal_direction(fdi)
     scale_trace: list = []
-    current, scale = interproximal_adapt(crown, neighbors, params, trace=scale_trace)
+    current, scale = interproximal_adapt(crown, neighbors, d, params, trace=scale_trace)
 
     occlusal_trace: list = []
     if opposing is None:
         mode = "skipped"
     elif is_posterior(fdi):
         mode = "posterior"
-        current = occlusal_correct_posterior(
-            current, opposing, occlusal_direction(fdi), params, trace=occlusal_trace
-        )
+        current = occlusal_correct_posterior(current, opposing, d, params, trace=occlusal_trace)
     else:
         mode = "anterior"
-        current = occlusal_correct_anterior(
-            current, opposing, occlusal_direction(fdi), params, trace=occlusal_trace
-        )
+        current = occlusal_correct_anterior(current, opposing, d, params, trace=occlusal_trace)
 
-    residual = intersection_volume(current, neighbors, params.voxel_resolution,
-                                   band=params.proximity_band)
+    residual = intersection_volume(current, neighbors, d, params.voxel_resolution)
     report = FittingReport(
         final_scale=scale,
         scale_trace=tuple(scale_trace),

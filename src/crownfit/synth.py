@@ -31,6 +31,7 @@ import numpy as np
 from .classify import ScanClass
 from .errors import DegenerateGeometryError
 from .mesh import GINGIVA, PREPARED, LabeledMesh, RigidTransform, estimate_vertex_normals
+from .templates import DEFAULT_CUT_SPECS
 
 # nominal slot widths (mm) per within-quadrant position 1..7
 _SLOT_WIDTHS = {1: 8.0, 2: 7.0, 3: 8.0, 4: 7.5, 5: 7.5, 6: 10.5, 7: 10.0}
@@ -351,16 +352,13 @@ def generate_arch(spec: ArchSpec) -> tuple[LabeledMesh, GroundTruth]:
 
 
 def coverage_classes(coverage: str) -> tuple[int, ...]:
-    """Class ids covered by a partial scan type (canine overlap included)."""
+    """Class ids covered by a scan type: all 16 for "full", else the classes
+    its side's partial template keeps."""
     if coverage == "full":
         return tuple(range(1, 17))
-    if coverage == "left":
-        return tuple(range(9, 17))
-    if coverage == "right":
-        return tuple(range(1, 9))
-    if coverage == "center":
-        return (1, 2, 3, 9, 10, 11)
-    raise ValueError(f"unknown coverage {coverage!r}")
+    if coverage not in ("left", "right", "center"):
+        raise ValueError(f"unknown coverage {coverage!r}")
+    return DEFAULT_CUT_SPECS[coverage.capitalize()]
 
 
 def partial_spec(

@@ -22,10 +22,11 @@ from .mesh import GINGIVA, LabeledMesh, PointCloud
 from .meshio import load_mesh, save_mesh
 from .spatial import SpatialIndex
 
-# which tooth classes each derived partial template keeps
+# which tooth classes each derived partial template keeps, and each partial
+# scan covers (``synth.coverage_classes``)
 DEFAULT_CUT_SPECS = {
-    "Left": tuple(range(11, 17)),           # left canine through molars
-    "Right": tuple(range(3, 9)),            # right canine through molars
+    "Left": tuple(range(9, 17)),            # left incisors through molars
+    "Right": tuple(range(1, 9)),            # right incisors through molars
     "Center": (1, 2, 3, 9, 10, 11),         # incisors and canines, both sides
 }
 GINGIVA_MARGIN_MM = 2.0

@@ -333,11 +333,11 @@ def test_crown_fitting_invariants():
         plate = make_box((0, 0, top - clearance + 3.0), (14.0, 14.0, 3.0))
 
         trace = []
-        scaled, scale = interproximal_adapt(crown, walls, params, trace=trace)
+        scaled, scale = interproximal_adapt(crown, walls, (0, 0, 1), params, trace=trace)
         drift = float(np.linalg.norm(scaled.centroid() - crown.centroid()))
         fitted, rep = fit_crown(crown, walls, plate, fdi=36, params=params)
-        residual = intersection_volume(fitted, walls, params.voxel_resolution)
-        inside = int(points_inside_mesh(fitted.vertices, plate).sum())
+        residual = intersection_volume(fitted, walls, (0, 0, 1), params.voxel_resolution)
+        inside = int(points_inside_mesh(fitted.vertices, plate, (0, 0, -1)).sum())
         phases = {t["phase"] for t in trace} - {"initial", "functional_gap"}
         monotone = len(phases) <= 1  # only shrinks in Case A, only grows in Case B
         if not (residual <= params.v_int_threshold and inside == 0
@@ -358,7 +358,7 @@ def test_crown_fitting_invariants():
         rigid_ok &= np.abs(before - after).max() <= 1e-12
     # analytic sphere-between-walls scale
     sphere = make_uv_sphere((0, 0, 0), 4.0, 36, 48)
-    _, scale = interproximal_adapt(sphere, two_walls(10.0), params)
+    _, scale = interproximal_adapt(sphere, two_walls(10.0), (0, 0, 1), params)
     predicted = 10.0 / 8.0 * 0.99
     analytic_ok = predicted * 0.99 <= scale <= predicted * 1.01
     ok = not failures and rigid_ok and analytic_ok

@@ -3,7 +3,7 @@ import pytest
 
 from crownfit import fitting
 from crownfit.errors import NonConvergenceError
-from crownfit.fitting import (CuspSet, FittingParams, _obstacle, center_between_neighbors,
+from crownfit.fitting import (CuspSet, FittingParams, center_between_neighbors,
                               connected_components, detect_cusps, fit_crown,
                               interproximal_adapt, intersection_volume, is_posterior,
                               occlusal_correct_anterior, occlusal_correct_posterior,
@@ -12,55 +12,69 @@ from crownfit.mesh import LabeledMesh, estimate_vertex_normals
 from crownfit.synth import CrownDims, generate_crown_fixture
 from helpers import make_box, make_uv_sphere
 
+UP, DOWN = (0, 0, 1), (0, 0, -1)
 
-def two_walls(gap, half=(1.0, 6.0, 6.0)):
-    w1 = make_box((-(gap / 2 + half[0]), 0, 0), half)
-    w2 = make_box((gap / 2 + half[0], 0, 0), half)
+
+def open_cap(center, half, facing=1, spacing=None):
+    """A box without its bottom face (``facing`` +1) or its top face (-1),
+    like a tooth patch cut at its gum line: the occlusal face, a grid of
+    ``spacing`` (one cell when None), and the four walls down to the hole."""
+    c, h = np.asarray(center, dtype=np.float64), np.asarray(half, dtype=np.float64)
+    nx, ny = (1 if spacing is None else max(1, int(round(2 * e / spacing))) for e in h[:2])
+    i, j = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
+    top = np.column_stack([2 * i.ravel() / nx - 1, 2 * j.ravel() / ny - 1, np.ones(i.size)])
+    idx = np.arange(i.size).reshape(nx + 1, ny + 1)
+    k = idx[:-1, :-1].ravel()
+    ring = np.concatenate([idx[:-1, 0], idx[-1, :-1], idx[:0:-1, -1], idx[0, :0:-1]])
+    low = i.size + np.arange(len(ring))
+    faces = np.concatenate([np.stack([k, k + ny + 1, k + ny + 2], axis=1),
+                            np.stack([k, k + ny + 2, k + 1], axis=1),
+                            np.stack([ring, low, np.roll(low, -1)], axis=1),
+                            np.stack([ring, np.roll(low, -1), np.roll(ring, -1)], axis=1)])
+    unit = np.concatenate([top, top[ring] * [1, 1, -1]])
+    return LabeledMesh(c + unit * h * [1, 1, facing], faces)
+
+
+def mirror_z(mesh):
+    """Mirror across z = 0, keeping outward winding."""
+    flip = np.array([1.0, 1.0, -1.0])
+    normals = None if mesh.vertex_normals is None else mesh.vertex_normals * flip
+    return LabeledMesh(mesh.vertices * flip, mesh.faces[:, [0, 2, 1]], normals, mesh.face_labels)
+
+
+def two_walls(gap, half=(1.0, 6.0, 6.0), wall=make_box):
+    """Two walls a gap apart along x: closed boxes, or ``wall(center, half)``."""
+    w1, w2 = (wall((side * (gap / 2 + half[0]), 0, 0), half) for side in (-1, 1))
     return LabeledMesh(np.concatenate([w1.vertices, w2.vertices]),
-                       np.concatenate([w1.faces, w2.faces + 8]))
+                       np.concatenate([w1.faces, w2.faces + w1.n_vertices]))
 
 
-def open_sheet(center, u, v, half_size, spacing=0.25):
-    """Open square grid of triangles through ``center``, spanned by the unit
-    vectors ``u`` and ``v``; its winding points the normals along u x v."""
-    n = int(round(2 * half_size / spacing))
-    i, j = np.meshgrid(np.arange(n + 1) - n / 2, np.arange(n + 1) - n / 2, indexing="ij")
-    offsets = i.reshape(-1, 1) * np.asarray(u) + j.reshape(-1, 1) * np.asarray(v)
-    vertices = np.asarray(center, dtype=np.float64) + spacing * offsets
-    k = (np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]).ravel()  # cell corner (i, j)
-    faces = np.concatenate([np.stack([k, k + n + 1, k + n + 2], axis=1),
-                            np.stack([k, k + n + 2, k + 1], axis=1)])
-    return LabeledMesh(vertices, faces)
+def two_caps(gap, half=(1.0, 6.0, 6.0)):
+    """Two neighbour patches facing +z, open at the bottom, a gap apart."""
+    return two_walls(gap, half, wall=open_cap)
 
 
-def open_patches(gap, half_size=6.0):
-    """Two open sheets at x = -gap/2 and x = +gap/2, each facing the gap."""
-    left = open_sheet((-gap / 2, 0, 0), (0, 1, 0), (0, 0, 1), half_size)    # normal +x
-    right = open_sheet((gap / 2, 0, 0), (0, 0, 1), (0, 1, 0), half_size)    # normal -x
-    return LabeledMesh(np.concatenate([left.vertices, right.vertices]),
-                       np.concatenate([left.faces, right.faces + left.n_vertices]))
-
-
-def open_plate(height, half_size=7.0):
-    """Open horizontal sheet at z = height facing down, toward a crown below."""
-    return open_sheet((0, 0, height), (0, 1, 0), (1, 0, 0), half_size)
+def open_plate(bottom):
+    """An antagonist patch facing -z, open at the top; its occlusal face, at
+    z = bottom, is a 0.25 mm grid."""
+    return open_cap((0, 0, bottom + 3.0), (7.0, 7.0, 3.0), facing=-1, spacing=0.25)
 
 
 class TestIntersectionVolume:
     def test_disjoint_cubes_zero(self):
         a = make_box((0, 0, 0), (0.5, 0.5, 0.5))
         b = make_box((10, 0, 0), (0.5, 0.5, 0.5))
-        assert intersection_volume(a, b, 0.05) == 0.0
+        assert intersection_volume(a, b, UP, 0.05) == 0.0
 
     def test_half_overlap_slab(self):
         a = make_box((0, 0, 0), (0.5, 0.5, 0.5))
         b = make_box((0.5, 0, 0), (0.5, 0.5, 0.5))
-        v = intersection_volume(a, b, 0.02)
+        v = intersection_volume(a, b, UP, 0.02)
         assert abs(v - 0.5) / 0.5 < 0.05
 
     def test_identical_cubes_full_volume(self):
         a = make_box((0, 0, 0), (0.5, 0.5, 0.5))
-        v = intersection_volume(a, make_box((0, 0, 0), (0.5, 0.5, 0.5)), 0.02)
+        v = intersection_volume(a, make_box((0, 0, 0), (0.5, 0.5, 0.5)), UP, 0.02)
         assert abs(v - 1.0) < 0.05
 
     def test_sphere_cube_overlap_against_analytic_cap(self):
@@ -69,51 +83,45 @@ class TestIntersectionVolume:
         box = make_box((0, 0, 5.0), (4.0, 4.0, 5.0))  # z in [0, 10]
         cap_h = 0.5
         analytic = np.pi * cap_h**2 * (3 * 2.0 - cap_h) / 3.0
-        v = intersection_volume(sphere, box, 0.02)
+        v = intersection_volume(sphere, box, UP, 0.02)
         assert abs(v - analytic) / analytic < 0.05
 
     def test_bad_arguments(self):
         a = make_box((0, 0, 0), (1, 1, 1))
         with pytest.raises(ValueError):
-            intersection_volume(a, a, 0.0)
+            intersection_volume(a, a, UP, 0.0)
 
 
     def test_open_crown_rejected(self):
         box = make_box((0, 0, 0), (1, 1, 1))
         open_box = box.submesh(np.arange(1, box.n_faces))
         with pytest.raises(ValueError, match="watertight"):
-            intersection_volume(open_box, make_box((0.5, 0, 0), (1, 1, 1)))
+            intersection_volume(open_box, make_box((0.5, 0, 0), (1, 1, 1)), UP)
 
-    def test_open_obstacle_counts_penetrating_vertices(self):
-        # a thin box straddling an open sheet: its four lower corners lie
-        # behind the sheet within the band, and the 7 x 7 sheet vertices with
-        # |x|, |y| <= 0.75 lie inside it; each counts one voxel
-        sheet = open_sheet((0, 0, 0), (1, 0, 0), (0, 1, 0), 2.5)
-        crown = make_box((0, 0, 0), (0.9, 0.9, 0.2))
-        v = intersection_volume(crown, sheet, 0.05, band=0.5)
-        assert v == (4 + 49) * 0.05**3
-        assert intersection_volume(crown, sheet.with_vertices(sheet.vertices + [0, 0, 1.0]),
-                                   0.05, band=0.5) == 0.0
-
-
-class TestOpenObstacle:
-    def test_band_semantics_on_open_sheet(self):
-        sheet = open_sheet((0, 0, 0), (1, 0, 0), (0, 1, 0), 2.5)  # normal +z
-        obstacle = _obstacle(sheet, band=0.5)
-        assert obstacle.solids is None
-        pts = [[0.1, 0.1, -0.2],   # behind, within the band
-               [0.1, 0.1, -0.8],   # behind, beyond the band
-               [0.1, 0.1, 0.2],    # in front, within the band
-               [9.0, 0.0, -0.2]]   # behind the sheet's plane, far from the sheet
-        assert obstacle.inside(pts).tolist() == [True, False, False, False]
-        assert obstacle.inside(np.zeros((0, 3))).shape == (0,)
+    @pytest.mark.parametrize("facing", [1, -1])
+    def test_open_cap_matches_closed_box(self, facing):
+        # a cap is tested from its occlusal side, so it holds what the box
+        # holds; below its hole (beyond the gum line) lies outside this test
+        center, half = (0.2, -0.1, 0.3), (1.0, 1.5, 0.8)
+        box, cap = make_box(center, half), open_cap(center, half, facing)
+        for crown in (make_uv_sphere((0.9, 0.4, 0.3 + 0.9 * facing), 0.8, 24, 32),
+                      make_uv_sphere((-0.5, 1.2, 0.3 - 0.9 * facing), 0.7, 24, 32)):
+            want = intersection_volume(crown, box, (0, 0, facing), 0.02)
+            assert want > 0.01
+            assert intersection_volume(crown, cap, (0, 0, facing), 0.02) == want
+        pts = np.random.default_rng(3).uniform([-2, -2, -1], [2, 2, 2], size=(2000, 3))
+        pts = pts[facing * (pts[:, 2] - 0.3) > -0.8]
+        want = points_inside_mesh(pts, box, (0, 0, facing))
+        assert 0 < want.sum() < len(pts)
+        assert np.array_equal(points_inside_mesh(pts, cap, (0, 0, facing)), want)
+        assert np.array_equal(points_inside_mesh(pts, box, (0, 0, -facing)), want)
 
 
 class TestPointsInsideMesh:
     def test_box_inside_outside(self):
         box = make_box((0, 0, 0), (1, 1, 1))
         pts = [[0, 0, 0], [0.9, 0.9, 0.9], [1.1, 0, 0], [5, 5, 5]]
-        inside = points_inside_mesh(pts, box)
+        inside = points_inside_mesh(pts, box, UP)
         assert inside.tolist() == [True, True, False, False]
 
     def test_sphere_inside(self):
@@ -121,19 +129,18 @@ class TestPointsInsideMesh:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-2, 6, size=(500, 3))
         want = np.linalg.norm(pts - [1, 2, 3], axis=1) < 1.97  # mesh slightly inside
-        got = points_inside_mesh(pts, sphere)
+        got = points_inside_mesh(pts, sphere, UP)
         # chordal flattening makes the mesh slightly smaller than the sphere
         boundary = np.abs(np.linalg.norm(pts - [1, 2, 3], axis=1) - 2.0) < 0.05
         assert np.array_equal(got[~boundary],
                               (np.linalg.norm(pts - [1, 2, 3], axis=1) < 2.0)[~boundary])
 
 
-def brute_force_inside(points, mesh):
-    """Oracle: ray parity over every (point, triangle) pair, along the same ray."""
-    from crownfit.fitting import _RAY_DIR
+def brute_force_inside(points, mesh, ray):
+    """Oracle: ray parity over every (point, triangle) pair, along ``ray``."""
     tri = mesh.vertices[mesh.faces]
     e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-    pvec = np.cross(_RAY_DIR, e2)
+    pvec = np.cross(ray, e2)
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > 1e-14
     inside = []
@@ -142,9 +149,9 @@ def brute_force_inside(points, mesh):
         qvec = np.cross(tvec, e1)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.einsum("ij,ij->i", tvec, pvec) / det
-            v = qvec @ _RAY_DIR / det
+            v = qvec @ ray / det
             t = np.einsum("ij,ij->i", qvec, e2) / det
-        hits = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
+            hits = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
         inside.append(hits.sum() % 2 == 1)
     return np.array(inside)
 
@@ -169,23 +176,26 @@ ORACLE_MESHES = {
     "box": lambda: make_box((0.3, -0.2, 0.1), (1.0, 2.0, 0.5)),
     "sphere": lambda: make_uv_sphere((1, 2, 3), 2.0, 24, 32),
     "crown": lambda: generate_crown_fixture("bumped_posterior").mesh,
+    "cap": lambda: open_cap((0.3, -0.2, 0.1), (1.0, 2.0, 0.5), spacing=0.5),
 }
 
 
 class TestCulledInsideTestEquivalence:
     @pytest.mark.parametrize("name", list(ORACLE_MESHES))
     def test_matches_all_pairs_oracle(self, name):
+        from crownfit.fitting import _RAY_DIR
         mesh = ORACLE_MESHES[name]()
         pts = inside_probe_points(mesh, np.random.default_rng(7))
-        want = brute_force_inside(pts, mesh)
-        assert 0 < want.sum() < len(pts)
-        assert np.array_equal(points_inside_mesh(pts, mesh), want)
+        for side, ray in ((UP, _RAY_DIR), (DOWN, -_RAY_DIR)):
+            want = brute_force_inside(pts, mesh, ray)
+            assert 0 < want.sum() < len(pts)
+            assert np.array_equal(points_inside_mesh(pts, mesh, side), want)
 
     def test_empty_inputs(self):
         box = make_box((0, 0, 0), (1, 1, 1))
-        assert points_inside_mesh(np.zeros((0, 3)), box).shape == (0,)
+        assert points_inside_mesh(np.zeros((0, 3)), box, UP).shape == (0,)
         empty = LabeledMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-        assert not points_inside_mesh([[0.0, 0.0, 0.0]], empty).any()
+        assert not points_inside_mesh([[0.0, 0.0, 0.0]], empty, UP).any()
 
 
 class TestVoxelMaskEquivalence:
@@ -198,13 +208,14 @@ class TestVoxelMaskEquivalence:
         lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
         lo, hi = lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)
         res = float(np.prod(hi - lo) / 4000) ** (1 / 3)
-        shift = (_GRID_SHIFT[0], _GRID_SHIFT[1], 2 * _GRID_SHIFT[1])
-        xs, ys, zs = (lo[k] + (np.arange(int(np.ceil((hi[k] - lo[k]) / res))) + 0.5 + shift[k])
-                      * res for k in range(3))
+        xs, ys, zs = (lo[k] + (np.arange(int(np.ceil((hi[k] - lo[k]) / res)))
+                               + 0.5 + _GRID_SHIFT[k]) * res for k in range(3))
         centres = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
-        want = brute_force_inside(centres, mesh)
-        assert 0 < want.sum() < len(want)
-        assert np.array_equal(_column_inside(mesh, xs, ys, zs).ravel(), want)
+        xy = centres[::len(zs), :2]
+        for up in (True, False):
+            want = brute_force_inside(centres, mesh, np.array([0.0, 0.0, 1.0 if up else -1.0]))
+            assert 0 < want.sum() < len(want)
+            assert np.array_equal(_column_inside(mesh, xy, zs, up).ravel(), want)
 
 
 class TestInterproximal:
@@ -213,8 +224,8 @@ class TestInterproximal:
         walls = two_walls(9.9)
         params = FittingParams(voxel_resolution=0.02)
         trace = []
-        fitted, scale = interproximal_adapt(sphere, walls, params, trace=trace)
-        assert intersection_volume(fitted, walls, 0.02) <= params.v_int_threshold
+        fitted, scale = interproximal_adapt(sphere, walls, UP, params, trace=trace)
+        assert intersection_volume(fitted, walls, UP, 0.02) <= params.v_int_threshold
         assert scale < 1.0
         phases = [t["phase"] for t in trace]
         assert "grow" not in phases
@@ -224,36 +235,36 @@ class TestInterproximal:
         walls = two_walls(10.0)
         params = FittingParams(voxel_resolution=0.02)
         trace = []
-        fitted, scale = interproximal_adapt(sphere, walls, params, trace=trace)
+        fitted, scale = interproximal_adapt(sphere, walls, UP, params, trace=trace)
         predicted = 10.0 / 8.0 * 0.99
         assert predicted * 0.99 <= scale <= predicted * 1.01  # within one step
         phases = [t["phase"] for t in trace]
         assert "shrink" not in phases
         assert phases[-1] == "functional_gap"
-        assert intersection_volume(fitted, walls, 0.02) <= params.v_int_threshold
+        assert intersection_volume(fitted, walls, UP, 0.02) <= params.v_int_threshold
 
     def test_just_touching_boundary_behavior(self):
         sphere = make_uv_sphere((0, 0, 0), 4.999, 36, 48)
         walls = two_walls(10.0)
         trace = []
-        fitted, scale = interproximal_adapt(sphere, walls,
+        fitted, scale = interproximal_adapt(sphere, walls, UP,
                                             FittingParams(voxel_resolution=0.02),
                                             trace=trace)
-        assert intersection_volume(fitted, walls, 0.02) <= 1e-6
+        assert intersection_volume(fitted, walls, UP, 0.02) <= 1e-6
         assert len(trace) >= 2  # documented by the trace
 
     def test_scaling_keeps_centroid_fixed(self):
         sphere = make_uv_sphere((2.0, -1.0, 3.0), 5.0, 36, 48)
         walls = two_walls(9.9)
         walls = walls.with_vertices(walls.vertices + [2.0, -1.0, 3.0])
-        fitted, _ = interproximal_adapt(sphere, walls, FittingParams(voxel_resolution=0.02))
+        fitted, _ = interproximal_adapt(sphere, walls, UP, FittingParams(voxel_resolution=0.02))
         drift = np.linalg.norm(fitted.centroid() - sphere.centroid())
         assert drift <= 1e-9
 
     def test_scale_trace_monotone_per_case(self):
         sphere = make_uv_sphere((0, 0, 0), 5.0, 36, 48)
         trace = []
-        interproximal_adapt(sphere, two_walls(9.9),
+        interproximal_adapt(sphere, two_walls(9.9), UP,
                             FittingParams(voxel_resolution=0.02), trace=trace)
         scales = [t["scale"] for t in trace if t["phase"] == "shrink"]
         assert all(b < a for a, b in zip(scales, scales[1:])) or len(scales) <= 1
@@ -262,7 +273,7 @@ class TestInterproximal:
         sphere = make_uv_sphere((0, 0, 0), 5.0, 24, 32)
         walls = two_walls(9.0)
         with pytest.raises(NonConvergenceError) as err:
-            interproximal_adapt(sphere, walls,
+            interproximal_adapt(sphere, walls, UP,
                                 FittingParams(voxel_resolution=0.05, max_scale_iters=2))
         assert len(err.value.trace) >= 1
 
@@ -271,14 +282,17 @@ class TestInterproximal:
     def test_open_patches(self, radius, gap, phase):
         sphere = make_uv_sphere((0, 0, 0), radius, 24, 32)
         trace = []
-        fitted, scale = interproximal_adapt(sphere, open_patches(gap),
-                                            FittingParams(voxel_resolution=0.02), trace=trace)
+        params = FittingParams(voxel_resolution=0.02)
+        fitted, scale = interproximal_adapt(sphere, two_caps(gap), UP, params, trace=trace)
         phases = {t["phase"] for t in trace}
         assert phase in phases and phases <= {"initial", phase, "functional_gap"}
         assert trace[0]["volume"] > 0 if phase == "shrink" else trace[0]["volume"] == 0
         assert trace[-1]["volume"] == 0.0
-        # the crown ends clear of both sheets' planes
+        # the crown ends clear of both caps, as against two closed walls
         assert np.abs(fitted.vertices[:, 0]).max() < gap / 2
+        closed = []
+        interproximal_adapt(sphere, two_walls(gap), UP, params, trace=closed)
+        assert trace == closed
         if phase == "grow":
             predicted = gap / (2 * radius) * 0.99
             assert predicted * 0.99 <= scale <= predicted * 1.01
@@ -287,7 +301,7 @@ class TestInterproximal:
         sphere = make_uv_sphere((0, 0, 0), 4.0, 24, 32)
         open_crown = sphere.submesh(np.arange(1, sphere.n_faces))
         with pytest.raises(ValueError, match="watertight"):
-            interproximal_adapt(open_crown, two_walls(10.0))
+            interproximal_adapt(open_crown, two_walls(10.0), UP)
 
 
 class TestCentering:
@@ -360,7 +374,9 @@ class TestModeA:
     def test_single_penetrating_cusp_resolved_locally(self):
         fixture = generate_crown_fixture("bumped_posterior")
         crown = fixture.mesh
-        plate = self.plate_above(crown, 0.15)  # clips only the tallest cusp
+        # the plate's bottom at 7.11 mm clips the three tallest cusps, at
+        # 7.26, 7.20 and 7.14 mm; the tallest takes two rounds to clear
+        plate = self.plate_above(crown, 0.15)
         params = FittingParams()
         trace = []
         out = occlusal_correct_posterior(crown, plate, (0, 0, 1), params, trace=trace)
@@ -368,7 +384,7 @@ class TestModeA:
         drop = crown.vertices[apex, 2] - out.vertices[apex, 2]
         assert np.isclose(drop, 0.2, atol=1e-9)  # two tap rounds of delta
         assert len([t for t in trace if t["colliding"]]) == 2
-        assert not points_inside_mesh(out.vertices, plate).any()
+        assert not points_inside_mesh(out.vertices, plate, DOWN).any()
         # locality: vertices beyond the falloff radius of the colliding cusp
         # keep bit-identical coordinates
         colliding = {v for t in trace for v in t["colliding"]}
@@ -423,7 +439,7 @@ class TestModeA:
         assert sorted(trace[0]["colliding"]) == sorted(clipped)
         assert trace[-1]["colliding"] == []
         assert np.all(out.vertices[clipped, 2] < plate_z)
-        assert not _obstacle(plate, params.proximity_band).inside(out.vertices).any()
+        assert not points_inside_mesh(out.vertices, plate, DOWN).any()
         colliding = {v for t in trace for v in t["colliding"]}
         d_to_coll = np.min(np.linalg.norm(
             crown.vertices[:, None, :] - crown.vertices[list(colliding)][None, :, :],
@@ -432,15 +448,16 @@ class TestModeA:
         assert np.array_equal(out.vertices[far], crown.vertices[far])
 
 
-def oracle_shifts(crown, plate_vertices, plate_z, params):
-    """Shift count of the anterior mode against a downward-facing flat sheet,
-    from all-pairs distances: a vertex interferes when it lies above the sheet
-    within the band of its nearest sheet vertex or, if none does, within
-    proximity_dist of a sheet vertex."""
+def oracle_shifts(crown, plate, params):
+    """Shift count of the anterior mode against an ``open_plate``, from
+    all-pairs distances: a vertex interferes when it lies above the plate's
+    occlusal face within its footprint or, if none does, within
+    proximity_dist of a plate vertex."""
+    lo, hi = plate.vertices.min(axis=0), plate.vertices.max(axis=0)
     for k in range(params.max_shift_iters + 1):
         pts = crown.vertices - [0, 0, k * params.delta]
-        dist = np.linalg.norm(pts[:, None, :] - plate_vertices[None], axis=2).min(axis=1)
-        inside = (pts[:, 2] > plate_z) & (dist < params.proximity_band)
+        dist = np.linalg.norm(pts[:, None, :] - plate.vertices[None], axis=2).min(axis=1)
+        inside = (pts[:, 2] > lo[2]) & np.all((pts[:, :2] > lo[:2]) & (pts[:, :2] < hi[:2]), axis=1)
         if not inside.any() and not (dist < params.proximity_dist).any():
             return k
     raise AssertionError("oracle found no clear shift")
@@ -488,15 +505,18 @@ class TestModeB:
         params = FittingParams()
         trace = []
         out = occlusal_correct_anterior(crown, plate, (0, 0, 1), params, trace=trace)
-        want = oracle_shifts(crown, plate.vertices, plate_z, params)
+        want = oracle_shifts(crown, plate, params)
         assert want > 3  # the vertex proximity term acts beyond the 0.25 mm depth
         assert trace[-1]["shifts"] == want
         assert np.allclose(crown.vertices - out.vertices, [0, 0, want * params.delta])
 
     def test_obstacle_derived_once_over_many_steps(self, monkeypatch):
-        fixture = generate_crown_fixture("smooth_anterior")
-        crown = fixture.mesh
-        plate = open_plate(crown.vertices[:, 2].max() - 0.25)
+        # shaped like a pipeline fit: open neighbour patches, a closed antagonist
+        crown = generate_crown_fixture("smooth_anterior").mesh
+        width = np.ptp(crown.vertices[:, 0])
+        neighbors = two_caps(0.95 * width)
+        # 1 mm into the crown before scaling, so the crown still reaches it after
+        antagonist = make_box((0, 0, crown.vertices[:, 2].max() - 1.0 + 3.0), (12, 12, 3))
         builds, checks = [], []
         index_cls, watertight = fitting.SpatialIndex, fitting.is_watertight
 
@@ -511,11 +531,11 @@ class TestModeB:
 
         monkeypatch.setattr(fitting, "SpatialIndex", CountingIndex)
         monkeypatch.setattr(fitting, "is_watertight", counting_watertight)
-        trace = []
-        occlusal_correct_anterior(crown, plate, (0, 0, 1), FittingParams(), trace=trace)
-        assert trace[-1]["shifts"] > 3
-        assert builds == [plate.n_vertices]
-        assert checks == [plate.n_faces]
+        _, report = fit_crown(crown, neighbors, antagonist, fdi=41)
+        assert report.mode == "anterior"
+        assert len(report.scale_trace) > 3 and report.occlusal_trace[-1]["shifts"] > 3
+        assert builds == [antagonist.n_vertices]
+        assert checks == [crown.n_faces] * 2  # interproximal scaling and the residual
 
 
 class TestFitCrown:
@@ -533,9 +553,24 @@ class TestFitCrown:
         fitted, report = fit_crown(crown, walls, plate, fdi=36, params=params)
         assert report.mode == "posterior"
         assert report.centering_applied
-        assert intersection_volume(fitted, walls, 0.02) <= params.v_int_threshold
-        assert not points_inside_mesh(fitted.vertices, plate).any()
+        assert intersection_volume(fitted, walls, UP, 0.02) <= params.v_int_threshold
+        assert not points_inside_mesh(fitted.vertices, plate, DOWN).any()
         assert report.final_scale > 0
+
+    def test_upper_mirror_fits_like_lower(self):
+        # a lower molar between open neighbour patches under an open
+        # antagonist patch, and the same scene z-mirrored as an upper molar
+        crown = generate_crown_fixture("bumped_posterior").mesh
+        scene = (crown, two_caps(0.97 * np.ptp(crown.vertices[:, 0])),
+                 open_plate(crown.vertices[:, 2].max() - 0.15))
+        params = FittingParams(voxel_resolution=0.05)
+        lower, low = fit_crown(*scene, fdi=36, params=params)
+        upper, up = fit_crown(*(mirror_z(m) for m in scene), fdi=16, params=params)
+        assert low.scale_trace[0]["volume"] > 0
+        assert [(t["phase"], t["scale"]) for t in up.scale_trace] == \
+            [(t["phase"], t["scale"]) for t in low.scale_trace]
+        assert up.occlusal_trace == low.occlusal_trace
+        assert np.allclose(mirror_z(upper).vertices, lower.vertices, atol=1e-9)
 
     def test_anterior_mode_routing_rigid(self):
         fixture = generate_crown_fixture("smooth_anterior")
@@ -561,7 +596,7 @@ class TestFitCrown:
         fitted, report = fit_crown(crown, walls, None, fdi=36, params=params)
         assert report.centering_applied
         assert report.residual_neighbor_volume <= params.v_int_threshold
-        assert intersection_volume(fitted, walls, 0.02) <= params.v_int_threshold
+        assert intersection_volume(fitted, walls, UP, 0.02) <= params.v_int_threshold
 
     def test_missing_opposing_skips_step3(self):
         crown, walls, _ = self.posterior_case()

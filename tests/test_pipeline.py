@@ -95,10 +95,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             config_from_dict({"registration": {key: 1}})
 
+    def test_retired_fitting_key_rejected(self):
+        with pytest.raises(ValueError, match="proximity_band"):
+            config_from_dict({"fitting": {"proximity_band": 0.5}})
+
     @pytest.mark.parametrize("section, key, value", [
         ("fitting", "falloff_radius", 0.0),
         ("fitting", "cusp_count", -1),
-        ("fitting", "proximity_band", 0.0),
         ("fitting", "proximity_dist", -0.1),
         ("refine", "smoothness", -1.0),
     ])
@@ -129,7 +132,7 @@ class TestRunPipeline:
         assert fit["residual_neighbor_volume"] <= cfg.fitting.v_int_threshold
 
     def test_fitted_crown_passes_post_invariants(self, finished_run):
-        from crownfit.fitting import intersection_volume, points_inside_mesh
+        from crownfit.fitting import intersection_volume, occlusal_direction, points_inside_mesh
         root, manifest, cfg, report = finished_run
         out_dir = Path(cfg.output_dir)
         fitted = load_mesh(out_dir / "fitted_crown.ply")
@@ -138,12 +141,12 @@ class TestRunPipeline:
         mesial, distal = neighbor_fdis(manifest["case"]["target_fdi"])
         faces = np.nonzero(np.isin(labels, [fdi_to_class(mesial), fdi_to_class(distal)]))[0]
         neighbors = refined.submesh(faces)
-        v = intersection_volume(fitted, neighbors, cfg.fitting.voxel_resolution,
-                                band=cfg.fitting.proximity_band)
+        up = occlusal_direction(manifest["case"]["target_fdi"])
+        v = intersection_volume(fitted, neighbors, up, cfg.fitting.voxel_resolution)
         assert v <= cfg.fitting.v_int_threshold
         antagonist = load_mesh(manifest["case"]["antagonist"])
         assert is_watertight(antagonist)
-        assert not points_inside_mesh(fitted.vertices, antagonist).any()
+        assert not points_inside_mesh(fitted.vertices, antagonist, -up).any()
 
     def test_refine_metrics_recorded(self, finished_run):
         _, _, _, report = finished_run

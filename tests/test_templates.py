@@ -5,7 +5,8 @@ import pytest
 
 from crownfit.errors import DegenerateGeometryError
 from crownfit.mesh import GINGIVA, PREPARED, LabeledMesh, PointCloud, RigidTransform
-from crownfit.synth import ArchSpec, fdi_to_class, generate_arch, partial_spec
+from crownfit.synth import (ArchSpec, coverage_classes, fdi_to_class, generate_arch,
+                            partial_spec)
 from crownfit.templates import (CentroidCurve, build_average_curve, build_template_library,
                                 derive_partials, extract_tooth_centroids,
                                 load_template_library, save_template_library,
@@ -175,6 +176,13 @@ def library():
 class TestLibrary:
     def test_six_partials(self, library):
         assert len(library.partials) == 6
+
+    def test_partials_keep_what_a_partial_scan_covers(self, library):
+        for (jaw, side), mesh in library.partials.items():
+            master = library.master_upper if jaw == "Upper" else library.master_lower
+            teeth = set(np.unique(master.face_labels).tolist()) - {GINGIVA}
+            kept = set(np.unique(mesh.face_labels).tolist()) - {GINGIVA}
+            assert kept == teeth & set(coverage_classes(side.lower())), (jaw, side)
 
     def test_partial_registers_back_with_high_fitness(self, library):
         from crownfit.registration import RegistrationParams, fine_register

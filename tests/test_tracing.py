@@ -35,7 +35,8 @@ def test_trace_targets_install_and_restore():
         for (mod, attr), value in original.items():
             assert getattr(importlib.import_module(mod), attr) is not value, f"{mod}.{attr}"
         fitting = importlib.import_module("crownfit.fitting")
-        fitting.points_inside_mesh([[0.0, 0.0, 0.0]], make_box((0, 0, 0), (1, 1, 1)))
+        fitting.points_inside_mesh([[0.0, 0.0, 0.0]], make_box((0, 0, 0), (1, 1, 1)),
+                                   (0, 0, 1))
         assert [span[0] for span in tracer.spans] == ["fitting.points_inside_mesh"]
     finally:
         tracer.restore()
