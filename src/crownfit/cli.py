@@ -13,15 +13,12 @@ from pathlib import Path
 
 import click
 
-from .classify import ScanClass, classify
+from .classify import ScanClass
 from .config import PipelineConfig, load_config
 from .fixtures import generate_fixture_corpus
-from .mesh import estimate_vertex_normals
 from .meshio import load_mesh, save_mesh
-from .pipeline import (STAGES, evaluate_labels, run_pipeline, stage_align, stage_fit,
-                       stage_refine, stage_retrieve, _classifier_for)
-from .registration import register_with_routing
-from .templates import load_template_library
+from .pipeline import (STAGES, evaluate_labels, run_pipeline, stage_align, stage_classify,
+                       stage_fit, stage_refine, stage_register, stage_retrieve, with_normals)
 
 
 def _load_cfg(ctx) -> PipelineConfig:
@@ -57,11 +54,9 @@ def _write_report(report_path, payload):
 @click.pass_context
 def classify_cmd(ctx, scan, report_path):
     """Assign the scan class (full/partial, side, jaw)."""
-    cfg = _load_cfg(ctx)
-    mesh = estimate_vertex_normals(load_mesh(scan))
-    scan_class, confidence = classify(_classifier_for(cfg, scan), mesh)
-    click.echo(f"{scan_class.value} confidence={confidence:.3f}")
-    _write_report(report_path, {"class": scan_class.value, "confidence": confidence})
+    _, payload = stage_classify(with_normals(load_mesh(scan)), _load_cfg(ctx), scan)
+    click.echo(f"{payload['class']} confidence={payload['confidence']:.3f}")
+    _write_report(report_path, payload)
 
 
 @main.command("register")
@@ -76,22 +71,16 @@ def register_cmd(ctx, scan, scan_class_name, out_path, report_path):
     cfg = _load_cfg(ctx)
     if cfg.template_dir is None:
         raise click.UsageError("registration needs template_dir in the config")
-    mesh = estimate_vertex_normals(load_mesh(scan))
+    mesh = with_normals(load_mesh(scan))
     if scan_class_name:
         scan_class = ScanClass(scan_class_name)
     else:
-        scan_class, _ = classify(_classifier_for(cfg, scan), mesh)
-    library = load_template_library(cfg.template_dir)
-    result = register_with_routing(mesh, scan_class, library, cfg.registration)
-    save_mesh(mesh.transformed(result.transform), out_path, "PLY")
-    click.echo(f"template={result.chosen_template} fitness={result.fitness:.4f} "
-               f"rmse={result.inlier_rmse:.4f}")
-    _write_report(report_path, {
-        "chosen_template": result.chosen_template,
-        "fitness": result.fitness,
-        "inlier_rmse": result.inlier_rmse,
-        "transform": result.transform.matrix().tolist(),
-    })
+        scan_class, _ = stage_classify(mesh, cfg, scan)
+    canonical, payload = stage_register(mesh, scan_class, cfg)
+    save_mesh(canonical, out_path, "PLY")
+    click.echo(f"template={payload['chosen_template']} fitness={payload['fitness']:.4f} "
+               f"rmse={payload['inlier_rmse']:.4f}")
+    _write_report(report_path, payload)
 
 
 @main.command("refine")
@@ -107,8 +96,7 @@ def refine_cmd(ctx, scan, probs_path, out_path):
     if probs_path:
         cfg = replace(cfg, segmentation=replace(
             cfg.segmentation, provider="file", probabilities_path=probs_path))
-    mesh = estimate_vertex_normals(load_mesh(scan))
-    labels, _ = stage_refine(mesh, cfg, scan)
+    labels, _ = stage_refine(with_normals(load_mesh(scan)), None, cfg, scan)
     Path(out_path).write_text(json.dumps([int(v) for v in labels]))
     click.echo(f"wrote {out_path} ({len(labels)} faces)")
 
@@ -119,13 +107,12 @@ def refine_cmd(ctx, scan, probs_path, out_path):
 @click.pass_context
 def retrieve_cmd(ctx, scan, fdi):
     """Pick the donor jaw and crown template for the target position."""
-    cfg = _load_cfg(ctx)
-    mesh = estimate_vertex_normals(load_mesh(scan))
+    mesh = with_normals(load_mesh(scan))
     if mesh.face_labels is None:
         raise click.UsageError("retrieve needs a labeled canonical scan")
-    outcome = stage_retrieve(mesh, mesh.face_labels, fdi, cfg)
-    click.echo(f"donor={outcome.donor_jaw} score={outcome.jaw_score:.4f} "
-               f"template={outcome.template_id} crown_score={outcome.crown_score:.4f}")
+    _, payload = stage_retrieve(mesh, mesh.face_labels, fdi, _load_cfg(ctx))
+    click.echo(f"donor={payload['donor_jaw']} score={payload['jaw_score']:.4f} "
+               f"template={payload['template_id']} crown_score={payload['crown_score']:.4f}")
 
 
 @main.command("align")
@@ -139,15 +126,15 @@ def align_cmd(ctx, scan, crown_path, fdi, out_path):
     """Spline-guided sequential alignment of a crown template."""
     from .alignment import CrownTemplate
 
-    cfg = _load_cfg(ctx)
-    mesh = estimate_vertex_normals(load_mesh(scan))
+    mesh = with_normals(load_mesh(scan))
     if mesh.face_labels is None:
         raise click.UsageError("align needs a labeled canonical scan")
-    crown = CrownTemplate.from_mesh(estimate_vertex_normals(load_mesh(crown_path)))
-    result, aligned, _ = stage_align(mesh, mesh.face_labels, fdi, crown, cfg)
+    crown = CrownTemplate.from_mesh(with_normals(load_mesh(crown_path)))
+    aligned, payload = stage_align(mesh, mesh.face_labels, fdi, crown, _load_cfg(ctx))
     save_mesh(aligned, out_path, "PLY")
-    for step in result.steps:
-        click.echo(f"{step.name}: angle={step.angle_deg:.3f} deg dot={step.achieved_dot:.6f}")
+    for step in payload["steps"]:
+        click.echo(f"{step['name']}: angle={step['angle_deg']:.3f} deg "
+                   f"dot={step['achieved_dot']:.6f}")
 
 
 @main.command("fit")
@@ -160,16 +147,14 @@ def align_cmd(ctx, scan, crown_path, fdi, out_path):
 @click.pass_context
 def fit_cmd(ctx, crown, scan_path, fdi, antagonist_path, out_path):
     """Interproximal scaling, centering, and occlusal correction."""
-    cfg = _load_cfg(ctx)
-    crown_mesh = load_mesh(crown)
-    scan = estimate_vertex_normals(load_mesh(scan_path))
+    scan = with_normals(load_mesh(scan_path))
     if scan.face_labels is None:
         raise click.UsageError("fit needs a labeled canonical scan")
-    antagonist = load_mesh(antagonist_path) if antagonist_path else None
-    fitted, report = stage_fit(crown_mesh, scan, scan.face_labels, fdi, antagonist, cfg)
+    fitted, payload = stage_fit(load_mesh(crown), scan, scan.face_labels, fdi,
+                                antagonist_path, _load_cfg(ctx))
     save_mesh(fitted, out_path, "PLY")
-    click.echo(f"mode={report.mode} final_scale={report.final_scale:.4f} "
-               f"residual={report.residual_neighbor_volume:.2e}")
+    click.echo(f"mode={payload['mode']} final_scale={payload['final_scale']:.4f} "
+               f"residual={payload['residual_neighbor_volume']:.2e}")
 
 
 @main.command("run")
@@ -184,7 +169,9 @@ def run_cmd(ctx, scan, fdi, antagonist_path, stop_after, report_path):
     """Run the full pipeline on a scan."""
     cfg = _load_cfg(ctx)
     run_report = Path(cfg.output_dir) / "report.json"
-    run_report.unlink(missing_ok=True)  # a failure is told from this run's report only
+    # a failure is told from this run's report only
+    for stale in filter(None, (run_report, report_path)):
+        Path(stale).unlink(missing_ok=True)
     try:
         report = run_pipeline(scan, fdi, cfg, antagonist_path=antagonist_path,
                               stop_after=stop_after)
@@ -193,11 +180,12 @@ def run_cmd(ctx, scan, fdi, antagonist_path, stop_after, report_path):
                  if run_report.exists() else "before any stage")
         click.echo(f"pipeline failed {where}: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
+    finally:
+        if report_path and run_report.exists():
+            Path(report_path).write_bytes(run_report.read_bytes())
     for stage in report.stages:
         click.echo(f"{stage['name']}: {stage['seconds']:.2f}s")
-    click.echo(f"report: {Path(cfg.output_dir) / 'report.json'}")
-    if report_path:
-        report.write(report_path)
+    click.echo(f"report: {run_report}")
 
 
 @main.command("evaluate")

@@ -1,8 +1,12 @@
 """End-to-end orchestration: classify, register, refine, retrieve, align, fit.
 
-Each stage records its outcome and wall time in the run report; outputs are
-written as PLY meshes plus a versioned JSON report. A fixed config seed makes
-the whole run deterministic (reports differ only in timing fields).
+Each ``stage_<name>`` returns its result and its report payload; the CLI's
+subcommands call the same functions. ``run_pipeline`` runs them in one loop
+that times each stage, saves its artifact and records its payload, plus a
+versioned JSON report. A stage's time covers everything it reads, computes
+and writes; only loading the scan comes before the first stage. A fixed
+config seed makes the whole run deterministic (reports differ only in timing
+fields).
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import (AlignmentResult, CrownTemplate, TargetVectors, align_crown,
-                        fit_arch_spline, robust_target, spline_frame_at)
-from .classify import BaselineGeometricClassifier, ExternalSidecarClassifier, classify
+from .alignment import (CrownTemplate, TargetVectors, align_crown, fit_arch_spline,
+                        robust_target, spline_frame_at)
+from .classify import (BaselineGeometricClassifier, ExternalSidecarClassifier, ScanClass,
+                       classify)
 from .config import PipelineConfig
 from .errors import NonConvergenceError, PipelineError
-from .fitting import FittingReport, fit_crown, occlusal_direction
-from .labels import (FaceLabelProbabilities, corrupt_labels, graphcut_refine,
-                     load_probabilities, reassign_small_components)
+from .fitting import fit_crown, occlusal_direction
+from .labels import corrupt_labels, graphcut_refine, load_probabilities, reassign_small_components
 from .mesh import (NUM_CLASSES, PREPARED, LabeledMesh, bounding_box_diagonal,
                    estimate_vertex_normals)
 from .meshio import load_mesh, save_mesh
@@ -31,10 +35,13 @@ from .registration import register_with_routing
 from .retrieval import (ContextQuery, geometric_embedding, load_embedding_index,
                         match_context, retrieve_crown)
 from .synth import fdi_is_valid, fdi_to_class
-from .templates import load_template_library
+from .templates import extract_tooth_centroids, load_template_library
 
 REPORT_SCHEMA_VERSION = 1
 STAGES = ("classify", "register", "refine", "retrieve", "align", "fit")
+# the mesh a stage leaves, saved as <name>.ply in the output directory
+ARTIFACTS = {"register": "canonical_pose", "refine": "refined_labels",
+             "align": "aligned_crown", "fit": "fitted_crown"}
 
 
 def neighbor_fdis(fdi: int) -> tuple[int, int | None]:
@@ -55,6 +62,16 @@ def neighbor_fdis(fdi: int) -> tuple[int, int | None]:
     return mesial, distal
 
 
+def context_faces(labels: np.ndarray, fdi: int) -> dict[int, np.ndarray]:
+    """Face indices of each labeled neighbor of ``fdi``, mesial then distal."""
+    out = {}
+    for ctx in filter(None, neighbor_fdis(fdi)):  # no distal neighbor is None
+        faces = np.nonzero(labels == fdi_to_class(ctx))[0]
+        if faces.size:
+            out[ctx] = faces
+    return out
+
+
 @dataclass
 class RunReport:
     schema_version: int = REPORT_SCHEMA_VERSION
@@ -65,28 +82,47 @@ class RunReport:
     outputs: dict = field(default_factory=dict)
     error: dict | None = None
 
-    def add_stage(self, name: str, seconds: float, payload: dict) -> None:
-        self.stages.append({"name": name, "seconds": seconds, **payload})
-
     def write(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
-def _classifier_for(config: PipelineConfig, scan_path):
-    if config.classifier.provider == "external":
-        return ExternalSidecarClassifier(scan_path)
-    return BaselineGeometricClassifier(config.classifier)
-
-
-def _ensure_normals(mesh: LabeledMesh) -> LabeledMesh:
+def with_normals(mesh: LabeledMesh) -> LabeledMesh:
+    """The mesh as loaded, with vertex normals estimated if it carries none."""
     return mesh if mesh.vertex_normals is not None else estimate_vertex_normals(mesh)
 
 
 # ---------------------------------------------------------------- stages
 
 
-def stage_refine(canonical: LabeledMesh, config: PipelineConfig,
-                 scan_path=None) -> tuple[np.ndarray, FaceLabelProbabilities]:
+def stage_classify(scan: LabeledMesh, config: PipelineConfig,
+                   scan_path) -> tuple[ScanClass, dict]:
+    """The scan's class from the configured provider."""
+    if config.classifier.provider == "external":
+        provider = ExternalSidecarClassifier(scan_path)
+    else:
+        provider = BaselineGeometricClassifier(config.classifier)
+    scan_class, confidence = classify(provider, scan)
+    return scan_class, {"class": scan_class.value, "confidence": confidence}
+
+
+def stage_register(scan: LabeledMesh, scan_class: ScanClass,
+                   config: PipelineConfig) -> tuple[LabeledMesh, dict]:
+    """The scan moved into the canonical template frame."""
+    if config.template_dir is None:
+        raise PipelineError("registration needs template_dir configured", stage="register")
+    library = load_template_library(config.template_dir)
+    reg = register_with_routing(scan, scan_class, library, config.registration)
+    return scan.transformed(reg.transform), {
+        "fitness": reg.fitness,
+        "inlier_rmse": reg.inlier_rmse,
+        "chosen_template": reg.chosen_template,
+        "transform": reg.transform.matrix().tolist(),
+    }
+
+
+def stage_refine(canonical: LabeledMesh, fdi: int | None, config: PipelineConfig,
+                 scan_path) -> tuple[np.ndarray, dict]:
+    """Refined face labels; with ground truth on the scan, metrics too."""
     seg = config.segmentation
     if seg.provider == "corruptor":
         if canonical.face_labels is None:
@@ -106,7 +142,12 @@ def stage_refine(canonical: LabeledMesh, config: PipelineConfig,
         probs = load_probabilities(path)
     labels = graphcut_refine(canonical, probs, config.refine.graphcut_params())
     labels = reassign_small_components(labels, canonical, config.refine.min_component_faces)
-    return labels, probs
+    payload = {"n_classes": probs.n_classes}
+    if canonical.face_labels is not None:
+        payload["metrics"] = segmentation_metrics(
+            labels, canonical.face_labels, canonical, prep_fdi=fdi, seed=config.seed
+        )
+    return labels, payload
 
 
 def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
@@ -134,18 +175,15 @@ def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
     }
     if prep_fdi is not None:
         mesial, distal = neighbor_fdis(prep_fdi)
+        regions = {
+            "prepared": PREPARED if np.any(gt == PREPARED) else fdi_to_class(prep_fdi),
+            "adjacent_mesial": fdi_to_class(mesial),
+            "adjacent_distal": fdi_to_class(distal) if distal is not None else None,
+        }
         rows = {}
-        regions = [("prepared", None), ("adjacent_mesial", mesial), ("adjacent_distal", distal)]
-        for name, f in regions:
-            if name == "prepared":
-                gt_cls = PREPARED if np.any(gt == PREPARED) else fdi_to_class(prep_fdi)
-            elif f is None:
-                rows[name] = {"absent": True}
-                continue
-            else:
-                gt_cls = fdi_to_class(f)
-            gt_faces = np.nonzero(gt == gt_cls)[0]
-            if gt_faces.size == 0:
+        for name, gt_cls in regions.items():
+            gt_faces = np.nonzero(gt == gt_cls)[0] if gt_cls is not None else []
+            if len(gt_faces) == 0:
                 rows[name] = {"absent": True}
                 continue
             pred_faces = np.nonzero(pred == gt_cls)[0]
@@ -160,29 +198,17 @@ def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
     return out
 
 
-@dataclass(frozen=True)
-class RetrievalOutcome:
-    donor_jaw: str
-    jaw_score: float
-    template_id: str
-    crown_score: float
-    crown: CrownTemplate
-
-
 def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
-                   config: PipelineConfig) -> RetrievalOutcome:
+                   config: PipelineConfig) -> tuple[CrownTemplate, dict]:
+    """The crown template retrieved for ``fdi`` from its context teeth."""
     rc = config.retrieval
     if rc.jaw_store is None or rc.crown_dir is None:
         raise PipelineError("retrieval needs jaw_store and crown_dir configured", stage="retrieve")
     crown_dir = Path(rc.crown_dir)
     index = load_embedding_index(rc.jaw_store, crown_dir / "crowns.bin")
 
-    slots = {}
-    mesial, distal = neighbor_fdis(fdi)
-    for ctx_fdi in [mesial] + ([distal] if distal is not None else []):
-        faces = np.nonzero(labels == fdi_to_class(ctx_fdi))[0]
-        if faces.size:
-            slots[ctx_fdi] = geometric_embedding(canonical, faces)
+    slots = {ctx: geometric_embedding(canonical, faces)
+             for ctx, faces in context_faces(labels, fdi).items()}
     if not slots:
         raise PipelineError("no context teeth found for retrieval", stage="retrieve")
     query = ContextQuery(target_fdi=fdi, slots=slots)
@@ -192,8 +218,12 @@ def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
 
     manifest = json.loads((crown_dir / "crowns.json").read_text())
     mesh = load_mesh(crown_dir / manifest["templates"][template_id], "PLY")
-    crown = CrownTemplate.from_mesh(_ensure_normals(mesh))
-    return RetrievalOutcome(donor_jaw, jaw_score, template_id, crown_score, crown)
+    return CrownTemplate.from_mesh(with_normals(mesh)), {
+        "donor_jaw": donor_jaw,
+        "jaw_score": jaw_score,
+        "template_id": template_id,
+        "crown_score": crown_score,
+    }
 
 
 def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
@@ -203,8 +233,6 @@ def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
     The prepared region (class 17 when present, else the target class) takes
     the target position's slot in the ordering.
     """
-    from .templates import extract_tooth_centroids
-
     cents = extract_tooth_centroids(mesh.with_labels(labels))
     target_cls = fdi_to_class(target_fdi)
     if PREPARED in cents:
@@ -236,8 +264,8 @@ def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
 
 
 def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
-                crown: CrownTemplate, config: PipelineConfig
-                ) -> tuple[AlignmentResult, LabeledMesh, TargetVectors]:
+                crown: CrownTemplate, config: PipelineConfig) -> tuple[LabeledMesh, dict]:
+    """The crown moved onto the preparation by spline-guided alignment."""
     seq, midline_index, prep_centroid = arch_centroid_sequence(labels, canonical, fdi)
     spline = fit_arch_spline([c for _, c in seq], midline_index=midline_index)
     v_m_ref, v_b_ref = spline_frame_at(spline, prep_centroid)
@@ -245,8 +273,7 @@ def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
     target_cls = fdi_to_class(fdi)
     prep_mask = labels == (PREPARED if np.any(labels == PREPARED) else target_cls)
     prep_vertices = np.unique(canonical.faces[prep_mask])
-    mesh = _ensure_normals(canonical)
-    prep_normals = mesh.vertex_normals[prep_vertices]
+    prep_normals = canonical.vertex_normals[prep_vertices]
 
     tau = config.alignment.tau
     targets = TargetVectors(
@@ -259,26 +286,46 @@ def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
         occlusal_axis=occlusal_direction(fdi),
     )
     result = align_crown(crown, targets)
-    aligned = crown.mesh.transformed(result.transform)
-    return result, aligned, targets
+    return crown.mesh.transformed(result.transform), {
+        "steps": [
+            {"name": s.name, "angle_deg": s.angle_deg, "achieved_dot": s.achieved_dot}
+            for s in result.steps
+        ],
+        "prep_centroid": targets.prep_centroid.tolist(),
+    }
 
 
 def stage_fit(aligned: LabeledMesh, canonical: LabeledMesh, labels: np.ndarray,
-              fdi: int, antagonist: LabeledMesh | None, config: PipelineConfig
-              ) -> tuple[LabeledMesh, FittingReport]:
-    mesial, distal = neighbor_fdis(fdi)
-    neighbor_faces = []
-    for ctx in [mesial] + ([distal] if distal is not None else []):
-        neighbor_faces.append(np.nonzero(labels == fdi_to_class(ctx))[0])
-    neighbor_faces = np.concatenate([f for f in neighbor_faces if f.size]) \
-        if any(f.size for f in neighbor_faces) else np.zeros(0, dtype=np.int64)
-    if neighbor_faces.size == 0:
+              fdi: int, antagonist_path, config: PipelineConfig) -> tuple[LabeledMesh, dict]:
+    """The aligned crown fitted between its neighbors and, when an antagonist
+    path is given, against the antagonist loaded from it."""
+    antagonist = load_mesh(antagonist_path) if antagonist_path is not None else None
+    faces = context_faces(labels, fdi)
+    if not faces:
         raise PipelineError("no neighbor faces found for fitting", stage="fit")
-    neighbors = canonical.submesh(neighbor_faces)
-    return fit_crown(aligned, neighbors, antagonist, fdi, config.fitting)
+    neighbors = canonical.submesh(np.concatenate(list(faces.values())))
+    fitted, report = fit_crown(aligned, neighbors, antagonist, fdi, config.fitting)
+    return fitted, {**asdict(report), "antagonist_missing": antagonist is None}
 
 
 # ---------------------------------------------------------------- end-to-end
+
+
+def _stages(scan, scan_path, fdi, config, antagonist_path):
+    """Run the stages in ``STAGES`` order, yielding each one's payload and the
+    mesh it leaves (None for a stage without an artifact)."""
+    scan_class, payload = stage_classify(scan, config, scan_path)
+    yield payload, None
+    canonical, payload = stage_register(scan, scan_class, config)
+    yield payload, canonical
+    labels, payload = stage_refine(canonical, fdi, config, scan_path)
+    yield payload, canonical.with_labels(labels)
+    crown, payload = stage_retrieve(canonical, labels, fdi, config)
+    yield payload, None
+    aligned, payload = stage_align(canonical, labels, fdi, crown, config)
+    yield payload, aligned
+    fitted, payload = stage_fit(aligned, canonical, labels, fdi, antagonist_path, config)
+    yield payload, fitted
 
 
 def run_pipeline(
@@ -291,9 +338,12 @@ def run_pipeline(
     """Execute the pipeline, writing stage artifacts and the JSON report.
 
     ``stop_after`` gates execution to the stages up to and including the
-    named one. Any exception aborts the run with a partial report whose
-    ``error`` names the stage in flight, the exception type and message (and
-    a ``NonConvergenceError``'s trace); the exception is then re-raised.
+    named one. Without ``antagonist_path`` the fit skips occlusal
+    correction; a given path that cannot be loaded fails the fit. Any
+    exception aborts the run with a partial report whose ``error`` names the
+    stage in flight (``classify`` while the scan loads), the exception type
+    and message (and a ``NonConvergenceError``'s trace); the exception is
+    then re-raised.
     """
     if not fdi_is_valid(fdi):
         raise ValueError(f"invalid FDI tooth number {fdi}")
@@ -302,97 +352,19 @@ def run_pipeline(
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(scan_path=str(scan_path), target_fdi=fdi, seed=config.seed)
-
-    def do_stage(name):
-        return stop_after is None or STAGES.index(name) <= STAGES.index(stop_after)
-
-    stage = "classify"
+    stage = STAGES[0]
     try:
-        scan = _ensure_normals(load_mesh(scan_path))
-
-        t0 = time.perf_counter()
-        scan_class, confidence = classify(_classifier_for(config, scan_path), scan)
-        report.add_stage("classify", time.perf_counter() - t0,
-                         {"class": scan_class.value, "confidence": confidence})
-        if not do_stage("register"):
-            return report
-
-        stage = "register"
-        if config.template_dir is None:
-            raise PipelineError("registration needs template_dir configured", stage="register")
-        library = load_template_library(config.template_dir)
-        t0 = time.perf_counter()
-        reg = register_with_routing(scan, scan_class, library, config.registration)
-        canonical = scan.transformed(reg.transform)
-        canonical_path = out_dir / "canonical_pose.ply"
-        save_mesh(canonical, canonical_path, "PLY")
-        report.add_stage("register", time.perf_counter() - t0, {
-            "fitness": reg.fitness,
-            "inlier_rmse": reg.inlier_rmse,
-            "chosen_template": reg.chosen_template,
-            "transform": reg.transform.matrix().tolist(),
-        })
-        report.outputs["canonical_pose"] = str(canonical_path)
-        if not do_stage("refine"):
-            return report
-
-        stage = "refine"
-        t0 = time.perf_counter()
-        labels, probs = stage_refine(canonical, config, scan_path)
-        refined = canonical.with_labels(labels)
-        refined_path = out_dir / "refined_labels.ply"
-        save_mesh(refined, refined_path, "PLY")
-        payload = {"n_classes": probs.n_classes}
-        if canonical.face_labels is not None:
-            payload["metrics"] = segmentation_metrics(
-                labels, canonical.face_labels, canonical, prep_fdi=fdi, seed=config.seed
-            )
-        report.add_stage("refine", time.perf_counter() - t0, payload)
-        report.outputs["refined_labels"] = str(refined_path)
-        if not do_stage("retrieve"):
-            return report
-
-        stage = "retrieve"
-        t0 = time.perf_counter()
-        retrieval = stage_retrieve(canonical, labels, fdi, config)
-        report.add_stage("retrieve", time.perf_counter() - t0, {
-            "donor_jaw": retrieval.donor_jaw,
-            "jaw_score": retrieval.jaw_score,
-            "template_id": retrieval.template_id,
-            "crown_score": retrieval.crown_score,
-        })
-        if not do_stage("align"):
-            return report
-
-        stage = "align"
-        t0 = time.perf_counter()
-        align_result, aligned, targets = stage_align(canonical, labels, fdi,
-                                                     retrieval.crown, config)
-        aligned_path = out_dir / "aligned_crown.ply"
-        save_mesh(aligned, aligned_path, "PLY")
-        report.add_stage("align", time.perf_counter() - t0, {
-            "steps": [
-                {"name": s.name, "angle_deg": s.angle_deg, "achieved_dot": s.achieved_dot}
-                for s in align_result.steps
-            ],
-            "prep_centroid": targets.prep_centroid.tolist(),
-        })
-        report.outputs["aligned_crown"] = str(aligned_path)
-        if not do_stage("fit"):
-            return report
-
-        stage = "fit"
-        antagonist = None
-        if antagonist_path is not None and Path(antagonist_path).exists():
-            antagonist = load_mesh(antagonist_path)
-        t0 = time.perf_counter()
-        fitted, fit_report = stage_fit(aligned, canonical, labels, fdi, antagonist, config)
-        fitted_path = out_dir / "fitted_crown.ply"
-        save_mesh(fitted, fitted_path, "PLY")
-        payload = asdict(fit_report)
-        payload["antagonist_missing"] = antagonist is None
-        report.add_stage("fit", time.perf_counter() - t0, payload)
-        report.outputs["fitted_crown"] = str(fitted_path)
+        scan = with_normals(load_mesh(scan_path))
+        steps = _stages(scan, scan_path, fdi, config, antagonist_path)
+        for stage in STAGES[:STAGES.index(stop_after or STAGES[-1]) + 1]:
+            t0 = time.perf_counter()
+            payload, artifact = next(steps)
+            if stage in ARTIFACTS:
+                path = out_dir / f"{ARTIFACTS[stage]}.ply"
+                save_mesh(artifact, path, "PLY")
+                report.outputs[ARTIFACTS[stage]] = str(path)
+            report.stages.append({"name": stage, "seconds": time.perf_counter() - t0,
+                                  **payload})
         return report
     except Exception as exc:
         report.error = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}

@@ -59,9 +59,6 @@ class CentroidCurve:
 
     means: dict
 
-    def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.means))
-
 
 def build_average_curve(scans: list[LabeledMesh]) -> CentroidCurve:
     """Arithmetic mean of per-scan centroids over scans containing each class."""

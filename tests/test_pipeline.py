@@ -156,15 +156,20 @@ class TestRunPipeline:
         assert ctx["prepared"]["class"] == PREPARED
         assert not ctx["prepared"]["miss"]
 
-    def test_stop_after_gates_artifacts(self, corpus, tmp_path):
+    @pytest.mark.parametrize("stop_after", STAGES)
+    def test_stop_after_gates_artifacts(self, corpus, tmp_path, stop_after):
         root, manifest = corpus
         cfg = _with_output(load_config(root / "config.json"), tmp_path / "gated")
-        report = run_pipeline(manifest["case"]["scan"], 36, cfg, stop_after="register")
-        assert [s["name"] for s in report.stages] == ["classify", "register"]
+        report = run_pipeline(manifest["case"]["scan"], 36, cfg, stop_after=stop_after)
+        ran = list(STAGES[:STAGES.index(stop_after) + 1])
+        assert [s["name"] for s in report.stages] == ran
+        artifacts = {"register": "canonical_pose", "refine": "refined_labels",
+                     "align": "aligned_crown", "fit": "fitted_crown"}
         out = Path(cfg.output_dir)
-        assert (out / "canonical_pose.ply").exists()
-        assert not (out / "refined_labels.ply").exists()
-        assert not (out / "fitted_crown.ply").exists()
+        assert report.outputs == {artifacts[s]: str(out / f"{artifacts[s]}.ply")
+                                  for s in ran if s in artifacts}
+        for stage, name in artifacts.items():
+            assert (out / f"{name}.ply").exists() == (stage in ran), name
 
     def test_missing_antagonist_skips_step3_with_flag(self, corpus, tmp_path):
         root, manifest = corpus
@@ -173,6 +178,16 @@ class TestRunPipeline:
         fit = report.stages[5]
         assert fit["antagonist_missing"]
         assert fit["mode"] == "skipped"
+
+    def test_antagonist_path_that_does_not_exist_fails_the_fit(self, corpus, tmp_path):
+        root, manifest = corpus
+        cfg = _with_output(load_config(root / "config.json"), tmp_path / "typo")
+        with pytest.raises(FileNotFoundError):
+            run_pipeline(manifest["case"]["scan"], 36, cfg,
+                         antagonist_path=tmp_path / "antagonst.ply")
+        payload = json.loads((Path(cfg.output_dir) / "report.json").read_text())
+        assert payload["error"]["stage"] == "fit"
+        assert [s["name"] for s in payload["stages"]] == list(STAGES[:-1])
 
     def test_invalid_fdi_rejected(self, corpus):
         root, manifest = corpus
@@ -318,15 +333,24 @@ class TestEvaluate:
 
 
 class TestCli:
-    def test_classify_command(self, corpus):
-        root, manifest = corpus
-        runner = CliRunner()
-        result = runner.invoke(main, ["classify", manifest["case"]["scan"]])
+    @staticmethod
+    def _stage_entry(report, name):
+        entry = next(s for s in report.stages if s["name"] == name)
+        return {k: v for k, v in entry.items() if k not in ("name", "seconds")}
+
+    def test_classify_command(self, finished_run, tmp_path):
+        root, manifest, _, report = finished_run
+        rep = tmp_path / "cls.json"
+        result = CliRunner().invoke(main, [
+            "--config", str(root / "config.json"),
+            "classify", manifest["case"]["scan"], "--report", str(rep),
+        ])
         assert result.exit_code == 0, result.output
         assert "FullLower" in result.output
+        assert json.loads(rep.read_text()) == self._stage_entry(report, "classify")
 
-    def test_register_command(self, corpus, tmp_path):
-        root, manifest = corpus
+    def test_register_command(self, finished_run, tmp_path):
+        root, manifest, _, report = finished_run
         runner = CliRunner()
         out = tmp_path / "canon.ply"
         rep = tmp_path / "reg.json"
@@ -338,6 +362,7 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert out.exists()
         assert json.loads(rep.read_text())["fitness"] > 0.9
+        assert json.loads(rep.read_text()) == self._stage_entry(report, "register")
 
     @staticmethod
     def _run_config(root, tmp_path):
@@ -372,16 +397,21 @@ class TestCli:
         monkeypatch.setattr(pipeline, "graphcut_refine", boom)
         root, manifest = corpus
         cfg_path = self._run_config(root, tmp_path)
-        result = CliRunner().invoke(main, [
-            "--config", str(cfg_path), "run", manifest["case"]["scan"], "--fdi", "36",
-        ])
+        rep = tmp_path / "copy.json"
+        run = ["--config", str(cfg_path), "run", manifest["case"]["scan"], "--report", str(rep)]
+        result = CliRunner().invoke(main, run + ["--fdi", "36", "--stop-after", "register"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(rep.read_text())["error"] is None
+        # --report gets this run's partial report, not the earlier run's
+        result = CliRunner().invoke(main, run + ["--fdi", "36"])
         assert result.exit_code == 1
         assert "pipeline failed at stage refine: ValueError: injected into refine" in result.output
-        result = CliRunner().invoke(main, [
-            "--config", str(cfg_path), "run", manifest["case"]["scan"], "--fdi", "99",
-        ])
+        assert rep.read_bytes() == (tmp_path / "cli_out" / "report.json").read_bytes()
+        assert json.loads(rep.read_text())["error"]["stage"] == "refine"
+        result = CliRunner().invoke(main, run + ["--fdi", "99"])
         assert result.exit_code == 1
         assert "pipeline failed before any stage: ValueError: invalid FDI" in result.output
+        assert not rep.exists()
 
     def test_evaluate_command(self, corpus, tmp_path):
         root, manifest = corpus
