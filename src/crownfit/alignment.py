@@ -242,17 +242,13 @@ class TargetVectors:
     toward the antagonist.
     """
 
-    v_mesial_ref: np.ndarray
-    v_buccal_ref: np.ndarray
     v_mesial_robust: np.ndarray
     v_buccal_robust: np.ndarray
     prep_centroid: np.ndarray
-    tau: float = DEFAULT_TAU
     occlusal_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        for name in ("v_mesial_ref", "v_buccal_ref", "v_mesial_robust",
-                     "v_buccal_robust", "occlusal_axis"):
+        for name in ("v_mesial_robust", "v_buccal_robust", "occlusal_axis"):
             v = np.asarray(getattr(self, name), dtype=np.float64).reshape(3)
             if abs(np.linalg.norm(v) - 1.0) > 1e-9:
                 raise ValueError(f"{name} must be unit length")
@@ -261,8 +257,6 @@ class TargetVectors:
             self, "prep_centroid",
             _freeze(np.asarray(self.prep_centroid, dtype=np.float64).reshape(3)),
         )
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -72,13 +72,11 @@ def _circular_mean(phi: np.ndarray) -> float:
 
 def baseline_geometric_classify(
     features: PointFeatures,
-    mesh: LabeledMesh,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> tuple[ScanClass, float]:
     if len(features) < config.min_points:
         raise ClassificationError(
-            f"too few points for classification ({len(features)} < {config.min_points})",
-            stage="classify",
+            f"too few points for classification ({len(features)} < {config.min_points})"
         )
     phi = features.azimuth
     span = _azimuthal_span_deg(phi, features.radius, config)
@@ -115,8 +113,8 @@ class BaselineGeometricClassifier:
     def __init__(self, config: ClassifierConfig = ClassifierConfig()):
         self.config = config
 
-    def classify(self, features: PointFeatures, mesh: LabeledMesh) -> tuple[ScanClass, float]:
-        return baseline_geometric_classify(features, mesh, self.config)
+    def classify(self, features: PointFeatures) -> tuple[ScanClass, float]:
+        return baseline_geometric_classify(features, self.config)
 
 
 class ExternalSidecarClassifier:
@@ -127,28 +125,23 @@ class ExternalSidecarClassifier:
         p = Path(scan_path)
         self.sidecar_path = p.with_suffix(p.suffix + ".class.json")
 
-    def classify(self, features: PointFeatures, mesh: LabeledMesh) -> tuple[ScanClass, float]:
+    def classify(self, features: PointFeatures) -> tuple[ScanClass, float]:
         try:
             payload = json.loads(self.sidecar_path.read_text())
             cls = ScanClass(payload["class"])
             confidence = float(payload["confidence"])
         except (OSError, KeyError, ValueError) as exc:
             raise ClassificationError(
-                f"bad classification sidecar {self.sidecar_path}: {exc}", stage="classify"
+                f"bad classification sidecar {self.sidecar_path}: {exc}"
             ) from exc
         return cls, confidence
 
 
 def classify(provider, scan: LabeledMesh) -> tuple[ScanClass, float]:
-    """Compute features from the scan and delegate to the provider."""
+    """Compute features from the scan and delegate to the provider, whose
+    errors propagate as raised."""
     if scan.vertex_normals is None:
         from .mesh import estimate_vertex_normals
 
         scan = estimate_vertex_normals(scan)
-    features = compute_point_features(scan.to_point_cloud())
-    try:
-        return provider.classify(features, scan)
-    except ClassificationError:
-        raise
-    except Exception as exc:
-        raise ClassificationError(str(exc), stage="classify") from exc
+    return provider.classify(compute_point_features(scan.to_point_cloud()))

@@ -1,25 +1,20 @@
-"""Exception and warning types shared across the pipeline."""
+"""Exception and warning types shared across the pipeline.
+
+An exception says what went wrong, not where: none carries a stage. The
+stage that failed is named once, by ``run_pipeline``'s stage loop, in the
+report's ``error.stage``.
+"""
 
 
 class PipelineError(Exception):
-    """Base class for pipeline failures. Carries an optional stage tag."""
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
-
-    def __str__(self):
-        base = super().__str__()
-        if self.stage:
-            return f"[{self.stage}] {base}"
-        return base
+    """Base class for pipeline failures."""
 
 
 class MeshFormatError(PipelineError):
     """Malformed mesh file. ``byte_offset`` locates the first bad byte when known."""
 
-    def __init__(self, message, byte_offset=None, stage=None):
-        super().__init__(message, stage=stage)
+    def __init__(self, message, byte_offset=None):
+        super().__init__(message)
         self.byte_offset = byte_offset
 
     def __str__(self):
@@ -56,8 +51,8 @@ class DegenerateGeometryError(PipelineError):
 class NonConvergenceError(PipelineError):
     """Iterative procedure hit its iteration cap. ``trace`` holds the history."""
 
-    def __init__(self, message, trace=None, stage=None):
-        super().__init__(message, stage=stage)
+    def __init__(self, message, trace=None):
+        super().__init__(message)
         self.trace = trace or []
 
 

@@ -315,7 +315,6 @@ def interproximal_adapt(
             raise NonConvergenceError(
                 f"interproximal scaling did not converge in {params.max_scale_iters} steps",
                 trace=trace,
-                stage="fit",
             )
         scale *= factor
         current = scale_about(crown, scale, center)
@@ -424,9 +423,7 @@ def occlusal_correct_posterior(
         moved = displacement > 0
         vertices[moved] -= displacement[moved, None] * d
     raise NonConvergenceError(
-        f"cusp tap-down unresolved after {params.max_tap_rounds} rounds",
-        trace=trace,
-        stage="fit",
+        f"cusp tap-down unresolved after {params.max_tap_rounds} rounds", trace=trace
     )
 
 
@@ -452,9 +449,7 @@ def occlusal_correct_anterior(
         current = current.with_vertices(current.vertices - params.delta * d)
         trace.append({"shifts": step + 1, "offset": (step + 1) * params.delta})
     raise NonConvergenceError(
-        f"anterior shift unresolved after {params.max_shift_iters} steps",
-        trace=trace,
-        stage="fit",
+        f"anterior shift unresolved after {params.max_shift_iters} steps", trace=trace
     )
 
 
@@ -478,7 +473,6 @@ class FittingReport:
     mode: str                 # "posterior" | "anterior" | "skipped"
     occlusal_trace: tuple
     centering_applied: bool
-    opposing_checked: bool
     residual_neighbor_volume: float
 
 
@@ -494,7 +488,7 @@ def fit_crown(
     Centering comes first: the neighbour-centroid midpoint is not the middle
     of the gap, so centering a crown already scaled to clear both neighbours
     could push it back into one.
-    A missing antagonist skips the occlusal step (flagged in the report);
+    A missing antagonist skips the occlusal step (report ``mode`` "skipped");
     centering requires exactly two neighbor components and is skipped with a
     flag otherwise.
     """
@@ -525,7 +519,6 @@ def fit_crown(
         mode=mode,
         occlusal_trace=tuple(occlusal_trace),
         centering_applied=centering_applied,
-        opposing_checked=opposing is not None,
         residual_neighbor_volume=residual,
     )
     return current, report

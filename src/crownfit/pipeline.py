@@ -37,7 +37,7 @@ from .retrieval import (ContextQuery, geometric_embedding, load_embedding_index,
 from .synth import fdi_is_valid, fdi_to_class
 from .templates import extract_tooth_centroids, load_template_library
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 STAGES = ("classify", "register", "refine", "retrieve", "align", "fit")
 # the mesh a stage leaves, saved as <name>.ply in the output directory
 ARTIFACTS = {"register": "canonical_pose", "refine": "refined_labels",
@@ -109,7 +109,7 @@ def stage_register(scan: LabeledMesh, scan_class: ScanClass,
                    config: PipelineConfig) -> tuple[LabeledMesh, dict]:
     """The scan moved into the canonical template frame."""
     if config.template_dir is None:
-        raise PipelineError("registration needs template_dir configured", stage="register")
+        raise PipelineError("registration needs template_dir configured")
     library = load_template_library(config.template_dir)
     reg = register_with_routing(scan, scan_class, library, config.registration)
     return scan.transformed(reg.transform), {
@@ -127,8 +127,7 @@ def stage_refine(canonical: LabeledMesh, fdi: int | None, config: PipelineConfig
     if seg.provider == "corruptor":
         if canonical.face_labels is None:
             raise PipelineError(
-                "corruptor segmentation provider needs ground-truth labels on the scan",
-                stage="refine",
+                "corruptor segmentation provider needs ground-truth labels on the scan"
             )
         probs = corrupt_labels(
             canonical.face_labels, NUM_CLASSES, seg.flip_fraction, seg.softness, config.seed
@@ -138,7 +137,7 @@ def stage_refine(canonical: LabeledMesh, fdi: int | None, config: PipelineConfig
         if path is None and scan_path is not None:
             path = str(Path(scan_path).with_suffix(".probs"))
         if path is None or not Path(path).exists():
-            raise PipelineError(f"probability file not found: {path}", stage="refine")
+            raise PipelineError(f"probability file not found: {path}")
         probs = load_probabilities(path)
     labels = graphcut_refine(canonical, probs, config.refine.graphcut_params())
     labels = reassign_small_components(labels, canonical, config.refine.min_component_faces)
@@ -203,14 +202,14 @@ def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
     """The crown template retrieved for ``fdi`` from its context teeth."""
     rc = config.retrieval
     if rc.jaw_store is None or rc.crown_dir is None:
-        raise PipelineError("retrieval needs jaw_store and crown_dir configured", stage="retrieve")
+        raise PipelineError("retrieval needs jaw_store and crown_dir configured")
     crown_dir = Path(rc.crown_dir)
     index = load_embedding_index(rc.jaw_store, crown_dir / "crowns.bin")
 
     slots = {ctx: geometric_embedding(canonical, faces)
              for ctx, faces in context_faces(labels, fdi).items()}
     if not slots:
-        raise PipelineError("no context teeth found for retrieval", stage="retrieve")
+        raise PipelineError("no context teeth found for retrieval")
     query = ContextQuery(target_fdi=fdi, slots=slots)
     donor_jaw, jaw_score = match_context(query, index)
     donor_embedding = index.jaws[donor_jaw][fdi]
@@ -240,17 +239,13 @@ def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
     elif target_cls in cents:
         prep_centroid = cents[target_cls]
     else:
-        raise PipelineError(
-            f"no faces labeled for the target FDI {target_fdi}", stage="align"
-        )
+        raise PipelineError(f"no faces labeled for the target FDI {target_fdi}")
     cents[target_cls] = prep_centroid
     # ordering: right distal (class 8) -> midline -> left distal (class 16)
     order = list(range(8, 0, -1)) + list(range(9, 17))
     seq = [(cls, cents[cls]) for cls in order if cls in cents]
     if len(seq) < 3:
-        raise PipelineError(
-            f"arch spline needs >=3 tooth centroids, found {len(seq)}", stage="align"
-        )
+        raise PipelineError(f"arch spline needs >=3 tooth centroids, found {len(seq)}")
     classes = [cls for cls, _ in seq]
     # midline sits between the class-1 and class-9 entries of the ordering
     left_start = next((i for i, cls in enumerate(classes) if cls >= 9), None)
@@ -277,12 +272,9 @@ def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
 
     tau = config.alignment.tau
     targets = TargetVectors(
-        v_mesial_ref=v_m_ref,
-        v_buccal_ref=v_b_ref,
         v_mesial_robust=robust_target(prep_normals, v_m_ref, tau),
         v_buccal_robust=robust_target(prep_normals, v_b_ref, tau),
         prep_centroid=prep_centroid,
-        tau=tau,
         occlusal_axis=occlusal_direction(fdi),
     )
     result = align_crown(crown, targets)
@@ -302,10 +294,10 @@ def stage_fit(aligned: LabeledMesh, canonical: LabeledMesh, labels: np.ndarray,
     antagonist = load_mesh(antagonist_path) if antagonist_path is not None else None
     faces = context_faces(labels, fdi)
     if not faces:
-        raise PipelineError("no neighbor faces found for fitting", stage="fit")
+        raise PipelineError("no neighbor faces found for fitting")
     neighbors = canonical.submesh(np.concatenate(list(faces.values())))
     fitted, report = fit_crown(aligned, neighbors, antagonist, fdi, config.fitting)
-    return fitted, {**asdict(report), "antagonist_missing": antagonist is None}
+    return fitted, asdict(report)
 
 
 # ---------------------------------------------------------------- end-to-end

@@ -85,9 +85,7 @@ def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> PreparedClou
     """
     down = voxel_downsample(cloud, params.voxel)
     if len(down) < 3:
-        raise CoarseRegistrationError(
-            f"need >=3 points after downsampling, got {len(down)}", stage="register"
-        )
+        raise CoarseRegistrationError(f"need >=3 points after downsampling, got {len(down)}")
     return PreparedCloud(down, compute_fpfh(down, params.fpfh_radius))
 
 
@@ -155,9 +153,7 @@ def match_features(source: PreparedCloud, target: PreparedCloud):
     back = _feature_correspondences(target.fpfh, source.fpfh)
     pool = np.nonzero(back[corr] == np.arange(len(corr)))[0]
     if len(pool) < 3:
-        raise CoarseRegistrationError(
-            f"need >=3 reciprocal feature matches, got {len(pool)}", stage="register"
-        )
+        raise CoarseRegistrationError(f"need >=3 reciprocal feature matches, got {len(pool)}")
     return corr, pool
 
 
@@ -217,9 +213,7 @@ def coarse_register(
             best = (key, candidate)
 
     if best is None:
-        raise CoarseRegistrationError(
-            "no correspondence has 2 compatible partners", stage="register"
-        )
+        raise CoarseRegistrationError("no correspondence has 2 compatible partners")
 
     transform = best[1]
     # one polish pass: re-fit on the inlier correspondences of the best model
@@ -331,8 +325,7 @@ def fine_register(
             if eig[0] < 1e-12 * eig[-1] or eig[-1] <= 0:
                 if not weighted:
                     raise RankDeficiencyError(
-                        "degenerate normal covariance in point-to-plane system",
-                        stage="register",
+                        "degenerate normal covariance in point-to-plane system"
                     )
                 continue
             xi = np.linalg.solve(a, b)
@@ -417,21 +410,18 @@ def register_with_routing(
 
     Full classes use the single matching master. Partial classes compete
     against the upper and lower partials of the side; the higher fitness
-    wins, ties break to Upper.
+    wins, ties break to Upper. The scan is prepared once, before routing, so
+    a scan too small to prepare raises ``CoarseRegistrationError`` whatever
+    its class.
     """
+    source = prepare_cloud(_mesh_cloud(scan), params)
     if scan_class.is_full:
         jaw = "Upper" if scan_class is ScanClass.FULL_UPPER else "Lower"
-        source = prepare_cloud(_mesh_cloud(scan), params)
         target = _template_cloud(library, jaw, None, params)
         result = register_pair(source, target, params)
         return replace(result, chosen_template=template_key(jaw, None))
 
     side = scan_class.side
-    try:
-        source = prepare_cloud(_mesh_cloud(scan), params)
-    except CoarseRegistrationError as exc:
-        raise RoutingError(f"scan cannot be registered against the {side} partials: {exc}",
-                           stage="register") from exc
     candidates = []
     failures = []
     for jaw in ("Upper", "Lower"):
@@ -445,8 +435,7 @@ def register_with_routing(
     if not candidates:
         raise RoutingError(
             f"coarse registration failed against both {side} partials: "
-            + "; ".join(f"{jaw}: {exc}" for jaw, exc in failures),
-            stage="register",
+            + "; ".join(f"{jaw}: {exc}" for jaw, exc in failures)
         )
     # highest fitness wins; Upper first on exact ties
     jaw, result = max(candidates, key=lambda item: (item[1].fitness, item[0] == "Upper"))

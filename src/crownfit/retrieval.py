@@ -71,7 +71,7 @@ def match_context(query: ContextQuery, index: EmbeddingIndex) -> tuple[str, floa
     smaller jaw id.
     """
     if not index.jaws:
-        raise NoMatchError("embedding index is empty", stage="retrieve")
+        raise NoMatchError("embedding index is empty")
     n_query = len(query.slots)
     best = None
     for jaw_id in sorted(index.jaws, key=str):
@@ -86,8 +86,7 @@ def match_context(query: ContextQuery, index: EmbeddingIndex) -> tuple[str, floa
             best = (jaw_id, score)
     if best is None:
         raise NoMatchError(
-            f"no candidate jaw shares at least half of the {n_query} context slots",
-            stage="retrieve",
+            f"no candidate jaw shares at least half of the {n_query} context slots"
         )
     return best
 

@@ -93,7 +93,7 @@ class ConstantClassifier:
         self.scan_class = scan_class
         self.confidence = confidence
 
-    def classify(self, features, mesh) -> tuple[ScanClass, float]:
+    def classify(self, features) -> tuple[ScanClass, float]:
         return self.scan_class, self.confidence
 
 

@@ -277,7 +277,6 @@ def test_crown_alignment_steps():
         v_b = np.cross(v_m, r.normal(size=3))
         v_b /= np.linalg.norm(v_b)
         targets = TargetVectors(
-            v_mesial_ref=[1, 0, 0], v_buccal_ref=[0, 1, 0],
             v_mesial_robust=v_m, v_buccal_robust=v_b,
             prep_centroid=r.uniform(-20, 20, size=3),
         )

@@ -21,8 +21,6 @@ def posterior_crown():
 def aligned_targets(crown, occlusal=None):
     """Targets equal to the crown's own normals: the fixed-point setup."""
     return TargetVectors(
-        v_mesial_ref=[1, 0, 0],
-        v_buccal_ref=[0, 1, 0],
         v_mesial_robust=crown.mesial_normal,
         v_buccal_robust=crown.buccal_normal,
         prep_centroid=crown.mesh.centroid(),
@@ -159,8 +157,7 @@ class TestAlignCrown:
             v_b = np.cross(v_m, helper)
             v_b /= np.linalg.norm(v_b)
             targets = TargetVectors(
-                v_mesial_ref=[1, 0, 0], v_buccal_ref=[0, 1, 0],
-                v_mesial_robust=v_m, v_buccal_robust=v_b,
+                    v_mesial_robust=v_m, v_buccal_robust=v_b,
                 prep_centroid=r.normal(size=3) * 10,
             )
             result = align_crown(crown, targets)
@@ -177,7 +174,6 @@ class TestAlignCrown:
         v_m = np.array([0.0, 1.0, 0.0])
         v_b = np.array([0.0, 0.0, 1.0])
         targets = TargetVectors(
-            v_mesial_ref=[1, 0, 0], v_buccal_ref=[0, 1, 0],
             v_mesial_robust=v_m, v_buccal_robust=v_b,
             prep_centroid=[0, 0, 0],
         )
@@ -196,7 +192,6 @@ class TestAlignCrown:
     def test_translation_takes_centroid_to_prep(self, posterior_crown):
         targets = aligned_targets(posterior_crown)
         targets = TargetVectors(
-            v_mesial_ref=targets.v_mesial_ref, v_buccal_ref=targets.v_buccal_ref,
             v_mesial_robust=targets.v_mesial_robust,
             v_buccal_robust=targets.v_buccal_robust,
             prep_centroid=[5.0, -3.0, 2.0],
@@ -208,7 +203,6 @@ class TestAlignCrown:
 
     def test_antiparallel_mesial_deterministic(self, posterior_crown):
         targets = TargetVectors(
-            v_mesial_ref=[1, 0, 0], v_buccal_ref=[0, 1, 0],
             v_mesial_robust=-posterior_crown.mesial_normal,
             v_buccal_robust=posterior_crown.buccal_normal,
             prep_centroid=[0, 0, 0],
@@ -221,7 +215,6 @@ class TestAlignCrown:
     def test_buccal_parallel_to_mesial_degenerate(self, posterior_crown):
         v = posterior_crown.buccal_normal
         targets = TargetVectors(
-            v_mesial_ref=[1, 0, 0], v_buccal_ref=[0, 1, 0],
             v_mesial_robust=posterior_crown.buccal_normal,  # mesial target = buccal normal
             v_buccal_robust=v,
             prep_centroid=[0, 0, 0],
@@ -246,6 +239,4 @@ class TestCrownTemplate:
 
     def test_targets_validation(self):
         with pytest.raises(ValueError, match="unit length"):
-            TargetVectors([2, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0])
-        with pytest.raises(ValueError, match="tau"):
-            TargetVectors([1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0], tau=1.5)
+            TargetVectors([2, 0, 0], [0, 1, 0], [0, 0, 0])

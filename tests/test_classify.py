@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from crownfit.classify import (BaselineGeometricClassifier, ExternalSidecarClassifier,
                                ScanClass, classify)
+from crownfit.config import config_from_dict
 from crownfit.errors import ClassificationError
 from crownfit.mesh import RigidTransform, estimate_vertex_normals
+from crownfit.meshio import save_mesh
+from crownfit.pipeline import run_pipeline
 from crownfit.synth import ArchSpec, PerturbSpec, generate_arch, partial_spec, perturb_pose
 from helpers import ConstantClassifier, mirror_x
 
@@ -73,7 +78,7 @@ class TestBaseline:
         f = compute_point_features(PointCloud(np.random.default_rng(0).normal(size=(50, 3)),
                                               normals=np.tile([0.0, 0, 1], (50, 1))))
         with pytest.raises(ClassificationError):
-            BaselineGeometricClassifier().classify(f, None)
+            BaselineGeometricClassifier().classify(f)
 
 
 class TestProviders:
@@ -94,11 +99,26 @@ class TestProviders:
         assert conf == 0.66
 
     def test_external_sidecar_missing_raises_with_stage(self, tmp_path, lower_arch):
+        # the error names the sidecar; the run's report names the stage
         mesh, _ = lower_arch
-        provider = ExternalSidecarClassifier(tmp_path / "absent.ply")
-        with pytest.raises(ClassificationError) as err:
-            classify(provider, mesh)
-        assert err.value.stage == "classify"
+        scan_path = tmp_path / "absent.ply"
+        save_mesh(mesh, scan_path, "PLY")
+        cfg = config_from_dict({"classifier": {"provider": "external"},
+                                "output_dir": str(tmp_path / "out")})
+        with pytest.raises(ClassificationError, match="bad classification sidecar") as err:
+            run_pipeline(scan_path, 36, cfg)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["error"] == {"stage": "classify", "type": "ClassificationError",
+                                   "message": str(err.value)}
+        assert report["stages"] == []
+
+    def test_provider_error_keeps_its_type(self, lower_arch):
+        class Broken:
+            def classify(self, features):
+                raise ZeroDivisionError("provider bug")
+
+        with pytest.raises(ZeroDivisionError, match="provider bug"):
+            classify(Broken(), lower_arch[0])
 
 
 def test_accuracy_on_100_scans_20_per_class():

@@ -603,7 +603,7 @@ class TestFitCrown:
         fitted, report = fit_crown(crown, walls, None, fdi=36,
                                    params=FittingParams(voxel_resolution=0.02))
         assert report.mode == "skipped"
-        assert not report.opposing_checked
+        assert report.occlusal_trace == ()
 
 
 def test_posterior_rule():

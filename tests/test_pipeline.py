@@ -104,6 +104,7 @@ class TestConfig:
         ("fitting", "cusp_count", -1),
         ("fitting", "proximity_dist", -0.1),
         ("refine", "smoothness", -1.0),
+        ("alignment", "tau", 1.5),
     ])
     def test_values_that_fail_mid_run_rejected_at_load(self, tmp_path, section, key, value):
         (tmp_path / "c.json").write_text(json.dumps({section: {key: value}}))
@@ -176,8 +177,10 @@ class TestRunPipeline:
         cfg = _with_output(load_config(root / "config.json"), tmp_path / "noant")
         report = run_pipeline(manifest["case"]["scan"], 36, cfg, antagonist_path=None)
         fit = report.stages[5]
-        assert fit["antagonist_missing"]
         assert fit["mode"] == "skipped"
+        assert not fit["occlusal_trace"]
+        # ``mode`` alone says that no antagonist was checked
+        assert "antagonist_missing" not in fit and "opposing_checked" not in fit
 
     def test_antagonist_path_that_does_not_exist_fails_the_fit(self, corpus, tmp_path):
         root, manifest = corpus
@@ -215,16 +218,19 @@ class TestRunPipeline:
             assert outputs[0][name] == outputs[1][name], f"{name} differs between runs"
         assert reports[0] == reports[1]
 
-    def test_stage_error_carries_tag_and_partial_report(self, corpus, tmp_path):
+    def test_stage_error_leaves_partial_report(self, corpus, tmp_path):
         root, manifest = corpus
         cfg = _with_output(load_config(root / "config.json"), tmp_path / "err")
         from dataclasses import replace
         cfg = replace(cfg, retrieval=replace(cfg.retrieval, jaw_store=None))
         with pytest.raises(PipelineError) as err:
             run_pipeline(manifest["case"]["scan"], 36, cfg)
-        assert err.value.stage == "retrieve"
+        expected = {"stage": "retrieve", "type": "PipelineError",
+                    "message": "retrieval needs jaw_store and crown_dir configured"}
+        # the stage is named once, by the report, not in the message
+        assert str(err.value) == expected["message"]
         payload = json.loads((Path(cfg.output_dir) / "report.json").read_text())
-        assert payload["error"]["stage"] == "retrieve"
+        assert payload["error"] == expected
         assert [s["name"] for s in payload["stages"]] == ["classify", "register", "refine"]
 
 
@@ -264,8 +270,7 @@ class TestFaultInjection:
         from crownfit.errors import NonConvergenceError
 
         def stuck(*args, **kwargs):
-            raise NonConvergenceError("stuck", trace=[{"phase": "grow", "scale": 1.01}],
-                                      stage="fit")
+            raise NonConvergenceError("stuck", trace=[{"phase": "grow", "scale": 1.01}])
 
         monkeypatch.setattr(pipeline, "fit_crown", stuck)
         root, manifest = corpus
@@ -275,6 +280,7 @@ class TestFaultInjection:
         error = json.loads((Path(cfg.output_dir) / "report.json").read_text())["error"]
         assert error["stage"] == "fit"
         assert error["type"] == "NonConvergenceError"
+        assert error["message"] == "stuck"
         assert error["trace"] == [{"phase": "grow", "scale": 1.01}]
 
 

@@ -285,11 +285,21 @@ class TestRouting:
         assert result.chosen_template == "partial_upper_center"
 
     def test_scan_too_small_keeps_error_type(self, library):
-        # three vertices inside one voxel downsample to a single point
+        # three vertices inside one voxel downsample to a single point; the
+        # scan is prepared before routing, so every class raises the same
         tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
-        with pytest.raises(CoarseRegistrationError):
-            register_with_routing(tiny, ScanClass.FULL_LOWER, library, PARAMS)
-        with pytest.raises(RoutingError):
+        for scan_class in ScanClass:
+            with pytest.raises(CoarseRegistrationError, match="after downsampling"):
+                register_with_routing(tiny, scan_class, library, PARAMS)
+
+    def test_both_partials_failing_raise_routing_error(self, library, monkeypatch):
+        def no_match(source, target, params):
+            raise CoarseRegistrationError("no match")
+
+        monkeypatch.setattr(registration, "prepare_cloud", lambda cloud, params: None)
+        monkeypatch.setattr(registration, "register_pair", no_match)
+        tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
+        with pytest.raises(RoutingError, match="Upper: no match; Lower: no match"):
             register_with_routing(tiny, ScanClass.PARTIAL_LEFT, library, PARAMS)
 
     def test_template_key_format(self):
