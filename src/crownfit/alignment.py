@@ -23,7 +23,6 @@ from .mesh import LabeledMesh, RigidTransform, _freeze
 LABEL_MESIAL = 101
 LABEL_BUCCAL = 102
 LABEL_OCCLUSAL = 103
-DEFAULT_TAU = 0.6
 _CURVATURE_EPS = 1e-9
 
 
@@ -156,8 +155,21 @@ def spline_frame_at(spline: ArchSpline, c_prep) -> tuple[np.ndarray, np.ndarray]
     return v_m, v_b
 
 
-def robust_target(prep_normals, ref, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Renormalized mean of the normals with dot(ref) > tau.
+@dataclass(frozen=True)
+class AlignmentParams:
+    """Step 2's gate, the ``alignment`` section of the pipeline config: a
+    normal joins a robust target when its dot with the reference exceeds
+    ``tau``."""
+
+    tau: float = 0.6
+
+    def __post_init__(self):
+        if not 0 < self.tau < 1:
+            raise ValueError("tau must lie in (0, 1)")
+
+
+def robust_target(prep_normals, ref, params: AlignmentParams = AlignmentParams()) -> np.ndarray:
+    """Renormalized mean of the normals with dot(ref) > ``params.tau``.
 
     Falls back to ``ref`` itself (with a warning) when no normal passes.
     """
@@ -166,10 +178,10 @@ def robust_target(prep_normals, ref, tau: float = DEFAULT_TAU) -> np.ndarray:
         raise ValueError("no normals given")
     ref = np.asarray(ref, dtype=np.float64).reshape(3)
     ref = ref / np.linalg.norm(ref)
-    keep = normals @ ref > tau
+    keep = normals @ ref > params.tau
     if not keep.any():
         warnings.warn(
-            f"no normal within acos({tau:.2f}) of the reference; using the reference",
+            f"no normal within acos({params.tau:.2f}) of the reference; using the reference",
             AlignmentWarning,
             stacklevel=2,
         )

@@ -138,10 +138,6 @@ class ExternalSidecarClassifier:
 
 
 def classify(provider, scan: LabeledMesh) -> tuple[ScanClass, float]:
-    """Compute features from the scan and delegate to the provider, whose
-    errors propagate as raised."""
-    if scan.vertex_normals is None:
-        from .mesh import estimate_vertex_normals
-
-        scan = estimate_vertex_normals(scan)
+    """Compute features from the scan, which carries vertex normals, and
+    delegate to the provider, whose errors propagate as raised."""
     return provider.classify(compute_point_features(scan.to_point_cloud()))

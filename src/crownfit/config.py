@@ -1,18 +1,21 @@
 """Pipeline configuration: one human-readable JSON file with per-stage blocks.
 
-Unknown keys are rejected so typos fail fast; paths are resolved relative to
-the config file's directory and validated when a stage needs them.
+Each stage module owns its block's class and defaults; this module adds the
+provider choices and the paths. Unknown keys are rejected so typos fail
+fast; paths are resolved relative to the config file's directory and
+validated when a stage needs them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
+from .alignment import AlignmentParams
 from .classify import ClassifierConfig
 from .fitting import FittingParams
-from .labels import GraphCutParams
+from .labels import RefineParams
 from .registration import RegistrationParams
 
 
@@ -37,6 +40,9 @@ class SegmentationConfig:
     def __post_init__(self):
         if self.provider not in ("corruptor", "file"):
             raise ValueError(f"unknown segmentation provider {self.provider!r}")
+        for name in ("flip_fraction", "softness"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -46,69 +52,34 @@ class RetrievalConfig:
 
 
 @dataclass(frozen=True)
-class AlignmentConfig:
-    tau: float = 0.6
-
-    def __post_init__(self):
-        if not 0 < self.tau < 1:
-            raise ValueError("tau must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    smoothness: float = 30.0
-    dihedral_sharpness: float = 5.0
-    min_component_faces: int = 10
-
-    def __post_init__(self):
-        self.graphcut_params()  # rejects a bad smoothness before any stage runs
-
-    def graphcut_params(self) -> GraphCutParams:
-        return GraphCutParams(self.smoothness, self.dihedral_sharpness)
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
     output_dir: str = "out"
     template_dir: str | None = None
     classifier: ClassifierSection = field(default_factory=ClassifierSection)
     registration: RegistrationParams = field(default_factory=RegistrationParams)
-    refine: RefineConfig = field(default_factory=RefineConfig)
+    refine: RefineParams = field(default_factory=RefineParams)
     segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
-    alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
+    alignment: AlignmentParams = field(default_factory=AlignmentParams)
     fitting: FittingParams = field(default_factory=FittingParams)
 
 
-_SECTIONS = {
-    "classifier": ClassifierSection,
-    "registration": RegistrationParams,
-    "refine": RefineConfig,
-    "segmentation": SegmentationConfig,
-    "retrieval": RetrievalConfig,
-    "alignment": AlignmentConfig,
-    "fitting": FittingParams,
-}
-_SCALARS = ("seed", "output_dir", "template_dir")
-
-
 def config_from_dict(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
-    payload = dict(payload)
+    """The config a JSON object describes; a ``PipelineConfig`` field whose
+    default is a dataclass is a section, read into that class."""
+    known = {f.name: f.default_factory for f in fields(PipelineConfig)}
     kwargs = {}
-    for key in list(payload):
-        if key in _SCALARS:
-            kwargs[key] = payload.pop(key)
-        elif key in _SECTIONS:
-            section_cls = _SECTIONS[key]
-            section = payload.pop(key)
-            allowed = {f.name for f in fields(section_cls)}
-            unknown = set(section) - allowed
+    for key, value in payload.items():
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        section_cls = known[key]
+        if is_dataclass(section_cls):
+            unknown = set(value) - {f.name for f in fields(section_cls)}
             if unknown:
                 raise ValueError(f"unknown keys in config section {key!r}: {sorted(unknown)}")
-            kwargs[key] = section_cls(**section)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+            value = section_cls(**value)
+        kwargs[key] = value
     cfg = PipelineConfig(**kwargs)
     if base_dir is not None:
         cfg = _resolve_paths(cfg, base_dir)
@@ -121,8 +92,6 @@ def _resolve_paths(cfg: PipelineConfig, base: Path) -> PipelineConfig:
             return None
         path = Path(p)
         return str(path if path.is_absolute() else base / path)
-
-    from dataclasses import replace
 
     return replace(
         cfg,

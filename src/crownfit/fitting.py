@@ -223,7 +223,7 @@ def _crown_components(crown: LabeledMesh) -> list[np.ndarray]:
 
 
 def intersection_volume(crown: LabeledMesh, other: LabeledMesh, occlusal_dir,
-                        resolution: float = 0.05) -> float:
+                        resolution: float) -> float:
     """Volume of the overlap of a watertight crown with another mesh, mm^3:
     the shared-grid voxel centres inside both, ``other`` tested from the side
     ``occlusal_dir`` points to."""

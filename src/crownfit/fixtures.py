@@ -110,12 +110,13 @@ def generate_fixture_corpus(out_dir, seed: int = 0, population: int = 4,
     from .labels import corrupt_labels, tune_smoothness
     from .mesh import NUM_CLASSES
 
+    base = PipelineConfig()
     val_mesh, val_gt = generate_arch(
         ArchSpec.standard("Lower", "full", seed=seed + 900, jitter_sigma=0.3))
-    val_probs = corrupt_labels(val_gt.labels, NUM_CLASSES, 0.05, 0.3, seed=seed + 901)
-    smoothness = tune_smoothness([(val_mesh, val_probs, val_gt.labels)])
+    val_probs = corrupt_labels(val_gt.labels, NUM_CLASSES, base.segmentation.flip_fraction,
+                               base.segmentation.softness, seed=seed + 901)
+    smoothness = tune_smoothness([(val_mesh, val_probs, val_gt.labels)], base.refine)
 
-    base = PipelineConfig()
     config = PipelineConfig(
         seed=seed,
         output_dir="out",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,16 +63,20 @@ class FaceLabelProbabilities:
 
 
 @dataclass(frozen=True)
-class GraphCutParams:
+class RefineParams:
+    """Graph-cut refinement and small-component cleanup: the ``refine``
+    section of the pipeline config."""
+
     smoothness: float = 30.0          # lambda
     dihedral_sharpness: float = 5.0   # beta
+    min_component_faces: int = 10
 
     def __post_init__(self):
         if self.smoothness < 0:
             raise ValueError("smoothness must be non-negative")
 
 
-def pairwise_weights(mesh: LabeledMesh, params: GraphCutParams):
+def pairwise_weights(mesh: LabeledMesh, params: RefineParams):
     """Adjacent face pairs and their smoothness weights (lambda included)."""
     pairs = face_adjacency(mesh)
     if len(pairs) == 0:
@@ -143,7 +147,7 @@ def _min_cut_assignment(cost0: np.ndarray, cost1: np.ndarray, pair_caps: np.ndar
 def graphcut_refine(
     mesh: LabeledMesh,
     probs: FaceLabelProbabilities,
-    params: GraphCutParams = GraphCutParams(),
+    params: RefineParams = RefineParams(),
 ) -> np.ndarray:
     """Alpha-expansion refinement of the argmax labeling.
 
@@ -201,23 +205,24 @@ def graphcut_refine(
 
 def tune_smoothness(
     cases: list,
+    params: RefineParams,
     candidates=(1.0, 2.0, 5.0, 10.0, 20.0, 30.0),
 ) -> float:
     """Validation-set tuning of the smoothness weight.
 
     ``cases`` is a list of (mesh, probabilities, ground-truth labels); the
     candidate maximizing mean refined accuracy wins, ties to the smaller
-    value. The dihedral sharpness stays at its ``GraphCutParams`` default. The
+    value. Each candidate replaces only the smoothness of ``params``. The
     chosen value is then applied unchanged downstream.
     """
     if not cases:
         raise ValueError("tuning needs at least one validation case")
     best = None
     for lam in candidates:
-        params = GraphCutParams(lam)
+        trial = replace(params, smoothness=lam)
         accs = []
         for mesh, probs, gt in cases:
-            refined = graphcut_refine(mesh, probs, params)
+            refined = graphcut_refine(mesh, probs, trial)
             accs.append(float((refined == np.asarray(gt)).mean()))
         score = float(np.mean(accs))
         if best is None or score > best[0]:
@@ -228,7 +233,7 @@ def tune_smoothness(
 def reassign_small_components(
     labels: np.ndarray,
     mesh: LabeledMesh,
-    min_faces: int = 10,
+    min_faces: int,
 ) -> np.ndarray:
     """Relabel same-label connected components smaller than min_faces to gingiva."""
     labels = np.asarray(labels, dtype=np.int64).copy()
@@ -275,9 +280,9 @@ def _renormalize(m: np.ndarray) -> np.ndarray:
 def corrupt_labels(
     labels: np.ndarray,
     n_classes: int,
-    flip_fraction: float = 0.05,
-    softness: float = 0.3,
-    seed: int = 0,
+    flip_fraction: float,
+    softness: float,
+    seed: int,
 ) -> FaceLabelProbabilities:
     """Ground-truth corruptor provider: flip a fraction of labels, then soften.
 

@@ -86,7 +86,7 @@ def centroid_error(pred_faces, gt_faces, mesh: LabeledMesh, bbox_diag: float) ->
     return float(d), False
 
 
-def bootstrap_ci(samples, b: int = 10_000, seed: int = 0) -> tuple[float, float]:
+def bootstrap_ci(samples, b: int, seed: int) -> tuple[float, float]:
     """95% percentile bootstrap CI of the mean over ``b`` resamples with replacement.
 
     Samples are sorted before resampling so the result is invariant to input

@@ -139,7 +139,7 @@ def stage_refine(canonical: LabeledMesh, fdi: int | None, config: PipelineConfig
         if path is None or not Path(path).exists():
             raise PipelineError(f"probability file not found: {path}")
         probs = load_probabilities(path)
-    labels = graphcut_refine(canonical, probs, config.refine.graphcut_params())
+    labels = graphcut_refine(canonical, probs, config.refine)
     labels = reassign_small_components(labels, canonical, config.refine.min_component_faces)
     payload = {"n_classes": probs.n_classes}
     if canonical.face_labels is not None:
@@ -270,10 +270,9 @@ def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
     prep_vertices = np.unique(canonical.faces[prep_mask])
     prep_normals = canonical.vertex_normals[prep_vertices]
 
-    tau = config.alignment.tau
     targets = TargetVectors(
-        v_mesial_robust=robust_target(prep_normals, v_m_ref, tau),
-        v_buccal_robust=robust_target(prep_normals, v_b_ref, tau),
+        v_mesial_robust=robust_target(prep_normals, v_m_ref, config.alignment),
+        v_buccal_robust=robust_target(prep_normals, v_b_ref, config.alignment),
         prep_centroid=prep_centroid,
         occlusal_axis=occlusal_direction(fdi),
     )

@@ -356,14 +356,6 @@ def fine_register(
 # ---------------------------------------------------------------- routing
 
 
-def _mesh_cloud(mesh: LabeledMesh) -> PointCloud:
-    if mesh.vertex_normals is None:
-        from .mesh import estimate_vertex_normals
-
-        mesh = estimate_vertex_normals(mesh)
-    return mesh.to_point_cloud()
-
-
 def register_pair(
     source: PreparedCloud,
     target: PreparedCloud,
@@ -381,7 +373,7 @@ def _template_cloud(library: TemplateLibrary, jaw: str, side: str | None,
     with ``params``' ``voxel`` and ``fpfh_radius``, else ``prepare_cloud``."""
     if library.prepared_key == (params.voxel, params.fpfh_radius):
         return PreparedCloud(*library.prepared_cloud(jaw, side))
-    return prepare_cloud(_mesh_cloud(library.mesh(jaw, side)), params)
+    return prepare_cloud(library.mesh(jaw, side).to_point_cloud(), params)
 
 
 def store_prepared_templates(directory, params: RegistrationParams) -> None:
@@ -395,7 +387,7 @@ def store_prepared_templates(directory, params: RegistrationParams) -> None:
     clouds = {}
     for jaw in JAWS:
         for side in (None, *SIDES):
-            prepared = prepare_cloud(_mesh_cloud(library.mesh(jaw, side)), params)
+            prepared = prepare_cloud(library.mesh(jaw, side).to_point_cloud(), params)
             clouds[template_key(jaw, side)] = (prepared.cloud, prepared.fpfh)
     save_prepared_clouds(directory, (params.voxel, params.fpfh_radius), clouds)
 
@@ -406,7 +398,8 @@ def register_with_routing(
     library: TemplateLibrary,
     params: RegistrationParams = RegistrationParams(),
 ) -> RegistrationResult:
-    """Register a scan against the templates its class routes to.
+    """Register a scan, which carries vertex normals, against the templates
+    its class routes to.
 
     Full classes use the single matching master. Partial classes compete
     against the upper and lower partials of the side; the higher fitness
@@ -414,7 +407,7 @@ def register_with_routing(
     a scan too small to prepare raises ``CoarseRegistrationError`` whatever
     its class.
     """
-    source = prepare_cloud(_mesh_cloud(scan), params)
+    source = prepare_cloud(scan.to_point_cloud(), params)
     if scan_class.is_full:
         jaw = "Upper" if scan_class is ScanClass.FULL_UPPER else "Lower"
         target = _template_cloud(library, jaw, None, params)

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crownfit.alignment import TargetVectors, align_crown, robust_target
+from crownfit.alignment import AlignmentParams, TargetVectors, align_crown, robust_target
 from crownfit.classify import ScanClass
 from crownfit.fitting import (FittingParams, detect_cusps, fit_crown, interproximal_adapt,
                               intersection_volume, occlusal_correct_anterior,
                               points_inside_mesh)
-from crownfit.labels import (FaceLabelProbabilities, GraphCutParams, graphcut_refine,
+from crownfit.labels import (FaceLabelProbabilities, RefineParams, graphcut_refine,
                              labeling_energy, pairwise_weights)
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
 from crownfit.metrics import bootstrap_ci, centroid_error, confusion, dsc, precision_recall
@@ -240,7 +240,7 @@ def test_graphcut_energy():
         mesh = strip_mesh(n, seed=trial)
         m = r.dirichlet(np.ones(3), size=n)
         probs = FaceLabelProbabilities(m)
-        params = GraphCutParams(smoothness=float(r.uniform(0.05, 2.5)))
+        params = RefineParams(smoothness=float(r.uniform(0.05, 2.5)))
         refined = graphcut_refine(mesh, probs, params)
         unary = -np.log(np.clip(m, 1e-12, 1.0))
         pairs, w = pairwise_weights(mesh, params)
@@ -252,7 +252,7 @@ def test_graphcut_energy():
     mesh = strip_mesh(10, seed=7)
     m = np.random.default_rng(7).dirichlet(np.ones(3), size=10)
     identity_ok = np.array_equal(
-        graphcut_refine(mesh, FaceLabelProbabilities(m), GraphCutParams(smoothness=0.0)),
+        graphcut_refine(mesh, FaceLabelProbabilities(m), RefineParams(smoothness=0.0)),
         m.argmax(axis=1))
     ok = argmax_ok and optimum_hits >= 90 and identity_ok
     report("graph-cut", ok,
@@ -295,7 +295,7 @@ def test_crown_alignment_steps():
         n = np.array([np.sin(np.radians(deg)), 0.0, np.cos(np.radians(deg))])
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")  # rejected case falls back by design
-            got = robust_target([n, -ref], ref, tau=0.6)
+            got = robust_target([n, -ref], ref, AlignmentParams(tau=0.6))
         tau_exact &= np.allclose(got, n if admitted else ref, atol=1e-12)
     ok = (count == 50 and worst_mesial >= 1.0 - 1e-9
           and worst_buccal_rad <= 1e-6 and worst_occlusal >= 0.999 and tau_exact)

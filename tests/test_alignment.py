@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crownfit.alignment import (DEFAULT_TAU, AlignmentResult, CrownTemplate, TargetVectors,
+from crownfit.alignment import (AlignmentParams, AlignmentResult, CrownTemplate, TargetVectors,
                                 align_crown, fit_arch_spline, robust_target,
                                 spline_frame_at)
 from crownfit.errors import AlignmentWarning, DegenerateGeometryError
@@ -104,11 +104,11 @@ class TestRobustTarget:
 
     def test_tau_admits_exactly_within_53_13_degrees(self):
         # acos(0.6) = 53.1301... degrees; the gate is a strict dot threshold
-        assert np.isclose(np.degrees(np.arccos(DEFAULT_TAU)), 53.13010235415598)
+        assert np.isclose(np.degrees(np.arccos(AlignmentParams().tau)), 53.13010235415598)
         ref = np.array([0.0, 0.0, 1.0])
         inside = np.array([np.sin(np.radians(53.0)), 0, np.cos(np.radians(53.0))])
         outside = np.array([np.sin(np.radians(53.2)), 0, np.cos(np.radians(53.2))])
-        out = robust_target([inside, outside], ref, tau=0.6)
+        out = robust_target([inside, outside], ref, AlignmentParams(tau=0.6))
         # only the inside normal passes: the mean equals it
         assert np.allclose(out, inside, atol=1e-12)
 
@@ -119,14 +119,20 @@ class TestRobustTarget:
 
     def test_empty_filter_falls_back_with_warning(self):
         with pytest.warns(AlignmentWarning):
-            out = robust_target([[0, 1, 0]], [1, 0, 0], tau=0.6)
+            out = robust_target([[0, 1, 0]], [1, 0, 0], AlignmentParams(tau=0.6))
         assert np.allclose(out, [1, 0, 0])
+
+    @pytest.mark.parametrize("tau", [0.0, 1.5])
+    def test_tau_outside_open_unit_interval_rejected(self, tau):
+        # a direct caller's tau is checked once, where the params are built
+        with pytest.raises(ValueError, match="tau"):
+            robust_target([[0, 0, 1]], [0, 0, 1], AlignmentParams(tau=tau))
 
     def test_output_dot_ref_at_least_tau(self, rng):
         ref = np.array([0.0, 0, 1.0])
         normals = rng.normal(size=(200, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        out = robust_target(normals, ref, tau=0.6)
+        out = robust_target(normals, ref, AlignmentParams(tau=0.6))
         if not np.allclose(out, ref):
             assert np.dot(out, ref) >= 0.6
 

@@ -96,7 +96,7 @@ class TestIntersectionVolume:
         box = make_box((0, 0, 0), (1, 1, 1))
         open_box = box.submesh(np.arange(1, box.n_faces))
         with pytest.raises(ValueError, match="watertight"):
-            intersection_volume(open_box, make_box((0.5, 0, 0), (1, 1, 1)), UP)
+            intersection_volume(open_box, make_box((0.5, 0, 0), (1, 1, 1)), UP, 0.05)
 
     @pytest.mark.parametrize("facing", [1, -1])
     def test_open_cap_matches_closed_box(self, facing):

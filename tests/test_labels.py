@@ -6,7 +6,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from crownfit.errors import MeshFormatError
-from crownfit.labels import (FaceLabelProbabilities, GraphCutParams, _cut_pattern,
+from crownfit.labels import (FaceLabelProbabilities, RefineParams, _cut_pattern,
                              _min_cut_assignment, corrupt_labels, graphcut_refine,
                              labeling_energy, load_probabilities, pairwise_weights,
                              reassign_small_components, tune_smoothness)
@@ -90,7 +90,7 @@ class TestGraphCut:
         mesh = strip_mesh(12, seed=1)
         m = rng.dirichlet(np.ones(4), size=12)
         probs = FaceLabelProbabilities(m)
-        out = graphcut_refine(mesh, probs, GraphCutParams(smoothness=0.0))
+        out = graphcut_refine(mesh, probs, RefineParams(smoothness=0.0))
         assert np.array_equal(out, m.argmax(axis=1))
 
     def test_flipped_face_corrected_with_strong_smoothness(self):
@@ -100,7 +100,7 @@ class TestGraphCut:
         m[:, 0] = 0.8
         m[4] = [0.2, 0.8]  # the flipped face
         probs = FaceLabelProbabilities(m)
-        params = GraphCutParams(smoothness=10.0)
+        params = RefineParams(smoothness=10.0)
         out = graphcut_refine(mesh, probs, params)
         assert np.all(out == 0)
         unary = -np.log(np.clip(m, 1e-12, 1.0))
@@ -115,7 +115,7 @@ class TestGraphCut:
             mesh = strip_mesh(n, seed=trial)
             m = rng.dirichlet(np.ones(3), size=n)
             probs = FaceLabelProbabilities(m)
-            params = GraphCutParams(smoothness=float(rng.uniform(0.1, 2.0)))
+            params = RefineParams(smoothness=float(rng.uniform(0.1, 2.0)))
             out = graphcut_refine(mesh, probs, params)
             unary = -np.log(np.clip(m, 1e-12, 1.0))
             pairs, w = pairwise_weights(mesh, params)
@@ -128,7 +128,7 @@ class TestGraphCut:
     def test_energy_never_above_argmax_on_arch(self, lower_arch, rng):
         mesh, gt = lower_arch
         probs = corrupt_labels(gt.labels, 18, flip_fraction=0.08, softness=0.35, seed=5)
-        params = GraphCutParams(smoothness=30.0)
+        params = RefineParams(smoothness=30.0)
         out = graphcut_refine(mesh, probs, params)
         unary = -np.log(np.clip(probs.matrix, 1e-12, 1.0))
         pairs, w = pairwise_weights(mesh, params)
@@ -138,27 +138,28 @@ class TestGraphCut:
     def test_refinement_improves_corrupted_accuracy(self, lower_arch):
         mesh, gt = lower_arch
         probs = corrupt_labels(gt.labels, 18, flip_fraction=0.05, softness=0.3, seed=3)
-        lam = tune_smoothness([(mesh, probs, gt.labels)], candidates=(2.0, 5.0, 10.0))
-        out = graphcut_refine(mesh, probs, GraphCutParams(smoothness=lam))
+        lam = tune_smoothness([(mesh, probs, gt.labels)], RefineParams(),
+                              candidates=(2.0, 5.0, 10.0))
+        out = graphcut_refine(mesh, probs, RefineParams(smoothness=lam))
         assert (out == gt.labels).mean() > (probs.argmax_labels() == gt.labels).mean()
 
     def test_tune_smoothness_prefers_accurate_candidate(self, lower_arch):
         mesh, gt = lower_arch
         probs = corrupt_labels(gt.labels, 18, flip_fraction=0.05, softness=0.3, seed=3)
-        lam = tune_smoothness([(mesh, probs, gt.labels)], candidates=(5.0, 60.0))
+        lam = tune_smoothness([(mesh, probs, gt.labels)], RefineParams(), candidates=(5.0, 60.0))
         assert lam == 5.0
         with pytest.raises(ValueError):
-            tune_smoothness([])
+            tune_smoothness([], RefineParams())
 
     def test_row_count_mismatch_rejected(self, rng):
         mesh = strip_mesh(5)
         probs = FaceLabelProbabilities(rng.dirichlet(np.ones(3), size=4))
         with pytest.raises(ValueError, match="face count"):
-            graphcut_refine(mesh, probs, GraphCutParams())
+            graphcut_refine(mesh, probs, RefineParams())
 
     def test_negative_smoothness_rejected(self):
         with pytest.raises(ValueError):
-            GraphCutParams(smoothness=-1.0)
+            RefineParams(smoothness=-1.0)
 
 
 def cut_energy(x, cost0, cost1, pairs, caps):

@@ -78,9 +78,30 @@ class TestConfig:
         from crownfit.config import save_config
         cfg = PipelineConfig()
         save_config(cfg, tmp_path / "c.json")
-        back = load_config(tmp_path / "c.json")
-        assert back.registration.voxel == cfg.registration.voxel
-        assert back.fitting.v_int_threshold == cfg.fitting.v_int_threshold
+        saved = json.loads((tmp_path / "c.json").read_text())
+        assert saved == {
+            "seed": 0,
+            "output_dir": "out",
+            "template_dir": None,
+            "classifier": {"full_span_deg": 240.0, "center_band_deg": 30.0, "span_bins": 72,
+                           "span_mass_threshold": 0.5, "span_radial_power": 1.5,
+                           "occlusal_dot_min": 0.7, "min_points": 100,
+                           "provider": "baseline"},
+            "registration": {"voxel": 0.8, "fpfh_radius_factor": 7.0, "edge_similarity": 0.95,
+                             "icp_max_corr_dist": 1.0, "icp_max_iters": 60,
+                             "icp_tolerance": 1e-6, "tukey_k": 0.5},
+            "refine": {"smoothness": 30.0, "dihedral_sharpness": 5.0,
+                       "min_component_faces": 10},
+            "segmentation": {"provider": "corruptor", "flip_fraction": 0.05, "softness": 0.3,
+                             "probabilities_path": None},
+            "retrieval": {"jaw_store": None, "crown_dir": None},
+            "alignment": {"tau": 0.6},
+            "fitting": {"v_int_threshold": 1e-6, "shrink": 0.99, "grow": 1.01, "delta": 0.1,
+                        "falloff_radius": 1.0, "cusp_count": 5, "cusp_normal_dot_min": 0.5,
+                        "proximity_dist": 0.2, "max_scale_iters": 500, "max_tap_rounds": 50,
+                        "max_shift_iters": 200, "voxel_resolution": 0.05},
+        }
+        assert config_from_dict(saved) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -104,6 +125,8 @@ class TestConfig:
         ("fitting", "cusp_count", -1),
         ("fitting", "proximity_dist", -0.1),
         ("refine", "smoothness", -1.0),
+        ("segmentation", "flip_fraction", 1.5),
+        ("segmentation", "softness", 1.5),
         ("alignment", "tau", 1.5),
     ])
     def test_values_that_fail_mid_run_rejected_at_load(self, tmp_path, section, key, value):

@@ -243,8 +243,8 @@ class TestRouting:
         assert result.chosen_template == "partial_lower_left"
         # fitness margin over the competing upper template
         upper = register_pair(
-            prepare_cloud(registration._mesh_cloud(moved), PARAMS),
-            prepare_cloud(registration._mesh_cloud(library.partial("Upper", "Left")), PARAMS),
+            prepare_cloud(moved.to_point_cloud(), PARAMS),
+            prepare_cloud(library.partial("Upper", "Left").to_point_cloud(), PARAMS),
             PARAMS)
         assert result.fitness - upper.fitness > 0.05
 
@@ -334,7 +334,7 @@ class TestTemplateStore:
         assert loaded.prepared_key == (PARAMS.voxel, PARAMS.fpfh_radius)
         for jaw in JAWS:
             for side in (None, *SIDES):
-                fresh = prepare_cloud(registration._mesh_cloud(loaded.mesh(jaw, side)), PARAMS)
+                fresh = prepare_cloud(loaded.mesh(jaw, side).to_point_cloud(), PARAMS)
                 cloud, fpfh = loaded.prepared_cloud(jaw, side)
                 assert cloud.points.tobytes() == fresh.cloud.points.tobytes()
                 assert cloud.normals.tobytes() == fresh.cloud.normals.tobytes()
