@@ -55,9 +55,6 @@ class ArchSpline:
     def t_max(self) -> float:
         return float(self.knots[-1])
 
-    def evaluate(self, t) -> np.ndarray:
-        return self._spline(np.clip(t, self.t_min, self.t_max))
-
     def tangent(self, t) -> np.ndarray:
         d = self._spline.derivative()(np.clip(t, self.t_min, self.t_max))
         n = np.linalg.norm(d, axis=-1, keepdims=True)
@@ -282,12 +279,6 @@ class AlignmentStep:
 class AlignmentResult:
     transform: RigidTransform
     steps: tuple
-
-    def step(self, name: str) -> AlignmentStep:
-        for s in self.steps:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 def align_crown(crown: CrownTemplate, targets: TargetVectors) -> AlignmentResult:

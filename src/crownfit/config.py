@@ -1,9 +1,10 @@
 """Pipeline configuration: one human-readable JSON file with per-stage blocks.
 
-Each stage module owns its block's class and defaults; this module adds the
-provider choices and the paths. Unknown keys are rejected so typos fail
-fast; paths are resolved relative to the config file's directory and
-validated when a stage needs them.
+Each stage module owns its block's class and defaults, the classifier's
+provider choice included; this module adds the segmentation and retrieval
+blocks and the paths. Unknown keys are rejected so typos fail fast; paths
+are resolved relative to the config file's directory and validated when a
+stage needs them.
 """
 
 from __future__ import annotations
@@ -13,21 +14,10 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .alignment import AlignmentParams
-from .classify import ClassifierConfig
+from .classify import ClassifierParams
 from .fitting import FittingParams
 from .labels import RefineParams
 from .registration import RegistrationParams
-
-
-@dataclass(frozen=True)
-class ClassifierSection(ClassifierConfig):
-    """Classifier thresholds plus the provider selection (classifier.provider)."""
-
-    provider: str = "baseline"         # "baseline" | "external"
-
-    def __post_init__(self):
-        if self.provider not in ("baseline", "external"):
-            raise ValueError(f"unknown classifier provider {self.provider!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +46,7 @@ class PipelineConfig:
     seed: int = 0
     output_dir: str = "out"
     template_dir: str | None = None
-    classifier: ClassifierSection = field(default_factory=ClassifierSection)
+    classifier: ClassifierParams = field(default_factory=ClassifierParams)
     registration: RegistrationParams = field(default_factory=RegistrationParams)
     refine: RefineParams = field(default_factory=RefineParams)
     segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)

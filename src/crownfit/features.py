@@ -1,21 +1,17 @@
-"""Per-point feature computation: 8-D geometric vectors and FPFH descriptors.
-
-The 8-D vector per point is (x, y, z, nx, ny, nz, r, phi) where (r, phi) are
-polar coordinates in the XY-plane about the cloud centroid after centering.
-FPFH follows the Rusu 2009 formulation: 11 bins per pair-feature angle,
-distance-weighted neighbor accumulation, each 11-bin block normalized to
-sum 100, with no loop over points. Pair features are computed once per
-unordered pair of ``SpatialIndex.radius_pairs``; the reverse direction repeats
-f1 and f2 and negates f3, except on exact ties ``|a1| == |a2|``. One
-``np.bincount`` counts both directions' bins and one sparse product, its rows
-ordered by source, distance and neighbour so that every sum is reproducible
-to the bit, adds the 1/distance-weighted neighbours.
+"""Per-point FPFH descriptors in the Rusu 2009 formulation: 11 bins per
+pair-feature angle, distance-weighted neighbor accumulation, each 11-bin
+block normalized to sum 100, with no loop over points. Pair features are
+computed once per unordered pair of ``SpatialIndex.radius_pairs``; the
+reverse direction repeats f1 and f2 and negates f3, except on exact ties
+``|a1| == |a2|``. One ``np.bincount`` counts both directions' bins and one
+sparse product, its rows ordered by source, distance and neighbour so that
+every sum is reproducible to the bit, adds the 1/distance-weighted
+neighbours.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -25,45 +21,6 @@ from .mesh import PointCloud, _freeze
 from .spatial import SpatialIndex
 
 FPFH_BINS = 11
-
-
-@dataclass(frozen=True)
-class PointFeatures:
-    """Columns: x, y, z (centered, mm), nx, ny, nz, r (mm), phi (rad in (-pi, pi])."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.float64)))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def normals(self) -> np.ndarray:
-        return self.values[:, 3:6]
-
-    @property
-    def radius(self) -> np.ndarray:
-        return self.values[:, 6]
-
-    @property
-    def azimuth(self) -> np.ndarray:
-        return self.values[:, 7]
-
-
-def compute_point_features(cloud: PointCloud) -> PointFeatures:
-    """8-D features for a cloud with unit normals."""
-    if cloud.normals is None:
-        raise ValueError("point features require normals")
-    norms = np.linalg.norm(cloud.normals, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError("normals must be unit length")
-    pos = cloud.points - cloud.points.mean(axis=0)
-    r = np.hypot(pos[:, 0], pos[:, 1])
-    phi = np.arctan2(pos[:, 1], pos[:, 0])
-    phi[(pos[:, 0] == 0) & (pos[:, 1] == 0)] = 0.0
-    return PointFeatures(np.column_stack([pos, cloud.normals, r, phi]))
 
 
 def _bin_indices(f1, f2, f3):

@@ -134,9 +134,9 @@ def _load_ply(data: bytes) -> LabeledMesh:
         raise MeshFormatError("missing format line", byte_offset=0)
 
     if fmt == "ascii":
-        parsed, _ = _parse_ply_ascii(data, offset, elements)
+        parsed = _parse_ply_ascii(data, offset, elements)
     else:
-        parsed, _ = _parse_ply_binary(data, offset, elements)
+        parsed = _parse_ply_binary(data, offset, elements)
 
     vert = parsed.get("vertex")
     if vert is None:
@@ -194,7 +194,7 @@ def _parse_ply_ascii(data: bytes, offset: int, elements):
                         byte_offset=offset,
                     ) from None
         out[elem.name] = {k: (v if any(isinstance(e, list) for e in v) else np.asarray(v)) for k, v in cols.items()}
-    return out, pos
+    return out
 
 
 def _parse_ply_binary(data: bytes, offset: int, elements):
@@ -258,7 +258,7 @@ def _parse_ply_binary(data: bytes, offset: int, elements):
             for p in elem.properties
         }
         pos += size
-    return out, pos
+    return out
 
 
 def _dump_ply(mesh: LabeledMesh) -> bytes:

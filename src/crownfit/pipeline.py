@@ -20,8 +20,7 @@ import numpy as np
 
 from .alignment import (CrownTemplate, TargetVectors, align_crown, fit_arch_spline,
                         robust_target, spline_frame_at)
-from .classify import (BaselineGeometricClassifier, ExternalSidecarClassifier, ScanClass,
-                       classify)
+from .classify import ScanClass, baseline_geometric_classify, read_classification_sidecar
 from .config import PipelineConfig
 from .errors import NonConvergenceError, PipelineError
 from .fitting import fit_crown, occlusal_direction
@@ -96,12 +95,12 @@ def with_normals(mesh: LabeledMesh) -> LabeledMesh:
 
 def stage_classify(scan: LabeledMesh, config: PipelineConfig,
                    scan_path) -> tuple[ScanClass, dict]:
-    """The scan's class from the configured provider."""
+    """The scan's class from the configured provider: the geometric baseline
+    or the scan's sidecar."""
     if config.classifier.provider == "external":
-        provider = ExternalSidecarClassifier(scan_path)
+        scan_class, confidence = read_classification_sidecar(scan_path)
     else:
-        provider = BaselineGeometricClassifier(config.classifier)
-    scan_class, confidence = classify(provider, scan)
+        scan_class, confidence = baseline_geometric_classify(scan, config.classifier)
     return scan_class, {"class": scan_class.value, "confidence": confidence}
 
 

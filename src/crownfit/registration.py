@@ -26,8 +26,8 @@ from .errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
 from .features import compute_fpfh
 from .mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
 from .spatial import SpatialIndex
-from .templates import (JAWS, SIDES, TemplateLibrary, load_template_library,
-                        save_prepared_clouds, template_key)
+from .templates import (TemplateLibrary, load_template_library, save_prepared_clouds,
+                        template_key)
 
 
 @dataclass(frozen=True)
@@ -367,13 +367,14 @@ def register_pair(
     return fine_register(source.cloud, target.cloud, coarse.transform, params)
 
 
-def _template_cloud(library: TemplateLibrary, jaw: str, side: str | None,
+def _template_cloud(library: TemplateLibrary, key: str,
                     params: RegistrationParams) -> PreparedCloud:
-    """The library's stored cloud for a template when the store was prepared
-    with ``params``' ``voxel`` and ``fpfh_radius``, else ``prepare_cloud``."""
+    """The library's stored cloud for template ``key`` when the store was
+    prepared with ``params``' ``voxel`` and ``fpfh_radius``, else
+    ``prepare_cloud``."""
     if library.prepared_key == (params.voxel, params.fpfh_radius):
-        return PreparedCloud(*library.prepared_cloud(jaw, side))
-    return prepare_cloud(library.mesh(jaw, side).to_point_cloud(), params)
+        return PreparedCloud(*library.prepared_cloud(key))
+    return prepare_cloud(library.meshes[key].to_point_cloud(), params)
 
 
 def store_prepared_templates(directory, params: RegistrationParams) -> None:
@@ -385,10 +386,9 @@ def store_prepared_templates(directory, params: RegistrationParams) -> None:
     """
     library = load_template_library(directory)
     clouds = {}
-    for jaw in JAWS:
-        for side in (None, *SIDES):
-            prepared = prepare_cloud(library.mesh(jaw, side).to_point_cloud(), params)
-            clouds[template_key(jaw, side)] = (prepared.cloud, prepared.fpfh)
+    for key, mesh in library.meshes.items():
+        prepared = prepare_cloud(mesh.to_point_cloud(), params)
+        clouds[key] = (prepared.cloud, prepared.fpfh)
     save_prepared_clouds(directory, (params.voxel, params.fpfh_radius), clouds)
 
 
@@ -409,17 +409,16 @@ def register_with_routing(
     """
     source = prepare_cloud(scan.to_point_cloud(), params)
     if scan_class.is_full:
-        jaw = "Upper" if scan_class is ScanClass.FULL_UPPER else "Lower"
-        target = _template_cloud(library, jaw, None, params)
-        result = register_pair(source, target, params)
-        return replace(result, chosen_template=template_key(jaw, None))
+        key = template_key("Upper" if scan_class is ScanClass.FULL_UPPER else "Lower", None)
+        result = register_pair(source, _template_cloud(library, key, params), params)
+        return replace(result, chosen_template=key)
 
     side = scan_class.side
     candidates = []
     failures = []
     for jaw in ("Upper", "Lower"):
         try:
-            target = _template_cloud(library, jaw, side, params)
+            target = _template_cloud(library, template_key(jaw, side), params)
             result = register_pair(source, target, params)
         except CoarseRegistrationError as exc:
             failures.append((jaw, exc))

@@ -1,12 +1,12 @@
 """Canonical template construction: population centroid curve, master
 selection, and derived partial templates.
 
-The library holds one master mesh per jaw plus six partials (jaw x
-Left/Right/Center) cropped from the masters, and persists as a directory of
-PLY files with a JSON manifest. The directory may also hold each template's
-registration cloud (downsampled points, normals and FPFH rows) in
-``prepared.npz``, which the manifest keys by the ``voxel`` and ``fpfh_radius``
-it was prepared with.
+The library holds 8 templates keyed by ``template_key``: one master mesh per
+jaw plus six partials (jaw x Left/Right/Center) cropped from the masters. It
+persists as a directory of PLY files with a JSON manifest. The directory may
+also hold each template's registration cloud (downsampled points, normals
+and FPFH rows) in ``prepared.npz``, which the manifest keys by the ``voxel``
+and ``fpfh_radius`` it was prepared with.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ JAWS = ("Upper", "Lower")
 
 def template_key(jaw: str, side: str | None) -> str:
     """``master_<jaw>`` or ``partial_<jaw>_<side>``, lower case: a template's
-    name in reports, in the store and in its PLY file name."""
+    name in the library, in reports, in the store and in its PLY file name."""
     return f"master_{jaw.lower()}" if side is None else f"partial_{jaw.lower()}_{side.lower()}"
+
+
+TEMPLATE_KEYS = tuple(template_key(jaw, side) for jaw in JAWS for side in (None, *SIDES))
 
 
 def extract_tooth_centroids(scan: LabeledMesh) -> dict[int, np.ndarray]:
@@ -53,15 +56,9 @@ def extract_tooth_centroids(scan: LabeledMesh) -> dict[int, np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class CentroidCurve:
-    """Population-mean tooth centroids keyed by class id."""
-
-    means: dict
-
-
-def build_average_curve(scans: list[LabeledMesh]) -> CentroidCurve:
-    """Arithmetic mean of per-scan centroids over scans containing each class."""
+def build_average_curve(scans: list[LabeledMesh]) -> dict[int, np.ndarray]:
+    """Population-mean tooth centroid per class id: the arithmetic mean of
+    per-scan centroids over scans containing each class."""
     if not scans:
         raise ValueError("no scans given")
     sums: dict[int, np.ndarray] = {}
@@ -72,11 +69,10 @@ def build_average_curve(scans: list[LabeledMesh]) -> CentroidCurve:
                 continue
             sums[cls] = sums.get(cls, 0.0) + c
             counts[cls] = counts.get(cls, 0) + 1
-    means = {cls: sums[cls] / counts[cls] for cls in sums}
-    return CentroidCurve(means)
+    return {cls: sums[cls] / counts[cls] for cls in sums}
 
 
-def select_canonical(scans: list[LabeledMesh], curve: CentroidCurve) -> int:
+def select_canonical(scans: list[LabeledMesh], curve: dict[int, np.ndarray]) -> int:
     """Index of the scan minimizing the mean centroid distance to the curve.
 
     The distance sums over classes present in both the scan and the curve and
@@ -87,10 +83,10 @@ def select_canonical(scans: list[LabeledMesh], curve: CentroidCurve) -> int:
     best_val = np.inf
     for i, scan in enumerate(scans):
         cents = extract_tooth_centroids(scan)
-        shared = [cls for cls in cents if cls in curve.means]
+        shared = [cls for cls in cents if cls in curve]
         if not shared:
             raise ValueError(f"scan {i} shares no class with the curve")
-        val = np.mean([np.linalg.norm(cents[cls] - curve.means[cls]) for cls in shared])
+        val = np.mean([np.linalg.norm(cents[cls] - curve[cls]) for cls in shared])
         if val < best_val - 1e-15:
             best_val = val
             best_idx = i
@@ -125,36 +121,24 @@ def derive_partials(master: LabeledMesh, side: str) -> LabeledMesh:
 
 @dataclass(frozen=True)
 class TemplateLibrary:
-    master_upper: LabeledMesh
-    master_lower: LabeledMesh
-    partials: dict  # (jaw, side) -> LabeledMesh
+    meshes: dict  # template key -> LabeledMesh, in TEMPLATE_KEYS order
     # the store of prepared registration clouds of a saved library and the
     # (voxel, fpfh_radius) they were prepared with; None without a store
     prepared_file: Path = None
     prepared_key: tuple = None
 
     def __post_init__(self):
-        missing = [(j, s) for j in JAWS for s in SIDES if (j, s) not in self.partials]
-        if missing:
-            raise ValueError(f"template library incomplete, missing partials: {missing}")
+        if set(self.meshes) != set(TEMPLATE_KEYS):
+            raise ValueError(f"template library holds {sorted(self.meshes)}, "
+                             f"not the templates {list(TEMPLATE_KEYS)}")
+        object.__setattr__(self, "meshes", {key: self.meshes[key] for key in TEMPLATE_KEYS})
 
-    def master(self, jaw: str) -> LabeledMesh:
-        return self.master_upper if jaw == "Upper" else self.master_lower
-
-    def partial(self, jaw: str, side: str) -> LabeledMesh:
-        return self.partials[(jaw, side)]
-
-    def mesh(self, jaw: str, side: str | None) -> LabeledMesh:
-        """The master of ``jaw`` when ``side`` is None, else its partial."""
-        return self.master(jaw) if side is None else self.partial(jaw, side)
-
-    def prepared_cloud(self, jaw: str, side: str | None) -> tuple:
+    def prepared_cloud(self, key: str) -> tuple:
         """``(PointCloud, FPFH rows)`` of one template, read from the store
         when asked for, so a case holds only the templates it meets."""
-        name = template_key(jaw, side)
         with np.load(self.prepared_file) as store:
-            return (PointCloud(store[f"{name}.points"], store[f"{name}.normals"]),
-                    store[f"{name}.fpfh"])
+            return (PointCloud(store[f"{key}.points"], store[f"{key}.normals"]),
+                    store[f"{key}.fpfh"])
 
 
 def build_template_library(
@@ -164,13 +148,13 @@ def build_template_library(
     """Select canonical masters against the shared average curve, then crop
     the six partial templates."""
     curve = build_average_curve(upper_scans + lower_scans)
-    master_upper = upper_scans[select_canonical(upper_scans, curve)]
-    master_lower = lower_scans[select_canonical(lower_scans, curve)]
-    partials = {}
-    for jaw, master in (("Upper", master_upper), ("Lower", master_lower)):
+    meshes = {}
+    for jaw, scans in zip(JAWS, (upper_scans, lower_scans)):
+        master = scans[select_canonical(scans, curve)]
+        meshes[template_key(jaw, None)] = master
         for side in SIDES:
-            partials[(jaw, side)] = derive_partials(master, side)
-    return TemplateLibrary(master_upper, master_lower, partials)
+            meshes[template_key(jaw, side)] = derive_partials(master, side)
+    return TemplateLibrary(meshes)
 
 
 MANIFEST_NAME = "templates.json"
@@ -179,21 +163,19 @@ PREPARED_NAME = "prepared.npz"
 
 
 def save_template_library(library: TemplateLibrary, directory) -> None:
+    """Write each template as ``<template key>.ply`` and the manifest, which
+    lists the masters by key and the partials by ``<jaw>/<side>``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = {"master_upper": "master_upper.ply", "master_lower": "master_lower.ply"}
-    save_mesh(library.master_upper, directory / files["master_upper"], "PLY")
-    save_mesh(library.master_lower, directory / files["master_lower"], "PLY")
-    partial_files = {}
-    for (jaw, side), mesh in library.partials.items():
-        name = f"{template_key(jaw, side)}.ply"
-        save_mesh(mesh, directory / name, "PLY")
-        partial_files[f"{jaw}/{side}"] = name
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "masters": files,
-        "partials": partial_files,
-    }
+    manifest = {"version": MANIFEST_VERSION, "masters": {}, "partials": {}}
+    for jaw in JAWS:
+        for side in (None, *SIDES):
+            key = template_key(jaw, side)
+            save_mesh(library.meshes[key], directory / f"{key}.ply", "PLY")
+            if side is None:
+                manifest["masters"][key] = f"{key}.ply"
+            else:
+                manifest["partials"][f"{jaw}/{side}"] = f"{key}.ply"
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -218,11 +200,10 @@ def load_template_library(directory) -> TemplateLibrary:
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported template manifest version {manifest.get('version')}")
-    masters = {k: load_mesh(directory / v, "PLY") for k, v in manifest["masters"].items()}
-    partials = {}
-    for key, name in manifest["partials"].items():
-        jaw, side = key.split("/")
-        partials[(jaw, side)] = load_mesh(directory / name, "PLY")
+    files = dict(manifest["masters"])
+    for jaw_side, name in manifest["partials"].items():
+        files[template_key(*jaw_side.split("/"))] = name
+    meshes = {key: load_mesh(directory / name, "PLY") for key, name in files.items()}
     # the cut is always DEFAULT_CUT_SPECS: a "cut_specs" entry of an older
     # manifest is not read
     prepared_file = prepared_key = None
@@ -230,5 +211,4 @@ def load_template_library(directory) -> TemplateLibrary:
         entry = manifest["prepared"]
         prepared_file = directory / entry["file"]
         prepared_key = (entry["voxel"], entry["fpfh_radius"])
-    return TemplateLibrary(masters["master_upper"], masters["master_lower"], partials,
-                           prepared_file, prepared_key)
+    return TemplateLibrary(meshes, prepared_file, prepared_key)

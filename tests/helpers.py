@@ -1,6 +1,6 @@
-"""Test-only helpers: simple solids, a mirrored mesh, a fixed-answer
-classifier, a probability-file writer, the registration round trip's pose
-ranges and a per-face centroid oracle. The pipeline never needs them."""
+"""Test-only helpers: simple solids, a mirrored mesh, a probability-file
+writer, the registration round trip's pose ranges and a per-face centroid
+oracle. The pipeline never needs them."""
 
 import json
 import struct
@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from crownfit.classify import ScanClass
 from crownfit.labels import _PROB_MAGIC, FaceLabelProbabilities
 from crownfit.mesh import GINGIVA, LabeledMesh
 from crownfit.synth import PerturbSpec
@@ -84,17 +83,6 @@ def mirror_x(mesh: LabeledMesh) -> LabeledMesh:
         n = mesh.vertex_normals.copy()
         n[:, 0] *= -1.0
     return LabeledMesh(v, mesh.faces[:, [0, 2, 1]], n, mesh.face_labels)
-
-
-class ConstantClassifier:
-    """Always answers the same class (mock provider for routing tests)."""
-
-    def __init__(self, scan_class: ScanClass, confidence: float = 1.0):
-        self.scan_class = scan_class
-        self.confidence = confidence
-
-    def classify(self, features) -> tuple[ScanClass, float]:
-        return self.scan_class, self.confidence
 
 
 def save_probabilities(probs: FaceLabelProbabilities, path) -> None:

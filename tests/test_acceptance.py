@@ -280,11 +280,11 @@ def test_crown_alignment_steps():
             v_mesial_robust=v_m, v_buccal_robust=v_b,
             prep_centroid=r.uniform(-20, 20, size=3),
         )
-        result = align_crown(crown, targets)
-        worst_mesial = min(worst_mesial, result.step("mesial").achieved_dot)
-        err = np.arccos(np.clip(result.step("buccal").achieved_dot, -1, 1))
+        steps = {s.name: s for s in align_crown(crown, targets).steps}
+        worst_mesial = min(worst_mesial, steps["mesial"].achieved_dot)
+        err = np.arccos(np.clip(steps["buccal"].achieved_dot, -1, 1))
         worst_buccal_rad = max(worst_buccal_rad, err)
-        worst_occlusal = min(worst_occlusal, result.step("occlusal").achieved_dot)
+        worst_occlusal = min(worst_occlusal, steps["occlusal"].achieved_dot)
         count += 1
     # tau = 0.6 admits exactly the normals within acos(0.6) of the reference
     tau_angle = float(np.degrees(np.arccos(0.6)))

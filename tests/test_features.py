@@ -5,9 +5,11 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
+from crownfit.classify import ClassifierParams, _polar, baseline_geometric_classify
 from crownfit.errors import MeshWarning
-from crownfit.features import FPFH_BINS, compute_fpfh, compute_point_features
-from crownfit.mesh import PointCloud, RigidTransform, estimate_vertex_normals, voxel_downsample
+from crownfit.features import FPFH_BINS, compute_fpfh
+from crownfit.mesh import (LabeledMesh, PointCloud, RigidTransform, estimate_vertex_normals,
+                           voxel_downsample)
 from crownfit.synth import ArchSpec, generate_arch
 
 
@@ -20,34 +22,36 @@ def random_cloud(n, seed, scale=3.0):
 
 
 class TestPointFeatures:
+    """The per-point values the baseline classifier reads: polar coordinates
+    about the centroid, and vertex normals."""
+
     def test_point_at_centroid_has_zero_polar(self):
-        cloud = PointCloud([[1, 1, 0], [-1, -1, 0], [0, 0, 0]],
-                           normals=[[0, 0, 1]] * 3)
-        f = compute_point_features(cloud)
-        assert f.radius[2] == 0.0
-        assert f.azimuth[2] == 0.0
+        r, phi = _polar(np.array([[1, 1, 0], [-1, -1, 0], [0, 0, 0]], dtype=float))
+        assert r[2] == 0.0
+        assert phi[2] == 0.0
 
     def test_hand_trigonometry(self):
         # centroid at origin by symmetry; the first point sits at (3, 4, 0)
-        cloud = PointCloud([[3, 4, 0], [-3, -4, 0]], normals=[[0, 0, 1]] * 2)
-        f = compute_point_features(cloud)
-        assert np.isclose(f.radius[0], 5.0)
-        assert np.isclose(f.azimuth[0], np.arctan2(4, 3))
-        assert np.isclose(f.azimuth[0], 0.9272952180016122)
+        r, phi = _polar(np.array([[3, 4, 0], [-3, -4, 0]], dtype=float))
+        assert np.isclose(r[0], 5.0)
+        assert np.isclose(phi[0], np.arctan2(4, 3))
+        assert np.isclose(phi[0], 0.9272952180016122)
 
     def test_rotation_about_z_shifts_phi_fixes_r(self, rng):
-        cloud = random_cloud(80, 5)
+        points = random_cloud(80, 5).points
         theta = 0.8
         rot = RigidTransform.from_axis_angle((0, 0, 1), theta)
-        f0 = compute_point_features(cloud)
-        f1 = compute_point_features(cloud.transformed(rot))
-        assert np.allclose(f1.radius, f0.radius, atol=1e-9)
-        dphi = np.angle(np.exp(1j * (f1.azimuth - f0.azimuth - theta)))
+        r0, phi0 = _polar(points)
+        r1, phi1 = _polar(rot.apply(points))
+        assert np.allclose(r1, r0, atol=1e-9)
+        dphi = np.angle(np.exp(1j * (phi1 - phi0 - theta)))
         assert np.abs(dphi).max() < 1e-9
 
-    def test_missing_normals_rejected(self):
+    def test_missing_normals_rejected(self, lower_arch):
+        mesh, _ = lower_arch
         with pytest.raises(ValueError, match="normals"):
-            compute_point_features(PointCloud([[0, 0, 0]]))
+            baseline_geometric_classify(LabeledMesh(mesh.vertices, mesh.faces),
+                                        ClassifierParams())
 
 
 def brute_force_fpfh(points, normals, radius):

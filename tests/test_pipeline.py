@@ -259,7 +259,7 @@ class TestRunPipeline:
 
 # one callee per stage, looked up through crownfit.pipeline
 STAGE_CALLEES = {
-    "classify": "classify",
+    "classify": "baseline_geometric_classify",
     "register": "register_with_routing",
     "refine": "graphcut_refine",
     "retrieve": "match_context",

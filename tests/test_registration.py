@@ -15,8 +15,8 @@ from crownfit.registration import (PreparedCloud, RegistrationParams, Registrati
                                    prepare_cloud, register_pair, register_with_routing,
                                    store_prepared_templates, template_key)
 from crownfit.synth import ArchSpec, generate_arch, partial_spec, perturb_pose
-from crownfit.templates import (JAWS, MANIFEST_NAME, SIDES, build_template_library,
-                                load_template_library, save_template_library)
+from crownfit.templates import (MANIFEST_NAME, build_template_library, load_template_library,
+                                save_template_library)
 from helpers import registration_perturb
 
 PARAMS = RegistrationParams()
@@ -244,7 +244,7 @@ class TestRouting:
         # fitness margin over the competing upper template
         upper = register_pair(
             prepare_cloud(moved.to_point_cloud(), PARAMS),
-            prepare_cloud(library.partial("Upper", "Left").to_point_cloud(), PARAMS),
+            prepare_cloud(library.meshes["partial_upper_left"].to_point_cloud(), PARAMS),
             PARAMS)
         assert result.fitness - upper.fitness > 0.05
 
@@ -332,13 +332,12 @@ class TestTemplateStore:
     def test_store_equals_prepare_cloud_on_reloaded_library(self, saved_library):
         loaded = load_template_library(saved_library)
         assert loaded.prepared_key == (PARAMS.voxel, PARAMS.fpfh_radius)
-        for jaw in JAWS:
-            for side in (None, *SIDES):
-                fresh = prepare_cloud(loaded.mesh(jaw, side).to_point_cloud(), PARAMS)
-                cloud, fpfh = loaded.prepared_cloud(jaw, side)
-                assert cloud.points.tobytes() == fresh.cloud.points.tobytes()
-                assert cloud.normals.tobytes() == fresh.cloud.normals.tobytes()
-                assert fpfh.tobytes() == fresh.fpfh.tobytes()
+        for key, mesh in loaded.meshes.items():
+            fresh = prepare_cloud(mesh.to_point_cloud(), PARAMS)
+            cloud, fpfh = loaded.prepared_cloud(key)
+            assert cloud.points.tobytes() == fresh.cloud.points.tobytes()
+            assert cloud.normals.tobytes() == fresh.cloud.normals.tobytes()
+            assert fpfh.tobytes() == fresh.fpfh.tobytes()
 
     @pytest.mark.parametrize("jaw, side, scan_class", [
         ("Upper", "full", ScanClass.FULL_UPPER), ("Lower", "left", ScanClass.PARTIAL_LEFT)])

@@ -7,10 +7,11 @@ from crownfit.errors import DegenerateGeometryError
 from crownfit.mesh import GINGIVA, PREPARED, LabeledMesh, PointCloud, RigidTransform
 from crownfit.synth import (ArchSpec, coverage_classes, fdi_to_class, generate_arch,
                             partial_spec)
-from crownfit.templates import (CentroidCurve, build_average_curve, build_template_library,
-                                derive_partials, extract_tooth_centroids,
-                                load_template_library, save_template_library,
-                                select_canonical, DEFAULT_CUT_SPECS)
+from crownfit.templates import (JAWS, SIDES, TemplateLibrary, build_average_curve,
+                                build_template_library, derive_partials,
+                                extract_tooth_centroids, load_template_library,
+                                save_template_library, select_canonical, template_key,
+                                DEFAULT_CUT_SPECS)
 from helpers import face_accumulated_centroids
 
 
@@ -61,8 +62,8 @@ class TestAverageCurve:
         mesh, _ = lower_arch
         curve = build_average_curve([mesh])
         cents = extract_tooth_centroids(mesh)
-        for cls in curve.means:
-            assert np.allclose(curve.means[cls], cents[cls])
+        for cls in curve:
+            assert np.allclose(curve[cls], cents[cls])
 
     def test_mirrored_pair_symmetric_in_x(self):
         from helpers import mirror_x
@@ -72,10 +73,10 @@ class TestAverageCurve:
         swap = {c: (c + 8 if c <= 8 else c - 8) for c in range(1, 17)}
         labels = np.array([swap.get(int(l), int(l)) for l in mirrored.face_labels])
         curve = build_average_curve([mesh, mirrored.with_labels(labels)])
-        for cls, mean in curve.means.items():
+        for cls, mean in curve.items():
             partner = swap[cls]
-            if partner in curve.means:
-                assert abs(mean[0] + curve.means[partner][0]) < 1e-9
+            if partner in curve:
+                assert abs(mean[0] + curve[partner][0]) < 1e-9
 
     def test_jittered_population_mean_near_truth(self):
         sigma = 0.5
@@ -88,7 +89,7 @@ class TestAverageCurve:
         base = extract_tooth_centroids(base_mesh)
         curve = build_average_curve(scans)
         bound = 3 * sigma / np.sqrt(10)
-        for cls, mean in curve.means.items():
+        for cls, mean in curve.items():
             assert np.all(np.abs(mean - base[cls]) < bound + 0.05)
 
     def test_equivariant_under_rigid_transform(self):
@@ -97,8 +98,8 @@ class TestAverageCurve:
         t = RigidTransform.from_axis_angle((0.3, 0.2, 0.9), 0.7, (4.0, -2.0, 1.0))
         curve = build_average_curve(meshes)
         moved = build_average_curve([m.transformed(t) for m in meshes])
-        for cls in curve.means:
-            assert np.allclose(moved.means[cls], t.apply(curve.means[cls]), atol=1e-9)
+        for cls in curve:
+            assert np.allclose(moved[cls], t.apply(curve[cls]), atol=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -120,8 +121,8 @@ class TestSelectCanonical:
         vals = []
         for scan in scans:
             cents = extract_tooth_centroids(scan)
-            shared = [c for c in cents if c in curve.means]
-            vals.append(np.mean([np.linalg.norm(cents[c] - curve.means[c]) for c in shared]))
+            shared = [c for c in cents if c in curve]
+            vals.append(np.mean([np.linalg.norm(cents[c] - curve[c]) for c in shared]))
         assert select_canonical(scans, curve) == int(np.argmin(vals))
 
     def test_tie_breaks_to_lowest_index(self, lower_arch):
@@ -132,7 +133,7 @@ class TestSelectCanonical:
     def test_no_shared_class_rejected(self, lower_arch):
         mesh, _ = lower_arch
         lone = tiny_labeled_mesh([([[0, 0, 0], [1, 0, 0], [0, 1, 0]], 4)])
-        curve = CentroidCurve({9: np.zeros(3)})
+        curve = {9: np.zeros(3)}
         with pytest.raises(ValueError, match="shares no class"):
             select_canonical([lone], curve)
 
@@ -175,20 +176,30 @@ def library():
 
 class TestLibrary:
     def test_six_partials(self, library):
-        assert len(library.partials) == 6
+        assert list(library.meshes) == [
+            "master_upper", "partial_upper_left", "partial_upper_right", "partial_upper_center",
+            "master_lower", "partial_lower_left", "partial_lower_right", "partial_lower_center"]
+
+    def test_incomplete_library_rejected(self, library):
+        meshes = dict(library.meshes)
+        del meshes["partial_lower_center"]
+        with pytest.raises(ValueError, match="template library holds"):
+            TemplateLibrary(meshes)
 
     def test_partials_keep_what_a_partial_scan_covers(self, library):
-        for (jaw, side), mesh in library.partials.items():
-            master = library.master_upper if jaw == "Upper" else library.master_lower
+        for jaw in JAWS:
+            master = library.meshes[template_key(jaw, None)]
             teeth = set(np.unique(master.face_labels).tolist()) - {GINGIVA}
-            kept = set(np.unique(mesh.face_labels).tolist()) - {GINGIVA}
-            assert kept == teeth & set(coverage_classes(side.lower())), (jaw, side)
+            for side in SIDES:
+                kept = set(np.unique(library.meshes[template_key(jaw, side)].face_labels)
+                           .tolist()) - {GINGIVA}
+                assert kept == teeth & set(coverage_classes(side.lower())), (jaw, side)
 
     def test_partial_registers_back_with_high_fitness(self, library):
         from crownfit.registration import RegistrationParams, fine_register
         from crownfit.mesh import estimate_vertex_normals, voxel_downsample
-        master = estimate_vertex_normals(library.master_lower)
-        partial = library.partial("Lower", "Left")
+        master = estimate_vertex_normals(library.meshes["master_lower"])
+        partial = library.meshes["partial_lower_left"]
         src = voxel_downsample(PointCloud(partial.vertices), 0.8)
         tgt = voxel_downsample(master.to_point_cloud(), 0.8)
         result = fine_register(src, tgt, RigidTransform(), RegistrationParams())
@@ -197,10 +208,23 @@ class TestLibrary:
     def test_persistence_round_trip(self, library, tmp_path):
         save_template_library(library, tmp_path / "lib")
         back = load_template_library(tmp_path / "lib")
-        assert np.array_equal(back.master_upper.vertices, library.master_upper.vertices)
-        for key, mesh in library.partials.items():
-            assert np.array_equal(back.partials[key].faces, mesh.faces)
-            assert np.array_equal(back.partials[key].face_labels, mesh.face_labels)
+        assert list(back.meshes) == list(library.meshes)
+        for key, mesh in library.meshes.items():
+            assert np.array_equal(back.meshes[key].vertices, mesh.vertices)
+            assert np.array_equal(back.meshes[key].faces, mesh.faces)
+            assert np.array_equal(back.meshes[key].face_labels, mesh.face_labels)
+
+    def test_manifest_layout(self, library, tmp_path):
+        # masters by template key, partials by <jaw>/<side>, each in <key>.ply
+        save_template_library(library, tmp_path / "lib")
+        manifest = json.loads((tmp_path / "lib" / "templates.json").read_text())
+        assert manifest == {
+            "version": 1,
+            "masters": {"master_upper": "master_upper.ply", "master_lower": "master_lower.ply"},
+            "partials": {f"{jaw}/{side}": f"{template_key(jaw, side)}.ply"
+                         for jaw in JAWS for side in SIDES},
+        }
+        assert len(list((tmp_path / "lib").glob("*.ply"))) == 8
 
     def test_manifest_with_cut_specs_still_loads(self, library, tmp_path):
         # older manifests also listed the cut specs; the entry is not read
@@ -211,8 +235,8 @@ class TestLibrary:
         manifest["cut_specs"] = {side: [99] for side in DEFAULT_CUT_SPECS}
         path.write_text(json.dumps(manifest))
         back = load_template_library(tmp_path / "lib")
-        for key, mesh in library.partials.items():
-            assert np.array_equal(back.partials[key].faces, mesh.faces)
+        for key, mesh in library.meshes.items():
+            assert np.array_equal(back.meshes[key].faces, mesh.faces)
 
 
 def test_prepared_tooth_class_present(prepared_lower_arch):
