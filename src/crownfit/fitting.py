@@ -14,19 +14,24 @@ hole; a watertight mesh gives the same parity along any ray.
 Every ray-parity test comes from one ray-crossing kernel, ``_ray_hits``,
 which runs Moller-Trumbore only on the (origin, triangle) pairs that a grid
 across the ray puts together, so its cost follows the origins near the mesh
-rather than origins x triangles. It has two callers. Points are tested
-along a fixed skewed ray (``points_inside_mesh``). The overlap volume casts
-+z rays from below the meshes, one per column of a shared voxel grid, and
-counts the voxel centres with odd crossing parity toward the occlusal side
-in both meshes; the crown's columns are cast only where the obstacle has an
-inside voxel. The error of the voxel estimate is O(surface area x
-resolution); the 1e-6 mm^3 threshold therefore acts as "no detectable
-overlap" at the configured resolution.
+rather than origins x triangles. A mesh's projected triangle boxes
+(``_Triangles``) are derived once per mesh and ray direction, so an
+obstacle's are derived once per fit, not at every scaling step; edge
+vectors are computed per call, only for the triangles the origins can
+reach. It has two callers. Points are tested along a fixed skewed ray
+(``points_inside_mesh``). The overlap volume casts +z rays from below the
+meshes, one per column of a shared voxel grid, and counts the voxel
+centres with odd crossing parity toward the occlusal side in both meshes;
+the crown's columns are cast only where the obstacle has an inside voxel.
+The error of the voxel estimate is O(surface area x resolution); the 1e-6
+mm^3 threshold therefore acts as "no detectable overlap" at the configured
+resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +46,7 @@ _GRID_SHIFT = (4.9e-4, 7.3e-4, 1.46e-3)
 _RAY_DIR = np.array([0.0317, 0.0523, 1.0]) / np.linalg.norm([0.0317, 0.0523, 1.0])
 _MAX_VOXELS = 6.0e7
 _CULL_EPS = 1e-6  # mm; far above the rounding of the ray-triangle test
+_UP = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -98,71 +104,97 @@ def _group_ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _ray_hits(origins: np.ndarray, mesh: LabeledMesh,
-              direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _Triangles:
+    """A mesh's triangle boxes as rays along ``direction`` see them: in
+    (across, across, along) ray coordinates, widened by ``_CULL_EPS``, with
+    their union and their widths across the ray. Derived once per mesh and
+    direction."""
+
+    mesh: LabeledMesh
+    direction: np.ndarray
+    frame: np.ndarray     # rows: the two across-ray axes, then the ray
+    lo: np.ndarray        # (3, n) box corners; along the ray only the top
+    hi: np.ndarray        # vertex bounds a candidate, so lo[2] = -inf
+    union_lo: np.ndarray
+    union_hi: np.ndarray
+    width: np.ndarray
+
+
+def _triangles(mesh: LabeledMesh, direction: np.ndarray) -> _Triangles:
+    frame = np.array([np.cross(direction, [1, 0, 0]), np.cross(direction, [0, 1, 0]), direction])
+    corners = (mesh.vertices @ frame.T)[mesh.faces.T]  # (corner, face, axis)
+    lo = np.ascontiguousarray((corners.min(axis=0) - _CULL_EPS).T)
+    hi = np.ascontiguousarray((corners.max(axis=0) + _CULL_EPS).T)
+    lo[2] = -np.inf
+    return _Triangles(mesh, direction, frame, lo, hi, lo.min(axis=1, initial=np.inf),
+                      hi.max(axis=1, initial=-np.inf), np.maximum(hi[0] - lo[0], hi[1] - lo[1]))
+
+
+def _in_box(q: np.ndarray, lo, hi) -> np.ndarray:
+    """Mask of the rows of q within [lo, hi] on every axis."""
+    return ((q[:, 0] >= lo[0]) & (q[:, 0] <= hi[0]) & (q[:, 1] >= lo[1]) & (q[:, 1] <= hi[1])
+            & (q[:, 2] >= lo[2]) & (q[:, 2] <= hi[2]))
+
+
+def _ray_hits(origins: np.ndarray, tris: _Triangles) -> tuple[np.ndarray, np.ndarray]:
     """Origin index and ``t > 0`` of every crossing of the line
-    ``origin + t * direction`` with a triangle (Moller-Trumbore).
+    ``origin + t * tris.direction`` with a triangle (Moller-Trumbore).
 
     The test runs only on candidate (origin, triangle) pairs: the origins are
     bucketed on a uniform grid across the ray, about one triangle wide, and
-    each triangle's box across the ray, widened by ``_CULL_EPS``, is spread
-    over the cells it covers; a candidate also lies below the triangle's top
-    vertex along the ray.
+    each triangle's box across the ray is spread over the cells it covers; a
+    candidate also lies below the triangle's top vertex along the ray.
     """
-    # boxes in (across, across, along) ray coordinates; along the ray only the
-    # top vertex bounds a candidate
-    frame = np.array([np.cross(direction, [1, 0, 0]), np.cross(direction, [0, 1, 0]), direction])
-    corners = (mesh.vertices @ frame.T)[mesh.faces.T]  # (corner, face, axis)
-    lo, hi = corners.min(axis=0) - _CULL_EPS, corners.max(axis=0) + _CULL_EPS
-    lo[:, 2] = -np.inf
-    q = origins @ frame.T
+    q = origins @ tris.frame.T
     # an origin outside the union of the boxes has no candidate at all, nor
     # has a triangle whose box misses the remaining origins' box
-    near = np.nonzero(np.all((q >= lo.min(axis=0, initial=np.inf))
-                             & (q <= hi.max(axis=0, initial=-np.inf)), axis=1))[0]
-    reach = np.all((lo <= q[near].max(axis=0, initial=-np.inf))
-                   & (hi >= q[near].min(axis=0, initial=np.inf)), axis=1)
-    tri, lo, hi = mesh.vertices[mesh.faces[reach]], lo[reach], hi[reach]
+    near = np.nonzero(_in_box(q, tris.union_lo, tris.union_hi))[0]
+    q_lo, q_hi = q[near].min(axis=0, initial=np.inf), q[near].max(axis=0, initial=-np.inf)
+    reach = ((tris.lo[0] <= q_hi[0]) & (tris.lo[1] <= q_hi[1])   # lo[2] is -inf
+             & (tris.hi[0] >= q_lo[0]) & (tris.hi[1] >= q_lo[1]) & (tris.hi[2] >= q_lo[2]))
+    tri = tris.mesh.vertices[tris.mesh.faces[reach]]
     e1 = tri[:, 1] - tri[:, 0]
     e2 = tri[:, 2] - tri[:, 0]
-    pvec = np.cross(direction, e2)
+    pvec = np.cross(tris.direction, e2)
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > 1e-14  # near-parallel triangles never hit
     inv_det = 1.0 / det[ok]
-    tri, lo, hi, e1, e2, pvec = (x[ok] for x in (tri, lo, hi, e1, e2, pvec))
-    if len(tri) == 0:
+    v0, e1, e2, pvec = tri[ok, 0], e1[ok], e2[ok], pvec[ok]
+    kept = np.flatnonzero(reach)[ok]
+    lo, hi = tris.lo[:, kept], tris.hi[:, kept]
+    if len(v0) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     # cells of the median triangle width, coarser if that many cells would
     # outnumber the origins and triangles together
     across = q[near, :2]
     base = across.min(axis=0)
     extent = across.max(axis=0) - base
-    cell = max(np.median((hi - lo)[:, :2].max(axis=1)),
-               np.sqrt(extent[0] * extent[1] / (len(near) + len(tri))))
+    cell = max(np.median(tris.width[kept]),
+               np.sqrt(extent[0] * extent[1] / (len(near) + len(v0))))
     dims = np.floor(extent / cell).astype(np.int64) + 1
     key = (np.floor((across - base) / cell).astype(np.int64) * [dims[1], 1]).sum(axis=1)
     order = np.argsort(key, kind="stable")
     starts = np.searchsorted(key[order], np.arange(dims[0] * dims[1] + 1))
-    first = np.maximum(np.floor((lo[:, :2] - base) / cell), 0).astype(np.int64)
-    last = np.minimum(np.floor((hi[:, :2] - base) / cell), dims - 1).astype(np.int64)
+    corner = base[:, None]
+    first = np.maximum(np.floor((lo[:2] - corner) / cell), 0).astype(np.int64)
+    last = np.minimum(np.floor((hi[:2] - corner) / cell), dims[:, None] - 1).astype(np.int64)
     width = last - first + 1
     # every (triangle, covered cell), then every origin in that cell
-    n_cells = width[:, 0] * width[:, 1]
-    ti = np.repeat(np.arange(len(tri)), n_cells)
+    n_cells = width[0] * width[1]
+    ti = np.repeat(np.arange(len(v0)), n_cells)
     rank = _group_ranks(n_cells)
-    cells = ((first[ti, 0] + rank // width[ti, 1]) * dims[1]
-             + first[ti, 1] + rank % width[ti, 1])
+    cells = ((first[0, ti] + rank // width[1, ti]) * dims[1]
+             + first[1, ti] + rank % width[1, ti])
     per = starts[cells + 1] - starts[cells]
     ti = np.repeat(ti, per)
     oi = near[order[np.repeat(starts[cells], per) + _group_ranks(per)]]
-    qo = q[oi]
-    box = ((qo[:, 0] >= lo[ti, 0]) & (qo[:, 0] <= hi[ti, 0])
-           & (qo[:, 1] >= lo[ti, 1]) & (qo[:, 1] <= hi[ti, 1]) & (qo[:, 2] <= hi[ti, 2]))
-    oi, ti = oi[box], ti[box]
-    tvec = origins[oi] - tri[ti, 0]
+    keep = _in_box(q[oi], lo[:, ti], hi[:, ti])
+    oi, ti = oi[keep], ti[keep]
+    tvec = origins[oi] - v0[ti]
     u = np.einsum("ij,ij->i", tvec, pvec[ti]) * inv_det[ti]
     qvec = np.cross(tvec, e1[ti])
-    v = np.einsum("ij,j->i", qvec, direction) * inv_det[ti]
+    v = np.einsum("ij,j->i", qvec, tris.direction) * inv_det[ti]
     t = np.einsum("ij,ij->i", qvec, e2[ti]) * inv_det[ti]
     hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
     return oi[hit], t[hit]
@@ -174,18 +206,18 @@ def points_inside_mesh(points, mesh: LabeledMesh, direction) -> np.ndarray:
     from the hole of an open one."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     ray = _RAY_DIR if _RAY_DIR @ np.asarray(direction, dtype=np.float64) >= 0 else -_RAY_DIR
-    idx, _ = _ray_hits(pts, mesh, ray)
+    idx, _ = _ray_hits(pts, _triangles(mesh, ray))
     return np.bincount(idx, minlength=len(pts)) % 2 == 1
 
 
-def _column_inside(mesh: LabeledMesh, xy: np.ndarray, zs: np.ndarray, up: bool) -> np.ndarray:
+def _column_inside(columns: _Triangles, xy: np.ndarray, zs: np.ndarray, up: bool) -> np.ndarray:
     """Inside mask (len(xy), len(zs)) of the voxel centres above the columns
     ``xy``: the parity of the column's crossings above each centre when
-    ``up``, else at or below it, from one +z ray per column cast from below
-    the mesh."""
-    z0 = mesh.vertices[:, 2].min() - 1.0
+    ``up``, else at or below it, from one +z ray per column (``columns``
+    holds the mesh's triangles along +z) cast from below the mesh."""
+    z0 = columns.mesh.vertices[:, 2].min() - 1.0
     origins = np.column_stack([xy, np.full(len(xy), z0)])
-    col, t = _ray_hits(origins, mesh, np.array([0.0, 0.0, 1.0]))
+    col, t = _ray_hits(origins, columns)
     flips = np.zeros((len(origins), len(zs) + 1), dtype=bool)
     np.logical_xor.at(flips, (col, np.searchsorted(zs, z0 + t)), True)
     below = np.logical_xor.accumulate(flips, axis=1)
@@ -194,8 +226,10 @@ def _column_inside(mesh: LabeledMesh, xy: np.ndarray, zs: np.ndarray, up: bool) 
     return below[:, :-1] ^ below[:, -1:] if up else below[:, :-1]
 
 
-def _component_meshes(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[LabeledMesh]:
-    return [mesh] if len(comps) <= 1 else [mesh.submesh(c) for c in comps]
+def _component_columns(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[_Triangles]:
+    """Each component's triangles along the +z column rays."""
+    parts = [mesh] if len(comps) <= 1 else [mesh.submesh(c) for c in comps]
+    return [_triangles(part, _UP) for part in parts]
 
 
 @dataclass(frozen=True)
@@ -203,16 +237,20 @@ class _Obstacle:
     """A mesh the crown must not enter, tested from its occlusal side."""
 
     mesh: LabeledMesh
-    solids: list[LabeledMesh]   # its components
     side: np.ndarray            # toward its occlusal side
 
     def inside(self, points) -> np.ndarray:
         return points_inside_mesh(points, self.mesh, self.side)
 
+    @cached_property
+    def solids(self) -> list[_Triangles]:
+        """Its components' +z column triangles, derived on the first overlap
+        volume and reused by every later one."""
+        return _component_columns(self.mesh, connected_components(self.mesh))
+
 
 def _obstacle(mesh: LabeledMesh, occlusal_dir) -> _Obstacle:
-    return _Obstacle(mesh, _component_meshes(mesh, connected_components(mesh)),
-                     np.asarray(occlusal_dir, dtype=np.float64))
+    return _Obstacle(mesh, np.asarray(occlusal_dir, dtype=np.float64))
 
 
 def _crown_components(crown: LabeledMesh) -> list[np.ndarray]:
@@ -239,15 +277,15 @@ def _overlap_volume(crown: LabeledMesh, comps: list[np.ndarray], obstacle: _Obst
     # the voxel grid tight around each actual overlap region
     up = bool(obstacle.side[2] > 0)
     total = 0.0
-    for fa in _component_meshes(crown, comps):
+    for fa in _component_columns(crown, comps):
         for fb in obstacle.solids:
             total += _voxel_overlap(fa, fb, up, resolution)
     return total
 
 
-def _voxel_overlap(crown: LabeledMesh, solid: LabeledMesh, up: bool, resolution: float) -> float:
-    lo = np.maximum(crown.vertices.min(axis=0), solid.vertices.min(axis=0))
-    hi = np.minimum(crown.vertices.max(axis=0), solid.vertices.max(axis=0))
+def _voxel_overlap(crown: _Triangles, solid: _Triangles, up: bool, resolution: float) -> float:
+    lo = np.maximum(crown.mesh.vertices.min(axis=0), solid.mesh.vertices.min(axis=0))
+    hi = np.minimum(crown.mesh.vertices.max(axis=0), solid.mesh.vertices.max(axis=0))
     if np.any(hi <= lo):
         return 0.0
     counts = [max(1, int(np.ceil((hi[k] - lo[k]) / resolution))) for k in range(3)]

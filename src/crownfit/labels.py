@@ -3,14 +3,30 @@ probabilities plus small-component cleanup.
 
 Energy: sum_f -log p_f(l_f) + lambda * sum_adjacent w_fg [l_f != l_g] with
 w_fg = exp(-beta (1 - cos theta_fg)) for the dihedral angle theta between
-face normals. Each expansion move is solved exactly by max-flow, so the
-refined energy never exceeds the argmax labeling's energy.
+face normals.
 
-The s-t graph's pattern is built once per refinement and each move refills
-its capacities; cuts and components come from scipy's csgraph, with no
+Each expansion move is banded (Lombaert et al., ICCV 2005). The move for
+alpha solves only the faces not labelled alpha within ``_BAND_RINGS``
+adjacency rings of a seed: a face labelled alpha, or one whose alpha unary
+is strictly below its current label's. Every other face keeps its label,
+and its pairwise terms fold into the t-links of its band neighbours. What
+is exact:
+- each move: max-flow finds the lowest-energy labeling that switches part
+  of the band to alpha;
+- accepting a move only when it lowers the energy, so the refined energy
+  never exceeds the argmax labeling's.
+What is not: a full-graph move may also switch faces outside the band. A
+face there is no seed and has no alpha neighbour, so switching alone
+cannot lower the energy; a group of such faces can, by removing label
+boundaries inside it. And a full move breaks exact ties toward alpha, so
+it also flips far faces whose switch costs nothing. On the benchmark's
+cases the final energy equals full expansion's.
+
+The adjacent pairs come from ``face_adjacency`` once per refinement and are
+shared with the small-component cleanup; each move builds the s-t graph of
+its band, and cuts and components come from scipy's csgraph, with no
 Python loop per face.
 """
-
 from __future__ import annotations
 
 import json
@@ -27,6 +43,7 @@ from .mesh import GINGIVA, LabeledMesh, _freeze, component_ids, face_adjacency
 
 PROB_CLAMP = 1e-12
 _MAX_SWEEPS = 10        # alpha-expansion sweeps over all labels
+_BAND_RINGS = 2         # adjacency rings a move's band reaches past its seeds
 _FLOW_SCALE = 1e8       # preferred float-energy -> integer capacity scale
 _FLOW_CAP_MAX = 1.8e9   # scipy's max-flow wraps beyond int32; stay under it
 
@@ -76,16 +93,14 @@ class RefineParams:
             raise ValueError("smoothness must be non-negative")
 
 
-def pairwise_weights(mesh: LabeledMesh, params: RefineParams):
-    """Adjacent face pairs and their smoothness weights (lambda included)."""
-    pairs = face_adjacency(mesh)
+def pairwise_weights(mesh: LabeledMesh, pairs: np.ndarray, params: RefineParams) -> np.ndarray:
+    """Smoothness weight (lambda included) of each adjacent face pair."""
     if len(pairs) == 0:
-        return pairs, np.zeros(0)
+        return np.zeros(0)
     normals = mesh.face_normals()
     cos = np.einsum("ij,ij->i", normals[pairs[:, 0]], normals[pairs[:, 1]])
     cos = np.clip(cos, -1.0, 1.0)
-    w = params.smoothness * np.exp(-params.dihedral_sharpness * (1.0 - cos))
-    return pairs, w
+    return params.smoothness * np.exp(-params.dihedral_sharpness * (1.0 - cos))
 
 
 def labeling_energy(unary: np.ndarray, pairs: np.ndarray, weights: np.ndarray,
@@ -97,7 +112,7 @@ def labeling_energy(unary: np.ndarray, pairs: np.ndarray, weights: np.ndarray,
 
 
 def _cut_pattern(n: int, pairs: np.ndarray) -> tuple:
-    """CSR (indptr, indices) of the (n+2)-node s-t graph of every expansion
+    """CSR (indptr, indices) of the (n+2)-node s-t graph of an expansion
     move, plus ``slot``: the CSR position of each s->f t-link, f->t t-link,
     pair arc and zero-capacity reverse pair arc, in that order."""
     source, sink = n, n + 1
@@ -144,12 +159,76 @@ def _min_cut_assignment(cost0: np.ndarray, cost1: np.ndarray, pair_caps: np.ndar
     return (~reachable[:n]).astype(np.int64)  # sink side takes x=1
 
 
+def _neighbour_table(n: int, pairs: np.ndarray, weights: np.ndarray) -> tuple:
+    """(3, n) tables of each face's adjacent faces and pair weights. A face
+    is in at most one pair per edge, so 3 rows hold them all; the rest are
+    padded with the face itself at weight 0."""
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    order = np.argsort(ends, kind="stable")
+    counts = np.bincount(ends, minlength=n)
+    rank = np.arange(len(ends)) - np.repeat(np.cumsum(counts) - counts, counts)
+    nbr = np.repeat(np.arange(n)[None], 3, axis=0)
+    wtab = np.zeros((3, n))
+    nbr[rank, ends[order]] = np.concatenate([pairs[:, 1], pairs[:, 0]])[order]
+    wtab[rank, ends[order]] = np.concatenate([weights, weights])[order]
+    return nbr, wtab
+
+
+def _expansion_band(unary: np.ndarray, nbr: np.ndarray, labels: np.ndarray,
+                    alpha: int) -> np.ndarray:
+    """Mask of the faces the move for ``alpha`` solves: those not labelled
+    alpha within ``_BAND_RINGS`` adjacency rings (``nbr``) of a seed, a face
+    labelled alpha or whose alpha unary is strictly below its current
+    label's."""
+    band = (labels == alpha) | (unary[:, alpha] < unary[np.arange(len(labels)), labels])
+    for _ in range(_BAND_RINGS):
+        band = band | band[nbr[0]] | band[nbr[1]] | band[nbr[2]]
+    return band & (labels != alpha)
+
+
+def _band_move(unary: np.ndarray, nbr: np.ndarray, wtab: np.ndarray, labels: np.ndarray,
+               alpha: int, band: np.ndarray) -> np.ndarray:
+    """The lowest-energy labels that switch a subset of ``band`` to alpha
+    and keep every other face's label: an exact min cut over the band."""
+    nodes = np.flatnonzero(band)
+    nb, w = nbr[:, nodes], wtab[:, nodes]
+    own, other = labels[nodes], labels[nb]
+    # a pair with a face outside the band is a unary term of its band face:
+    # the Potts cost against the fixed label when the band face keeps its
+    # label, and when it switches to alpha (a fixed face keeps its label, or
+    # is alpha already, in both states)
+    fixed = w * ~band[nb]
+    cost0 = unary[nodes, own] + (fixed * (other != own)).sum(axis=0)
+    cost1 = unary[nodes, alpha] + (fixed * (other != alpha)).sum(axis=0)
+    # each pair inside the band once; a face's padding is itself, so never
+    # above it
+    local = np.full(len(labels), -1)
+    local[nodes] = np.arange(len(nodes))
+    slot, a = np.nonzero(band[nb] & (nb > nodes))
+    b = local[nb[slot, a]]
+    w = w[slot, a]
+    # Potts expansion: A=w[la!=lb], B=w[la!=alpha], C=w[alpha!=lb], D=0;
+    # neither end is alpha, so B=C=w
+    a_cost = w * (own[a] != own[b])
+    ends = np.concatenate([a, b])
+    lin = np.concatenate([w - a_cost, -w])   # coefficients of x_a (C-A), x_b (D-C)
+    cost0 = cost0 + np.bincount(ends, np.maximum(-lin, 0.0), len(nodes))
+    cost1 = cost1 + np.bincount(ends, np.maximum(lin, 0.0), len(nodes))
+    x = _min_cut_assignment(cost0, cost1, 2 * w - a_cost,
+                            _cut_pattern(len(nodes), np.column_stack([a, b])))
+    new_labels = labels.copy()
+    new_labels[nodes[x == 1]] = alpha
+    return new_labels
+
+
 def graphcut_refine(
     mesh: LabeledMesh,
     probs: FaceLabelProbabilities,
-    params: RefineParams = RefineParams(),
+    params: RefineParams,
+    pairs: np.ndarray,
 ) -> np.ndarray:
-    """Alpha-expansion refinement of the argmax labeling.
+    """Banded alpha-expansion refinement of the argmax labeling over the
+    adjacent face pairs ``pairs`` (``face_adjacency(mesh)``).
 
     Returns per-face labels whose energy never exceeds the argmax labeling's;
     with zero smoothness the argmax labels are returned unchanged.
@@ -162,37 +241,17 @@ def graphcut_refine(
     if params.smoothness == 0 or mesh.n_faces == 0:
         return labels
     unary = -np.log(np.clip(probs.matrix, PROB_CLAMP, 1.0))
-    pairs, weights = pairwise_weights(mesh, params)
+    weights = pairwise_weights(mesh, pairs, params)
     energy = labeling_energy(unary, pairs, weights, labels)
-    n = len(labels)
-    pattern = _cut_pattern(n, pairs)
-    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    nbr, wtab = _neighbour_table(len(labels), pairs, weights)
 
     for _ in range(_MAX_SWEEPS):
         improved = False
         for alpha in range(probs.n_classes):
-            if np.all(labels == alpha):
+            band = _expansion_band(unary, nbr, labels, alpha)
+            if not band.any():
                 continue
-            current_unary = unary[np.arange(n), labels]
-            cost0 = current_unary          # keep current label
-            cost1 = unary[:, alpha]        # switch to alpha
-            pinned = labels == alpha       # already alpha: both states identical
-            cost0 = np.where(pinned, cost1, cost0)
-            la = labels[pairs[:, 0]]
-            lb = labels[pairs[:, 1]]
-            # Potts expansion: A=w[la!=lb], B=w[la!=alpha], C=w[alpha!=lb], D=0
-            a_cost = weights * (la != lb)
-            b_cost = weights * (la != alpha)
-            c_cost = weights * (lb != alpha)
-            pair_caps = b_cost + c_cost - a_cost
-            lin_f = c_cost - a_cost    # coefficient of x_f
-            lin_g = -c_cost            # coefficient of x_g (D - C)
-            lin = np.concatenate([lin_f, lin_g])
-            # bincount sums in input order, as sequential accumulation would
-            extra_s = np.bincount(ends, np.maximum(lin, 0.0), n)
-            extra_t = np.bincount(ends, np.maximum(-lin, 0.0), n)
-            x = _min_cut_assignment(cost0 + extra_t, cost1 + extra_s, pair_caps, pattern)
-            new_labels = np.where(x == 1, alpha, labels)
+            new_labels = _band_move(unary, nbr, wtab, labels, alpha, band)
             new_energy = labeling_energy(unary, pairs, weights, new_labels)
             if new_energy < energy - 1e-12:
                 labels = new_labels
@@ -218,11 +277,12 @@ def tune_smoothness(
     if not cases:
         raise ValueError("tuning needs at least one validation case")
     best = None
+    adjacency = [face_adjacency(mesh) for mesh, _, _ in cases]
     for lam in candidates:
         trial = replace(params, smoothness=lam)
         accs = []
-        for mesh, probs, gt in cases:
-            refined = graphcut_refine(mesh, probs, trial)
+        for (mesh, probs, gt), pairs in zip(cases, adjacency):
+            refined = graphcut_refine(mesh, probs, trial, pairs)
             accs.append(float((refined == np.asarray(gt)).mean()))
         score = float(np.mean(accs))
         if best is None or score > best[0]:
@@ -232,14 +292,15 @@ def tune_smoothness(
 
 def reassign_small_components(
     labels: np.ndarray,
-    mesh: LabeledMesh,
+    pairs: np.ndarray,
     min_faces: int,
 ) -> np.ndarray:
-    """Relabel same-label connected components smaller than min_faces to gingiva."""
+    """Relabel same-label connected components smaller than min_faces to
+    gingiva; components are connected through the adjacent face pairs
+    ``pairs``."""
     labels = np.asarray(labels, dtype=np.int64).copy()
-    pairs = face_adjacency(mesh)
     same = pairs[labels[pairs[:, 0]] == labels[pairs[:, 1]]]
-    comp = component_ids(mesh.n_faces, same)
+    comp = component_ids(len(labels), same)
     labels[np.bincount(comp)[comp] < min_faces] = GINGIVA
     return labels
 

@@ -26,7 +26,7 @@ from .errors import NonConvergenceError, PipelineError
 from .fitting import fit_crown, occlusal_direction
 from .labels import corrupt_labels, graphcut_refine, load_probabilities, reassign_small_components
 from .mesh import (NUM_CLASSES, PREPARED, LabeledMesh, bounding_box_diagonal,
-                   estimate_vertex_normals)
+                   estimate_vertex_normals, face_adjacency)
 from .meshio import load_mesh, save_mesh
 from .metrics import (centroid_error, confusion, dsc, macro_average, precision_recall,
                       summarize)
@@ -138,8 +138,9 @@ def stage_refine(canonical: LabeledMesh, fdi: int | None, config: PipelineConfig
         if path is None or not Path(path).exists():
             raise PipelineError(f"probability file not found: {path}")
         probs = load_probabilities(path)
-    labels = graphcut_refine(canonical, probs, config.refine)
-    labels = reassign_small_components(labels, canonical, config.refine.min_component_faces)
+    pairs = face_adjacency(canonical)
+    labels = graphcut_refine(canonical, probs, config.refine, pairs)
+    labels = reassign_small_components(labels, pairs, config.refine.min_component_faces)
     payload = {"n_classes": probs.n_classes}
     if canonical.face_labels is not None:
         payload["metrics"] = segmentation_metrics(

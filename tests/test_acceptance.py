@@ -21,7 +21,7 @@ from crownfit.fitting import (FittingParams, detect_cusps, fit_crown, interproxi
                               points_inside_mesh)
 from crownfit.labels import (FaceLabelProbabilities, RefineParams, graphcut_refine,
                              labeling_energy, pairwise_weights)
-from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
+from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, face_adjacency, voxel_downsample
 from crownfit.metrics import bootstrap_ci, centroid_error, confusion, dsc, precision_recall
 from crownfit.registration import RegistrationParams, fine_register, register_with_routing
 from crownfit.retrieval import EMBEDDING_DIM, Embedding, EmbeddingIndex, cosine, retrieve_crown
@@ -241,9 +241,10 @@ def test_graphcut_energy():
         m = r.dirichlet(np.ones(3), size=n)
         probs = FaceLabelProbabilities(m)
         params = RefineParams(smoothness=float(r.uniform(0.05, 2.5)))
-        refined = graphcut_refine(mesh, probs, params)
+        pairs = face_adjacency(mesh)
+        refined = graphcut_refine(mesh, probs, params, pairs)
         unary = -np.log(np.clip(m, 1e-12, 1.0))
-        pairs, w = pairwise_weights(mesh, params)
+        w = pairwise_weights(mesh, pairs, params)
         e_ref = labeling_energy(unary, pairs, w, refined)
         e_arg = labeling_energy(unary, pairs, w, m.argmax(axis=1))
         argmax_ok &= e_ref <= e_arg + 1e-9
@@ -252,7 +253,8 @@ def test_graphcut_energy():
     mesh = strip_mesh(10, seed=7)
     m = np.random.default_rng(7).dirichlet(np.ones(3), size=10)
     identity_ok = np.array_equal(
-        graphcut_refine(mesh, FaceLabelProbabilities(m), RefineParams(smoothness=0.0)),
+        graphcut_refine(mesh, FaceLabelProbabilities(m), RefineParams(smoothness=0.0),
+                        face_adjacency(mesh)),
         m.argmax(axis=1))
     ok = argmax_ok and optimum_hits >= 90 and identity_ok
     report("graph-cut", ok,

@@ -201,7 +201,7 @@ class TestCulledInsideTestEquivalence:
 class TestVoxelMaskEquivalence:
     @pytest.mark.parametrize("name", list(ORACLE_MESHES))
     def test_matches_all_pairs_oracle(self, name):
-        from crownfit.fitting import _GRID_SHIFT, _column_inside
+        from crownfit.fitting import _GRID_SHIFT, _UP, _column_inside, _triangles
         mesh = ORACLE_MESHES[name]()
         # a few thousand centres on _voxel_overlap's shifted grid, padded so
         # that some lie outside the mesh on every side
@@ -215,7 +215,7 @@ class TestVoxelMaskEquivalence:
         for up in (True, False):
             want = brute_force_inside(centres, mesh, np.array([0.0, 0.0, 1.0 if up else -1.0]))
             assert 0 < want.sum() < len(want)
-            assert np.array_equal(_column_inside(mesh, xy, zs, up).ravel(), want)
+            assert np.array_equal(_column_inside(_triangles(mesh, _UP), xy, zs, up).ravel(), want)
 
 
 class TestInterproximal:

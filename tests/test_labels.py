@@ -5,9 +5,11 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
+from crownfit import labels as labels_module
 from crownfit.errors import MeshFormatError
-from crownfit.labels import (FaceLabelProbabilities, RefineParams, _cut_pattern,
-                             _min_cut_assignment, corrupt_labels, graphcut_refine,
+from crownfit.labels import (PROB_CLAMP, FaceLabelProbabilities, RefineParams, _band_move,
+                             _cut_pattern, _expansion_band, _min_cut_assignment,
+                             _neighbour_table, corrupt_labels, graphcut_refine,
                              labeling_energy, load_probabilities, pairwise_weights,
                              reassign_small_components, tune_smoothness)
 from crownfit.mesh import GINGIVA, LabeledMesh, face_adjacency
@@ -40,6 +42,51 @@ def brute_force_optimum(unary, pairs, weights, n_classes):
             e += (labels[:, pairs[:, 0]] != labels[:, pairs[:, 1]]) @ weights
         best = min(best, float(e.min()))
     return best
+
+
+def full_graph_move(unary, pairs, weights, labels, alpha, keep):
+    """The expansion move for ``alpha`` solved as one min cut over every
+    face; faces in the mask ``keep`` are held at their label by a t-link far
+    above any other cost."""
+    n = len(labels)
+    pinned = labels == alpha  # both states are alpha
+    cost0 = np.where(pinned, unary[:, alpha], unary[np.arange(n), labels])
+    cost1 = np.where(keep & ~pinned, 1e3, unary[:, alpha])
+    la, lb = labels[pairs[:, 0]], labels[pairs[:, 1]]
+    # Potts expansion: A=w[la!=lb], B=w[la!=alpha], C=w[alpha!=lb], D=0
+    a_cost = weights * (la != lb)
+    b_cost = weights * (la != alpha)
+    c_cost = weights * (lb != alpha)
+    lin = np.concatenate([c_cost - a_cost, -c_cost])
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    x = _min_cut_assignment(cost0 + np.bincount(ends, np.maximum(-lin, 0.0), n),
+                            cost1 + np.bincount(ends, np.maximum(lin, 0.0), n),
+                            b_cost + c_cost - a_cost, _cut_pattern(n, pairs))
+    return np.where(x == 1, alpha, labels)
+
+
+def full_expansion_refine(mesh, probs, params):
+    """Alpha-expansion with every move solved over the whole graph: the
+    reference the banded moves are checked against. Same sweeps, same
+    accept-only-if-lower rule."""
+    pairs = face_adjacency(mesh)
+    unary = -np.log(np.clip(probs.matrix, PROB_CLAMP, 1.0))
+    weights = pairwise_weights(mesh, pairs, params)
+    labels = probs.argmax_labels()
+    energy = labeling_energy(unary, pairs, weights, labels)
+    no_keep = np.zeros(len(labels), dtype=bool)
+    for _ in range(labels_module._MAX_SWEEPS):
+        improved = False
+        for alpha in range(probs.n_classes):
+            if np.all(labels == alpha):
+                continue
+            new_labels = full_graph_move(unary, pairs, weights, labels, alpha, no_keep)
+            new_energy = labeling_energy(unary, pairs, weights, new_labels)
+            if new_energy < energy - 1e-12:
+                labels, energy, improved = new_labels, new_energy, True
+        if not improved:
+            break
+    return labels
 
 
 class TestProbabilities:
@@ -90,21 +137,22 @@ class TestGraphCut:
         mesh = strip_mesh(12, seed=1)
         m = rng.dirichlet(np.ones(4), size=12)
         probs = FaceLabelProbabilities(m)
-        out = graphcut_refine(mesh, probs, RefineParams(smoothness=0.0))
+        out = graphcut_refine(mesh, probs, RefineParams(smoothness=0.0), face_adjacency(mesh))
         assert np.array_equal(out, m.argmax(axis=1))
 
     def test_flipped_face_corrected_with_strong_smoothness(self):
         """Exhaustive 2^10 oracle: one flipped face in a 2-class strip."""
         mesh = strip_mesh(10, flat=True)
+        pairs = face_adjacency(mesh)
         m = np.full((10, 2), 0.2)
         m[:, 0] = 0.8
         m[4] = [0.2, 0.8]  # the flipped face
         probs = FaceLabelProbabilities(m)
         params = RefineParams(smoothness=10.0)
-        out = graphcut_refine(mesh, probs, params)
+        out = graphcut_refine(mesh, probs, params, pairs)
         assert np.all(out == 0)
         unary = -np.log(np.clip(m, 1e-12, 1.0))
-        pairs, w = pairwise_weights(mesh, params)
+        w = pairwise_weights(mesh, pairs, params)
         best = brute_force_optimum(unary, pairs, w, 2)
         assert labeling_energy(unary, pairs, w, out) <= best + 1e-9
 
@@ -113,12 +161,13 @@ class TestGraphCut:
         for trial in range(10):
             n = int(rng.integers(8, 13))
             mesh = strip_mesh(n, seed=trial)
+            pairs = face_adjacency(mesh)
             m = rng.dirichlet(np.ones(3), size=n)
             probs = FaceLabelProbabilities(m)
             params = RefineParams(smoothness=float(rng.uniform(0.1, 2.0)))
-            out = graphcut_refine(mesh, probs, params)
+            out = graphcut_refine(mesh, probs, params, pairs)
             unary = -np.log(np.clip(m, 1e-12, 1.0))
-            pairs, w = pairwise_weights(mesh, params)
+            w = pairwise_weights(mesh, pairs, params)
             e = labeling_energy(unary, pairs, w, out)
             e_argmax = labeling_energy(unary, pairs, w, m.argmax(axis=1))
             assert e <= e_argmax + 1e-12
@@ -127,11 +176,12 @@ class TestGraphCut:
 
     def test_energy_never_above_argmax_on_arch(self, lower_arch, rng):
         mesh, gt = lower_arch
+        pairs = face_adjacency(mesh)
         probs = corrupt_labels(gt.labels, 18, flip_fraction=0.08, softness=0.35, seed=5)
         params = RefineParams(smoothness=30.0)
-        out = graphcut_refine(mesh, probs, params)
+        out = graphcut_refine(mesh, probs, params, pairs)
         unary = -np.log(np.clip(probs.matrix, 1e-12, 1.0))
-        pairs, w = pairwise_weights(mesh, params)
+        w = pairwise_weights(mesh, pairs, params)
         assert labeling_energy(unary, pairs, w, out) <= \
             labeling_energy(unary, pairs, w, probs.argmax_labels()) + 1e-9
 
@@ -140,7 +190,7 @@ class TestGraphCut:
         probs = corrupt_labels(gt.labels, 18, flip_fraction=0.05, softness=0.3, seed=3)
         lam = tune_smoothness([(mesh, probs, gt.labels)], RefineParams(),
                               candidates=(2.0, 5.0, 10.0))
-        out = graphcut_refine(mesh, probs, RefineParams(smoothness=lam))
+        out = graphcut_refine(mesh, probs, RefineParams(smoothness=lam), face_adjacency(mesh))
         assert (out == gt.labels).mean() > (probs.argmax_labels() == gt.labels).mean()
 
     def test_tune_smoothness_prefers_accurate_candidate(self, lower_arch):
@@ -155,11 +205,77 @@ class TestGraphCut:
         mesh = strip_mesh(5)
         probs = FaceLabelProbabilities(rng.dirichlet(np.ones(3), size=4))
         with pytest.raises(ValueError, match="face count"):
-            graphcut_refine(mesh, probs, RefineParams())
+            graphcut_refine(mesh, probs, RefineParams(), face_adjacency(mesh))
 
     def test_negative_smoothness_rejected(self):
         with pytest.raises(ValueError):
             RefineParams(smoothness=-1.0)
+
+
+class TestBandedExpansion:
+    @pytest.mark.parametrize("flip, softness", [(0.05, 0.3), (0.08, 0.35)])
+    def test_energy_matches_full_expansion_on_arch(self, lower_arch, flip, softness):
+        mesh, gt = lower_arch
+        pairs = face_adjacency(mesh)
+        probs = corrupt_labels(gt.labels, 18, flip_fraction=flip, softness=softness, seed=3)
+        params = RefineParams(smoothness=5.0)
+        unary = -np.log(np.clip(probs.matrix, PROB_CLAMP, 1.0))
+        w = pairwise_weights(mesh, pairs, params)
+        banded = graphcut_refine(mesh, probs, params, pairs)
+        full = full_expansion_refine(mesh, probs, params)
+        assert abs(labeling_energy(unary, pairs, w, banded)
+                   - labeling_energy(unary, pairs, w, full)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_band_move_is_full_move_with_outside_kept(self, seed):
+        """Every move on small strips: the folded band cut equals the full
+        graph's with the faces outside the band held at their label, and
+        attains the minimum over all 2 ** |band| switch sets."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 13))
+        pairs = face_adjacency(strip_mesh(n, seed=seed))
+        # small integer costs keep the cut exact and make ties common
+        unary = rng.integers(0, 6, size=(n, 4)).astype(float)
+        weights = rng.integers(0, 4, len(pairs)).astype(float)
+        labels = rng.integers(0, 4, n)
+        nbr, wtab = _neighbour_table(n, pairs, weights)
+        for alpha in range(4):
+            band = _expansion_band(unary, nbr, labels, alpha)
+            if not band.any():
+                continue
+            moved = _band_move(unary, nbr, wtab, labels, alpha, band)
+            assert np.array_equal(
+                moved, full_graph_move(unary, pairs, weights, labels, alpha, ~band))
+            nodes = np.flatnonzero(band)
+            best = np.inf
+            for switch in itertools.product((False, True), repeat=len(nodes)):
+                trial = labels.copy()
+                trial[nodes[np.array(switch)]] = alpha
+                best = min(best, labeling_energy(unary, pairs, weights, trial))
+            assert labeling_energy(unary, pairs, weights, moved) == best
+
+    def test_accepted_moves_change_only_their_band(self, lower_arch, monkeypatch):
+        mesh, gt = lower_arch
+        pairs = face_adjacency(mesh)
+        probs = corrupt_labels(gt.labels, 18, flip_fraction=0.08, softness=0.35, seed=5)
+        moves = []
+
+        def recorded(unary, nbr, wtab, labels, alpha, band):
+            out = _band_move(unary, nbr, wtab, labels, alpha, band)
+            moves.append((labels, out, band))
+            return out
+
+        monkeypatch.setattr(labels_module, "_band_move", recorded)
+        refined = graphcut_refine(mesh, probs, RefineParams(smoothness=5.0), pairs)
+        # a move is accepted when the next move starts from its labels
+        starts = [before for before, _, _ in moves[1:]] + [refined]
+        accepted = [(before, after, band) for (before, after, band), nxt in zip(moves, starts)
+                    if after is nxt]
+        assert accepted
+        for before, after, band in accepted:
+            assert not np.any(before[~band] != after[~band])
+            assert np.any(before[band] != after[band])
+        assert not np.array_equal(refined, probs.argmax_labels())
 
 
 def cut_energy(x, cost0, cost1, pairs, caps):
@@ -221,14 +337,14 @@ class TestSmallComponents:
         mesh = strip_mesh(20, flat=True)
         labels = np.zeros(20, dtype=int)
         labels[:9] = 3
-        out = reassign_small_components(labels, mesh, 10)
+        out = reassign_small_components(labels, face_adjacency(mesh), 10)
         assert np.all(out[:9] == GINGIVA)
 
     def test_ten_face_component_kept(self):
         mesh = strip_mesh(20, flat=True)
         labels = np.zeros(20, dtype=int)
         labels[:10] = 3
-        out = reassign_small_components(labels, mesh, 10)
+        out = reassign_small_components(labels, face_adjacency(mesh), 10)
         assert np.all(out[:10] == 3)
 
     def test_two_islands_of_same_class_both_reassigned(self):
@@ -236,7 +352,7 @@ class TestSmallComponents:
         labels = np.zeros(20, dtype=int)
         labels[0:5] = 7
         labels[10:15] = 7
-        out = reassign_small_components(labels, mesh, 10)
+        out = reassign_small_components(labels, face_adjacency(mesh), 10)
         assert np.all(out == GINGIVA)
         # union-find oracle: component sizes by adjacency
         assert not np.any(out == 7)
@@ -246,8 +362,8 @@ class TestSmallComponents:
         noisy = gt.labels.copy()
         pick = rng.choice(len(noisy), size=60, replace=False)
         noisy[pick] = rng.integers(0, 18, size=60)
-        once = reassign_small_components(noisy, mesh, 10)
-        twice = reassign_small_components(once, mesh, 10)
+        once = reassign_small_components(noisy, face_adjacency(mesh), 10)
+        twice = reassign_small_components(once, face_adjacency(mesh), 10)
         assert np.array_equal(once, twice)
 
 
