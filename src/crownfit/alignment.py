@@ -268,22 +268,10 @@ class TargetVectors:
         )
 
 
-@dataclass(frozen=True)
-class AlignmentStep:
-    name: str
-    angle_deg: float
-    achieved_dot: float
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    transform: RigidTransform
-    steps: tuple
-
-
-def align_crown(crown: CrownTemplate, targets: TargetVectors) -> AlignmentResult:
+def align_crown(crown: CrownTemplate, targets: TargetVectors) -> tuple[RigidTransform, list]:
     """Sequential crown alignment: translate, mesial, buccal-about-mesial,
-    occlusal. Returns the composed rigid transform plus a per-step trace.
+    occlusal. Returns the composed rigid transform plus a per-step trace of
+    ``{name, angle_deg, achieved_dot}`` dicts.
 
     The buccal step rotates only about the mesial target axis, so mesial
     alignment survives it exactly; the final occlusal step may disturb both
@@ -293,18 +281,17 @@ def align_crown(crown: CrownTemplate, targets: TargetVectors) -> AlignmentResult
     n_mesial = crown.mesial_normal
     n_buccal = crown.buccal_normal
     n_occlusal = crown.occlusal_normal
-    steps = []
 
     # (i) translation: crown centroid onto the prep centroid
     r_total = np.eye(3)
-    steps.append(AlignmentStep("translate", 0.0, 1.0))
+    steps = [("translate", 0.0, 1.0)]  # (name, angle_deg, achieved_dot)
 
     # (ii) minimal rotation: mesial normal onto the robust mesial target
     r1 = RigidTransform.rotation_between(n_mesial, targets.v_mesial_robust)
     r_total = r1 @ r_total
     m = r_total @ n_mesial
-    steps.append(AlignmentStep("mesial", RigidTransform(r1).rotation_angle_deg(),
-                               float(m @ targets.v_mesial_robust)))
+    steps.append(("mesial", RigidTransform(r1).rotation_angle_deg(),
+                  float(m @ targets.v_mesial_robust)))
 
     # (iii) rotation about the mesial axis matching the buccal projections
     axis = targets.v_mesial_robust
@@ -325,17 +312,15 @@ def align_crown(crown: CrownTemplate, targets: TargetVectors) -> AlignmentResult
     b_after = r_total @ n_buccal
     b_after_proj = b_after - (b_after @ axis) * axis
     b_after_proj /= np.linalg.norm(b_after_proj)
-    steps.append(AlignmentStep(
-        "buccal", float(np.degrees(angle)), float(b_after_proj @ t_proj)
-    ))
+    steps.append(("buccal", float(np.degrees(angle)), float(b_after_proj @ t_proj)))
 
     # (iv) minimal rotation: occlusal normal onto the occlusal axis
     o_now = r_total @ n_occlusal
     r3 = RigidTransform.rotation_between(o_now, targets.occlusal_axis)
     r_total = r3 @ r_total
     o_after = r_total @ n_occlusal
-    steps.append(AlignmentStep("occlusal", RigidTransform(r3).rotation_angle_deg(),
-                               float(o_after @ targets.occlusal_axis)))
+    steps.append(("occlusal", RigidTransform(r3).rotation_angle_deg(),
+                  float(o_after @ targets.occlusal_axis)))
 
     transform = RigidTransform(r_total, targets.prep_centroid - r_total @ centroid)
-    return AlignmentResult(transform, tuple(steps))
+    return transform, [{"name": n, "angle_deg": a, "achieved_dot": d} for n, a, d in steps]

@@ -75,27 +75,6 @@ class FittingParams:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class CuspSet:
-    """Cusp apex vertices ordered by descending height along the occlusal axis."""
-
-    vertex_indices: np.ndarray
-    heights: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.vertex_indices, dtype=np.int64).reshape(-1)
-        h = np.asarray(self.heights, dtype=np.float64).reshape(-1)
-        if len(idx) != len(h):
-            raise ValueError("indices and heights must align")
-        if len(h) > 1 and np.any(np.diff(h) > 0):
-            raise ValueError("cusps must be ordered by descending height")
-        object.__setattr__(self, "vertex_indices", idx)
-        object.__setattr__(self, "heights", h)
-
-    def __len__(self) -> int:
-        return len(self.vertex_indices)
-
-
 # ---------------------------------------------------------------- inside tests
 
 
@@ -391,9 +370,10 @@ def center_between_neighbors(crown: LabeledMesh, neighbors: LabeledMesh) -> Labe
 # ---------------------------------------------------------------- step 3
 
 
-def detect_cusps(crown: LabeledMesh, occlusal_dir, params: FittingParams = FittingParams()) -> CuspSet:
-    """Strict one-ring height maxima whose normal faces the opposing jaw,
-    keeping the top ``cusp_count`` by height."""
+def detect_cusps(crown: LabeledMesh, occlusal_dir,
+                 params: FittingParams = FittingParams()) -> np.ndarray:
+    """Vertex indices of the strict one-ring height maxima whose normal faces
+    the opposing jaw: the top ``cusp_count`` by height, in descending order."""
     if crown.vertex_normals is None:
         raise ValueError("cusp detection requires vertex normals")
     d = np.asarray(occlusal_dir, dtype=np.float64)
@@ -406,8 +386,7 @@ def detect_cusps(crown: LabeledMesh, occlusal_dir, params: FittingParams = Fitti
     n_below = np.bincount(v[heights[nb] < heights[v]], minlength=crown.n_vertices)
     apexes = np.nonzero(facing & (n_out > 0) & (n_below == n_out))[0]
     order = np.argsort(-heights[apexes], kind="stable")
-    keep = apexes[order][: params.cusp_count]
-    return CuspSet(keep, heights[keep])
+    return apexes[order][: params.cusp_count]
 
 
 def _interfering(points, obstacle: _Obstacle, index: SpatialIndex,
@@ -437,7 +416,7 @@ def occlusal_correct_posterior(
     d = np.asarray(occlusal_dir, dtype=np.float64)
     d = d / np.linalg.norm(d)
     work = crown if crown.vertex_normals is not None else estimate_vertex_normals(crown)
-    cusps = detect_cusps(work, d, params)
+    tips = detect_cusps(work, d, params)
     vertices = crown.vertices.copy()
     labels = crown.face_labels
     sigma = params.falloff_radius / 2.0
@@ -445,7 +424,6 @@ def occlusal_correct_posterior(
         trace = []
     obstacle = _obstacle(opposing, -d)
     index = SpatialIndex(opposing.vertices)
-    tips = cusps.vertex_indices
     for round_no in range(params.max_tap_rounds):
         current = LabeledMesh(vertices, crown.faces, None, labels)
         coll = tips[_interfering(vertices[tips], obstacle, index, params)]
@@ -504,24 +482,18 @@ def occlusal_direction(fdi: int) -> np.ndarray:
     return np.array([0.0, 0.0, -1.0]) if fdi // 10 in (1, 2) else np.array([0.0, 0.0, 1.0])
 
 
-@dataclass(frozen=True)
-class FittingReport:
-    final_scale: float
-    scale_trace: tuple
-    mode: str                 # "posterior" | "anterior" | "skipped"
-    occlusal_trace: tuple
-    centering_applied: bool
-    residual_neighbor_volume: float
-
-
 def fit_crown(
     crown: LabeledMesh,
     neighbors: LabeledMesh,
     opposing: LabeledMesh | None,
     fdi: int,
     params: FittingParams = FittingParams(),
-) -> tuple[LabeledMesh, FittingReport]:
+) -> tuple[LabeledMesh, dict]:
     """Centering, interproximal adaptation, then occlusal correction.
+
+    Returns the fitted crown and its report dict: ``final_scale``,
+    ``scale_trace``, ``mode`` ("posterior" or "anterior"), ``occlusal_trace``,
+    ``centering_applied`` and ``residual_neighbor_volume``.
 
     Centering comes first: the neighbour-centroid midpoint is not the middle
     of the gap, so centering a crown already scaled to clear both neighbours
@@ -551,12 +523,11 @@ def fit_crown(
         current = occlusal_correct_anterior(current, opposing, d, params, trace=occlusal_trace)
 
     residual = intersection_volume(current, neighbors, d, params.voxel_resolution)
-    report = FittingReport(
-        final_scale=scale,
-        scale_trace=tuple(scale_trace),
-        mode=mode,
-        occlusal_trace=tuple(occlusal_trace),
-        centering_applied=centering_applied,
-        residual_neighbor_volume=residual,
-    )
-    return current, report
+    return current, {
+        "final_scale": scale,
+        "scale_trace": scale_trace,
+        "mode": mode,
+        "occlusal_trace": occlusal_trace,
+        "centering_applied": centering_applied,
+        "residual_neighbor_volume": residual,
+    }

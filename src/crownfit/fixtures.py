@@ -37,7 +37,7 @@ def build_crown_library(directory) -> None:
     manifest = {"templates": {}}
     embeddings, keys = [], []
     for name, (kind, dims) in sorted(CROWN_KINDS.items()):
-        template = generate_crown_fixture(kind, dims)
+        template, _ = generate_crown_fixture(kind, dims)
         filename = f"{name}.ply"
         save_mesh(template.mesh, directory / filename, "PLY")
         manifest["templates"][name] = filename

@@ -30,7 +30,6 @@ Python loop per face.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import MeshFormatError
 from .mesh import GINGIVA, LabeledMesh, _freeze, component_ids, face_adjacency
+from .meshio import _read_float32_matrix
 
 PROB_CLAMP = 1e-12
 _MAX_SWEEPS = 10        # alpha-expansion sweeps over all labels
@@ -318,17 +318,7 @@ def load_probabilities(path) -> FaceLabelProbabilities:
         if m.shape != (payload["faces"], payload["classes"]):
             raise MeshFormatError(f"probability JSON shape mismatch in {path}")
         return FaceLabelProbabilities(_renormalize(m))
-    data = path.read_bytes()
-    if data[:4] != _PROB_MAGIC:
-        raise MeshFormatError(f"bad probability file magic in {path}", byte_offset=0)
-    if len(data) < 12:
-        raise MeshFormatError(f"probability file {path} shorter than its 12-byte header",
-                              byte_offset=len(data))
-    n, k = struct.unpack_from("<II", data, 4)
-    expected = 12 + 4 * n * k
-    if len(data) < expected:
-        raise MeshFormatError(f"truncated probability file {path}", byte_offset=len(data))
-    m = np.frombuffer(data[12:expected], dtype="<f4").reshape(n, k).astype(np.float64)
+    m = _read_float32_matrix(path, _PROB_MAGIC, "probability file").astype(np.float64)
     return FaceLabelProbabilities(_renormalize(m))
 
 

@@ -4,7 +4,8 @@ PLY is the canonical interchange format: binary little-endian and ASCII PLY
 are read, binary PLY is written. Per-face semantic labels travel as
 ``property uchar label`` on the face element; written PLY stores coordinates
 as doubles so geometry round-trips bit-identically. OBJ drops labels with a
-warning; STL cannot carry labels at all.
+warning; STL cannot carry labels at all. The embedding stores and the
+binary probability files share one float32 matrix layout, read here too.
 """
 
 from __future__ import annotations
@@ -390,3 +391,22 @@ def _dump_stl(mesh: LabeledMesh) -> bytes:
         rec["v"] = mesh.vertices[mesh.faces].astype("<f4")
         rec["attr"] = 0
     return header + struct.pack("<I", mesh.n_faces) + rec.tobytes()
+
+
+# ---------------------------------------------------------------- float32 matrices
+
+
+def _read_float32_matrix(path, magic: bytes, what: str) -> np.ndarray:
+    """The (rows, cols) matrix of a binary file: 4-byte ``magic``, uint32
+    rows and cols, then little-endian float32 rows. ``what`` names the kind
+    of file in errors."""
+    data = Path(path).read_bytes()
+    if data[:4] != magic:
+        raise MeshFormatError(f"bad {what} magic in {path}", byte_offset=0)
+    if len(data) < 12:
+        raise MeshFormatError(f"{what} {path} shorter than its 12-byte header",
+                              byte_offset=len(data))
+    n, k = struct.unpack_from("<II", data, 4)
+    if len(data) < 12 + 4 * n * k:
+        raise MeshFormatError(f"truncated {what} {path}", byte_offset=len(data))
+    return np.frombuffer(data, dtype="<f4", count=n * k, offset=12).reshape(n, k)

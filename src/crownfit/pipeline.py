@@ -31,8 +31,7 @@ from .meshio import load_mesh, save_mesh
 from .metrics import (centroid_error, confusion, dsc, macro_average, precision_recall,
                       summarize)
 from .registration import register_with_routing
-from .retrieval import (ContextQuery, geometric_embedding, load_embedding_index,
-                        match_context, retrieve_crown)
+from .retrieval import geometric_embedding, load_embedding_index, match_context, retrieve_crown
 from .synth import fdi_is_valid, fdi_to_class
 from .templates import extract_tooth_centroids, load_template_library
 
@@ -204,16 +203,14 @@ def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
     if rc.jaw_store is None or rc.crown_dir is None:
         raise PipelineError("retrieval needs jaw_store and crown_dir configured")
     crown_dir = Path(rc.crown_dir)
-    index = load_embedding_index(rc.jaw_store, crown_dir / "crowns.bin")
+    jaws, crowns = load_embedding_index(rc.jaw_store, crown_dir / "crowns.bin")
 
     slots = {ctx: geometric_embedding(canonical, faces)
              for ctx, faces in context_faces(labels, fdi).items()}
     if not slots:
         raise PipelineError("no context teeth found for retrieval")
-    query = ContextQuery(target_fdi=fdi, slots=slots)
-    donor_jaw, jaw_score = match_context(query, index)
-    donor_embedding = index.jaws[donor_jaw][fdi]
-    template_id, crown_score = retrieve_crown(donor_embedding, index)
+    donor_jaw, jaw_score = match_context(slots, fdi, jaws)
+    template_id, crown_score = retrieve_crown(jaws[donor_jaw][fdi], crowns)
 
     manifest = json.loads((crown_dir / "crowns.json").read_text())
     mesh = load_mesh(crown_dir / manifest["templates"][template_id], "PLY")
@@ -276,12 +273,9 @@ def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
         prep_centroid=prep_centroid,
         occlusal_axis=occlusal_direction(fdi),
     )
-    result = align_crown(crown, targets)
-    return crown.mesh.transformed(result.transform), {
-        "steps": [
-            {"name": s.name, "angle_deg": s.angle_deg, "achieved_dot": s.achieved_dot}
-            for s in result.steps
-        ],
+    transform, steps = align_crown(crown, targets)
+    return crown.mesh.transformed(transform), {
+        "steps": steps,
         "prep_centroid": targets.prep_centroid.tolist(),
     }
 
@@ -295,8 +289,7 @@ def stage_fit(aligned: LabeledMesh, canonical: LabeledMesh, labels: np.ndarray,
     if not faces:
         raise PipelineError("no neighbor faces found for fitting")
     neighbors = canonical.submesh(np.concatenate(list(faces.values())))
-    fitted, report = fit_crown(aligned, neighbors, antagonist, fdi, config.fitting)
-    return fitted, asdict(report)
+    return fit_crown(aligned, neighbors, antagonist, fdi, config.fitting)
 
 
 # ---------------------------------------------------------------- end-to-end

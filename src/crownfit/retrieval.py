@@ -3,101 +3,65 @@
 Donor-jaw selection scores each candidate jaw by the macro-average cosine
 similarity over context slots shared with the query (jaws sharing fewer than
 half the query slots are skipped); crown lookup is an exact argmax over the
-crown library. Embeddings are opaque vectors; a deterministic geometric
-embedder stands in for the trained feature extractor.
+crown library. An embedding is an opaque float64 vector of length
+``EMBEDDING_DIM``; a deterministic geometric embedder stands in for the
+trained feature extractor.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MeshFormatError, NoMatchError
-from .mesh import LabeledMesh, _freeze
+from .mesh import LabeledMesh
+from .meshio import _read_float32_matrix
 
 EMBEDDING_DIM = 256
 _PROJECTION_SEED = 7  # seed of the geometric embedder's fixed projection
 
 
-@dataclass(frozen=True)
-class Embedding:
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.float64).reshape(-1)
-        if v.shape[0] != EMBEDDING_DIM:
-            raise ValueError(f"embedding dimension {v.shape[0]} != {EMBEDDING_DIM}")
-        if np.linalg.norm(v) == 0:
-            raise ValueError("embedding must have nonzero norm")
-        object.__setattr__(self, "vector", _freeze(v))
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def cosine(a: Embedding, b: Embedding) -> float:
-    va, vb = a.vector, b.vector
-    return float(np.dot(va, vb) / (np.linalg.norm(va) * np.linalg.norm(vb)))
-
-
-@dataclass(frozen=True)
-class EmbeddingIndex:
-    """Per-jaw context embeddings plus the crown template library."""
-
-    jaws: dict            # jaw id -> {fdi position -> Embedding}
-    crown_library: dict   # template id -> Embedding
-
-
-@dataclass(frozen=True)
-class ContextQuery:
-    """Embeddings of the context environment around the target position."""
-
-    target_fdi: int
-    slots: dict  # context FDI position -> Embedding
-
-    def __post_init__(self):
-        if not self.slots:
-            raise ValueError("context query needs at least one slot")
-        if self.target_fdi in self.slots:
-            raise ValueError("target position must not appear among context slots")
-
-
-def match_context(query: ContextQuery, index: EmbeddingIndex) -> tuple[str, float]:
+def match_context(slots: dict, target_fdi: int, jaws: dict) -> tuple[str, float]:
     """Donor jaw with the highest macro-average cosine over shared slots.
 
-    Jaws sharing fewer than half of the query slots are skipped, as are jaws
-    lacking the target position. Exact ties break to the lexicographically
-    smaller jaw id.
+    ``slots`` maps each context FDI position to its embedding, ``jaws`` each
+    jaw id to its own such dict. Jaws sharing fewer than half of the query
+    slots are skipped, as are jaws lacking the target position. Exact ties
+    break to the lexicographically smaller jaw id.
     """
-    if not index.jaws:
-        raise NoMatchError("embedding index is empty")
-    n_query = len(query.slots)
     best = None
-    for jaw_id in sorted(index.jaws, key=str):
-        slots = index.jaws[jaw_id]
-        if query.target_fdi not in slots:
+    for jaw_id in sorted(jaws, key=str):
+        donor = jaws[jaw_id]
+        if target_fdi not in donor:
             continue
-        shared = [p for p in query.slots if p in slots]
-        if 2 * len(shared) < n_query:
+        shared = [p for p in slots if p in donor]
+        if 2 * len(shared) < len(slots):
             continue
-        score = float(np.mean([cosine(query.slots[p], slots[p]) for p in shared]))
+        score = float(np.mean([cosine(slots[p], donor[p]) for p in shared]))
         if best is None or score > best[1]:
             best = (jaw_id, score)
     if best is None:
         raise NoMatchError(
-            f"no candidate jaw shares at least half of the {n_query} context slots"
+            f"no candidate jaw shares at least half of the {len(slots)} context slots"
         )
     return best
 
 
-def retrieve_crown(donor: Embedding, index: EmbeddingIndex) -> tuple[str, float]:
-    """Crown template with the highest cosine to the donor tooth embedding."""
-    if not index.crown_library:
+def retrieve_crown(donor: np.ndarray, crowns: dict) -> tuple[str, float]:
+    """Crown template (``crowns``: template id -> embedding) with the highest
+    cosine to the donor tooth embedding."""
+    if not crowns:
         raise ValueError("crown library is empty")
     best = None
-    for template_id in sorted(index.crown_library, key=str):
-        score = cosine(donor, index.crown_library[template_id])
+    for template_id in sorted(crowns, key=str):
+        score = cosine(donor, crowns[template_id])
         if best is None or score > best[1]:
             best = (template_id, score)
     return best
@@ -108,62 +72,59 @@ def retrieve_crown(donor: Embedding, index: EmbeddingIndex) -> tuple[str, float]
 _STORE_MAGIC = b"EMBD"
 
 
-def save_embedding_store(embeddings: list[Embedding], keys: list, path) -> None:
+def save_embedding_store(rows, keys: list, path) -> None:
     """Binary store: magic + uint32 count + uint32 dim + float32 rows, plus a
     JSON sidecar mapping each row to its key."""
     path = Path(path)
-    count = len(embeddings)
-    rows = np.stack([e.vector for e in embeddings]) if count else np.zeros((0, EMBEDDING_DIM))
-    header = _STORE_MAGIC + struct.pack("<II", count, EMBEDDING_DIM)
-    path.write_bytes(header + rows.astype("<f4").tobytes())
+    rows = np.asarray(rows, dtype="<f4").reshape(len(keys), EMBEDDING_DIM)
+    header = _STORE_MAGIC + struct.pack("<II", len(rows), EMBEDDING_DIM)
+    path.write_bytes(header + rows.tobytes())
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(keys, indent=2, sort_keys=True))
 
 
-def load_embedding_store(path) -> tuple[list[Embedding], list]:
-    path = Path(path)
-    data = path.read_bytes()
-    if data[:4] != _STORE_MAGIC:
-        raise MeshFormatError(f"bad embedding store magic in {path}", byte_offset=0)
-    if len(data) < 12:
-        raise MeshFormatError(f"embedding store {path} shorter than its 12-byte header",
-                              byte_offset=len(data))
-    count, dim = struct.unpack_from("<II", data, 4)
+def load_embedding_store(path) -> tuple[np.ndarray, list]:
+    """The store's rows, as a float64 (count, dim) matrix, and their keys.
+    Every row must be finite and nonzero: a cosine against any other would
+    be NaN."""
+    rows = _read_float32_matrix(path, _STORE_MAGIC, "embedding store").astype(np.float64)
+    count, dim = rows.shape
     if dim != EMBEDDING_DIM:
         raise MeshFormatError(f"embedding store dim {dim} != {EMBEDDING_DIM}")
-    expected = 12 + 4 * count * dim
-    if len(data) < expected:
-        raise MeshFormatError(f"truncated embedding store {path}", byte_offset=len(data))
-    rows = np.frombuffer(data[12:expected], dtype="<f4").reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | ~rows.any(axis=1))
+    if bad.size:
+        raise MeshFormatError(f"embedding store {path} row {bad[0]} is not finite or is zero",
+                              byte_offset=12 + 4 * dim * int(bad[0]))
     keys = json.loads(Path(str(path) + ".json").read_text())
     if len(keys) != count:
         raise MeshFormatError(f"embedding sidecar row count mismatch for {path}")
-    return [Embedding(row.astype(np.float64)) for row in rows], keys
+    return rows, keys
 
 
-def load_embedding_index(jaw_store_path, crown_store_path) -> EmbeddingIndex:
-    """Index from two stores: jaw rows keyed {"jaw", "fdi"}, crown rows
+def load_embedding_index(jaw_store_path, crown_store_path) -> tuple[dict, dict]:
+    """The jaw dict, jaw id -> {fdi -> embedding}, from a store of rows keyed
+    {"jaw", "fdi"}, and the crown dict, template id -> embedding, from one
     keyed {"template"}; a key repeated within a store is a format error."""
-    jaw_embeddings, jaw_keys = load_embedding_store(jaw_store_path)
+    jaw_rows, jaw_keys = load_embedding_store(jaw_store_path)
     jaws: dict = {}
-    for emb, key in zip(jaw_embeddings, jaw_keys):
+    for row, key in zip(jaw_rows, jaw_keys):
         slots = jaws.setdefault(str(key["jaw"]), {})
         if int(key["fdi"]) in slots:
             raise MeshFormatError(f"duplicate row {key} in embedding store {jaw_store_path}")
-        slots[int(key["fdi"])] = emb
-    crown_embeddings, crown_keys = load_embedding_store(crown_store_path)
+        slots[int(key["fdi"])] = row
+    crown_rows, crown_keys = load_embedding_store(crown_store_path)
     crowns = {}
-    for emb, key in zip(crown_embeddings, crown_keys):
+    for row, key in zip(crown_rows, crown_keys):
         if str(key["template"]) in crowns:
             raise MeshFormatError(f"duplicate row {key} in embedding store {crown_store_path}")
-        crowns[str(key["template"])] = emb
-    return EmbeddingIndex(jaws, crowns)
+        crowns[str(key["template"])] = row
+    return jaws, crowns
 
 
 # ---------------------------------------------------------------- geometric stand-in
 
 
-def geometric_embedding(mesh: LabeledMesh, face_indices=None) -> Embedding:
+def geometric_embedding(mesh: LabeledMesh, face_indices=None) -> np.ndarray:
     """Deterministic 256-D embedding of a tooth region from geometric moments.
 
     A stand-in for the trained feature extractor: a fixed seeded projection
@@ -201,5 +162,4 @@ def geometric_embedding(mesh: LabeledMesh, face_indices=None) -> Embedding:
     rng = np.random.default_rng(_PROJECTION_SEED)
     projection = rng.normal(size=(EMBEDDING_DIM, len(moments)))
     vec = projection @ moments
-    vec = vec / np.linalg.norm(vec)
-    return Embedding(vec)
+    return vec / np.linalg.norm(vec)

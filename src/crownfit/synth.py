@@ -424,8 +424,9 @@ class CrownDims:
 def generate_crown_fixture(kind: str, dims: CrownDims = CrownDims()):
     """Closed crown shell with region labels and (for posterior) analytic cusps.
 
-    Local frame: mesial +x, buccal +y, occlusal +z. Returns a CrownTemplate
-    whose ``cusp_vertices`` attribute lists the exact apex vertex indices.
+    Local frame: mesial +x, buccal +y, occlusal +z. Returns the
+    CrownTemplate and its apexes: each bump's exact apex vertex index mapped
+    to its height, in bump order (none for the anterior kind).
     """
     from .alignment import CrownTemplate, LABEL_MESIAL, LABEL_BUCCAL, LABEL_OCCLUSAL
 
@@ -470,9 +471,5 @@ def generate_crown_fixture(kind: str, dims: CrownDims = CrownDims()):
     labels[4 * n * (n + 1):].reshape(n, 4)[:, 2:] = LABEL_MESIAL
 
     mesh = estimate_vertex_normals(LabeledMesh(vertices, faces, None, labels))
-    apex_vertices = tuple(i * (n + 1) + j for i, j, _ in bump_centers)
-    apex_heights = tuple(float(h[i, j]) for i, j, _ in bump_centers)
-    template = CrownTemplate.from_mesh(mesh)
-    object.__setattr__(template, "cusp_vertices", apex_vertices)
-    object.__setattr__(template, "cusp_heights", apex_heights)
-    return template
+    apexes = {i * (n + 1) + j: float(h[i, j]) for i, j, _ in bump_centers}
+    return CrownTemplate.from_mesh(mesh), apexes

@@ -24,7 +24,7 @@ from crownfit.labels import (FaceLabelProbabilities, RefineParams, graphcut_refi
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, face_adjacency, voxel_downsample
 from crownfit.metrics import bootstrap_ci, centroid_error, confusion, dsc, precision_recall
 from crownfit.registration import RegistrationParams, fine_register, register_with_routing
-from crownfit.retrieval import EMBEDDING_DIM, Embedding, EmbeddingIndex, cosine, retrieve_crown
+from crownfit.retrieval import EMBEDDING_DIM, cosine, retrieve_crown
 from crownfit.synth import (ArchSpec, CrownDims, generate_arch, generate_crown_fixture,
                             partial_spec, perturb_pose)
 from crownfit.templates import build_template_library
@@ -266,10 +266,10 @@ def test_crown_alignment_steps():
     worst_mesial = 1.0
     worst_buccal_rad = 0.0
     worst_occlusal = 1.0
-    fixtures = [generate_crown_fixture("bumped_posterior"),
-                generate_crown_fixture("smooth_anterior"),
+    fixtures = [generate_crown_fixture("bumped_posterior")[0],
+                generate_crown_fixture("smooth_anterior")[0],
                 generate_crown_fixture("bumped_posterior",
-                                       CrownDims(half_mesial=3.6, half_buccal=3.2))]
+                                       CrownDims(half_mesial=3.6, half_buccal=3.2))[0]]
     count = 0
     for trial in range(50):
         r = np.random.default_rng(200 + trial)
@@ -282,11 +282,11 @@ def test_crown_alignment_steps():
             v_mesial_robust=v_m, v_buccal_robust=v_b,
             prep_centroid=r.uniform(-20, 20, size=3),
         )
-        steps = {s.name: s for s in align_crown(crown, targets).steps}
-        worst_mesial = min(worst_mesial, steps["mesial"].achieved_dot)
-        err = np.arccos(np.clip(steps["buccal"].achieved_dot, -1, 1))
+        steps = {s["name"]: s["achieved_dot"] for s in align_crown(crown, targets)[1]}
+        worst_mesial = min(worst_mesial, steps["mesial"])
+        err = np.arccos(np.clip(steps["buccal"], -1, 1))
         worst_buccal_rad = max(worst_buccal_rad, err)
-        worst_occlusal = min(worst_occlusal, steps["occlusal"].achieved_dot)
+        worst_occlusal = min(worst_occlusal, steps["occlusal"])
         count += 1
     # tau = 0.6 admits exactly the normals within acos(0.6) of the reference
     tau_angle = float(np.degrees(np.arccos(0.6)))
@@ -324,8 +324,7 @@ def test_crown_fitting_invariants():
             half_buccal=float(r.uniform(3.0, 4.4)),
             base_height=float(r.uniform(5.2, 6.6)),
         )
-        fixture = generate_crown_fixture("bumped_posterior", dims)
-        crown = fixture.mesh
+        crown = generate_crown_fixture("bumped_posterior", dims)[0].mesh
         width = 2 * dims.half_mesial
         gap = width * float(r.uniform(0.92, 1.08))  # both Case A and Case B occur
         walls = two_walls(gap)
@@ -347,8 +346,7 @@ def test_crown_fitting_invariants():
     # Mode-B rigidity on anterior cases
     rigid_ok = True
     for case in range(5):
-        fixture = generate_crown_fixture("smooth_anterior")
-        crown = fixture.mesh
+        crown = generate_crown_fixture("smooth_anterior")[0].mesh
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.3 + 3.0), (14.0, 14.0, 3.0))
         out = occlusal_correct_anterior(crown, plate, (0, 0, 1), params)
@@ -370,16 +368,15 @@ def test_crown_fitting_invariants():
 
 
 def test_cusp_detection():
-    five = generate_crown_fixture("bumped_posterior")
+    five, apexes5 = generate_crown_fixture("bumped_posterior")
     got5 = detect_cusps(five.mesh, (0, 0, 1))
-    exact5 = sorted(got5.vertex_indices.tolist()) == sorted(five.cusp_vertices)
-    smooth = generate_crown_fixture("smooth_anterior")
+    exact5 = sorted(got5.tolist()) == sorted(apexes5)
+    smooth, _ = generate_crown_fixture("smooth_anterior")
     none_on_ramp = len(detect_cusps(smooth.mesh, (0, 0, 1))) == 0
-    seven = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
+    seven, apexes7 = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
     got7 = detect_cusps(seven.mesh, (0, 0, 1))
-    heights = dict(zip(seven.cusp_vertices, seven.cusp_heights))
-    tallest = sorted(seven.cusp_vertices, key=lambda v: -heights[v])[:5]
-    top5 = sorted(got7.vertex_indices.tolist()) == sorted(tallest)
+    tallest = sorted(apexes7, key=lambda v: -apexes7[v])[:5]
+    top5 = sorted(got7.tolist()) == sorted(tallest)
     ok = exact5 and none_on_ramp and top5
     report("cusp-detection", ok,
            f"5-bump exact: {exact5}; monotone surface clean: {none_on_ramp}; "
@@ -393,18 +390,15 @@ def test_retrieval_brute_force_and_scale_invariance():
         library = {}
         for i in range(int(r.integers(5, 60))):
             v = r.normal(size=EMBEDDING_DIM)
-            library[f"t{i:03d}"] = Embedding(v / np.linalg.norm(v))
-        donor_v = r.normal(size=EMBEDDING_DIM)
-        donor = Embedding(donor_v / np.linalg.norm(donor_v))
-        index = EmbeddingIndex({}, library)
-        got, _ = retrieve_crown(donor, index)
+            library[f"t{i:03d}"] = v / np.linalg.norm(v)
+        donor = r.normal(size=EMBEDDING_DIM)
+        donor /= np.linalg.norm(donor)
+        got, _ = retrieve_crown(donor, library)
         want = max(sorted(library), key=lambda k: cosine(donor, library[k]))
         all_match &= got == want
         # positive rescaling leaves the argmax unchanged
-        scaled = {k: Embedding(e.vector * r.uniform(0.05, 20.0))
-                  for k, e in library.items()}
-        got2, _ = retrieve_crown(Embedding(donor.vector * r.uniform(0.05, 20.0)),
-                                 EmbeddingIndex({}, scaled))
+        scaled = {k: e * r.uniform(0.05, 20.0) for k, e in library.items()}
+        got2, _ = retrieve_crown(donor * r.uniform(0.05, 20.0), scaled)
         all_match &= got2 == want
     report("retrieval", all_match,
            "argmax equals the linear-scan oracle on 20 random libraries, "

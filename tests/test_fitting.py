@@ -3,7 +3,7 @@ import pytest
 
 from crownfit import fitting
 from crownfit.errors import NonConvergenceError
-from crownfit.fitting import (CuspSet, FittingParams, center_between_neighbors,
+from crownfit.fitting import (FittingParams, center_between_neighbors,
                               connected_components, detect_cusps, fit_crown,
                               interproximal_adapt, intersection_volume, is_posterior,
                               occlusal_correct_anterior, occlusal_correct_posterior,
@@ -175,7 +175,7 @@ def inside_probe_points(mesh, rng):
 ORACLE_MESHES = {
     "box": lambda: make_box((0.3, -0.2, 0.1), (1.0, 2.0, 0.5)),
     "sphere": lambda: make_uv_sphere((1, 2, 3), 2.0, 24, 32),
-    "crown": lambda: generate_crown_fixture("bumped_posterior").mesh,
+    "crown": lambda: generate_crown_fixture("bumped_posterior")[0].mesh,
     "cap": lambda: open_cap((0.3, -0.2, 0.1), (1.0, 2.0, 0.5), spacing=0.5),
 }
 
@@ -334,36 +334,31 @@ class TestCentering:
 
 class TestCusps:
     def test_five_bump_apexes_found_exactly(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, apexes = generate_crown_fixture("bumped_posterior")
         cusps = detect_cusps(fixture.mesh, (0, 0, 1))
-        assert sorted(cusps.vertex_indices.tolist()) == sorted(fixture.cusp_vertices)
+        assert sorted(cusps.tolist()) == sorted(apexes)
 
     def test_monotone_ramp_no_cusps(self):
-        fixture = generate_crown_fixture("smooth_anterior")
+        fixture, _ = generate_crown_fixture("smooth_anterior")
         assert len(detect_cusps(fixture.mesh, (0, 0, 1))) == 0
 
     def test_seven_bumps_top_five_selected(self):
-        fixture = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
+        fixture, apexes = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
         cusps = detect_cusps(fixture.mesh, (0, 0, 1))
         assert len(cusps) == 5
-        heights = {v: h for v, h in zip(fixture.cusp_vertices, fixture.cusp_heights)}
-        tallest = sorted(fixture.cusp_vertices, key=lambda v: -heights[v])[:5]
-        assert sorted(cusps.vertex_indices.tolist()) == sorted(tallest)
+        tallest = sorted(apexes, key=lambda v: -apexes[v])[:5]
+        assert sorted(cusps.tolist()) == sorted(tallest)
 
     def test_heights_descending(self):
-        fixture = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
+        fixture, _ = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
         cusps = detect_cusps(fixture.mesh, (0, 0, 1))
-        assert np.all(np.diff(cusps.heights) <= 0)
+        assert np.all(np.diff(fixture.mesh.vertices[cusps, 2]) <= 0)
 
     def test_normals_required(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, _ = generate_crown_fixture("bumped_posterior")
         bare = LabeledMesh(fixture.mesh.vertices, fixture.mesh.faces)
         with pytest.raises(ValueError, match="normals"):
             detect_cusps(bare, (0, 0, 1))
-
-    def test_cusp_set_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            CuspSet([0, 1], [1.0, 2.0])
 
 
 class TestModeA:
@@ -372,7 +367,7 @@ class TestModeA:
         return make_box((0, 0, top - clearance + 3.0), (12.0, 12.0, 3.0))
 
     def test_single_penetrating_cusp_resolved_locally(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, _ = generate_crown_fixture("bumped_posterior")
         crown = fixture.mesh
         # the plate's bottom at 7.11 mm clips the three tallest cusps, at
         # 7.26, 7.20 and 7.14 mm; the tallest takes two rounds to clear
@@ -395,14 +390,14 @@ class TestModeA:
         assert np.array_equal(out.vertices[far], crown.vertices[far])
 
     def test_no_collision_no_change(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, _ = generate_crown_fixture("bumped_posterior")
         crown = fixture.mesh
         plate = self.plate_above(crown, -5.0)  # far above
         out = occlusal_correct_posterior(crown, plate, (0, 0, 1), FittingParams())
         assert np.array_equal(out.vertices, crown.vertices)
 
     def test_all_cusps_colliding_bounded_neighborhood(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, apex_heights = generate_crown_fixture("bumped_posterior")
         crown = fixture.mesh
         plate = self.plate_above(crown, 0.6)  # clips all five cusps
         params = FittingParams()
@@ -410,7 +405,7 @@ class TestModeA:
         moved = np.nonzero(np.any(out.vertices != crown.vertices, axis=1))[0]
         # the falloff ball follows the displaced cusp, so the reach from the
         # original apex grows by at most the largest total tap-down
-        apex_ids = list(fixture.cusp_vertices)
+        apex_ids = list(apex_heights)
         apexes = crown.vertices[apex_ids]
         max_drop = float((crown.vertices[apex_ids, 2] - out.vertices[apex_ids, 2]).max())
         d = np.min(np.linalg.norm(crown.vertices[moved][:, None, :] - apexes[None], axis=2),
@@ -418,7 +413,7 @@ class TestModeA:
         assert d.max() <= params.falloff_radius + max_drop + 1e-12
 
     def test_non_convergence_raises(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, _ = generate_crown_fixture("bumped_posterior")
         crown = fixture.mesh
         plate = self.plate_above(crown, 3.0)  # hopeless within 2 rounds
         with pytest.raises(NonConvergenceError):
@@ -427,14 +422,14 @@ class TestModeA:
 
 
     def test_open_plate_tap_down(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, apexes = generate_crown_fixture("bumped_posterior")
         crown = fixture.mesh
         plate_z = crown.vertices[:, 2].max() - 0.15
         plate = open_plate(plate_z)  # clips the three tallest cusps
         params = FittingParams()
         trace = []
         out = occlusal_correct_posterior(crown, plate, (0, 0, 1), params, trace=trace)
-        clipped = [v for v in fixture.cusp_vertices if crown.vertices[v, 2] > plate_z]
+        clipped = [v for v in apexes if crown.vertices[v, 2] > plate_z]
         assert len(clipped) == 3
         assert sorted(trace[0]["colliding"]) == sorted(clipped)
         assert trace[-1]["colliding"] == []
@@ -465,7 +460,7 @@ def oracle_shifts(crown, plate, params):
 
 class TestModeB:
     def test_shift_count_matches_penetration_depth(self):
-        fixture = generate_crown_fixture("smooth_anterior")
+        fixture, _ = generate_crown_fixture("smooth_anterior")
         crown = fixture.mesh
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.25 + 3.0), (12.0, 12.0, 3.0))
@@ -476,7 +471,7 @@ class TestModeB:
         assert np.isclose(crown.vertices[0, 2] - out.vertices[0, 2], 0.3)
 
     def test_no_interference_zero_shifts(self):
-        fixture = generate_crown_fixture("smooth_anterior")
+        fixture, _ = generate_crown_fixture("smooth_anterior")
         crown = fixture.mesh
         plate = make_box((0, 0, crown.vertices[:, 2].max() + 10.0), (12, 12, 3))
         trace = []
@@ -486,7 +481,7 @@ class TestModeB:
         assert np.array_equal(out.vertices, crown.vertices)
 
     def test_rigidity_pairwise_distances(self, rng):
-        fixture = generate_crown_fixture("smooth_anterior")
+        fixture, _ = generate_crown_fixture("smooth_anterior")
         crown = fixture.mesh
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.4 + 3.0), (12.0, 12.0, 3.0))
@@ -498,7 +493,7 @@ class TestModeB:
 
 
     def test_open_plate_shift_count_matches_oracle(self):
-        fixture = generate_crown_fixture("smooth_anterior")
+        fixture, _ = generate_crown_fixture("smooth_anterior")
         crown = fixture.mesh
         plate_z = crown.vertices[:, 2].max() - 0.25
         plate = open_plate(plate_z)
@@ -512,7 +507,7 @@ class TestModeB:
 
     def test_obstacle_derived_once_over_many_steps(self, monkeypatch):
         # shaped like a pipeline fit: open neighbour patches, a closed antagonist
-        crown = generate_crown_fixture("smooth_anterior").mesh
+        crown = generate_crown_fixture("smooth_anterior")[0].mesh
         width = np.ptp(crown.vertices[:, 0])
         neighbors = two_caps(0.95 * width)
         # 1 mm into the crown before scaling, so the crown still reaches it after
@@ -532,15 +527,15 @@ class TestModeB:
         monkeypatch.setattr(fitting, "SpatialIndex", CountingIndex)
         monkeypatch.setattr(fitting, "is_watertight", counting_watertight)
         _, report = fit_crown(crown, neighbors, antagonist, fdi=41)
-        assert report.mode == "anterior"
-        assert len(report.scale_trace) > 3 and report.occlusal_trace[-1]["shifts"] > 3
+        assert report["mode"] == "anterior"
+        assert len(report["scale_trace"]) > 3 and report["occlusal_trace"][-1]["shifts"] > 3
         assert builds == [antagonist.n_vertices]
         assert checks == [crown.n_faces] * 2  # interproximal scaling and the residual
 
 
 class TestFitCrown:
     def posterior_case(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, _ = generate_crown_fixture("bumped_posterior")
         crown = fixture.mesh
         walls = two_walls(8.6, half=(1.0, 6.0, 6.0))
         top = crown.vertices[:, 2].max()
@@ -551,41 +546,41 @@ class TestFitCrown:
         crown, walls, plate = self.posterior_case()
         params = FittingParams(voxel_resolution=0.02)
         fitted, report = fit_crown(crown, walls, plate, fdi=36, params=params)
-        assert report.mode == "posterior"
-        assert report.centering_applied
+        assert report["mode"] == "posterior"
+        assert report["centering_applied"]
         assert intersection_volume(fitted, walls, UP, 0.02) <= params.v_int_threshold
         assert not points_inside_mesh(fitted.vertices, plate, DOWN).any()
-        assert report.final_scale > 0
+        assert report["final_scale"] > 0
 
     def test_upper_mirror_fits_like_lower(self):
         # a lower molar between open neighbour patches under an open
         # antagonist patch, and the same scene z-mirrored as an upper molar
-        crown = generate_crown_fixture("bumped_posterior").mesh
+        crown = generate_crown_fixture("bumped_posterior")[0].mesh
         scene = (crown, two_caps(0.97 * np.ptp(crown.vertices[:, 0])),
                  open_plate(crown.vertices[:, 2].max() - 0.15))
         params = FittingParams(voxel_resolution=0.05)
         lower, low = fit_crown(*scene, fdi=36, params=params)
         upper, up = fit_crown(*(mirror_z(m) for m in scene), fdi=16, params=params)
-        assert low.scale_trace[0]["volume"] > 0
-        assert [(t["phase"], t["scale"]) for t in up.scale_trace] == \
-            [(t["phase"], t["scale"]) for t in low.scale_trace]
-        assert up.occlusal_trace == low.occlusal_trace
+        assert low["scale_trace"][0]["volume"] > 0
+        assert [(t["phase"], t["scale"]) for t in up["scale_trace"]] == \
+            [(t["phase"], t["scale"]) for t in low["scale_trace"]]
+        assert up["occlusal_trace"] == low["occlusal_trace"]
         assert np.allclose(mirror_z(upper).vertices, lower.vertices, atol=1e-9)
 
     def test_anterior_mode_routing_rigid(self):
-        fixture = generate_crown_fixture("smooth_anterior")
+        fixture, _ = generate_crown_fixture("smooth_anterior")
         crown = fixture.mesh
         walls = two_walls(7.4, half=(1.0, 5.0, 5.0))
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.2 + 3.0), (14.0, 14.0, 3.0))
         fitted, report = fit_crown(crown, walls, plate, fdi=41,
                                    params=FittingParams(voxel_resolution=0.02))
-        assert report.mode == "anterior"
+        assert report["mode"] == "anterior"
 
     def test_unequal_walls_centering_then_scaling_clears_both(self):
         # walls 1 mm and 2 mm thick: their centroids' midpoint sits 0.25 mm off
         # the middle of a gap only 2% wider than the crown
-        crown = generate_crown_fixture("bumped_posterior").mesh
+        crown = generate_crown_fixture("bumped_posterior")[0].mesh
         lo, hi = crown.vertices[:, 0].min(), crown.vertices[:, 0].max()
         mid, gap = (lo + hi) / 2, 1.02 * (hi - lo)
         thin = make_box((mid - gap / 2 - 0.5, 0, 0), (0.5, 6.0, 6.0))
@@ -594,16 +589,16 @@ class TestFitCrown:
                             np.concatenate([thin.faces, thick.faces + 8]))
         params = FittingParams(voxel_resolution=0.02)
         fitted, report = fit_crown(crown, walls, None, fdi=36, params=params)
-        assert report.centering_applied
-        assert report.residual_neighbor_volume <= params.v_int_threshold
+        assert report["centering_applied"]
+        assert report["residual_neighbor_volume"] <= params.v_int_threshold
         assert intersection_volume(fitted, walls, UP, 0.02) <= params.v_int_threshold
 
     def test_missing_opposing_skips_step3(self):
         crown, walls, _ = self.posterior_case()
         fitted, report = fit_crown(crown, walls, None, fdi=36,
                                    params=FittingParams(voxel_resolution=0.02))
-        assert report.mode == "skipped"
-        assert report.occlusal_trace == ()
+        assert report["mode"] == "skipped"
+        assert report["occlusal_trace"] == []
 
 
 def test_posterior_rule():

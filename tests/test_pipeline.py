@@ -13,7 +13,7 @@ from crownfit.fixtures import generate_fixture_corpus
 from crownfit.mesh import PREPARED, is_watertight
 from crownfit.meshio import load_mesh
 from crownfit.pipeline import (STAGES, evaluate_labels, neighbor_fdis,
-                               run_pipeline, segmentation_metrics)
+                               run_pipeline, segmentation_metrics, stage_retrieve)
 from crownfit.synth import fdi_to_class
 
 
@@ -255,6 +255,13 @@ class TestRunPipeline:
         payload = json.loads((Path(cfg.output_dir) / "report.json").read_text())
         assert payload["error"] == expected
         assert [s["name"] for s in payload["stages"]] == ["classify", "register", "refine"]
+
+    def test_retrieve_without_context_teeth_fails(self, corpus):
+        root, manifest = corpus
+        scan = load_mesh(manifest["case"]["scan"])
+        labels = np.zeros(scan.n_faces, dtype=np.int64)  # gingiva only
+        with pytest.raises(PipelineError, match="no context teeth"):
+            stage_retrieve(scan, labels, 36, load_config(root / "config.json"))
 
 
 # one callee per stage, looked up through crownfit.pipeline

@@ -1,22 +1,23 @@
+import struct
+
 import numpy as np
 import pytest
 
 from crownfit.errors import MeshFormatError, NoMatchError
-from crownfit.retrieval import (EMBEDDING_DIM, ContextQuery, Embedding, EmbeddingIndex,
-                                cosine, geometric_embedding, load_embedding_index,
-                                load_embedding_store, match_context, retrieve_crown,
-                                save_embedding_store)
+from crownfit.retrieval import (EMBEDDING_DIM, cosine, geometric_embedding,
+                                load_embedding_index, load_embedding_store, match_context,
+                                retrieve_crown, save_embedding_store)
 
 
 def vec(values):
     v = np.zeros(EMBEDDING_DIM)
     v[: len(values)] = values
-    return Embedding(v)
+    return v
 
 
 def unit(seed):
     v = np.random.default_rng(seed).normal(size=EMBEDDING_DIM)
-    return Embedding(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 class TestCosine:
@@ -34,25 +35,13 @@ class TestCosine:
         b = vec([2.0, 1.0, 2.0])
         assert np.isclose(cosine(a, b), 8.0 / 9.0)
 
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            Embedding(np.ones(100))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            Embedding(np.zeros(EMBEDDING_DIM))
-
 
 class TestMatchContext:
-    def make_index(self, jaws):
-        return EmbeddingIndex(jaws, {"t0": unit(99)})
-
     def test_identical_slots_score_one(self):
         slots = {35: unit(1), 37: unit(2)}
-        index = self.make_index({"jawA": {35: unit(1), 37: unit(2), 36: unit(3)},
-                                 "jawB": {35: unit(4), 37: unit(5), 36: unit(6)}})
-        query = ContextQuery(36, slots)
-        jaw, score = match_context(query, index)
+        jaws = {"jawA": {35: unit(1), 37: unit(2), 36: unit(3)},
+                "jawB": {35: unit(4), 37: unit(5), 36: unit(6)}}
+        jaw, score = match_context(slots, 36, jaws)
         assert jaw == "jawA"
         assert np.isclose(score, 1.0)
 
@@ -66,12 +55,10 @@ class TestMatchContext:
             slots = {}
             for p, e in base.items():
                 noise = rng.normal(size=EMBEDDING_DIM) * eps
-                slots[p] = Embedding(e.vector + noise)
+                slots[p] = e + noise
             slots[36] = unit(200 + j)
             jaws[f"jaw{j:02d}"] = slots
-        index = self.make_index(jaws)
-        query = ContextQuery(36, base)
-        jaw, score = match_context(query, index)
+        jaw, score = match_context(base, 36, jaws)
         # brute-force oracle over all candidate jaws
         def jaw_score(slots):
             shared = [p for p in base if p in slots]
@@ -83,50 +70,41 @@ class TestMatchContext:
     def test_tie_breaks_lexicographically(self):
         shared = unit(3)
         jaws = {"b": {35: shared, 36: unit(7)}, "a": {35: shared, 36: unit(8)}}
-        index = self.make_index(jaws)
-        jaw, _ = match_context(ContextQuery(36, {35: shared}), index)
+        jaw, _ = match_context({35: shared}, 36, jaws)
         assert jaw == "a"
 
     def test_half_slot_gate_skips_sparse_jaws(self):
-        query = ContextQuery(36, {33: unit(1), 34: unit(2), 35: unit(3), 37: unit(4)})
+        slots = {33: unit(1), 34: unit(2), 35: unit(3), 37: unit(4)}
         sparse = {"only_one": {33: unit(1), 36: unit(9)}}
         with pytest.raises(NoMatchError):
-            match_context(query, self.make_index(sparse))
+            match_context(slots, 36, sparse)
         # two of four shared slots passes the gate
         ok = {"half": {33: unit(1), 34: unit(2), 36: unit(9)}}
-        jaw, _ = match_context(ContextQuery(36, query.slots), self.make_index(ok))
+        jaw, _ = match_context(slots, 36, ok)
         assert jaw == "half"
 
     def test_jaws_without_target_position_skipped(self):
         slots = {35: unit(1)}
         jaws = {"no_target": {35: unit(1)}, "with_target": {35: unit(1), 36: unit(2)}}
-        jaw, _ = match_context(ContextQuery(36, slots), self.make_index(jaws))
+        jaw, _ = match_context(slots, 36, jaws)
         assert jaw == "with_target"
 
     def test_empty_index_rejected(self):
         with pytest.raises(NoMatchError):
-            match_context(ContextQuery(36, {35: unit(0)}), EmbeddingIndex({}, {"t": unit(1)}))
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            ContextQuery(36, {})
-        with pytest.raises(ValueError):
-            ContextQuery(36, {36: unit(1)})
+            match_context({35: unit(0)}, 36, {})
 
 
 class TestRetrieveCrown:
     def test_library_containing_donor_wins(self):
         donor = unit(5)
-        index = EmbeddingIndex({}, {"a": unit(1), "self": donor, "b": unit(2)})
-        template, score = retrieve_crown(donor, index)
+        template, score = retrieve_crown(donor, {"a": unit(1), "self": donor, "b": unit(2)})
         assert template == "self"
         assert np.isclose(score, 1.0)
 
     def test_matches_linear_scan_argmax(self, rng):
         donor = unit(0)
         library = {f"t{i:03d}": unit(i + 1) for i in range(100)}
-        index = EmbeddingIndex({}, library)
-        template, score = retrieve_crown(donor, index)
+        template, score = retrieve_crown(donor, library)
         want = max(sorted(library), key=lambda k: cosine(donor, library[k]))
         assert template == want
         assert np.isclose(score, cosine(donor, library[want]))
@@ -134,23 +112,21 @@ class TestRetrieveCrown:
     def test_orthogonal_to_all_but_one(self):
         donor = vec([1.0])
         library = {"hit": vec([2.0]), "m1": vec([0, 1.0]), "m2": vec([0, 0, 1.0])}
-        template, _ = retrieve_crown(donor, index=EmbeddingIndex({}, library))
+        template, _ = retrieve_crown(donor, library)
         assert template == "hit"
 
     def test_empty_library_rejected(self):
         with pytest.raises(ValueError):
-            retrieve_crown(unit(0), EmbeddingIndex({}, {}))
+            retrieve_crown(unit(0), {})
 
     def test_argmax_invariant_under_positive_scaling(self, rng):
         donor = unit(0)
         library = {f"t{i}": unit(i + 50) for i in range(20)}
-        base, _ = retrieve_crown(donor, EmbeddingIndex({}, library))
+        base, _ = retrieve_crown(donor, library)
         for seed in range(3):
             r = np.random.default_rng(seed)
-            scaled = {k: Embedding(e.vector * r.uniform(0.1, 10.0))
-                      for k, e in library.items()}
-            got, _ = retrieve_crown(Embedding(donor.vector * r.uniform(0.1, 10.0)),
-                                    EmbeddingIndex({}, scaled))
+            scaled = {k: e * r.uniform(0.1, 10.0) for k, e in library.items()}
+            got, _ = retrieve_crown(donor * r.uniform(0.1, 10.0), scaled)
             assert got == base
 
 
@@ -162,17 +138,18 @@ class TestStore:
         save_embedding_store(embeddings, keys, path)
         back, back_keys = load_embedding_store(path)
         assert back_keys == keys
-        for a, b in zip(embeddings, back):
-            assert np.abs(a.vector - b.vector).max() < 1e-6  # float32 storage
+        assert back.dtype == np.float64
+        assert np.abs(np.stack(embeddings) - back).max() < 1e-6  # float32 storage
 
     def test_index_loading(self, tmp_path):
         jaw_embeddings = [unit(1), unit(2)]
         jaw_keys = [{"jaw": "j0", "fdi": 35}, {"jaw": "j0", "fdi": 37}]
         save_embedding_store(jaw_embeddings, jaw_keys, tmp_path / "jaws.bin")
         save_embedding_store([unit(3)], [{"template": "c0"}], tmp_path / "crowns.bin")
-        index = load_embedding_index(tmp_path / "jaws.bin", tmp_path / "crowns.bin")
-        assert set(index.jaws["j0"]) == {35, 37}
-        assert set(index.crown_library) == {"c0"}
+        jaws, crowns = load_embedding_index(tmp_path / "jaws.bin", tmp_path / "crowns.bin")
+        assert set(jaws) == {"j0"}
+        assert set(jaws["j0"]) == {35, 37}
+        assert set(crowns) == {"c0"}
 
     @pytest.mark.parametrize("jaw_keys, crown_keys", [
         ([{"jaw": "j0", "fdi": 35}, {"jaw": "j0", "fdi": 35}],
@@ -193,6 +170,28 @@ class TestStore:
             load_embedding_store(path)
         assert err.value.byte_offset == 5
 
+    def test_wrong_dimension_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_embedding_store([np.ones(100)], [{"template": "c0"}], tmp_path / "x.bin")
+        path = tmp_path / "narrow.bin"
+        path.write_bytes(b"EMBD" + struct.pack("<II", 1, 100) + np.ones(100, "<f4").tobytes())
+        path.with_suffix(".bin.json").write_text('[{"template": "c0"}]')
+        with pytest.raises(MeshFormatError, match="dim 100"):
+            load_embedding_store(path)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    def test_row_not_finite_or_zero_rejected(self, tmp_path, bad):
+        # jaw b matches the query exactly, yet a NaN row of jaw a, sorted
+        # first, would win: no score compares greater than a NaN one
+        query = {35: unit(1), 37: unit(2)}
+        rows = [unit(3), np.full(EMBEDDING_DIM, bad), unit(4), query[35], query[37], unit(5)]
+        keys = [{"jaw": jaw, "fdi": fdi} for jaw in "ab" for fdi in (35, 37, 36)]
+        save_embedding_store(rows, keys, tmp_path / "jaws.bin")
+        save_embedding_store([unit(6)], [{"template": "c0"}], tmp_path / "crowns.bin")
+        with pytest.raises(MeshFormatError, match=r"jaws\.bin row 1 is not finite") as err:
+            load_embedding_index(tmp_path / "jaws.bin", tmp_path / "crowns.bin")
+        assert err.value.byte_offset == 12 + 4 * EMBEDDING_DIM
+
 
 class TestGeometricEmbedding:
     def test_deterministic(self, lower_arch):
@@ -200,7 +199,8 @@ class TestGeometricEmbedding:
         faces = np.nonzero(gt.labels == 5)[0]
         a = geometric_embedding(mesh, faces)
         b = geometric_embedding(mesh, faces)
-        assert np.array_equal(a.vector, b.vector)
+        assert a.shape == (EMBEDDING_DIM,)
+        assert np.array_equal(a, b)
 
     def test_similar_teeth_score_higher_than_dissimilar(self, lower_arch):
         mesh, gt = lower_arch

@@ -92,7 +92,7 @@ class TestSlabMesher:
     @pytest.mark.parametrize("kind", ["bumped_posterior", "smooth_anterior"])
     def test_crown_matches_loops(self, kind):
         dims = CrownDims()
-        mesh = generate_crown_fixture(kind, dims).mesh
+        mesh = generate_crown_fixture(kind, dims)[0].mesh
         cells = np.full((dims.cells, dims.cells), LABEL_OCCLUSAL, dtype=np.int64)
         faces, labels = loop_slab(cells, LABEL_BUCCAL, LABEL_MESIAL)
         assert mesh.faces.tobytes() == faces.tobytes()
@@ -228,17 +228,19 @@ class TestPerturbPose:
 
 class TestCrownFixtures:
     def test_posterior_has_exact_cusp_apexes(self):
-        fixture = generate_crown_fixture("bumped_posterior")
-        assert len(fixture.cusp_vertices) == 5
+        fixture, apexes = generate_crown_fixture("bumped_posterior")
+        assert len(apexes) == 5
+        for vertex, height in apexes.items():
+            assert fixture.mesh.vertices[vertex, 2] == height
         assert is_watertight(fixture.mesh)
 
     def test_smooth_anterior_has_no_bumps(self):
-        fixture = generate_crown_fixture("smooth_anterior")
-        assert len(fixture.cusp_vertices) == 0
+        fixture, apexes = generate_crown_fixture("smooth_anterior")
+        assert apexes == {}
         assert is_watertight(fixture.mesh)
 
     def test_region_masks_disjoint_nonempty(self):
-        fixture = generate_crown_fixture("bumped_posterior")
+        fixture, _ = generate_crown_fixture("bumped_posterior")
         masks = [set(fixture.mesial_faces.tolist()), set(fixture.buccal_faces.tolist()),
                  set(fixture.occlusal_faces.tolist())]
         assert all(masks)
@@ -251,9 +253,10 @@ class TestCrownFixtures:
             generate_crown_fixture("bumped_posterior", CrownDims(half_mesial=-1.0))
 
     def test_deterministic(self):
-        a = generate_crown_fixture("bumped_posterior")
-        b = generate_crown_fixture("bumped_posterior")
+        a, apexes_a = generate_crown_fixture("bumped_posterior")
+        b, apexes_b = generate_crown_fixture("bumped_posterior")
         assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
+        assert apexes_a == apexes_b
 
 
 class TestSolids:

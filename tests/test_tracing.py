@@ -7,10 +7,13 @@ rather than in a traced run.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from crownfit.config import load_config
+from crownfit.fixtures import generate_fixture_corpus
 from crownfit.mesh import LabeledMesh
 from helpers import make_box
 
@@ -58,8 +61,27 @@ def test_traced_fit_reaches_every_fitting_layer():
     finally:
         tracer.restore()
     names = [span[0] for span in tracer.spans]
-    assert report.mode == "anterior"
+    assert report["mode"] == "anterior"
     for name in ("fitting.interproximal_adapt", "fitting.occlusal_correct",
                  "fitting.points_inside_mesh"):
         assert name in names, name
     assert names.count("fitting.intersection_volume") == 1  # the residual
+
+
+def test_traced_run_records_every_target(tmp_path):
+    root = tmp_path / "corpus"
+    case = generate_fixture_corpus(root, seed=0)["case"]
+    config = replace(load_config(root / "config.json"), output_dir=str(tmp_path / "out"))
+    pipeline = importlib.import_module("crownfit.pipeline")
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        pipeline.run_pipeline(root / case["scan"], case["target_fdi"], config,
+                              antagonist_path=root / case["antagonist"])
+    finally:
+        tracer.restore()
+    recorded = {span[0] for span in tracer.spans}
+    assert case["target_fdi"] == 36
+    missing = sorted({name for _, _, name in tracing.TARGETS} - recorded)
+    assert not missing, missing
