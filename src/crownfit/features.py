@@ -3,10 +3,11 @@ pair-feature angle, distance-weighted neighbor accumulation, each 11-bin
 block normalized to sum 100, with no loop over points. Pair features are
 computed once per unordered pair of ``SpatialIndex.radius_pairs``; the
 reverse direction repeats f1 and f2 and negates f3, except on exact ties
-``|a1| == |a2|``. One ``np.bincount`` counts both directions' bins and one
-sparse product, its rows ordered by source, distance and neighbour so that
-every sum is reproducible to the bit, adds the 1/distance-weighted
-neighbours.
+``|a1| == |a2|``. Features are taken ``_PAIR_BLOCK`` pairs at a time, and
+``np.bincount`` adds both directions' bins of each block to one count
+array, so memory does not grow with the pair count; one sparse product, its
+rows ordered by source, distance and neighbour so that every sum is
+reproducible to the bit, adds the 1/distance-weighted neighbours.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .mesh import PointCloud, _freeze
 from .spatial import SpatialIndex
 
 FPFH_BINS = 11
+_PAIR_BLOCK = 32768  # unordered pairs whose features and bin counts are taken at once
 
 
 def _bin_indices(f1, f2, f3):
@@ -69,21 +71,24 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     nrm = cloud.normals
     n = len(pts)
     i, j, dist = SpatialIndex(pts).radius_pairs(radius)
-    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
 
-    # j -> i repeats f1 and f2 of i -> j and negates f3, except on exact ties
-    f1, f2, f3, ok, tie = _pair_features_batch(nrm[i], nrm[j], pts[j] - pts[i], dist)
-    f1, f2, f3, ok = np.tile(f1, 2), np.tile(f2, 2), np.concatenate([f3, -f3]), np.tile(ok, 2)
-    back = np.concatenate([np.zeros_like(tie), tie])
-    f1[back], f2[back], f3[back], ok[back], _ = _pair_features_batch(
-        nrm[j[tie]], nrm[i[tie]], pts[i[tie]] - pts[j[tie]], dist[tie])
-    i1, i2, i3 = _bin_indices(f1[ok], f2[ok], f3[ok])
-    src_ok = src[ok]
-    cells = np.column_stack([i1, FPFH_BINS + i2, 2 * FPFH_BINS + i3])
-    cells += 3 * FPFH_BINS * src_ok[:, None]
-    spfh = np.bincount(cells.ravel(), minlength=3 * FPFH_BINS * n)
-    spfh = spfh.reshape(n, 3 * FPFH_BINS).astype(np.float64)
-    pair_counts = np.bincount(src_ok, minlength=n)
+    counts = np.zeros(3 * FPFH_BINS * n, dtype=np.int64)
+    for start in range(0, len(i), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        bi, bj, bd = i[block], j[block], dist[block]
+        # j -> i repeats f1 and f2 of i -> j and negates f3, except on exact ties
+        f1, f2, f3, ok, tie = _pair_features_batch(nrm[bi], nrm[bj], pts[bj] - pts[bi], bd)
+        f1, f2, f3, ok = np.tile(f1, 2), np.tile(f2, 2), np.concatenate([f3, -f3]), np.tile(ok, 2)
+        back = np.concatenate([np.zeros_like(tie), tie])
+        f1[back], f2[back], f3[back], ok[back], _ = _pair_features_batch(
+            nrm[bj[tie]], nrm[bi[tie]], pts[bi[tie]] - pts[bj[tie]], bd[tie])
+        i1, i2, i3 = _bin_indices(f1[ok], f2[ok], f3[ok])
+        cells = np.column_stack([i1, FPFH_BINS + i2, 2 * FPFH_BINS + i3])
+        cells += 3 * FPFH_BINS * np.concatenate([bi, bj])[ok, None]
+        counts += np.bincount(cells.ravel(), minlength=len(counts))
+    counts = counts.reshape(n, 3 * FPFH_BINS)
+    pair_counts = counts[:, :FPFH_BINS].sum(axis=1)  # a valid pair adds 1 to each block
+    spfh = counts.astype(np.float64)
     nonzero = pair_counts > 0
     spfh[nonzero] /= pair_counts[nonzero, None]
 
@@ -93,6 +98,7 @@ def compute_fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     level = np.unique(dist, return_inverse=True)[1]
     rank = np.empty(len(i), dtype=np.int64)
     rank[np.argsort(level * (2 * n) + i + j)] = np.arange(len(i))
+    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
     order = np.argsort(src * len(i) + np.tile(rank, 2))
     w = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)  # coincident: 0
     k_counts = np.bincount(src, minlength=n)

@@ -105,7 +105,8 @@ def stage_classify(scan: LabeledMesh, config: PipelineConfig,
 
 def stage_register(scan: LabeledMesh, scan_class: ScanClass,
                    config: PipelineConfig) -> tuple[LabeledMesh, dict]:
-    """The scan moved into the canonical template frame."""
+    """The scan moved into the canonical template frame; the payload's ICP
+    counts are the chosen template's."""
     if config.template_dir is None:
         raise PipelineError("registration needs template_dir configured")
     library = load_template_library(config.template_dir)
@@ -115,6 +116,8 @@ def stage_register(scan: LabeledMesh, scan_class: ScanClass,
         "inlier_rmse": reg.inlier_rmse,
         "chosen_template": reg.chosen_template,
         "transform": reg.transform.matrix().tolist(),
+        "icp_iterations": reg.iterations,
+        "icp_evaluations": reg.evaluations,
     }
 
 

@@ -3,15 +3,21 @@
 Coarse: reciprocal FPFH correspondences, filtered by second-order spatial
 compatibility (SC2-PCR, Chen et al. 2022) under an edge-length similarity
 gate; no random sampling. Fine: point-to-plane ICP with a Tukey biweight
-kernel and a backtracking line search, so the traced robust objective is
-non-increasing by construction. Partial scans compete against the upper and
-lower partial templates of their side; the higher fitness wins.
+kernel and a warm-started backtracking line search: each iteration first
+tries twice the step fraction the previous one accepted, and ICP stops when
+no step down to ``icp_tolerance`` lowers the robust objective, so the traced
+objective is strictly decreasing by construction. Partial scans compete
+against the upper and lower partial templates of their side; the higher
+fitness wins.
 
 Nothing is derived twice: ``prepare_cloud`` downsamples a cloud and computes
 its FPFH once (the scan once, however many templates it meets), templates
 arrive prepared from the library's store (``store_prepared_templates``), and
+a template's PLY is read only when its cloud must be prepared here;
 ``register_pair`` matches features, picks a coarse pose and runs ICP once
-per pair.
+per pair. Each correspondence search serves every number taken at its pose:
+the coarse polish re-fits on the winning group's search, and ICP's fitness
+and RMSE come from its last accepted objective.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ class RegistrationParams:
     edge_similarity: float = 0.95            # pairwise edge-length gate
     icp_max_corr_dist: float = 1.0           # mm; also the fitness gate
     icp_max_iters: int = 60
-    icp_tolerance: float = 1e-6              # parameter-change stop
+    icp_tolerance: float = 1e-4              # shortest step ICP tries, |(omega rad, v mm)|
     tukey_k: float = 0.5                     # mm of point-to-plane residual
 
     def __post_init__(self):
@@ -60,6 +66,7 @@ class RegistrationResult:
     inlier_rmse: float       # mm over those inliers
     chosen_template: str = ""
     iterations: int = 0
+    evaluations: int = 0     # ICP objective evaluations, each a correspondence search
     objective_trace: tuple = ()
 
     def __post_init__(self):
@@ -110,15 +117,19 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     return RigidTransform(r, dc - r @ sc)
 
 
+def _fitness_rmse(dist: np.ndarray, max_dist: float) -> tuple[float, float]:
+    """Inlier fraction and inlier RMSE of NN distances gated at ``max_dist``."""
+    inlier = dist <= max_dist
+    fitness = float(inlier.mean()) if len(dist) else 0.0
+    rmse = float(np.sqrt(np.mean(dist[inlier] ** 2))) if inlier.any() else 0.0
+    return fitness, rmse
+
+
 def _evaluate(points: np.ndarray, transform: RigidTransform, target_index: SpatialIndex,
               max_dist: float) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Fitness, inlier RMSE, NN indices and distances for transformed points."""
-    moved = transform.apply(points)
-    idx, dist = target_index.nearest_within(moved, max_dist)
-    inlier = dist <= max_dist
-    fitness = float(inlier.mean()) if len(points) else 0.0
-    rmse = float(np.sqrt(np.mean(dist[inlier] ** 2))) if inlier.any() else 0.0
-    return fitness, rmse, idx, dist
+    idx, dist = target_index.nearest_within(transform.apply(points), max_dist)
+    return (*_fitness_rmse(dist, max_dist), idx, dist)
 
 
 def _feature_correspondences(src_feat: np.ndarray, tgt_feat: np.ndarray) -> np.ndarray:
@@ -146,12 +157,14 @@ def match_features(source: PreparedCloud, target: PreparedCloud):
     draws its correspondences from.
 
     Mutual filtering drops most hallucinated matches on self-similar arch
-    regions and points outside the shared coverage. Raises
+    regions and points outside the shared coverage. Only the target rows
+    some source row matched are searched back. Raises
     CoarseRegistrationError when fewer than 3 matches are reciprocal.
     """
     corr = _feature_correspondences(source.fpfh, target.fpfh)
-    back = _feature_correspondences(target.fpfh, source.fpfh)
-    pool = np.nonzero(back[corr] == np.arange(len(corr)))[0]
+    rows, slot = np.unique(corr, return_inverse=True)
+    back = _feature_correspondences(target.fpfh[rows], source.fpfh)
+    pool = np.nonzero(back[slot] == np.arange(len(corr)))[0]
     if len(pool) < 3:
         raise CoarseRegistrationError(f"need >=3 reciprocal feature matches, got {len(pool)}")
     return corr, pool
@@ -194,7 +207,7 @@ def coarse_register(
     tgt_index = SpatialIndex(tpts)
     threshold = 1.5 * params.voxel  # inlier distance of the coarse stage
     grouped = np.zeros(len(pool), dtype=bool)
-    best = None  # (inliers, -rmse), transform
+    best = None  # (inliers, -rmse), transform, NN indices, NN distances
     evaluated = 0
     for seed in seeds:
         if grouped[seed]:
@@ -206,18 +219,17 @@ def coarse_register(
         if len(group) < 3:
             continue
         candidate = _kabsch(s[group], t[group])
-        fitness, rmse, _, _ = _evaluate(spts, candidate, tgt_index, threshold)
+        fitness, rmse, idx, dist = _evaluate(spts, candidate, tgt_index, threshold)
         evaluated += 1
         key = (int(round(fitness * len(spts))), -rmse)
         if best is None or key > best[0]:
-            best = (key, candidate)
+            best = (key, candidate, idx, dist)
 
     if best is None:
         raise CoarseRegistrationError("no correspondence has 2 compatible partners")
 
-    transform = best[1]
+    _, transform, idx, dist = best
     # one polish pass: re-fit on the inlier correspondences of the best model
-    _, _, idx, dist = _evaluate(spts, transform, tgt_index, threshold)
     inlier = dist <= threshold
     if inlier.sum() >= 3:
         transform = _kabsch(spts[inlier], tpts[idx[inlier]])
@@ -244,7 +256,8 @@ def _tukey_weight(r: np.ndarray, k: float) -> np.ndarray:
 
 
 def _objective(points, transform, target_index, target_points, target_normals, params):
-    """Mean Tukey loss of point-to-plane residuals; unmatched points saturate."""
+    """Mean Tukey loss of point-to-plane residuals, unmatched points
+    saturated, with the NN indices and distances of its query."""
     moved = transform.apply(points)
     idx, dist = target_index.nearest_within(moved, params.icp_max_corr_dist)
     matched = dist <= params.icp_max_corr_dist
@@ -255,16 +268,22 @@ def _objective(points, transform, target_index, target_points, target_normals, p
         q = target_points[idx[matched]]
         r = np.einsum("ij,ij->i", n, moved[matched] - q)
         rho[matched] = _tukey_rho(r, k)
-    return float(rho.mean()), idx, matched
+    return float(rho.mean()), idx, dist
 
 
-def _solve_increment(moved, q, n, w):
-    """Weighted point-to-plane Gauss-Newton step (omega, v) and the 6x6 system."""
-    r = np.einsum("ij,ij->i", n, moved - q)
+def _gauss_newton_step(moved, n, r, w):
+    """Point-to-plane Gauss-Newton step xi = (omega, v) for residuals ``r``,
+    weighted by ``w`` (None: unweighted), or None when the 6x6 normal
+    equations are degenerate."""
     j = np.concatenate([np.cross(moved, n), n], axis=1)  # (m, 6)
-    a = (j * w[:, None]).T @ j
-    b = -(j * w[:, None]).T @ r
-    return a, b
+    jw = j if w is None else j * w[:, None]
+    a = jw.T @ j
+    if np.abs(np.diag(a)).max() <= 0:
+        return None
+    eig = np.linalg.eigvalsh(a)
+    if eig[0] < 1e-12 * eig[-1] or eig[-1] <= 0:
+        return None
+    return np.linalg.solve(a, -jw.T @ r)
 
 
 def _apply_increment(transform: RigidTransform, xi: np.ndarray) -> RigidTransform:
@@ -285,10 +304,16 @@ def fine_register(
 ) -> RegistrationResult:
     """Tukey-weighted point-to-plane ICP refinement of ``init``.
 
-    The robust objective (mean Tukey loss, unmatched points saturated) is
-    re-evaluated with fresh correspondences for every accepted step, so the
-    result's ``objective_trace`` is monotone non-increasing. Raises
-    RankDeficiencyError for degenerate normal covariance.
+    Each iteration solves the Tukey-weighted Gauss-Newton system, and the
+    unweighted one only when the weighted one gives no step, then line
+    searches the robust objective (mean Tukey loss, unmatched points
+    saturated) with fresh correspondences for every candidate. The search
+    starts at ``min(1, 2 s)`` of the step, ``s`` the fraction the previous
+    iteration accepted (1 at first), and halves it until it lowers the
+    objective or gets shorter than ``icp_tolerance``; an iteration that
+    accepts nothing ends ICP, so ``objective_trace`` is strictly
+    decreasing. Fitness and RMSE come from the last accepted objective's
+    query. Raises RankDeficiencyError for degenerate normal covariance.
     """
     if target.normals is None:
         raise ValueError("fine registration requires target normals")
@@ -298,59 +323,50 @@ def fine_register(
     k = params.tukey_k
 
     transform = init
-    obj, idx, matched = _objective(pts, transform, tgt_index, tpts, tnrm, params)
+    obj, idx, dist = _objective(pts, transform, tgt_index, tpts, tnrm, params)
     trace = [obj]
+    evaluations = 1
+    start = 1.0  # fraction of its Gauss-Newton step the next line search tries first
     iterations = 0
     for iterations in range(1, params.icp_max_iters + 1):
+        matched = dist <= params.icp_max_corr_dist
         if not matched.any():
             break
         moved = transform.apply(pts)[matched]
-        q = tpts[idx[matched]]
         n = tnrm[idx[matched]]
-        r = np.einsum("ij,ij->i", n, moved - q)
-        w = _tukey_weight(r, k)
-
-        candidates = []
-        a, b = _solve_increment(moved, q, n, w)
-        candidates.append((a, b, True))
-        a_u, b_u = _solve_increment(moved, q, n, np.ones_like(w))
-        candidates.append((a_u, b_u, False))
+        r = np.einsum("ij,ij->i", n, moved - tpts[idx[matched]])
 
         step = None
-        for a, b, weighted in candidates:
-            scale = np.abs(np.diag(a)).max()
-            if scale <= 0:
-                continue
-            eig = np.linalg.eigvalsh(a)
-            if eig[0] < 1e-12 * eig[-1] or eig[-1] <= 0:
-                if not weighted:
+        for w in (_tukey_weight(r, k), None):
+            xi = _gauss_newton_step(moved, n, r, w)
+            if xi is None:
+                if w is None:
                     raise RankDeficiencyError(
                         "degenerate normal covariance in point-to-plane system"
                     )
                 continue
-            xi = np.linalg.solve(a, b)
-            # backtracking line search on the full robust objective
-            for _ in range(10):
-                cand = _apply_increment(transform, xi)
-                cand_obj, cand_idx, cand_matched = _objective(
+            frac = start
+            while frac * np.linalg.norm(xi) >= params.icp_tolerance:
+                cand = _apply_increment(transform, frac * xi)
+                cand_obj, cand_idx, cand_dist = _objective(
                     pts, cand, tgt_index, tpts, tnrm, params
                 )
+                evaluations += 1
                 if cand_obj < obj:
-                    step = (xi, cand, cand_obj, cand_idx, cand_matched)
+                    step = (frac, cand, cand_obj, cand_idx, cand_dist)
                     break
-                xi = xi / 2.0
+                frac /= 2.0
             if step is not None:
                 break
         if step is None:
-            break  # no descent direction: converged at a robust minimum
-        xi, transform, obj, idx, matched = step
+            break  # no step down to icp_tolerance lowers the objective
+        frac, transform, obj, idx, dist = step
+        start = min(1.0, 2.0 * frac)
         trace.append(obj)
-        if np.linalg.norm(xi) < params.icp_tolerance:
-            break
 
-    fitness, rmse, _, _ = _evaluate(pts, transform, tgt_index, params.icp_max_corr_dist)
+    fitness, rmse = _fitness_rmse(dist, params.icp_max_corr_dist)
     return RegistrationResult(transform, fitness, rmse, iterations=iterations,
-                              objective_trace=tuple(trace))
+                              evaluations=evaluations, objective_trace=tuple(trace))
 
 
 # ---------------------------------------------------------------- routing

@@ -3,7 +3,8 @@ selection, and derived partial templates.
 
 The library holds 8 templates keyed by ``template_key``: one master mesh per
 jaw plus six partials (jaw x Left/Right/Center) cropped from the masters. It
-persists as a directory of PLY files with a JSON manifest. The directory may
+persists as a directory of PLY files with a JSON manifest; a loaded library
+reads a template's PLY only when that mesh is asked for. The directory may
 also hold each template's registration cloud (downsampled points, normals
 and FPFH rows) in ``prepared.npz``, which the manifest keys by the ``voxel``
 and ``fpfh_radius`` it was prepared with.
@@ -12,6 +13,7 @@ and ``fpfh_radius`` it was prepared with.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,9 +121,29 @@ def derive_partials(master: LabeledMesh, side: str) -> LabeledMesh:
     return master.submesh(keep)
 
 
+class _PlyMeshes(Mapping):
+    """Template key -> LabeledMesh of a saved library, each PLY read on first
+    access and kept."""
+
+    def __init__(self, files: dict):
+        self._files = files
+        self._loaded = {}
+
+    def __getitem__(self, key):
+        if key not in self._loaded:
+            self._loaded[key] = load_mesh(self._files[key], "PLY")
+        return self._loaded[key]
+
+    def __iter__(self):
+        return iter(self._files)
+
+    def __len__(self):
+        return len(self._files)
+
+
 @dataclass(frozen=True)
 class TemplateLibrary:
-    meshes: dict  # template key -> LabeledMesh, in TEMPLATE_KEYS order
+    meshes: Mapping  # template key -> LabeledMesh, in TEMPLATE_KEYS order
     # the store of prepared registration clouds of a saved library and the
     # (voxel, fpfh_radius) they were prepared with; None without a store
     prepared_file: Path = None
@@ -131,7 +153,8 @@ class TemplateLibrary:
         if set(self.meshes) != set(TEMPLATE_KEYS):
             raise ValueError(f"template library holds {sorted(self.meshes)}, "
                              f"not the templates {list(TEMPLATE_KEYS)}")
-        object.__setattr__(self, "meshes", {key: self.meshes[key] for key in TEMPLATE_KEYS})
+        if list(self.meshes) != list(TEMPLATE_KEYS):
+            object.__setattr__(self, "meshes", {key: self.meshes[key] for key in TEMPLATE_KEYS})
 
     def prepared_cloud(self, key: str) -> tuple:
         """``(PointCloud, FPFH rows)`` of one template, read from the store
@@ -196,6 +219,9 @@ def save_prepared_clouds(directory, key: tuple, clouds: dict) -> None:
 
 
 def load_template_library(directory) -> TemplateLibrary:
+    """The library saved in ``directory``; a template's PLY is read when its
+    mesh is first asked for, so a case whose templates come from the store
+    reads none."""
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
     if manifest.get("version") != MANIFEST_VERSION:
@@ -203,7 +229,9 @@ def load_template_library(directory) -> TemplateLibrary:
     files = dict(manifest["masters"])
     for jaw_side, name in manifest["partials"].items():
         files[template_key(*jaw_side.split("/"))] = name
-    meshes = {key: load_mesh(directory / name, "PLY") for key, name in files.items()}
+    # TEMPLATE_KEYS order first, so the library keeps the mapping unread
+    files = {key: files[key] for key in TEMPLATE_KEYS if key in files} | files
+    meshes = _PlyMeshes({key: directory / name for key, name in files.items()})
     # the cut is always DEFAULT_CUT_SPECS: a "cut_specs" entry of an older
     # manifest is not read
     prepared_file = prepared_key = None

@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
+import crownfit.features as features
 from crownfit.classify import ClassifierParams, _polar, baseline_geometric_classify
 from crownfit.errors import MeshWarning
 from crownfit.features import FPFH_BINS, compute_fpfh
@@ -227,6 +228,19 @@ class TestFpfh:
 
     @pytest.mark.parametrize("name", list(ORACLE_CLOUDS))
     def test_bitwise_equal_to_directed_pair_oracle(self, name):
+        make, radius = ORACLE_CLOUDS[name]
+        cloud = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MeshWarning)
+            got = compute_fpfh(cloud, radius)
+        want = directed_pair_fpfh(cloud.points, cloud.normals, radius)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(ORACLE_CLOUDS))
+    def test_blocks_of_7_pairs_bitwise_equal_to_oracle(self, name, monkeypatch):
+        # block edges fall between tied and coincident pairs and split the
+        # pairs of one point over several blocks
+        monkeypatch.setattr(features, "_PAIR_BLOCK", 7)
         make, radius = ORACLE_CLOUDS[name]
         cloud = make()
         with warnings.catch_warnings():

@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 import crownfit.registration as registration
+import crownfit.templates as templates
 from crownfit.classify import ScanClass
 from crownfit.errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
@@ -205,6 +206,49 @@ class TestFine:
         assert len(trace) >= 2
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
+    def test_line_search_warm_starts_and_ends_at_tolerance(self, arch_cloud, monkeypatch):
+        # the candidates of one search are start, start/2, ... times its
+        # Gauss-Newton step, none shorter than icp_tolerance; start is 1 at
+        # first and min(1, 2 s) after a search accepted the fraction s
+        tgt = voxel_downsample(arch_cloud, PARAMS.voxel)
+        other, _ = generate_arch(ArchSpec.standard("Lower", "full", seed=3, jitter_sigma=0.3))
+        applied = RigidTransform.from_axis_angle((0.1, 0.2, 0.9), np.radians(5.0),
+                                                 (1.5, 1.0, -0.5))
+        src = voxel_downsample(other.to_point_cloud(), PARAMS.voxel).transformed(applied)
+        searches, tried = [], []  # (Gauss-Newton step, first candidate), (base, xi, moved)
+        solve, apply = registration._gauss_newton_step, registration._apply_increment
+
+        def recording_solve(*args):
+            xi = solve(*args)
+            searches.append((xi, len(tried)))
+            return xi
+
+        def recording_apply(transform, xi):
+            moved = apply(transform, xi)
+            tried.append((transform, xi, moved))
+            return moved
+
+        monkeypatch.setattr(registration, "_gauss_newton_step", recording_solve)
+        monkeypatch.setattr(registration, "_apply_increment", recording_apply)
+        result = fine_register(src, tgt, RigidTransform(), PARAMS)
+
+        kept = {id(base) for base, _, _ in tried} | {id(result.transform)}
+        start, starts = 1.0, []
+        bounds = [first for _, first in searches] + [len(tried)]
+        for (xi, first), end in zip(searches, bounds[1:]):
+            norm = np.linalg.norm(xi)
+            fractions = [np.linalg.norm(step) / norm for _, step, _ in tried[first:end]]
+            expected = [start / 2**m for m in range(len(fractions))]
+            assert fractions == expected
+            assert all(f * norm >= PARAMS.icp_tolerance for f in fractions)
+            starts.append(start)
+            if fractions and id(tried[end - 1][2]) in kept:
+                start = min(1.0, 2.0 * fractions[-1])
+            else:  # rejected down to the tolerance
+                assert start / 2**len(fractions) * norm < PARAMS.icp_tolerance
+        assert len(result.objective_trace) >= 3 and min(starts) < 1.0
+        assert result.evaluations == 1 + len(tried)
+
     def test_plane_raises_rank_deficiency(self):
         xs, ys = np.meshgrid(np.linspace(0, 10, 15), np.linspace(0, 10, 15))
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
@@ -319,6 +363,22 @@ class TestFeatureCorrespondences:
         assert np.array_equal(got, np.argmin(d2, axis=1))
         assert np.all(got < 150)  # every row ties with its twin and takes the first
 
+    def test_reverse_search_of_matched_rows_gives_the_all_rows_pool(self, rng):
+        src = rng.integers(0, 3, size=(700, 33)).astype(float)
+        tgt = rng.integers(0, 3, size=(600, 33)).astype(float)
+        tgt[300:] = tgt[:300]  # tied target rows
+        src[::3] = tgt[rng.integers(0, 600, size=len(src[::3]))]
+        src[1::3] = src[::3][:len(src[1::3])]  # tied source rows
+
+        def prepared(feat):
+            return PreparedCloud(PointCloud(np.zeros((len(feat), 3))), feat)
+
+        corr, pool = match_features(prepared(src), prepared(tgt))
+        back = registration._feature_correspondences(tgt, src)
+        assert np.array_equal(corr, registration._feature_correspondences(src, tgt))
+        assert np.array_equal(pool, np.nonzero(back[corr] == np.arange(len(src)))[0])
+        assert len(np.unique(corr)) < len(tgt) and 3 <= len(pool) < len(src)
+
     def test_bitwise_equal_to_unfused_distances(self, rng):
         src = rng.random((1100, 33)) * 100
         tgt = rng.random((700, 33)) * 100
@@ -357,43 +417,50 @@ class TestTemplateStore:
 
 class TestDerivedOnce:
     """Downsampling and FPFH run once per cloud, however many templates the
-    cloud meets; the coarse stage runs once per template."""
+    cloud meets; the coarse stage runs once per template; a saved template's
+    PLY is read only when registration prepares that template itself."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"compute_fpfh": 0, "voxel_downsample": 0, "coarse_register": 0}
-        for name in counts:
-            original = getattr(registration, name)
+        modules = {"compute_fpfh": registration, "voxel_downsample": registration,
+                   "coarse_register": registration, "load_mesh": templates}
+        counts = dict.fromkeys(modules, 0)
+        for name, module in modules.items():
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(registration, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return counts
 
     def test_full_scan_one_coarse_pass(self, library, counts):
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
-        assert counts == {"compute_fpfh": 2, "voxel_downsample": 2, "coarse_register": 1}
+        assert counts == {"compute_fpfh": 2, "voxel_downsample": 2, "coarse_register": 1,
+                          "load_mesh": 0}
 
     def test_partial_scan_shares_source(self, library, counts):
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
-        assert counts == {"compute_fpfh": 3, "voxel_downsample": 3, "coarse_register": 2}
+        assert counts == {"compute_fpfh": 3, "voxel_downsample": 3, "coarse_register": 2,
+                          "load_mesh": 0}
 
     def test_stored_templates_full_scan_prepares_only_the_scan(self, saved_library, counts):
         library = load_template_library(saved_library)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
-        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 1}
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 1,
+                          "load_mesh": 0}
 
     def test_stored_templates_partial_scan_prepares_only_the_scan(self, saved_library,
                                                                   counts):
         library = load_template_library(saved_library)
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
-        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 2}
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 2,
+                          "load_mesh": 0}
 
     def test_store_of_other_voxel_recomputes(self, saved_library, tmp_path, counts):
         def other_voxel(manifest):
@@ -403,7 +470,8 @@ class TestDerivedOnce:
         assert library.prepared_file is not None
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
-        assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (2, 2)
+        assert (counts["compute_fpfh"], counts["voxel_downsample"], counts["load_mesh"]) == \
+            (2, 2, 1)
 
     def test_manifest_without_store_loads_and_recomputes(self, saved_library, tmp_path,
                                                          counts):
@@ -413,7 +481,8 @@ class TestDerivedOnce:
         assert (library.prepared_file, library.prepared_key) == (None, None)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
-        assert (counts["compute_fpfh"], counts["voxel_downsample"]) == (2, 2)
+        assert (counts["compute_fpfh"], counts["voxel_downsample"], counts["load_mesh"]) == \
+            (2, 2, 1)
 
 
 def test_registration_result_validation():
