@@ -1,6 +1,11 @@
 """Per-face label refinement: alpha-expansion graph cuts over label
 probabilities plus small-component cleanup.
 
+Probabilities are a float64 (n_faces, n_classes) matrix. Outside data
+reaches refinement only through ``load_probabilities``, which rejects
+non-finite or negative values and rows without a positive sum, then divides
+each row by its sum; the corruptor provider builds its rows stochastic.
+
 Energy: sum_f -log p_f(l_f) + lambda * sum_adjacent w_fg [l_f != l_g] with
 w_fg = exp(-beta (1 - cos theta_fg)) for the dihedral angle theta between
 face normals.
@@ -38,7 +43,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import MeshFormatError
-from .mesh import GINGIVA, LabeledMesh, _freeze, component_ids, face_adjacency
+from .mesh import GINGIVA, LabeledMesh, component_ids, face_adjacency
 from .meshio import _read_float32_matrix
 
 PROB_CLAMP = 1e-12
@@ -46,37 +51,6 @@ _MAX_SWEEPS = 10        # alpha-expansion sweeps over all labels
 _BAND_RINGS = 2         # adjacency rings a move's band reaches past its seeds
 _FLOW_SCALE = 1e8       # preferred float-energy -> integer capacity scale
 _FLOW_CAP_MAX = 1.8e9   # scipy's max-flow wraps beyond int32; stay under it
-
-
-@dataclass(frozen=True)
-class FaceLabelProbabilities:
-    """Row-stochastic (n_faces, n_classes) matrix of per-face probabilities."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError("probability matrix must be 2-D")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("probabilities must be finite")
-        if np.any(m < 0):
-            raise ValueError("probabilities must be non-negative")
-        sums = m.sum(axis=1)
-        if m.size and np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValueError("probability rows must sum to 1 within 1e-6")
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def n_faces(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.matrix.shape[1]
-
-    def argmax_labels(self) -> np.ndarray:
-        return self.matrix.argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -223,31 +197,32 @@ def _band_move(unary: np.ndarray, nbr: np.ndarray, wtab: np.ndarray, labels: np.
 
 def graphcut_refine(
     mesh: LabeledMesh,
-    probs: FaceLabelProbabilities,
+    probs: np.ndarray,
     params: RefineParams,
     pairs: np.ndarray,
 ) -> np.ndarray:
-    """Banded alpha-expansion refinement of the argmax labeling over the
-    adjacent face pairs ``pairs`` (``face_adjacency(mesh)``).
+    """Banded alpha-expansion refinement of the argmax labeling of the
+    (n_faces, n_classes) probability matrix ``probs`` over the adjacent face
+    pairs ``pairs`` (``face_adjacency(mesh)``).
 
     Returns per-face labels whose energy never exceeds the argmax labeling's;
     with zero smoothness the argmax labels are returned unchanged.
     """
-    if probs.n_faces != mesh.n_faces:
+    if len(probs) != mesh.n_faces:
         raise ValueError(
-            f"probability rows ({probs.n_faces}) != face count ({mesh.n_faces})"
+            f"probability rows ({len(probs)}) != face count ({mesh.n_faces})"
         )
-    labels = probs.argmax_labels()
+    labels = probs.argmax(axis=1)
     if params.smoothness == 0 or mesh.n_faces == 0:
         return labels
-    unary = -np.log(np.clip(probs.matrix, PROB_CLAMP, 1.0))
+    unary = -np.log(np.clip(probs, PROB_CLAMP, 1.0))
     weights = pairwise_weights(mesh, pairs, params)
     energy = labeling_energy(unary, pairs, weights, labels)
     nbr, wtab = _neighbour_table(len(labels), pairs, weights)
 
     for _ in range(_MAX_SWEEPS):
         improved = False
-        for alpha in range(probs.n_classes):
+        for alpha in range(probs.shape[1]):
             band = _expansion_band(unary, nbr, labels, alpha)
             if not band.any():
                 continue
@@ -269,7 +244,7 @@ def tune_smoothness(
 ) -> float:
     """Validation-set tuning of the smoothness weight.
 
-    ``cases`` is a list of (mesh, probabilities, ground-truth labels); the
+    ``cases`` is a list of (mesh, probability matrix, ground-truth labels); the
     candidate maximizing mean refined accuracy wins, ties to the smaller
     value. Each candidate replaces only the smoothness of ``params``. The
     chosen value is then applied unchanged downstream.
@@ -310,21 +285,28 @@ def reassign_small_components(
 _PROB_MAGIC = b"FPRB"
 
 
-def load_probabilities(path) -> FaceLabelProbabilities:
+def load_probabilities(path) -> np.ndarray:
+    """The float64 (n_faces, n_classes) probability matrix of a JSON
+    (``.json`` suffix) or binary file, each row divided by its sum.
+
+    Raises ValueError unless every stored value is finite and non-negative
+    and every row's sum is positive.
+    """
     path = Path(path)
     if path.suffix == ".json":
         payload = json.loads(path.read_text())
         m = np.asarray(payload["rows"], dtype=np.float64)
         if m.shape != (payload["faces"], payload["classes"]):
             raise MeshFormatError(f"probability JSON shape mismatch in {path}")
-        return FaceLabelProbabilities(_renormalize(m))
-    m = _read_float32_matrix(path, _PROB_MAGIC, "probability file").astype(np.float64)
-    return FaceLabelProbabilities(_renormalize(m))
-
-
-def _renormalize(m: np.ndarray) -> np.ndarray:
+    else:
+        m = _read_float32_matrix(path, _PROB_MAGIC, "probability file").astype(np.float64)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"probabilities in {path} must be finite")
+    if np.any(m < 0):
+        raise ValueError(f"probabilities in {path} must be non-negative")
     sums = m.sum(axis=1, keepdims=True)
-    sums[sums == 0] = 1.0
+    if np.any(sums <= 0):
+        raise ValueError(f"every probability row in {path} must have a positive sum")
     return m / sums
 
 
@@ -334,7 +316,7 @@ def corrupt_labels(
     flip_fraction: float,
     softness: float,
     seed: int,
-) -> FaceLabelProbabilities:
+) -> np.ndarray:
     """Ground-truth corruptor provider: flip a fraction of labels, then soften.
 
     The (possibly flipped) label gets probability 1 - softness, the remainder
@@ -352,4 +334,4 @@ def corrupt_labels(
         noisy[pick] = (noisy[pick] + offsets) % n_classes
     m = np.full((len(labels), n_classes), softness / max(1, n_classes - 1))
     m[np.arange(len(labels)), noisy] = 1.0 - softness
-    return FaceLabelProbabilities(m)
+    return m

@@ -1,65 +1,46 @@
 """Segmentation and localization metrics with statistical reporting.
 
-Per-class DSC / precision / recall from face-level confusion counts, centroid
-error with the bounding-box-diagonal miss penalty, and per-scan summaries:
-mean, sample std, median, percentile-bootstrap CI, miss rate. Metrics with a
-zero denominator return None and are excluded from macro averages.
+Per-class DSC / precision / recall from one face-level confusion matrix,
+centroid error with the bounding-box-diagonal miss penalty, and per-scan
+summaries as plain dicts: mean, sample std, median, percentile-bootstrap CI,
+miss rate. Metrics with a zero denominator are None and are excluded from
+macro averages.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import LabeledMesh
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: dict
-    fp: dict
-    fn: dict
+def class_metrics(pred, gt) -> dict[int, dict]:
+    """Per-class ``dsc`` 2TP/(2TP+FP+FN), ``precision`` TP/(TP+FP) and
+    ``recall`` TP/(TP+FN), None where the denominator is 0, for every class
+    in either label array, ascending.
 
-    def classes(self) -> tuple[int, ...]:
-        keys = set(self.tp) | set(self.fp) | set(self.fn)
-        return tuple(sorted(keys))
-
-
-def confusion(pred, gt) -> ConfusionCounts:
+    The counts come from one confusion matrix over the classes present.
+    """
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
         raise ValueError(f"label length mismatch: {pred.shape} vs {gt.shape}")
-    tp, fp, fn = {}, {}, {}
-    for cls in np.union1d(pred, gt):
-        cls = int(cls)
-        p = pred == cls
-        g = gt == cls
-        tp[cls] = int(np.sum(p & g))
-        fp[cls] = int(np.sum(p & ~g))
-        fn[cls] = int(np.sum(~p & g))
-    return ConfusionCounts(tp, fp, fn)
-
-
-def dsc(counts: ConfusionCounts, cls: int) -> float | None:
-    """Dice similarity 2TP/(2TP+FP+FN); None when the class is absent from both."""
-    tp = counts.tp.get(cls, 0)
-    fp = counts.fp.get(cls, 0)
-    fn = counts.fn.get(cls, 0)
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        return None
-    return 2.0 * tp / denom
-
-
-def precision_recall(counts: ConfusionCounts, cls: int) -> tuple[float | None, float | None]:
-    tp = counts.tp.get(cls, 0)
-    fp = counts.fp.get(cls, 0)
-    fn = counts.fn.get(cls, 0)
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    recall = tp / (tp + fn) if tp + fn > 0 else None
-    return precision, recall
+    classes, index = np.unique(np.concatenate([pred.ravel(), gt.ravel()]),
+                               return_inverse=True)
+    k = len(classes)
+    # rows: predicted class, columns: ground-truth class
+    cm = np.bincount(index[:pred.size] * k + index[pred.size:], minlength=k * k).reshape(k, k)
+    tp = np.diag(cm).tolist()
+    predicted = cm.sum(axis=1).tolist()  # TP + FP
+    actual = cm.sum(axis=0).tolist()     # TP + FN
+    return {
+        cls: {
+            "dsc": 2 * t / (p + a) if p + a else None,
+            "precision": t / p if p else None,
+            "recall": t / a if a else None,
+        }
+        for cls, t, p, a in zip(classes.tolist(), tp, predicted, actual)
+    }
 
 
 def macro_average(values) -> float | None:
@@ -102,37 +83,20 @@ def bootstrap_ci(samples, b: int, seed: int) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-@dataclass(frozen=True)
-class MetricSummary:
-    mean: float
-    std: float | None          # None for a single sample
-    median: float
-    ci_low: float
-    ci_high: float
-    miss_rate: float
-    n: int
-
-    def __post_init__(self):
-        if self.ci_low > self.ci_high:
-            raise ValueError("ci_low must not exceed ci_high")
-        if self.std is not None and self.std < 0:
-            raise ValueError("std must be non-negative")
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise ValueError("miss_rate must lie in [0, 1]")
-
-
-def summarize(samples, misses: int = 0, b: int = 10_000, seed: int = 0) -> MetricSummary:
-    """Mean, sample std (n-1), median (midpoint for even n), bootstrap CI and
-    miss rate. A single sample gets a degenerate CI and an undefined std."""
+def summarize(samples, misses: int = 0, b: int = 10_000, seed: int = 0) -> dict:
+    """``mean``, sample ``std`` (n-1), ``median`` (midpoint for even n),
+    bootstrap ``ci_low`` and ``ci_high``, ``miss_rate`` and ``n``. A single
+    sample gets a degenerate CI and a None std."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("cannot summarize zero samples")
     if not 0 <= misses <= samples.size:
         raise ValueError("miss count outside [0, n]")
     mean = float(samples.mean())
-    median = float(np.median(samples))
     if samples.size == 1:
-        return MetricSummary(mean, None, median, mean, mean, misses / samples.size, 1)
-    std = float(samples.std(ddof=1))
-    lo, hi = bootstrap_ci(samples, b=b, seed=seed)
-    return MetricSummary(mean, std, median, lo, hi, misses / samples.size, int(samples.size))
+        std, lo, hi = None, mean, mean
+    else:
+        std = float(samples.std(ddof=1))
+        lo, hi = bootstrap_ci(samples, b=b, seed=seed)
+    return {"mean": mean, "std": std, "median": float(np.median(samples)), "ci_low": lo,
+            "ci_high": hi, "miss_rate": misses / samples.size, "n": int(samples.size)}

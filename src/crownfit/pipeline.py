@@ -28,8 +28,7 @@ from .labels import corrupt_labels, graphcut_refine, load_probabilities, reassig
 from .mesh import (NUM_CLASSES, PREPARED, LabeledMesh, bounding_box_diagonal,
                    estimate_vertex_normals, face_adjacency)
 from .meshio import load_mesh, save_mesh
-from .metrics import (centroid_error, confusion, dsc, macro_average, precision_recall,
-                      summarize)
+from .metrics import centroid_error, class_metrics, macro_average, summarize
 from .registration import register_with_routing
 from .retrieval import geometric_embedding, load_embedding_index, match_context, retrieve_crown
 from .synth import fdi_is_valid, fdi_to_class
@@ -143,7 +142,7 @@ def stage_refine(canonical: LabeledMesh, fdi: int | None, config: PipelineConfig
     pairs = face_adjacency(canonical)
     labels = graphcut_refine(canonical, probs, config.refine, pairs)
     labels = reassign_small_components(labels, pairs, config.refine.min_component_faces)
-    payload = {"n_classes": probs.n_classes}
+    payload = {"n_classes": probs.shape[1]}
     if canonical.face_labels is not None:
         payload["metrics"] = segmentation_metrics(
             labels, canonical.face_labels, canonical, prep_fdi=fdi, seed=config.seed
@@ -154,12 +153,9 @@ def stage_refine(canonical: LabeledMesh, fdi: int | None, config: PipelineConfig
 def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
                          prep_fdi: int | None = None, seed: int = 0) -> dict:
     """Per-class and macro metrics plus the clinical context rows."""
-    counts = confusion(pred, gt)
+    scores = class_metrics(pred, gt)
     diag = bounding_box_diagonal(mesh)
-    per_class = {}
-    for cls in counts.classes():
-        p, r = precision_recall(counts, cls)
-        per_class[str(cls)] = {"dsc": dsc(counts, cls), "precision": p, "recall": r}
+    per_class = {str(cls): row for cls, row in scores.items()}
     macro = {
         "dsc": macro_average(v["dsc"] for v in per_class.values()),
         "precision": macro_average(v["precision"] for v in per_class.values()),
@@ -170,7 +166,7 @@ def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
         "per_class": per_class,
         "macro": macro,
         "summary": {
-            "dsc": asdict(summarize(dsc_values, seed=seed)) if len(dsc_values) else None,
+            "dsc": summarize(dsc_values, seed=seed) if len(dsc_values) else None,
         },
         "bbox_diagonal": diag,
     }
@@ -191,7 +187,7 @@ def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
             err, missed = centroid_error(pred_faces, gt_faces, mesh, diag)
             rows[name] = {
                 "class": int(gt_cls),
-                "dsc": dsc(counts, int(gt_cls)),
+                "dsc": scores[int(gt_cls)]["dsc"],
                 "centroid_error_mm": err,
                 "miss": missed,
             }

@@ -7,17 +7,19 @@ kernel and a warm-started backtracking line search: each iteration first
 tries twice the step fraction the previous one accepted, and ICP stops when
 no step down to ``icp_tolerance`` lowers the robust objective, so the traced
 objective is strictly decreasing by construction. Partial scans compete
-against the upper and lower partial templates of their side; the higher
-fitness wins.
+against the upper and lower partial templates of their side; the lower
+final ICP objective wins. Fitness rewards overlap alone: a partial scan can
+cover more of the wrong jaw's template, at a worse fit.
 
 Nothing is derived twice: ``prepare_cloud`` downsamples a cloud and computes
-its FPFH once (the scan once, however many templates it meets), templates
-arrive prepared from the library's store (``store_prepared_templates``), and
-a template's PLY is read only when its cloud must be prepared here;
-``register_pair`` matches features, picks a coarse pose and runs ICP once
-per pair. Each correspondence search serves every number taken at its pose:
-the coarse polish re-fits on the winning group's search, and ICP's fitness
-and RMSE come from its last accepted objective.
+its FPFH once, as one ``(cloud, FPFH rows)`` pair (the scan once, however
+many templates it meets), templates arrive as the same pair from the
+library's store (``store_prepared_templates``), and a template's PLY is read
+only when its cloud must be prepared here; ``register_pair`` matches
+features, picks a coarse pose and runs ICP once per pair. Each
+correspondence search serves every number taken at its pose: the coarse
+polish re-fits on the winning group's search, and ICP's fitness and RMSE
+come from its last accepted objective.
 """
 
 from __future__ import annotations
@@ -76,24 +78,16 @@ class RegistrationResult:
             raise ValueError("inlier_rmse must be non-negative")
 
 
-@dataclass(frozen=True)
-class PreparedCloud:
-    """A voxel-downsampled cloud and its FPFH rows, shared by every template
-    the cloud is registered against."""
-
-    cloud: PointCloud
-    fpfh: np.ndarray
-
-
-def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> PreparedCloud:
-    """Downsample once and compute FPFH once.
+def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> tuple:
+    """``(downsampled cloud, its FPFH rows)``: downsample once and compute
+    FPFH once, for every template the cloud is registered against.
 
     Raises CoarseRegistrationError when fewer than 3 points remain.
     """
     down = voxel_downsample(cloud, params.voxel)
     if len(down) < 3:
         raise CoarseRegistrationError(f"need >=3 points after downsampling, got {len(down)}")
-    return PreparedCloud(down, compute_fpfh(down, params.fpfh_radius))
+    return down, compute_fpfh(down, params.fpfh_radius)
 
 
 def edge_gate(src_len: np.ndarray, tgt_len: np.ndarray, similarity: float,
@@ -151,19 +145,21 @@ def _feature_correspondences(src_feat: np.ndarray, tgt_feat: np.ndarray) -> np.n
     return out
 
 
-def match_features(source: PreparedCloud, target: PreparedCloud):
-    """``(corr, pool)``: the nearest target FPFH row for each source point, and
-    the source points whose match is reciprocal, which the coarse stage
-    draws its correspondences from.
+def match_features(source: tuple, target: tuple):
+    """``(corr, pool)`` of two prepared ``(cloud, FPFH rows)`` pairs: the
+    nearest target FPFH row for each source point, and the source points
+    whose match is reciprocal, which the coarse stage draws its
+    correspondences from.
 
     Mutual filtering drops most hallucinated matches on self-similar arch
     regions and points outside the shared coverage. Only the target rows
     some source row matched are searched back. Raises
     CoarseRegistrationError when fewer than 3 matches are reciprocal.
     """
-    corr = _feature_correspondences(source.fpfh, target.fpfh)
+    (_, src_feat), (_, tgt_feat) = source, target
+    corr = _feature_correspondences(src_feat, tgt_feat)
     rows, slot = np.unique(corr, return_inverse=True)
-    back = _feature_correspondences(target.fpfh[rows], source.fpfh)
+    back = _feature_correspondences(tgt_feat[rows], src_feat)
     pool = np.nonzero(back[slot] == np.arange(len(corr)))[0]
     if len(pool) < 3:
         raise CoarseRegistrationError(f"need >=3 reciprocal feature matches, got {len(pool)}")
@@ -175,13 +171,14 @@ _SEED_GROUP = 30   # strongest partners fitted with each seed
 
 
 def coarse_register(
-    source: PreparedCloud,
-    target: PreparedCloud,
+    source: tuple,
+    target: tuple,
     matches: tuple[np.ndarray, np.ndarray],
     params: RegistrationParams = RegistrationParams(),
 ) -> RegistrationResult:
-    """Global registration of source onto target over the ``match_features``
-    matches, by second-order spatial compatibility.
+    """Global registration of the prepared source onto the prepared target
+    over the ``match_features`` matches, by second-order spatial
+    compatibility.
 
     Two correspondences are compatible when their pair passes ``edge_gate``;
     ``sc2 = C * (C @ C)`` counts, for each compatible pair, the
@@ -194,8 +191,8 @@ def coarse_register(
     CoarseRegistrationError when no group has 3 members.
     """
     corr, pool = matches
-    spts = source.cloud.points
-    tpts = target.cloud.points
+    spts = source[0].points
+    tpts = target[0].points
     s, t = spts[pool], tpts[corr[pool]]
     # 0/1 entries and counts below 2**24: float32 products are exact
     compat = squareform(edge_gate(pdist(s), pdist(t), params.edge_similarity,
@@ -373,23 +370,22 @@ def fine_register(
 
 
 def register_pair(
-    source: PreparedCloud,
-    target: PreparedCloud,
+    source: tuple,
+    target: tuple,
     params: RegistrationParams,
 ) -> RegistrationResult:
-    """Coarse then fine registration of prepared (downsampled) clouds:
-    feature matching, one ``coarse_register`` and ICP from its pose."""
+    """Coarse then fine registration of prepared ``(cloud, FPFH rows)``
+    pairs: feature matching, one ``coarse_register`` and ICP from its pose."""
     coarse = coarse_register(source, target, match_features(source, target), params)
-    return fine_register(source.cloud, target.cloud, coarse.transform, params)
+    return fine_register(source[0], target[0], coarse.transform, params)
 
 
-def _template_cloud(library: TemplateLibrary, key: str,
-                    params: RegistrationParams) -> PreparedCloud:
-    """The library's stored cloud for template ``key`` when the store was
-    prepared with ``params``' ``voxel`` and ``fpfh_radius``, else
-    ``prepare_cloud``."""
+def _template_cloud(library: TemplateLibrary, key: str, params: RegistrationParams) -> tuple:
+    """The library's stored ``(cloud, FPFH rows)`` for template ``key`` when
+    the store was prepared with ``params``' ``voxel`` and ``fpfh_radius``,
+    else ``prepare_cloud``."""
     if library.prepared_key == (params.voxel, params.fpfh_radius):
-        return PreparedCloud(*library.prepared_cloud(key))
+        return library.prepared_cloud(key)
     return prepare_cloud(library.meshes[key].to_point_cloud(), params)
 
 
@@ -401,10 +397,8 @@ def store_prepared_templates(directory, params: RegistrationParams) -> None:
     clouds are exactly what registration would prepare from it.
     """
     library = load_template_library(directory)
-    clouds = {}
-    for key, mesh in library.meshes.items():
-        prepared = prepare_cloud(mesh.to_point_cloud(), params)
-        clouds[key] = (prepared.cloud, prepared.fpfh)
+    clouds = {key: prepare_cloud(mesh.to_point_cloud(), params)
+              for key, mesh in library.meshes.items()}
     save_prepared_clouds(directory, (params.voxel, params.fpfh_radius), clouds)
 
 
@@ -418,10 +412,12 @@ def register_with_routing(
     its class routes to.
 
     Full classes use the single matching master. Partial classes compete
-    against the upper and lower partials of the side; the higher fitness
-    wins, ties break to Upper. The scan is prepared once, before routing, so
-    a scan too small to prepare raises ``CoarseRegistrationError`` whatever
-    its class.
+    against the upper and lower partials of the side; the lower final ICP
+    objective (``objective_trace[-1]``) wins, ties break to Upper. Fitness
+    is not the criterion: the wrong jaw's template can overlap more of a
+    partial scan at a worse fit. The scan is prepared once, before routing,
+    so a scan too small to prepare raises ``CoarseRegistrationError``
+    whatever its class.
     """
     source = prepare_cloud(scan.to_point_cloud(), params)
     if scan_class.is_full:
@@ -445,6 +441,7 @@ def register_with_routing(
             f"coarse registration failed against both {side} partials: "
             + "; ".join(f"{jaw}: {exc}" for jaw, exc in failures)
         )
-    # highest fitness wins; Upper first on exact ties
-    jaw, result = max(candidates, key=lambda item: (item[1].fitness, item[0] == "Upper"))
+    # lowest final robust objective wins; Upper first on exact ties
+    jaw, result = min(candidates,
+                      key=lambda item: (item[1].objective_trace[-1], item[0] != "Upper"))
     return replace(result, chosen_template=template_key(jaw, side))

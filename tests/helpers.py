@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crownfit.labels import _PROB_MAGIC, FaceLabelProbabilities
+from crownfit.labels import _PROB_MAGIC
 from crownfit.mesh import GINGIVA, LabeledMesh
 from crownfit.synth import PerturbSpec
 
@@ -85,19 +85,17 @@ def mirror_x(mesh: LabeledMesh) -> LabeledMesh:
     return LabeledMesh(v, mesh.faces[:, [0, 2, 1]], n, mesh.face_labels)
 
 
-def save_probabilities(probs: FaceLabelProbabilities, path) -> None:
-    """Write the JSON (``.json`` suffix) or binary form ``load_probabilities`` reads."""
+def save_probabilities(probs: np.ndarray, path) -> None:
+    """Write the (n_faces, n_classes) matrix ``probs`` in the JSON (``.json``
+    suffix) or binary form ``load_probabilities`` reads."""
     path = Path(path)
+    n_faces, n_classes = probs.shape
     if path.suffix == ".json":
-        payload = {
-            "faces": probs.n_faces,
-            "classes": probs.n_classes,
-            "rows": probs.matrix.tolist(),
-        }
+        payload = {"faces": n_faces, "classes": n_classes, "rows": probs.tolist()}
         path.write_text(json.dumps(payload))
         return
-    header = _PROB_MAGIC + struct.pack("<II", probs.n_faces, probs.n_classes)
-    path.write_bytes(header + probs.matrix.astype("<f4").tobytes())
+    header = _PROB_MAGIC + struct.pack("<II", n_faces, n_classes)
+    path.write_bytes(header + probs.astype("<f4").tobytes())
 
 
 def registration_perturb(seed: int = 0) -> PerturbSpec:

@@ -19,10 +19,9 @@ from crownfit.classify import ScanClass
 from crownfit.fitting import (FittingParams, detect_cusps, fit_crown, interproximal_adapt,
                               intersection_volume, occlusal_correct_anterior,
                               points_inside_mesh)
-from crownfit.labels import (FaceLabelProbabilities, RefineParams, graphcut_refine,
-                             labeling_energy, pairwise_weights)
+from crownfit.labels import RefineParams, graphcut_refine, labeling_energy, pairwise_weights
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, face_adjacency, voxel_downsample
-from crownfit.metrics import bootstrap_ci, centroid_error, confusion, dsc, precision_recall
+from crownfit.metrics import bootstrap_ci, centroid_error, class_metrics
 from crownfit.registration import RegistrationParams, fine_register, register_with_routing
 from crownfit.retrieval import EMBEDDING_DIM, cosine, retrieve_crown
 from crownfit.synth import (ArchSpec, CrownDims, generate_arch, generate_crown_fixture,
@@ -146,22 +145,24 @@ def test_metrics_oracle_equivalence(rng):
         k = int(r.integers(2, 6))
         pred = r.integers(0, k, size=n)
         gt = r.integers(0, k, size=n)
-        counts = confusion(pred, gt)
-        for cls in counts.classes():
+        scores = class_metrics(pred, gt)
+        if list(scores) != sorted(set(pred.tolist()) | set(gt.tolist())):
+            mismatches += 1
+        for cls, row in scores.items():
             tp = sum(1 for p, g in zip(pred, gt) if p == cls and g == cls)
             fp = sum(1 for p, g in zip(pred, gt) if p == cls and g != cls)
             fn = sum(1 for p, g in zip(pred, gt) if p != cls and g == cls)
             want_dsc = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else None
-            p_got, r_got = precision_recall(counts, cls)
-            if dsc(counts, cls) != want_dsc:
+            p_got, r_got = row["precision"], row["recall"]
+            if row["dsc"] != want_dsc:
                 mismatches += 1
             if p_got != (tp / (tp + fp) if tp + fp else None):
                 mismatches += 1
             if r_got != (tp / (tp + fn) if tp + fn else None):
                 mismatches += 1
     # hand examples reproduced exactly
-    hand = confusion([1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 1])
-    exact = (dsc(hand, 1) == 6 / 9 and precision_recall(hand, 1) == (0.75, 0.6))
+    hand = class_metrics([1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 1])[1]
+    exact = hand == {"dsc": 6 / 9, "precision": 0.75, "recall": 0.6}
     vertices = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [3, 4, 0], [4, 4, 0], [3, 5, 0]]
     mesh = LabeledMesh(vertices, [[0, 1, 2], [3, 4, 5]])
     ce, _ = centroid_error([1], [0], mesh, 42.0)
@@ -239,10 +240,9 @@ def test_graphcut_energy():
         n = int(r.integers(8, 13))
         mesh = strip_mesh(n, seed=trial)
         m = r.dirichlet(np.ones(3), size=n)
-        probs = FaceLabelProbabilities(m)
         params = RefineParams(smoothness=float(r.uniform(0.05, 2.5)))
         pairs = face_adjacency(mesh)
-        refined = graphcut_refine(mesh, probs, params, pairs)
+        refined = graphcut_refine(mesh, m, params, pairs)
         unary = -np.log(np.clip(m, 1e-12, 1.0))
         w = pairwise_weights(mesh, pairs, params)
         e_ref = labeling_energy(unary, pairs, w, refined)
@@ -253,8 +253,7 @@ def test_graphcut_energy():
     mesh = strip_mesh(10, seed=7)
     m = np.random.default_rng(7).dirichlet(np.ones(3), size=10)
     identity_ok = np.array_equal(
-        graphcut_refine(mesh, FaceLabelProbabilities(m), RefineParams(smoothness=0.0),
-                        face_adjacency(mesh)),
+        graphcut_refine(mesh, m, RefineParams(smoothness=0.0), face_adjacency(mesh)),
         m.argmax(axis=1))
     ok = argmax_ok and optimum_hits >= 90 and identity_ok
     report("graph-cut", ok,

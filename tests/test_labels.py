@@ -7,7 +7,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from crownfit import labels as labels_module
 from crownfit.errors import MeshFormatError
-from crownfit.labels import (PROB_CLAMP, FaceLabelProbabilities, RefineParams, _band_move,
+from crownfit.labels import (PROB_CLAMP, RefineParams, _band_move,
                              _cut_pattern, _expansion_band, _min_cut_assignment,
                              _neighbour_table, corrupt_labels, graphcut_refine,
                              labeling_energy, load_probabilities, pairwise_weights,
@@ -70,14 +70,14 @@ def full_expansion_refine(mesh, probs, params):
     reference the banded moves are checked against. Same sweeps, same
     accept-only-if-lower rule."""
     pairs = face_adjacency(mesh)
-    unary = -np.log(np.clip(probs.matrix, PROB_CLAMP, 1.0))
+    unary = -np.log(np.clip(probs, PROB_CLAMP, 1.0))
     weights = pairwise_weights(mesh, pairs, params)
-    labels = probs.argmax_labels()
+    labels = probs.argmax(axis=1)
     energy = labeling_energy(unary, pairs, weights, labels)
     no_keep = np.zeros(len(labels), dtype=bool)
     for _ in range(labels_module._MAX_SWEEPS):
         improved = False
-        for alpha in range(probs.n_classes):
+        for alpha in range(probs.shape[1]):
             if np.all(labels == alpha):
                 continue
             new_labels = full_graph_move(unary, pairs, weights, labels, alpha, no_keep)
@@ -90,33 +90,52 @@ def full_expansion_refine(mesh, probs, params):
 
 
 class TestProbabilities:
-    def test_rows_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            FaceLabelProbabilities([[0.5, 0.4]])
+    def test_rows_must_sum_to_one(self, tmp_path):
+        # loaded rows are divided by their sums; a zero row has none
+        path = tmp_path / "probs.json"
+        save_probabilities(np.array([[0.5, 0.25], [0.0, 2.0]]), path)
+        assert load_probabilities(path).tolist() == [[2 / 3, 1 / 3], [0.0, 1.0]]
+        save_probabilities(np.array([[0.5, 0.5], [0.0, 0.0]]), path)
+        with pytest.raises(ValueError, match="positive sum"):
+            load_probabilities(path)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            FaceLabelProbabilities([[np.nan, 1.0]])
+    def test_non_finite_rejected(self, tmp_path):
+        for name in ("probs.json", "probs.bin"):
+            save_probabilities(np.array([[np.nan, 1.0]]), tmp_path / name)
+            with pytest.raises(ValueError, match="finite"):
+                load_probabilities(tmp_path / name)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            FaceLabelProbabilities([[-0.1, 1.1]])
+    def test_negative_rejected(self, tmp_path):
+        path = tmp_path / "probs.json"
+        save_probabilities(np.array([[-0.1, 1.1]]), path)
+        with pytest.raises(ValueError, match="non-negative"):
+            load_probabilities(path)
+
+    @pytest.mark.parametrize("suffix", [".json", ".bin"])
+    def test_negative_row_rejected_before_renormalizing(self, tmp_path, suffix):
+        # divided by their sums, these rows would load as [0.5, 0.5] and
+        # [0.25, 0.75]
+        path = tmp_path / f"probs{suffix}"
+        for row in ([-1.0, -1.0], [-0.2, -0.6]):
+            save_probabilities(np.array([[0.3, 0.7], row]), path)
+            with pytest.raises(ValueError, match="non-negative"):
+                load_probabilities(path)
 
     def test_binary_round_trip(self, tmp_path, rng):
         m = rng.dirichlet(np.ones(5), size=20)
-        probs = FaceLabelProbabilities(m)
         path = tmp_path / "probs.bin"
-        save_probabilities(probs, path)
+        save_probabilities(m, path)
         back = load_probabilities(path)
-        assert back.matrix.shape == (20, 5)
-        assert np.abs(back.matrix - m).max() < 1e-6  # float32 storage
+        assert back.shape == (20, 5)
+        assert back.dtype == np.float64
+        assert np.abs(back - m).max() < 1e-6  # float32 storage
 
     def test_json_round_trip(self, tmp_path, rng):
         m = rng.dirichlet(np.ones(3), size=7)
         path = tmp_path / "probs.json"
-        save_probabilities(FaceLabelProbabilities(m), path)
+        save_probabilities(m, path)
         back = load_probabilities(path)
-        assert np.abs(back.matrix - m).max() < 1e-12
+        assert np.abs(back - m).max() < 1e-12
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -136,8 +155,7 @@ class TestGraphCut:
     def test_zero_smoothness_is_argmax_identity(self, rng):
         mesh = strip_mesh(12, seed=1)
         m = rng.dirichlet(np.ones(4), size=12)
-        probs = FaceLabelProbabilities(m)
-        out = graphcut_refine(mesh, probs, RefineParams(smoothness=0.0), face_adjacency(mesh))
+        out = graphcut_refine(mesh, m, RefineParams(smoothness=0.0), face_adjacency(mesh))
         assert np.array_equal(out, m.argmax(axis=1))
 
     def test_flipped_face_corrected_with_strong_smoothness(self):
@@ -147,9 +165,8 @@ class TestGraphCut:
         m = np.full((10, 2), 0.2)
         m[:, 0] = 0.8
         m[4] = [0.2, 0.8]  # the flipped face
-        probs = FaceLabelProbabilities(m)
         params = RefineParams(smoothness=10.0)
-        out = graphcut_refine(mesh, probs, params, pairs)
+        out = graphcut_refine(mesh, m, params, pairs)
         assert np.all(out == 0)
         unary = -np.log(np.clip(m, 1e-12, 1.0))
         w = pairwise_weights(mesh, pairs, params)
@@ -163,9 +180,8 @@ class TestGraphCut:
             mesh = strip_mesh(n, seed=trial)
             pairs = face_adjacency(mesh)
             m = rng.dirichlet(np.ones(3), size=n)
-            probs = FaceLabelProbabilities(m)
             params = RefineParams(smoothness=float(rng.uniform(0.1, 2.0)))
-            out = graphcut_refine(mesh, probs, params, pairs)
+            out = graphcut_refine(mesh, m, params, pairs)
             unary = -np.log(np.clip(m, 1e-12, 1.0))
             w = pairwise_weights(mesh, pairs, params)
             e = labeling_energy(unary, pairs, w, out)
@@ -180,10 +196,10 @@ class TestGraphCut:
         probs = corrupt_labels(gt.labels, 18, flip_fraction=0.08, softness=0.35, seed=5)
         params = RefineParams(smoothness=30.0)
         out = graphcut_refine(mesh, probs, params, pairs)
-        unary = -np.log(np.clip(probs.matrix, 1e-12, 1.0))
+        unary = -np.log(np.clip(probs, 1e-12, 1.0))
         w = pairwise_weights(mesh, pairs, params)
         assert labeling_energy(unary, pairs, w, out) <= \
-            labeling_energy(unary, pairs, w, probs.argmax_labels()) + 1e-9
+            labeling_energy(unary, pairs, w, probs.argmax(axis=1)) + 1e-9
 
     def test_refinement_improves_corrupted_accuracy(self, lower_arch):
         mesh, gt = lower_arch
@@ -191,7 +207,7 @@ class TestGraphCut:
         lam = tune_smoothness([(mesh, probs, gt.labels)], RefineParams(),
                               candidates=(2.0, 5.0, 10.0))
         out = graphcut_refine(mesh, probs, RefineParams(smoothness=lam), face_adjacency(mesh))
-        assert (out == gt.labels).mean() > (probs.argmax_labels() == gt.labels).mean()
+        assert (out == gt.labels).mean() > (probs.argmax(axis=1) == gt.labels).mean()
 
     def test_tune_smoothness_prefers_accurate_candidate(self, lower_arch):
         mesh, gt = lower_arch
@@ -203,7 +219,7 @@ class TestGraphCut:
 
     def test_row_count_mismatch_rejected(self, rng):
         mesh = strip_mesh(5)
-        probs = FaceLabelProbabilities(rng.dirichlet(np.ones(3), size=4))
+        probs = rng.dirichlet(np.ones(3), size=4)
         with pytest.raises(ValueError, match="face count"):
             graphcut_refine(mesh, probs, RefineParams(), face_adjacency(mesh))
 
@@ -219,7 +235,7 @@ class TestBandedExpansion:
         pairs = face_adjacency(mesh)
         probs = corrupt_labels(gt.labels, 18, flip_fraction=flip, softness=softness, seed=3)
         params = RefineParams(smoothness=5.0)
-        unary = -np.log(np.clip(probs.matrix, PROB_CLAMP, 1.0))
+        unary = -np.log(np.clip(probs, PROB_CLAMP, 1.0))
         w = pairwise_weights(mesh, pairs, params)
         banded = graphcut_refine(mesh, probs, params, pairs)
         full = full_expansion_refine(mesh, probs, params)
@@ -275,7 +291,7 @@ class TestBandedExpansion:
         for before, after, band in accepted:
             assert not np.any(before[~band] != after[~band])
             assert np.any(before[band] != after[band])
-        assert not np.array_equal(refined, probs.argmax_labels())
+        assert not np.array_equal(refined, probs.argmax(axis=1))
 
 
 def cut_energy(x, cost0, cost1, pairs, caps):
@@ -371,16 +387,16 @@ class TestCorruptor:
     def test_flip_fraction_zero_keeps_argmax(self, lower_arch):
         _, gt = lower_arch
         probs = corrupt_labels(gt.labels, 18, flip_fraction=0.0, softness=0.3, seed=0)
-        assert np.array_equal(probs.argmax_labels(), gt.labels)
+        assert np.array_equal(probs.argmax(axis=1), gt.labels)
 
     def test_deterministic(self, lower_arch):
         _, gt = lower_arch
-        a = corrupt_labels(gt.labels, 18, 0.1, 0.3, seed=9).matrix
-        b = corrupt_labels(gt.labels, 18, 0.1, 0.3, seed=9).matrix
+        a = corrupt_labels(gt.labels, 18, 0.1, 0.3, seed=9)
+        b = corrupt_labels(gt.labels, 18, 0.1, 0.3, seed=9)
         assert np.array_equal(a, b)
 
     def test_flip_count(self, lower_arch):
         _, gt = lower_arch
         probs = corrupt_labels(gt.labels, 18, 0.1, 0.3, seed=2)
-        flips = (probs.argmax_labels() != gt.labels).sum()
+        flips = (probs.argmax(axis=1) != gt.labels).sum()
         assert flips == int(round(0.1 * len(gt.labels)))

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crownfit.mesh import LabeledMesh
-from crownfit.metrics import (MetricSummary, bootstrap_ci, centroid_error, confusion, dsc,
-                              macro_average, precision_recall, summarize)
+from crownfit.metrics import (bootstrap_ci, centroid_error, class_metrics, macro_average,
+                              summarize)
 
 
 def naive_confusion(pred, gt):
@@ -20,52 +20,52 @@ def naive_confusion(pred, gt):
 
 class TestConfusion:
     def test_perfect_prediction(self):
-        counts = confusion([1, 2, 2, 0], [1, 2, 2, 0])
-        assert all(v == 0 for v in counts.fp.values())
-        assert all(v == 0 for v in counts.fn.values())
+        scores = class_metrics([1, 2, 2, 0], [1, 2, 2, 0])
+        assert list(scores) == [0, 1, 2]
+        assert all(row == {"dsc": 1.0, "precision": 1.0, "recall": 1.0}
+                   for row in scores.values())
 
     def test_all_zero_vs_all_one(self):
-        counts = confusion([0] * 10, [1] * 10)
-        assert counts.fn[1] == 10
-        assert counts.fp[0] == 10
-        assert counts.tp[0] == 0 and counts.tp[1] == 0
+        scores = class_metrics([0] * 10, [1] * 10)
+        assert scores == {0: {"dsc": 0.0, "precision": 0.0, "recall": None},
+                          1: {"dsc": 0.0, "precision": None, "recall": 0.0}}
 
     def test_matches_naive_counter(self, rng):
         pred = rng.integers(0, 5, size=100)
         gt = rng.integers(0, 5, size=100)
-        counts = confusion(pred, gt)
+        scores = class_metrics(pred, gt)
         tp, fp, fn = naive_confusion(pred.tolist(), gt.tolist())
-        for c in counts.classes():
-            assert counts.tp[c] == tp[c]
-            assert counts.fp[c] == fp[c]
-            assert counts.fn[c] == fn[c]
+        assert list(scores) == sorted(tp)
+        for c, row in scores.items():
+            assert row["dsc"] == 2 * tp[c] / (2 * tp[c] + fp[c] + fn[c])
+            assert row["precision"] == (tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else None)
+            assert row["recall"] == (tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else None)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            confusion([0, 1], [0])
+            class_metrics([0, 1], [0])
 
 
 class TestDsc:
     def test_perfect(self):
-        counts = confusion([3] * 5, [3] * 5)
-        assert dsc(counts, 3) == 1.0
+        assert class_metrics([3] * 5, [3] * 5)[3]["dsc"] == 1.0
 
     def test_hand_arithmetic(self):
         # TP=3, FP=1, FN=2 -> 6/9
         pred = [1, 1, 1, 1, 0, 0]
         gt = [1, 1, 1, 0, 1, 1]
-        counts = confusion(pred, gt)
-        assert np.isclose(dsc(counts, 1), 6.0 / 9.0)
-        assert dsc(counts, 1) == 2 * 3 / (2 * 3 + 1 + 2)
+        value = class_metrics(pred, gt)[1]["dsc"]
+        assert np.isclose(value, 6.0 / 9.0)
+        assert value == 2 * 3 / (2 * 3 + 1 + 2)
 
     def test_no_overlap_zero(self):
         pred = [1, 1, 1, 1, 0, 0, 0, 0]
         gt = [0, 0, 0, 0, 1, 1, 1, 1]
-        assert dsc(confusion(pred, gt), 1) == 0.0
+        assert class_metrics(pred, gt)[1]["dsc"] == 0.0
 
     def test_absent_class_undefined(self):
-        counts = confusion([0, 0], [0, 0])
-        assert dsc(counts, 5) is None
+        # a class in neither label array has no row
+        assert 5 not in class_metrics([0, 0], [0, 0])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -73,35 +73,36 @@ class TestDsc:
         rng = np.random.default_rng(seed)
         pred = rng.integers(0, 4, size=30)
         gt = rng.integers(0, 4, size=30)
-        a = confusion(pred, gt)
-        b = confusion(gt, pred)
-        for c in a.classes():
-            va, vb = dsc(a, c), dsc(b, c)
+        a = class_metrics(pred, gt)
+        b = class_metrics(gt, pred)
+        assert list(a) == list(b)
+        for c in a:
+            va, vb = a[c]["dsc"], b[c]["dsc"]
             assert (va is None) == (vb is None)
+            assert (a[c]["precision"], a[c]["recall"]) == (b[c]["recall"], b[c]["precision"])
             if va is not None:
                 assert 0.0 <= va <= 1.0
                 assert np.isclose(va, vb)
                 if va == 1.0:
-                    assert a.fp[c] == 0 and a.fn[c] == 0
+                    assert a[c]["precision"] == a[c]["recall"] == 1.0
 
 
 class TestPrecisionRecall:
     def test_hand_arithmetic(self):
         pred = [1, 1, 1, 1, 0, 0]
         gt = [1, 1, 1, 0, 1, 1]
-        p, r = precision_recall(confusion(pred, gt), 1)
-        assert p == 0.75
-        assert r == 0.6
+        row = class_metrics(pred, gt)[1]
+        assert row["precision"] == 0.75
+        assert row["recall"] == 0.6
 
     def test_perfect(self):
-        p, r = precision_recall(confusion([2] * 4, [2] * 4), 2)
-        assert (p, r) == (1.0, 1.0)
+        row = class_metrics([2] * 4, [2] * 4)[2]
+        assert (row["precision"], row["recall"]) == (1.0, 1.0)
 
     def test_zero_precision(self):
-        counts = confusion([1] * 5, [0] * 5)
-        p, r = precision_recall(counts, 1)
-        assert p == 0.0
-        assert r is None  # class 1 absent from ground truth
+        row = class_metrics([1] * 5, [0] * 5)[1]
+        assert row["precision"] == 0.0
+        assert row["recall"] is None  # class 1 absent from ground truth
 
 
 class TestMacroAverage:
@@ -191,34 +192,35 @@ class TestBootstrap:
 class TestSummarize:
     def test_hand_values(self):
         s = summarize([1.0, 2.0, 3.0], b=1000, seed=0)
-        assert s.mean == 2.0
-        assert s.std == 1.0
-        assert s.median == 2.0
-        assert s.ci_low <= s.mean <= s.ci_high
+        assert list(s) == ["mean", "std", "median", "ci_low", "ci_high", "miss_rate", "n"]
+        assert s["mean"] == 2.0
+        assert s["std"] == 1.0
+        assert s["median"] == 2.0
+        assert s["ci_low"] <= s["mean"] <= s["ci_high"]
+        assert s["n"] == 3
 
     def test_even_count_median_midpoint(self):
         s = summarize([1.0, 2.0, 3.0, 10.0], b=500, seed=0)
-        assert s.median == 2.5
+        assert s["median"] == 2.5
 
     def test_single_sample(self):
         s = summarize([4.2])
-        assert s.std is None
-        assert s.mean == s.median == s.ci_low == s.ci_high == 4.2
+        assert s["std"] is None
+        assert s["mean"] == s["median"] == s["ci_low"] == s["ci_high"] == 4.2
 
     def test_miss_rate(self):
         s = summarize(np.ones(41), misses=2, b=500, seed=0)
-        assert np.isclose(s.miss_rate, 2 / 41)
-        assert np.isclose(s.miss_rate, 0.0488, atol=5e-5)
+        assert np.isclose(s["miss_rate"], 2 / 41)
+        assert np.isclose(s["miss_rate"], 0.0488, atol=5e-5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_summary_validation(self):
-        with pytest.raises(ValueError):
-            MetricSummary(1.0, 0.1, 1.0, 2.0, 1.0, 0.0, 3)
-        with pytest.raises(ValueError):
-            MetricSummary(1.0, -0.1, 1.0, 0.0, 2.0, 0.0, 3)
+    def test_miss_count_outside_range_rejected(self):
+        for misses in (-1, 3):
+            with pytest.raises(ValueError, match="miss count"):
+                summarize([1.0, 2.0], misses=misses)
 
 
 def test_region_centroid_area_weighted():

@@ -11,7 +11,7 @@ import crownfit.templates as templates
 from crownfit.classify import ScanClass
 from crownfit.errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
-from crownfit.registration import (PreparedCloud, RegistrationParams, RegistrationResult,
+from crownfit.registration import (RegistrationParams, RegistrationResult,
                                    coarse_register, edge_gate, fine_register, match_features,
                                    prepare_cloud, register_pair, register_with_routing,
                                    store_prepared_templates, template_key)
@@ -117,7 +117,7 @@ class TestCoarse:
         corr, pool = match_features(src, tgt)
         corr = corr.copy()
         redirected = pool[rng.choice(len(pool), size=len(pool) // 2, replace=False)]
-        corr[redirected] = rng.integers(0, len(tgt.cloud), size=len(redirected))
+        corr[redirected] = rng.integers(0, len(tgt[0]), size=len(redirected))
         result = coarse_register(src, tgt, (corr, pool), PARAMS)
         rot, trans = pose_errors(result.transform, applied.inverse(),
                                  moved.points.mean(axis=0))
@@ -133,7 +133,7 @@ class TestCoarse:
     def test_too_few_reciprocal_matches_rejected(self, arch_cloud):
         # identical rows: every match goes to row 0 and only 0 -> 0 is reciprocal
         cloud = voxel_downsample(arch_cloud, PARAMS.voxel)
-        flat = PreparedCloud(cloud, np.ones((len(cloud), 33)))
+        flat = (cloud, np.ones((len(cloud), 33)))
         with pytest.raises(CoarseRegistrationError, match="reciprocal"):
             match_features(flat, flat)
         with pytest.raises(CoarseRegistrationError, match="reciprocal"):
@@ -141,11 +141,11 @@ class TestCoarse:
 
     def test_no_compatible_pairs_rejected(self, arch_cloud):
         # every edge doubles in length: no pair passes the gate
-        src = prepare_cloud(arch_cloud, PARAMS)
-        doubled = PreparedCloud(PointCloud(2.0 * src.cloud.points, src.cloud.normals), src.fpfh)
+        src = cloud, fpfh = prepare_cloud(arch_cloud, PARAMS)
+        doubled = (PointCloud(2.0 * cloud.points, cloud.normals), fpfh)
         pool = np.arange(200)
         with pytest.raises(CoarseRegistrationError, match="compatible"):
-            coarse_register(src, doubled, (np.arange(len(src.cloud)), pool), PARAMS)
+            coarse_register(src, doubled, (np.arange(len(cloud)), pool), PARAMS)
 
     def test_two_calls_bitwise_equal(self, arch_cloud):
         applied = RigidTransform.from_axis_angle((0, 0, 1), 1.0, (5.0, -3.0, 1.0))
@@ -285,12 +285,26 @@ class TestRouting:
         moved, _ = perturb_pose(mesh, registration_perturb(seed=4))
         result = register_with_routing(moved, ScanClass.PARTIAL_LEFT, library, PARAMS)
         assert result.chosen_template == "partial_lower_left"
-        # fitness margin over the competing upper template
+        # fitness and objective margins over the competing upper template
         upper = register_pair(
             prepare_cloud(moved.to_point_cloud(), PARAMS),
             prepare_cloud(library.meshes["partial_upper_left"].to_point_cloud(), PARAMS),
             PARAMS)
         assert result.fitness - upper.fitness > 0.05
+        assert result.objective_trace[-1] < upper.objective_trace[-1]
+
+    def test_lower_objective_beats_higher_fitness(self, library):
+        # the wrong (Upper) template overlaps more of this lower center scan,
+        # at fitness 0.537 against 0.510, but its final ICP objective is
+        # higher: 0.0320 against 0.0259
+        mesh, _ = generate_arch(partial_spec("Lower", "center", seed=85, jitter_sigma=0.3))
+        moved, pose = perturb_pose(mesh, registration_perturb(seed=85))
+        result = register_with_routing(moved, ScanClass.PARTIAL_CENTER, library, PARAMS)
+        assert result.chosen_template == "partial_lower_center"
+        rot, trans = pose_errors(result.transform, pose.transform.inverse(),
+                                 moved.vertices.mean(axis=0))
+        assert rot < 2.0
+        assert trans < 0.5
 
     def test_full_scan_single_attempt(self, library, monkeypatch):
         calls = []
@@ -322,7 +336,7 @@ class TestRouting:
     def test_identical_templates_tie_break_upper(self, library, monkeypatch):
         mesh, _ = generate_arch(partial_spec("Lower", "center", seed=2, jitter_sigma=0.3))
 
-        fixed = RegistrationResult(RigidTransform(), 0.5, 0.1)
+        fixed = RegistrationResult(RigidTransform(), 0.5, 0.1, objective_trace=(0.03,))
         monkeypatch.setattr(registration, "register_pair",
                             lambda *args, **kwargs: fixed)
         result = register_with_routing(mesh, ScanClass.PARTIAL_CENTER, library, PARAMS)
@@ -371,7 +385,7 @@ class TestFeatureCorrespondences:
         src[1::3] = src[::3][:len(src[1::3])]  # tied source rows
 
         def prepared(feat):
-            return PreparedCloud(PointCloud(np.zeros((len(feat), 3))), feat)
+            return PointCloud(np.zeros((len(feat), 3))), feat
 
         corr, pool = match_features(prepared(src), prepared(tgt))
         back = registration._feature_correspondences(tgt, src)
@@ -393,11 +407,11 @@ class TestTemplateStore:
         loaded = load_template_library(saved_library)
         assert loaded.prepared_key == (PARAMS.voxel, PARAMS.fpfh_radius)
         for key, mesh in loaded.meshes.items():
-            fresh = prepare_cloud(mesh.to_point_cloud(), PARAMS)
+            fresh_cloud, fresh_fpfh = prepare_cloud(mesh.to_point_cloud(), PARAMS)
             cloud, fpfh = loaded.prepared_cloud(key)
-            assert cloud.points.tobytes() == fresh.cloud.points.tobytes()
-            assert cloud.normals.tobytes() == fresh.cloud.normals.tobytes()
-            assert fpfh.tobytes() == fresh.fpfh.tobytes()
+            assert cloud.points.tobytes() == fresh_cloud.points.tobytes()
+            assert cloud.normals.tobytes() == fresh_cloud.normals.tobytes()
+            assert fpfh.tobytes() == fresh_fpfh.tobytes()
 
     @pytest.mark.parametrize("jaw, side, scan_class", [
         ("Upper", "full", ScanClass.FULL_UPPER), ("Lower", "left", ScanClass.PARTIAL_LEFT)])
