@@ -1,12 +1,17 @@
 """Spline-guided sequential crown alignment.
 
 Step 1 fits a 2-D cubic spline through the arch tooth centroids and reads the
-reference mesial (tangent) and buccal (outward in-plane normal) directions at
-the preparation site. Step 2 hardens the references into robust targets by
-averaging the prepared tooth's vertex normals that pass the dot threshold.
-Step 3 aligns the annotated crown: translate to the prep centroid, rotate
-mesial onto the robust mesial target, rotate about that axis to fix buccal,
-then rotate occlusal onto the occlusal axis.
+reference mesial and buccal directions at the preparation site from its unit
+tangent. The canonical frame fixes which way they point: the centroids run
+from the right distal tooth to the left distal one, anterior is +y and the
+patient's left +x, so the outside of the arch always lies on the left of the
+direction of travel. Buccal is the tangent turned +90 degrees; mesial is the
+tangent on the right side and its negation on the left. Step 2 hardens the
+references into robust targets by averaging the prepared tooth's vertex
+normals that pass the dot threshold. Step 3 aligns the annotated crown:
+translate to the prep centroid, rotate mesial onto the robust mesial target,
+rotate about that axis to fix buccal, then rotate occlusal onto the occlusal
+axis.
 """
 
 from __future__ import annotations
@@ -23,133 +28,67 @@ from .mesh import LabeledMesh, RigidTransform, _freeze
 LABEL_MESIAL = 101
 LABEL_BUCCAL = 102
 LABEL_OCCLUSAL = 103
-_CURVATURE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class ArchSpline:
-    """Natural cubic spline through tooth-centroid (x, y), chord-length knots.
-
-    ``midline_t`` marks the dental midline parameter used to orient mesial
-    directions.
-    """
-
-    knots: np.ndarray       # (n,) parameter values
-    points: np.ndarray      # (n, 2) interpolated centroids
-    midline_t: float
-    _spline: CubicSpline = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "knots", _freeze(np.asarray(self.knots, dtype=np.float64)))
-        object.__setattr__(self, "points", _freeze(np.asarray(self.points, dtype=np.float64)))
-        if self._spline is None:
-            object.__setattr__(
-                self, "_spline", CubicSpline(self.knots, self.points, bc_type="natural")
-            )
-
-    @property
-    def t_min(self) -> float:
-        return float(self.knots[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.knots[-1])
-
-    def tangent(self, t) -> np.ndarray:
-        d = self._spline.derivative()(np.clip(t, self.t_min, self.t_max))
-        n = np.linalg.norm(d, axis=-1, keepdims=True)
-        return d / n
-
-    def curvature(self, t) -> float:
-        t = float(np.clip(t, self.t_min, self.t_max))
-        dx, dy = self._spline.derivative()(t)
-        ddx, ddy = self._spline.derivative(2)(t)
-        speed = np.hypot(dx, dy)
-        if speed == 0:
-            return 0.0
-        return float((dx * ddy - dy * ddx) / speed**3)
-
-    def project(self, point_xy) -> float:
-        """Parameter of the closest spline point (dense sampling + refinement)."""
-        p = np.asarray(point_xy, dtype=np.float64).reshape(2)
-        ts = np.linspace(self.t_min, self.t_max, 4096)
-        d2 = np.sum((self._spline(ts) - p) ** 2, axis=1)
-        i = int(np.argmin(d2))
-        lo = ts[max(0, i - 1)]
-        hi = ts[min(len(ts) - 1, i + 1)]
-        # golden-section refinement on the bracket
-        gr = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        for _ in range(60):
-            fc = np.sum((self._spline(c) - p) ** 2)
-            fd = np.sum((self._spline(d) - p) ** 2)
-            if fc < fd:
-                b = d
-            else:
-                a = c
-            c = b - gr * (b - a)
-            d = a + gr * (b - a)
-        return float((a + b) / 2.0)
-
-
-def fit_arch_spline(centroids, midline_index: float) -> ArchSpline:
-    """Natural cubic spline through the (x, y) of arch-ordered centroids.
-
-    ``midline_index`` is the (possibly fractional) position of the dental
-    midline within the ordered list.
-    """
+def fit_arch_spline(centroids) -> CubicSpline:
+    """Natural cubic spline through the (x, y) of arch-ordered centroids,
+    with chord-length knots (``spline.x``)."""
     pts = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)[:, :2]
     if len(pts) < 3:
         raise ValueError(f"arch spline needs at least 3 centroids, got {len(pts)}")
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     if np.any(seg == 0):
         raise DegenerateGeometryError("duplicate consecutive centroids")
-    knots = np.concatenate([[0.0], np.cumsum(seg)])
-
-    if not 0 <= midline_index <= len(pts) - 1:
-        raise ValueError("midline_index outside the centroid list")
-    i = int(np.floor(midline_index))
-    frac = midline_index - i
-    midline_t = knots[i] if i == len(pts) - 1 else knots[i] * (1 - frac) + knots[i + 1] * frac
-    return ArchSpline(knots, pts, float(midline_t))
+    return CubicSpline(np.concatenate([[0.0], np.cumsum(seg)]), pts, bc_type="natural")
 
 
-def spline_frame_at(spline: ArchSpline, c_prep) -> tuple[np.ndarray, np.ndarray]:
-    """Reference mesial and buccal unit vectors (z = 0) at the prep site.
+def _closest_parameter(spline: CubicSpline, point_xy) -> float:
+    """Parameter of the closest spline point (dense sampling + refinement)."""
+    p = np.asarray(point_xy, dtype=np.float64).reshape(2)
+    ts = np.linspace(spline.x[0], spline.x[-1], 4096)
+    d2 = np.sum((spline(ts) - p) ** 2, axis=1)
+    i = int(np.argmin(d2))
+    lo = ts[max(0, i - 1)]
+    hi = ts[min(len(ts) - 1, i + 1)]
+    # golden-section refinement on the bracket
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    for _ in range(60):
+        fc = np.sum((spline(c) - p) ** 2)
+        fd = np.sum((spline(d) - p) ** 2)
+        if fc < fd:
+            b = d
+        else:
+            a = c
+        c = b - gr * (b - a)
+        d = a + gr * (b - a)
+    return float((a + b) / 2.0)
 
-    Mesial is the tangent oriented toward the dental midline; buccal is the
-    in-plane normal oriented away from the concave side, with the
-    arch-centroid fallback when the spline is locally straight.
+
+def spline_frame_at(spline: CubicSpline, c_prep, fdi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference mesial and buccal unit vectors (z = 0) at the prep site of
+    tooth ``fdi``, from the spline's unit tangent at the closest point.
+
+    Buccal is the tangent turned +90 degrees, outward for a spline that
+    runs from the right distal tooth to the left distal one. Mesial is the
+    tangent for a right-side tooth (FDI quadrants 1 and 4) and its negation
+    for a left-side one: toward the midline either way.
     """
     c_prep = np.asarray(c_prep, dtype=np.float64).reshape(-1)
-    p = c_prep[:2]
-    t = spline.project(p)
-    edge = 1e-9 * (spline.t_max - spline.t_min)
-    if t <= spline.t_min + edge or t >= spline.t_max - edge:
+    t = _closest_parameter(spline, c_prep[:2])
+    t_min, t_max = float(spline.x[0]), float(spline.x[-1])
+    edge = 1e-9 * (t_max - t_min)
+    if t <= t_min + edge or t >= t_max - edge:
         warnings.warn("prep projection clamped to the spline range", AlignmentWarning, stacklevel=2)
-    tan = spline.tangent(t)
-    # mesial: along the spline toward the midline parameter
-    if t > spline.midline_t:
-        tan = -tan
-    v_m = np.array([tan[0], tan[1], 0.0])
-
-    normal = np.array([-tan[1], tan[0]])  # +90 degree rotation of the tangent
-    kappa = spline.curvature(t)
-    if t > spline.midline_t:
-        kappa = -kappa  # curvature sign follows the (possibly flipped) tangent
-    if abs(kappa) > _CURVATURE_EPS:
-        outward = -normal if kappa > 0 else normal
-    else:
-        arch_center = spline.points.mean(axis=0)
-        radial = p - arch_center
-        if np.linalg.norm(radial) < 1e-12:
-            radial = normal
-        outward = normal if np.dot(normal, radial) > 0 else -normal
-    v_b = np.array([outward[0], outward[1], 0.0])
+    d = spline.derivative()(t)
+    tan = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    v_b = np.array([-tan[1], tan[0], 0.0])
     v_b /= np.linalg.norm(v_b)
-    return v_m, v_b
+    if fdi // 10 not in (1, 4):
+        tan = -tan
+    return np.array([tan[0], tan[1], 0.0]), v_b
 
 
 @dataclass(frozen=True)

@@ -28,18 +28,6 @@ class ScanClass(Enum):
     PARTIAL_RIGHT = "PartialRight"
     PARTIAL_CENTER = "PartialCenter"
 
-    @property
-    def is_full(self) -> bool:
-        return self in (ScanClass.FULL_UPPER, ScanClass.FULL_LOWER)
-
-    @property
-    def side(self) -> str | None:
-        return {
-            ScanClass.PARTIAL_LEFT: "Left",
-            ScanClass.PARTIAL_RIGHT: "Right",
-            ScanClass.PARTIAL_CENTER: "Center",
-        }.get(self)
-
 
 @dataclass(frozen=True)
 class ClassifierParams:

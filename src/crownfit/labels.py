@@ -85,32 +85,21 @@ def labeling_energy(unary: np.ndarray, pairs: np.ndarray, weights: np.ndarray,
     return e
 
 
-def _cut_pattern(n: int, pairs: np.ndarray) -> tuple:
-    """CSR (indptr, indices) of the (n+2)-node s-t graph of an expansion
-    move, plus ``slot``: the CSR position of each s->f t-link, f->t t-link,
-    pair arc and zero-capacity reverse pair arc, in that order."""
-    source, sink = n, n + 1
-    rows = np.concatenate([np.full(n, source), np.arange(n), pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([np.arange(n), np.full(n, sink), pairs[:, 1], pairs[:, 0]])
-    keys, slot = np.unique(rows * (n + 2) + cols, return_inverse=True)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // (n + 2), minlength=n + 2))])
-    return indptr, keys % (n + 2), slot
-
-
 def _min_cut_assignment(cost0: np.ndarray, cost1: np.ndarray, pair_caps: np.ndarray,
-                        pattern: tuple) -> np.ndarray:
+                        pairs: np.ndarray) -> np.ndarray:
     """Exact binary submodular minimization; returns x in {0,1} per node.
 
     cost0/cost1 are per-node state costs; pair_caps is the capacity of the
-    directed edge a->b cut when x_a=0, x_b=1 (B+C-A-D of the reduction), for
-    the pairs whose ``_cut_pattern`` is ``pattern``.
+    directed edge a->b of each row (a, b) of ``pairs``, cut when x_a=0,
+    x_b=1 (B+C-A-D of the reduction).
     """
     n = len(cost0)
     source, sink = n, n + 1
-    indptr, indices, slot = pattern
     # s->f is cut when f lands on the sink side (x=1) and costs cost1;
     # f->t is cut when f stays on the source side (x=0) and costs cost0
-    vals = np.concatenate([cost1, cost0, pair_caps, np.zeros(len(pair_caps))])
+    rows = np.concatenate([np.full(n, source), np.arange(n), pairs[:, 0]])
+    cols = np.concatenate([np.arange(n), np.full(n, sink), pairs[:, 1]])
+    vals = np.concatenate([cost1, cost0, pair_caps])
     # capacities must fit int32: scipy's max-flow wraps silently above that
     peak = float(vals.max()) if len(vals) else 0.0
     scale = _FLOW_SCALE if peak <= 0 else min(_FLOW_SCALE, _FLOW_CAP_MAX / peak)
@@ -121,8 +110,8 @@ def _min_cut_assignment(cost0: np.ndarray, cost1: np.ndarray, pair_caps: np.ndar
     common = np.minimum(caps[:n], caps[n:2 * n])
     caps[:n] -= common
     caps[n:2 * n] -= common
-    data = np.bincount(slot, weights=caps, minlength=len(indices)).astype(np.int64)
-    graph = csr_matrix((data, indices, indptr), shape=(n + 2, n + 2))
+    # repeated arcs add up; max-flow adds the reverse arcs itself
+    graph = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
     residual = graph - maximum_flow(graph, source, sink).flow
     # BFS from the source over strictly positive residual arcs (csgraph
     # would walk stored zeros and negatives): reachable nodes keep x=0
@@ -188,8 +177,7 @@ def _band_move(unary: np.ndarray, nbr: np.ndarray, wtab: np.ndarray, labels: np.
     lin = np.concatenate([w - a_cost, -w])   # coefficients of x_a (C-A), x_b (D-C)
     cost0 = cost0 + np.bincount(ends, np.maximum(-lin, 0.0), len(nodes))
     cost1 = cost1 + np.bincount(ends, np.maximum(lin, 0.0), len(nodes))
-    x = _min_cut_assignment(cost0, cost1, 2 * w - a_cost,
-                            _cut_pattern(len(nodes), np.column_stack([a, b])))
+    x = _min_cut_assignment(cost0, cost1, 2 * w - a_cost, np.column_stack([a, b]))
     new_labels = labels.copy()
     new_labels[nodes[x == 1]] = alpha
     return new_labels
@@ -289,15 +277,25 @@ def load_probabilities(path) -> np.ndarray:
     """The float64 (n_faces, n_classes) probability matrix of a JSON
     (``.json`` suffix) or binary file, each row divided by its sum.
 
+    Raises MeshFormatError for a malformed file: in JSON, anything but an
+    object with ``faces``, ``classes`` and a ``rows`` matrix of that shape.
     Raises ValueError unless every stored value is finite and non-negative
     and every row's sum is positive.
     """
     path = Path(path)
     if path.suffix == ".json":
-        payload = json.loads(path.read_text())
-        m = np.asarray(payload["rows"], dtype=np.float64)
-        if m.shape != (payload["faces"], payload["classes"]):
-            raise MeshFormatError(f"probability JSON shape mismatch in {path}")
+        try:
+            payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+            m = np.asarray(payload["rows"], dtype=np.float64)
+            shape = (payload["faces"], payload["classes"])
+            if m.shape != shape:
+                raise ValueError(f"rows of shape {m.shape}, expected {shape}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MeshFormatError(
+                f"bad probability JSON {path}: {type(exc).__name__}: {exc}"
+            ) from exc
     else:
         m = _read_float32_matrix(path, _PROB_MAGIC, "probability file").astype(np.float64)
     if not np.all(np.isfinite(m)):

@@ -222,10 +222,13 @@ def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
 
 
 def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
-                           target_fdi: int) -> tuple[list, float, np.ndarray]:
-    """Arch-ordered tooth centroids, the midline index, and the prep centroid.
+                           target_fdi: int) -> tuple[list, np.ndarray]:
+    """Tooth centroids ordered from the right distal tooth (class 8) to the
+    left distal one (class 16), and the prep centroid.
 
-    The prepared region (class 17 when present, else the target class) takes
+    In the canonical frame this order runs with the outside of the arch on
+    its left, which is what ``spline_frame_at`` reads buccal from. The
+    prepared region (class 17 when present, else the target class) takes
     the target position's slot in the ordering.
     """
     cents = extract_tooth_centroids(mesh.with_labels(labels))
@@ -237,29 +240,18 @@ def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
     else:
         raise PipelineError(f"no faces labeled for the target FDI {target_fdi}")
     cents[target_cls] = prep_centroid
-    # ordering: right distal (class 8) -> midline -> left distal (class 16)
     order = list(range(8, 0, -1)) + list(range(9, 17))
-    seq = [(cls, cents[cls]) for cls in order if cls in cents]
+    seq = [cents[cls] for cls in order if cls in cents]
     if len(seq) < 3:
         raise PipelineError(f"arch spline needs >=3 tooth centroids, found {len(seq)}")
-    classes = [cls for cls, _ in seq]
-    # midline sits between the class-1 and class-9 entries of the ordering
-    left_start = next((i for i, cls in enumerate(classes) if cls >= 9), None)
-    if left_start is None:
-        midline_index = float(len(classes) - 1)
-    elif left_start == 0:
-        midline_index = 0.0
-    else:
-        midline_index = left_start - 0.5
-    return seq, midline_index, prep_centroid
+    return seq, prep_centroid
 
 
 def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
                 crown: CrownTemplate, config: PipelineConfig) -> tuple[LabeledMesh, dict]:
     """The crown moved onto the preparation by spline-guided alignment."""
-    seq, midline_index, prep_centroid = arch_centroid_sequence(labels, canonical, fdi)
-    spline = fit_arch_spline([c for _, c in seq], midline_index=midline_index)
-    v_m_ref, v_b_ref = spline_frame_at(spline, prep_centroid)
+    seq, prep_centroid = arch_centroid_sequence(labels, canonical, fdi)
+    v_m_ref, v_b_ref = spline_frame_at(fit_arch_spline(seq), prep_centroid, fdi)
 
     target_cls = fdi_to_class(fdi)
     prep_mask = labels == (PREPARED if np.any(labels == PREPARED) else target_cls)

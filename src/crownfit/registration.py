@@ -6,8 +6,9 @@ gate; no random sampling. Fine: point-to-plane ICP with a Tukey biweight
 kernel and a warm-started backtracking line search: each iteration first
 tries twice the step fraction the previous one accepted, and ICP stops when
 no step down to ``icp_tolerance`` lowers the robust objective, so the traced
-objective is strictly decreasing by construction. Partial scans compete
-against the upper and lower partial templates of their side; the lower
+objective is strictly decreasing by construction. A scan registers against
+each template its class routes to (``ROUTES``): a full scan its jaw's master,
+a partial scan the upper and lower partial templates of its side; the lower
 final ICP objective wins. Fitness rewards overlap alone: a partial scan can
 cover more of the wrong jaw's template, at a worse fit.
 
@@ -402,46 +403,45 @@ def store_prepared_templates(directory, params: RegistrationParams) -> None:
     save_prepared_clouds(directory, (params.voxel, params.fpfh_radius), clouds)
 
 
+# the templates each scan class registers against, first candidate first on ties
+ROUTES = {
+    ScanClass.FULL_UPPER: (template_key("Upper", None),),
+    ScanClass.FULL_LOWER: (template_key("Lower", None),),
+    ScanClass.PARTIAL_LEFT: (template_key("Upper", "Left"), template_key("Lower", "Left")),
+    ScanClass.PARTIAL_RIGHT: (template_key("Upper", "Right"), template_key("Lower", "Right")),
+    ScanClass.PARTIAL_CENTER: (template_key("Upper", "Center"), template_key("Lower", "Center")),
+}
+
+
 def register_with_routing(
     scan: LabeledMesh,
     scan_class: ScanClass,
     library: TemplateLibrary,
     params: RegistrationParams = RegistrationParams(),
 ) -> RegistrationResult:
-    """Register a scan, which carries vertex normals, against the templates
-    its class routes to.
+    """Register a scan, which carries vertex normals, against each template
+    its class routes to (``ROUTES``): a full class's master, or a partial
+    class's Upper and Lower partials of its side.
 
-    Full classes use the single matching master. Partial classes compete
-    against the upper and lower partials of the side; the lower final ICP
-    objective (``objective_trace[-1]``) wins, ties break to Upper. Fitness
-    is not the criterion: the wrong jaw's template can overlap more of a
-    partial scan at a worse fit. The scan is prepared once, before routing,
-    so a scan too small to prepare raises ``CoarseRegistrationError``
-    whatever its class.
+    The lowest final ICP objective (``objective_trace[-1]``) wins, the first
+    candidate on exact ties. Fitness is not the criterion: the wrong jaw's
+    template can overlap more of a partial scan at a worse fit. The scan is
+    prepared once, before routing, so a scan too small to prepare raises
+    ``CoarseRegistrationError`` whatever its class; a class whose every
+    candidate fails coarse registration raises ``RoutingError``.
     """
     source = prepare_cloud(scan.to_point_cloud(), params)
-    if scan_class.is_full:
-        key = template_key("Upper" if scan_class is ScanClass.FULL_UPPER else "Lower", None)
-        result = register_pair(source, _template_cloud(library, key, params), params)
-        return replace(result, chosen_template=key)
-
-    side = scan_class.side
-    candidates = []
+    results = []
     failures = []
-    for jaw in ("Upper", "Lower"):
+    for key in ROUTES[scan_class]:
         try:
-            target = _template_cloud(library, template_key(jaw, side), params)
-            result = register_pair(source, target, params)
+            result = register_pair(source, _template_cloud(library, key, params), params)
         except CoarseRegistrationError as exc:
-            failures.append((jaw, exc))
+            failures.append(f"{key}: {exc}")
             continue
-        candidates.append((jaw, result))
-    if not candidates:
-        raise RoutingError(
-            f"coarse registration failed against both {side} partials: "
-            + "; ".join(f"{jaw}: {exc}" for jaw, exc in failures)
-        )
-    # lowest final robust objective wins; Upper first on exact ties
-    jaw, result = min(candidates,
-                      key=lambda item: (item[1].objective_trace[-1], item[0] != "Upper"))
-    return replace(result, chosen_template=template_key(jaw, side))
+        results.append(replace(result, chosen_template=key))
+    if not results:
+        raise RoutingError("coarse registration failed against every candidate: "
+                           + "; ".join(failures))
+    # min keeps the first of equal objectives
+    return min(results, key=lambda result: result.objective_trace[-1])

@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from crownfit.alignment import (AlignmentParams, CrownTemplate, TargetVectors,
-                                align_crown, fit_arch_spline, robust_target,
-                                spline_frame_at)
+                                _closest_parameter, align_crown, fit_arch_spline,
+                                robust_target, spline_frame_at)
 from crownfit.errors import AlignmentWarning, DegenerateGeometryError
 from crownfit.mesh import RigidTransform
-from crownfit.synth import CrownDims, generate_crown_fixture
+from crownfit.pipeline import arch_centroid_sequence
+from crownfit.synth import (ArchSpec, _centerline_tangent, _outward, _s_at_arc,
+                            generate_arch, generate_crown_fixture, partial_spec)
 
 
 def z3(xy_points):
@@ -28,56 +32,87 @@ def aligned_targets(crown, occlusal=None):
     )
 
 
+def unit_tangent(spline, t):
+    d = spline.derivative()(t)
+    return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+
 class TestArchSpline:
     def test_collinear_centroids_constant_tangent(self):
         pts = z3([[0, 0], [1, 0], [2, 0], [3, 0]])
-        spline = fit_arch_spline(pts, midline_index=2.0)
-        for t in np.linspace(spline.t_min, spline.t_max, 7):
-            assert np.allclose(spline.tangent(t), [1, 0], atol=1e-9)
+        spline = fit_arch_spline(pts)
+        for t in np.linspace(spline.x[0], spline.x[-1], 7):
+            assert np.allclose(unit_tangent(spline, t), [1, 0], atol=1e-9)
 
     def test_interpolates_knots_exactly(self):
         pts = z3([[0, 0], [1, 2], [3, 1], [4, 4]])
-        spline = fit_arch_spline(pts, midline_index=1.5)
-        for knot, p in zip(spline.knots, pts[:, :2]):
-            assert np.allclose(spline._spline(knot), p, atol=1e-9)
+        spline = fit_arch_spline(pts)
+        assert np.allclose(spline.x, [0, np.sqrt(5), 2 * np.sqrt(5), 2 * np.sqrt(5) + np.sqrt(10)])
+        for knot, p in zip(spline.x, pts[:, :2]):
+            assert np.allclose(spline(knot), p, atol=1e-9)
 
     def test_parabola_midpoints_within_tolerance(self):
         xs = np.arange(-20, 21, 5, dtype=float)
         pts = z3(np.column_stack([xs, xs**2 / 20.0]))
-        spline = fit_arch_spline(pts, midline_index=4.0)
+        spline = fit_arch_spline(pts)
         for xm in (xs[:-1] + xs[1:]) / 2.0:
             target = np.array([xm, xm**2 / 20.0])
-            t = spline.project(target)
-            assert np.linalg.norm(spline._spline(t) - target) < 0.05
+            t = _closest_parameter(spline, target)
+            assert np.linalg.norm(spline(t) - target) < 0.05
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit_arch_spline(z3([[0, 0], [1, 1]]), midline_index=0.5)
+            fit_arch_spline(z3([[0, 0], [1, 1]]))
 
     def test_duplicate_consecutive_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            fit_arch_spline(z3([[0, 0], [0, 0], [1, 1]]), midline_index=1.0)
+            fit_arch_spline(z3([[0, 0], [0, 0], [1, 1]]))
+
+
+def first_molar_frames():
+    """For each first molar of seeds 0-9, both jaws, on the full arch and on
+    its side scan: the tooth's (FDI, mesial, buccal) references from its own
+    ground-truth arch, with the generator's outward and right-to-left unit
+    tangent at the tooth's arc position."""
+    for seed, jaw in itertools.product(range(10), ("Upper", "Lower")):
+        full = ArchSpec.standard(jaw, "full", seed=seed, jitter_sigma=0.3)
+        specs = [full] + [partial_spec(jaw, side, seed=seed, jitter_sigma=0.3)
+                          for side in ("left", "right")]
+        for spec in specs:
+            mesh, gt = generate_arch(spec)
+            for tooth in spec.teeth:
+                if tooth.fdi % 10 != 6:
+                    continue
+                seq, prep = arch_centroid_sequence(gt.labels, mesh, tooth.fdi)
+                v_m, v_b = spline_frame_at(fit_arch_spline(seq), prep, tooth.fdi)
+                s = _s_at_arc(spec, tooth.arc_pos)
+                yield (tooth.fdi, v_m[:2], v_b[:2], _outward(spec, s),
+                       _centerline_tangent(spec, s))
 
 
 class TestSplineFrame:
-    def test_straight_line_rule(self):
-        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]]), midline_index=2.0)
-        v_m, v_b = spline_frame_at(spline, [2.0, 1.0, 0.0])
-        assert np.isclose(abs(v_m[0]), 1.0) and v_m[2] == 0.0
-        # outward via the arch-centroid fallback: toward the prep side
+    def test_straight_line_buccal_is_anterior(self):
+        # a line from the patient's right (-x) to the left (+x)
+        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]]))
+        v_m_right, v_b = spline_frame_at(spline, [2.0, 1.0, 0.0], 46)
+        v_m_left, _ = spline_frame_at(spline, [2.0, 1.0, 0.0], 36)
         assert np.allclose(v_b, [0, 1, 0], atol=1e-12)
+        assert np.allclose(v_m_right, [1, 0, 0], atol=1e-12)
+        assert np.allclose(v_m_left, [-1, 0, 0], atol=1e-12)
 
-    def test_parabola_apex_buccal_away_from_concavity(self):
-        xs = np.arange(-20, 21, 5, dtype=float)
-        spline = fit_arch_spline(z3(np.column_stack([xs, xs**2 / 20.0])), midline_index=4.0)
-        _, v_b = spline_frame_at(spline, [0.0, 0.0, 0.0])
-        assert np.allclose(v_b, [0, -1, 0], atol=1e-6)
+    def test_first_molars_buccal_outward_mesial_to_midline(self):
+        frames = list(first_molar_frames())
+        assert len(frames) == 80
+        for fdi, v_m, v_b, outward, tangent in frames:
+            assert v_b @ outward > 0, fdi
+            # right side (quadrants 1, 4) runs toward the midline along the tangent
+            assert (v_m @ tangent > 0) == (fdi // 10 in (1, 4)), fdi
 
     def test_tangent_has_zero_z(self):
         xs = np.arange(-20, 21, 5, dtype=float)
         pts = np.column_stack([xs, xs**2 / 20.0, np.linspace(-3, 3, len(xs))])
-        spline = fit_arch_spline(pts, midline_index=4.0)
-        v_m, v_b = spline_frame_at(spline, [5.0, 2.0, 7.0])
+        spline = fit_arch_spline(pts)
+        v_m, v_b = spline_frame_at(spline, [5.0, 2.0, 7.0], 36)
         assert v_m[2] == 0.0
         assert v_b[2] == 0.0
 
@@ -85,16 +120,16 @@ class TestSplineFrame:
         # downward-opening dental arch ordered right -> left, apex at +y
         xs = np.linspace(-20, 20, 11)
         pts = z3(np.column_stack([xs, 30.0 * (1 - (xs / 20.0) ** 2)]))
-        spline = fit_arch_spline(pts, midline_index=5.0)
-        v_m_right, _ = spline_frame_at(spline, [-15.0, 30.0 * (1 - 0.5625), 0.0])
-        v_m_left, _ = spline_frame_at(spline, [15.0, 30.0 * (1 - 0.5625), 0.0])
+        spline = fit_arch_spline(pts)
+        v_m_right, _ = spline_frame_at(spline, [-15.0, 30.0 * (1 - 0.5625), 0.0], 46)
+        v_m_left, _ = spline_frame_at(spline, [15.0, 30.0 * (1 - 0.5625), 0.0], 36)
         assert v_m_right[0] > 0  # right side: mesial goes toward +x (midline)
         assert v_m_left[0] < 0
 
     def test_projection_outside_range_warns(self):
-        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0]]), midline_index=1.0)
+        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0]]))
         with pytest.warns(AlignmentWarning, match="clamped"):
-            spline_frame_at(spline, [10.0, 0.0, 0.0])
+            spline_frame_at(spline, [10.0, 0.0, 0.0], 46)
 
 
 class TestRobustTarget:

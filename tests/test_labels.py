@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from crownfit import labels as labels_module
 from crownfit.errors import MeshFormatError
 from crownfit.labels import (PROB_CLAMP, RefineParams, _band_move,
-                             _cut_pattern, _expansion_band, _min_cut_assignment,
+                             _expansion_band, _min_cut_assignment,
                              _neighbour_table, corrupt_labels, graphcut_refine,
                              labeling_energy, load_probabilities, pairwise_weights,
                              reassign_small_components, tune_smoothness)
@@ -61,7 +62,7 @@ def full_graph_move(unary, pairs, weights, labels, alpha, keep):
     ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
     x = _min_cut_assignment(cost0 + np.bincount(ends, np.maximum(-lin, 0.0), n),
                             cost1 + np.bincount(ends, np.maximum(lin, 0.0), n),
-                            b_cost + c_cost - a_cost, _cut_pattern(n, pairs))
+                            b_cost + c_cost - a_cost, pairs)
     return np.where(x == 1, alpha, labels)
 
 
@@ -136,6 +137,17 @@ class TestProbabilities:
         save_probabilities(m, path)
         back = load_probabilities(path)
         assert np.abs(back - m).max() < 1e-12
+
+    @pytest.mark.parametrize("payload, reason", [
+        ([[0.5, 0.5]], "expected a JSON object, got list"),
+        ({"rows": [[0.5, 0.5]]}, "KeyError: 'faces'"),
+        ({"faces": 2, "classes": 2, "rows": [[0.5, 0.5]]}, r"shape \(1, 2\), expected \(2, 2\)"),
+    ])
+    def test_malformed_json_names_the_file(self, tmp_path, payload, reason):
+        path = tmp_path / "probs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MeshFormatError, match=f"bad probability JSON .*probs.json: .*{reason}"):
+            load_probabilities(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -299,14 +311,14 @@ def cut_energy(x, cost0, cost1, pairs, caps):
     return e + caps[(x[pairs[:, 0]] == 0) & (x[pairs[:, 1]] == 1)].sum()
 
 
-def uncancelled_min_cut(cost0, cost1, pair_caps, pattern):
+def uncancelled_min_cut(cost0, cost1, pair_caps, pairs):
     """``_min_cut_assignment`` with both full t-links of every node kept;
     integer costs up to 18 keep the 1e8 capacity scale exact."""
     n = len(cost0)
-    indptr, indices, slot = pattern
-    caps = np.concatenate([cost1, cost0, pair_caps, np.zeros(len(pair_caps))]) * 1e8
-    data = np.bincount(slot, weights=caps, minlength=len(indices)).astype(np.int64)
-    graph = csr_matrix((data, indices, indptr), shape=(n + 2, n + 2))
+    rows = np.concatenate([np.full(n, n), np.arange(n), pairs[:, 0]])
+    cols = np.concatenate([np.arange(n), np.full(n, n + 1), pairs[:, 1]])
+    caps = (np.concatenate([cost1, cost0, pair_caps]) * 1e8).astype(np.int64)
+    graph = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
     residual = graph - maximum_flow(graph, n, n + 1).flow
     residual.data[residual.data < 0] = 0
     residual.eliminate_zeros()
@@ -325,9 +337,8 @@ class TestMinCut:
         cost0 = rng.integers(0, 9, n).astype(float)
         cost1 = rng.integers(0, 9, n).astype(float)
         caps = rng.integers(0, 4, len(pairs)).astype(float)
-        pattern = _cut_pattern(n, pairs)
-        x = _min_cut_assignment(cost0, cost1, caps, pattern)
-        assert np.array_equal(x, uncancelled_min_cut(cost0, cost1, caps, pattern))
+        x = _min_cut_assignment(cost0, cost1, caps, pairs)
+        assert np.array_equal(x, uncancelled_min_cut(cost0, cost1, caps, pairs))
         assert 0 < x.sum() < n
 
     @pytest.mark.parametrize("seed", range(12))
@@ -340,7 +351,7 @@ class TestMinCut:
         cost0 = rng.integers(0, 10, n).astype(float)
         cost1 = rng.integers(0, 10, n).astype(float)
         caps = rng.integers(0, 10, len(pairs)).astype(float)
-        x = _min_cut_assignment(cost0, cost1, caps, _cut_pattern(n, pairs))
+        x = _min_cut_assignment(cost0, cost1, caps, pairs)
         states = np.array(list(itertools.product((0, 1), repeat=n)))
         energies = np.array([cut_energy(s, cost0, cost1, pairs, caps) for s in states])
         assert cut_energy(x, cost0, cost1, pairs, caps) == energies.min()

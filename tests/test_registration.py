@@ -357,8 +357,20 @@ class TestRouting:
         monkeypatch.setattr(registration, "prepare_cloud", lambda cloud, params: None)
         monkeypatch.setattr(registration, "register_pair", no_match)
         tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
-        with pytest.raises(RoutingError, match="Upper: no match; Lower: no match"):
+        with pytest.raises(RoutingError,
+                           match="partial_upper_left: no match; partial_lower_left: no match"):
             register_with_routing(tiny, ScanClass.PARTIAL_LEFT, library, PARAMS)
+
+    def test_full_scan_failing_raises_routing_error(self, library, monkeypatch):
+        # a full class routes through the same loop as a partial one
+        def no_match(source, target, params):
+            raise CoarseRegistrationError("no match")
+
+        monkeypatch.setattr(registration, "prepare_cloud", lambda cloud, params: None)
+        monkeypatch.setattr(registration, "register_pair", no_match)
+        tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
+        with pytest.raises(RoutingError, match="master_lower: no match$"):
+            register_with_routing(tiny, ScanClass.FULL_LOWER, library, PARAMS)
 
     def test_template_key_format(self):
         assert template_key("Upper", None) == "master_upper"
