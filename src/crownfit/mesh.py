@@ -277,25 +277,33 @@ def estimate_vertex_normals(mesh: LabeledMesh) -> LabeledMesh:
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
-    """One output point per occupied voxel: the centroid of its members.
+    """One output point per occupied voxel: the centroid of its members, in
+    the lexicographic (x, y, z) order of the voxels.
 
     Normals, when present, are averaged then renormalized; voxel keys use the
-    floor convention on point/voxel.
+    floor convention on point/voxel. Each voxel is one int64 key, its offsets
+    from the cloud's lowest voxel in mixed radix, so sorting keys sorts voxels.
     """
     if voxel <= 0:
         raise ValueError("voxel size must be positive")
     if len(cloud) == 0:
         return cloud
-    keys = np.floor(cloud.points / voxel).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    k = len(counts)
-    centroids = np.zeros((k, 3))
-    np.add.at(centroids, inverse, cloud.points)
-    centroids /= counts[:, None]
+    cells = np.floor(cloud.points / voxel).astype(np.int64)
+    cells -= cells.min(axis=0)
+    span = [int(c) + 1 for c in cells.max(axis=0)]
+    if span[0] * span[1] * span[2] > np.iinfo(np.int64).max:
+        raise ValueError(f"{span} voxels of {voxel} do not fit one int64 key")
+    keys = (cells[:, 0] * span[1] + cells[:, 1]) * span[2] + cells[:, 2]
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+
+    def sums(values):  # per voxel, added in point order as np.add.at would
+        return np.column_stack([np.bincount(inverse, weights=v, minlength=len(counts))
+                                for v in values.T])
+
+    centroids = sums(cloud.points) / counts[:, None]
     normals = None
     if cloud.normals is not None:
-        acc = np.zeros((k, 3))
-        np.add.at(acc, inverse, cloud.normals)
+        acc = sums(cloud.normals)
         norms = np.linalg.norm(acc, axis=1)
         norms[norms == 0] = 1.0
         normals = acc / norms[:, None]

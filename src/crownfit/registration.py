@@ -95,10 +95,17 @@ def edge_gate(src_len: np.ndarray, tgt_len: np.ndarray, similarity: float,
               min_edge: float) -> np.ndarray:
     """Pairwise compatibility gate over matching edge lengths: True where the
     ratio short/long is >= ``similarity`` and the source edge is longer than
-    ``min_edge`` (rejects near-coincident pairs)."""
-    longer = np.maximum(src_len, tgt_len)
-    ratio = np.minimum(src_len, tgt_len) / np.where(longer == 0, 1, longer)
-    return (ratio >= similarity) & (src_len > min_edge)
+    ``min_edge`` (rejects near-coincident pairs).
+
+    The ratios are divided in place into ``tgt_len``, which is overwritten,
+    so a gate over all pool pairs holds no float64 array beyond its inputs.
+    """
+    gate = src_len > min_edge
+    shorter_src = src_len < tgt_len
+    np.divide(src_len, tgt_len, out=tgt_len, where=shorter_src)
+    np.divide(tgt_len, src_len, out=tgt_len, where=~shorter_src & (src_len > 0))  # 0 / 0: 0
+    gate &= tgt_len >= similarity
+    return gate
 
 
 def _kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
@@ -127,22 +134,27 @@ def _evaluate(points: np.ndarray, transform: RigidTransform, target_index: Spati
     return (*_fitness_rmse(dist, max_dist), idx, dist)
 
 
+_MATCH_BLOCK = 128  # source rows whose feature distances are held at once
+
+
 def _feature_correspondences(src_feat: np.ndarray, tgt_feat: np.ndarray) -> np.ndarray:
     """Nearest target row (squared L2 over 33-D histograms) for each source
     row, the first one on ties.
 
-    ``|t|^2 - 2 s.t`` in one pass per 512-row block, with the -2 folded into
-    the target once: scaling by a power of two is exact, so the distances are
-    bitwise those of ``t2 - 2.0 * (s @ T.T)``.
+    ``|t|^2 - 2 s.t`` for ``_MATCH_BLOCK`` source rows at a time, written
+    into one reused buffer, with the -2 folded into the target once: scaling
+    by a power of two is exact, so the distances are bitwise those of
+    ``t2 - 2.0 * (s @ T.T)``.
     """
     t2 = np.einsum("ij,ij->i", tgt_feat, tgt_feat)
     tm2 = (-2.0 * tgt_feat).T
     out = np.empty(len(src_feat), dtype=np.int64)
-    block = 512
-    for start in range(0, len(src_feat), block):
-        d2 = src_feat[start:start + block] @ tm2
+    buffer = np.empty((min(_MATCH_BLOCK, len(src_feat)), len(tgt_feat)))
+    for start in range(0, len(src_feat), _MATCH_BLOCK):
+        rows = src_feat[start:start + _MATCH_BLOCK]
+        d2 = np.matmul(rows, tm2, out=buffer[:len(rows)])
         d2 += t2
-        out[start:start + block] = np.argmin(d2, axis=1)
+        out[start:start + len(rows)] = np.argmin(d2, axis=1)
     return out
 
 

@@ -3,9 +3,10 @@
 Thin wrapper around a k-d tree; nearest-neighbour results are exact and
 deterministically ordered so they can be compared against linear scans;
 ``nearest_within`` prunes the search at a gate distance.
-``radius_pairs`` returns each unordered pair within a radius once, unsorted;
-FPFH derives both directions and its summation order from it. The index is
-read-only after construction and safe for concurrent queries.
+``radius_pairs`` returns each unordered pair within a radius once, unsorted,
+as int32 indices; FPFH derives both directions, their distances and its
+summation order from it. The index is read-only after construction and safe
+for concurrent queries.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class SpatialIndex:
         return idx, dist
 
     def radius_pairs(self, radius: float):
-        """``(i, j, distance)`` arrays of every pair of distinct indexed points
-        at most ``radius`` apart (inclusive), once each with ``i < j``, unsorted;
-        coincident duplicates pair up at distance 0."""
-        i, j = self._tree.query_pairs(radius, output_type="ndarray").T
-        return i, j, np.linalg.norm(self._points[j] - self._points[i], axis=1)
+        """``(i, j)`` int32 arrays of every pair of distinct indexed points at
+        most ``radius`` apart (inclusive), once each with ``i < j``, unsorted;
+        coincident duplicates pair up."""
+        pairs = self._tree.query_pairs(radius, output_type="ndarray")
+        return pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32)

@@ -1,9 +1,10 @@
 """Test-only helpers: simple solids, a mirrored mesh, a probability-file
-writer, the registration round trip's pose ranges and a per-face centroid
-oracle. The pipeline never needs them."""
+writer, the registration round trip's pose ranges, a per-face centroid
+oracle and a traced memory peak. The pipeline never needs them."""
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,3 +116,19 @@ def face_accumulated_centroids(mesh: LabeledMesh, labels) -> dict:
         sums[cls] = sums.get(cls, 0.0) + (p0 + p1 + p2) / 3.0 * area
         areas[cls] = areas.get(cls, 0.0) + area
     return {cls: sums[cls] / areas[cls] for cls in sums}
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak of the memory that ``fn()`` allocates through Python and numpy
+    above what was allocated before the call, in MB, from tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()

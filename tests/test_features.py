@@ -12,6 +12,7 @@ from crownfit.features import FPFH_BINS, compute_fpfh
 from crownfit.mesh import (LabeledMesh, PointCloud, RigidTransform, estimate_vertex_normals,
                            voxel_downsample)
 from crownfit.synth import ArchSpec, generate_arch
+from helpers import traced_peak_mb
 
 
 def random_cloud(n, seed, scale=3.0):
@@ -248,6 +249,33 @@ class TestFpfh:
             got = compute_fpfh(cloud, radius)
         want = directed_pair_fpfh(cloud.points, cloud.normals, radius)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(ORACLE_CLOUDS))
+    def test_row_blocks_of_3_bitwise_equal_to_oracle(self, name, monkeypatch):
+        # a row's neighbours are split from the rows after it; on the grids
+        # many pairs of one row lie at exactly equal distances
+        monkeypatch.setattr(features, "_ROW_BLOCK", 3)
+        make, radius = ORACLE_CLOUDS[name]
+        cloud = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MeshWarning)
+            got = compute_fpfh(cloud, radius)
+        want = directed_pair_fpfh(cloud.points, cloud.normals, radius)
+        assert got.tobytes() == want.tobytes()
+
+    def test_column_dot_products_equal_einsum_rows(self, rng):
+        # the oracle takes dot products with einsum over (k, 3) rows; FPFH's
+        # bins hide most last-bit differences, so the order of the kernel's
+        # three products is pinned here
+        a, b = rng.normal(size=(2, 5000, 3))
+        got = features._dot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+        assert got.tobytes() == np.einsum("ij,ij->i", a, b).tobytes()
+
+    def test_memory_bounded_on_2x_arch(self, arch_2x_cloud):
+        # about 550k neighbour pairs: held over all directed pairs, float64
+        # or int64 arrays would take the peak past 60 MB
+        peak = traced_peak_mb(lambda: compute_fpfh(arch_2x_cloud, 5.6))
+        assert peak < 40.0, f"{peak:.1f} MB"
 
     def test_sub_histograms_sum_to_100(self):
         cloud = random_cloud(60, 3)

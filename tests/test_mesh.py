@@ -133,6 +133,22 @@ class TestVoxelDownsample:
         assert np.isclose(np.linalg.norm(out.normals[0]), 1.0)
         assert np.allclose(out.normals[0], np.array([1, 1, 0]) / np.sqrt(2))
 
+    def test_bitwise_equal_to_row_unique_oracle(self, rng):
+        # np.unique over (x, y, z) voxel rows and np.add.at sums, with
+        # negative voxels, several points per voxel and normals
+        pts = rng.normal(scale=4.0, size=(5000, 3))
+        normals = rng.normal(size=(5000, 3))
+        out = voxel_downsample(PointCloud(pts, normals), 0.8)
+        cells = np.floor(pts / 0.8).astype(np.int64)
+        _, inverse, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+        centroids = np.zeros((len(counts), 3))
+        acc = np.zeros((len(counts), 3))
+        np.add.at(centroids, inverse, pts)
+        np.add.at(acc, inverse, normals)
+        centroids /= counts[:, None]
+        assert out.points.tobytes() == centroids.tobytes()
+        assert out.normals.tobytes() == (acc / np.linalg.norm(acc, axis=1)[:, None]).tobytes()
+
     def test_nonpositive_voxel_rejected(self):
         with pytest.raises(ValueError):
             voxel_downsample(PointCloud([[0, 0, 0]]), 0.0)

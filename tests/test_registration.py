@@ -10,6 +10,7 @@ import crownfit.registration as registration
 import crownfit.templates as templates
 from crownfit.classify import ScanClass
 from crownfit.errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
+from crownfit.features import compute_fpfh
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
 from crownfit.registration import (RegistrationParams, RegistrationResult,
                                    coarse_register, edge_gate, fine_register, match_features,
@@ -18,7 +19,7 @@ from crownfit.registration import (RegistrationParams, RegistrationResult,
 from crownfit.synth import ArchSpec, generate_arch, partial_spec, perturb_pose
 from crownfit.templates import (MANIFEST_NAME, build_template_library, load_template_library,
                                 save_template_library)
-from helpers import registration_perturb
+from helpers import registration_perturb, traced_peak_mb
 
 PARAMS = RegistrationParams()
 
@@ -85,6 +86,20 @@ class TestEdgeGate:
         src = np.array([10.0, 9.5, 10.0])
         tgt = np.array([9.5, 10.0, 9.4])
         assert edge_gate(src, tgt, 0.95, PARAMS.voxel).tolist() == [True, True, False]
+
+    def test_equals_ratio_of_min_to_max(self, rng):
+        # ties, zero pairs and edges at the gate's own ratio among random ones
+        src = rng.uniform(0, 3, size=2000)
+        tgt = rng.uniform(0, 3, size=2000)
+        tgt[:300] = src[:300]
+        src[300:400] = tgt[300:400] = 0.0
+        tgt[400:500] = 0.0
+        tgt[500:600] = src[500:600] * 0.95
+        longer = np.maximum(src, tgt)
+        ratio = np.minimum(src, tgt) / np.where(longer == 0, 1, longer)
+        want = (ratio >= 0.95) & (src > 0.5)
+        assert np.array_equal(edge_gate(src, tgt.copy(), 0.95, 0.5), want)
+        assert np.array_equal(edge_gate(src, tgt.copy(), 0.95, 0.0), (ratio >= 0.95) & (src > 0))
 
     def test_short_source_edges_rejected(self):
         # the minimum applies to the source edge, strictly; a zero pair never passes
@@ -380,7 +395,7 @@ class TestRouting:
 class TestFeatureCorrespondences:
     def test_integer_features_match_brute_force_first_on_ties(self, rng):
         # small integers make every distance exact, so ties are real ties
-        src = rng.integers(0, 3, size=(1100, 33)).astype(float)  # three 512-row blocks
+        src = rng.integers(0, 3, size=(1100, 33)).astype(float)  # nine buffer fills
         tgt = rng.integers(0, 3, size=(300, 33)).astype(float)
         tgt[150:] = tgt[:150]
         src[::4] = tgt[rng.integers(0, 300, size=len(src[::4]))]
@@ -388,6 +403,27 @@ class TestFeatureCorrespondences:
         got = registration._feature_correspondences(src, tgt)
         assert np.array_equal(got, np.argmin(d2, axis=1))
         assert np.all(got < 150)  # every row ties with its twin and takes the first
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * registration._MATCH_BLOCK + 1])
+    def test_rows_across_the_buffer_boundary(self, rng, extra):
+        # the last fill of the buffer holds from 1 row to all of it
+        rows = registration._MATCH_BLOCK + extra
+        src = rng.integers(0, 3, size=(rows, 33)).astype(float)
+        tgt = rng.integers(0, 3, size=(90, 33)).astype(float)
+        tgt[45:] = tgt[:45]
+        src[::2] = tgt[rng.integers(0, 90, size=len(src[::2]))]
+        d2 = ((src[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(registration._feature_correspondences(src, tgt),
+                              np.argmin(d2, axis=1))
+
+    def test_memory_bounded_on_2x_arch(self, arch_2x_cloud):
+        # a 2x scan's 5k FPFH rows against a template's 3k, both ways,
+        # through one buffer of _MATCH_BLOCK rows of distances
+        scan = (arch_2x_cloud, compute_fpfh(arch_2x_cloud, PARAMS.fpfh_radius))
+        mesh, _ = generate_arch(ArchSpec.standard("Lower", "full", seed=5, jitter_sigma=0.3))
+        template = prepare_cloud(mesh.to_point_cloud(), PARAMS)
+        peak = traced_peak_mb(lambda: match_features(scan, template))
+        assert peak < 12.0, f"{peak:.1f} MB"
 
     def test_reverse_search_of_matched_rows_gives_the_all_rows_pool(self, rng):
         src = rng.integers(0, 3, size=(700, 33)).astype(float)

@@ -66,30 +66,31 @@ def linear_radius_pairs(points, radius):
 def test_radius_matches_linear_scan(rng):
     pts = rng.uniform(0, 1, size=(300, 3))
     pts[5] = pts[9]  # a coincident pair
-    i, j, dist = SpatialIndex(pts).radius_pairs(0.25)
+    i, j = SpatialIndex(pts).radius_pairs(0.25)
     want = linear_radius_pairs(pts, 0.25)
+    assert i.dtype == j.dtype == np.int32
     assert set(zip(i.tolist(), j.tolist())) == set(want)
     assert len(i) == len(want)
     assert np.all(i < j)  # each pair once, no self-pairs
-    assert np.allclose(dist, [want[p] for p in zip(i.tolist(), j.tolist())], rtol=0, atol=1e-12)
 
 
 def test_radius_zero_returns_only_coincident(rng):
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    i, j, dist = SpatialIndex(pts).radius_pairs(0.0)
+    i, j = SpatialIndex(pts).radius_pairs(0.0)
     assert list(zip(i.tolist(), j.tolist())) == [(0, 2)]
-    assert dist.tolist() == [0.0]
 
 
 def test_radius_pairs_once_with_exact_distances(rng):
     pts = rng.uniform(0, 1, size=(200, 3))
     pts[7] = pts[3] = pts[150]  # coincident triple: three pairs at distance 0
-    i, j, dist = SpatialIndex(pts).radius_pairs(0.4)
-    assert len(set(zip(i.tolist(), j.tolist()))) == len(i) == len(linear_radius_pairs(pts, 0.4))
+    pts[20], pts[21] = [0.5, 0.5, 0.5], [0.75, 0.5, 0.5]  # exactly the radius apart
+    i, j = SpatialIndex(pts).radius_pairs(0.25)
+    assert len(set(zip(i.tolist(), j.tolist()))) == len(i) == len(linear_radius_pairs(pts, 0.25))
     assert np.all(i < j)
-    assert dist.tobytes() == np.linalg.norm(pts[j] - pts[i], axis=1).tobytes()
+    dist = np.linalg.norm(pts[j] - pts[i], axis=1)
     assert {(a, b) for a, b, d in zip(i.tolist(), j.tolist(), dist) if d == 0} == {
         (3, 7), (3, 150), (7, 150)}
+    assert dist[(i == 20) & (j == 21)].tolist() == [0.25]  # the radius is inclusive
 
 
 def test_empty_input_rejected():
