@@ -8,22 +8,24 @@ patient's left +x, so the outside of the arch always lies on the left of the
 direction of travel. Buccal is the tangent turned +90 degrees; mesial is the
 tangent on the right side and its negation on the left. Step 2 hardens the
 references into robust targets by averaging the prepared tooth's vertex
-normals that pass the dot threshold. Step 3 aligns the annotated crown:
-translate to the prep centroid, rotate mesial onto the robust mesial target,
-rotate about that axis to fix buccal, then rotate occlusal onto the occlusal
-axis.
+normals that pass the dot threshold. Step 3 aligns the crown, a
+``LabeledMesh`` whose face labels mark its mesial (101), buccal (102) and
+occlusal (103) regions; ``region_normals`` reads their area-weighted normals.
+It translates the crown to the prep centroid, rotates mesial onto the robust
+mesial target, rotates about that axis to fix buccal, then rotates occlusal
+onto the occlusal axis.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import AlignmentWarning, DegenerateGeometryError
-from .mesh import LabeledMesh, RigidTransform, _freeze
+from .mesh import LabeledMesh, RigidTransform
 
 LABEL_MESIAL = 101
 LABEL_BUCCAL = 102
@@ -126,117 +128,58 @@ def robust_target(prep_normals, ref, params: AlignmentParams = AlignmentParams()
     return mean / np.linalg.norm(mean)
 
 
-@dataclass(frozen=True)
-class CrownTemplate:
-    """Annotated crown mesh with mesial/buccal/occlusal region masks."""
-
-    mesh: LabeledMesh
-    mesial_faces: np.ndarray
-    buccal_faces: np.ndarray
-    occlusal_faces: np.ndarray
-
-    def __post_init__(self):
-        masks = {}
-        for name in ("mesial_faces", "buccal_faces", "occlusal_faces"):
-            idx = np.asarray(getattr(self, name), dtype=np.int64).reshape(-1)
-            if idx.size == 0:
-                raise ValueError(f"{name} region is empty")
-            masks[name] = idx
-            object.__setattr__(self, name, _freeze(idx))
-        sets = [set(m.tolist()) for m in masks.values()]
-        if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
-            raise ValueError("crown region masks must be pairwise disjoint")
-
-    @staticmethod
-    def from_mesh(mesh: LabeledMesh) -> "CrownTemplate":
-        if mesh.face_labels is None:
-            raise ValueError("crown template mesh carries no region labels")
-        lab = mesh.face_labels
-        return CrownTemplate(
-            mesh,
-            np.nonzero(lab == LABEL_MESIAL)[0],
-            np.nonzero(lab == LABEL_BUCCAL)[0],
-            np.nonzero(lab == LABEL_OCCLUSAL)[0],
-        )
-
-    def _region_normal(self, faces: np.ndarray) -> np.ndarray:
-        normals = self.mesh.face_normals()[faces]
-        areas = self.mesh.face_areas()[faces]
-        mean = (normals * areas[:, None]).sum(axis=0)
+def region_normals(crown: LabeledMesh) -> list[np.ndarray]:
+    """Area-weighted unit normals of the crown's mesial, buccal and occlusal
+    faces (labels 101, 102, 103), in that order."""
+    if crown.face_labels is None:
+        raise ValueError("crown template mesh carries no region labels")
+    normals, areas = crown.face_normals(), crown.face_areas()
+    out = []
+    for name, label in (("mesial", LABEL_MESIAL), ("buccal", LABEL_BUCCAL),
+                        ("occlusal", LABEL_OCCLUSAL)):
+        faces = crown.face_labels == label
+        if not faces.any():
+            raise ValueError(f"crown {name} region is empty")
+        mean = (normals[faces] * areas[faces][:, None]).sum(axis=0)
         n = np.linalg.norm(mean)
         if n == 0:
-            raise DegenerateGeometryError("region normals cancel out")
-        return mean / n
-
-    @property
-    def mesial_normal(self) -> np.ndarray:
-        return self._region_normal(self.mesial_faces)
-
-    @property
-    def buccal_normal(self) -> np.ndarray:
-        return self._region_normal(self.buccal_faces)
-
-    @property
-    def occlusal_normal(self) -> np.ndarray:
-        return self._region_normal(self.occlusal_faces)
+            raise DegenerateGeometryError(f"crown {name} region normals cancel out")
+        out.append(mean / n)
+    return out
 
 
-@dataclass(frozen=True)
-class TargetVectors:
-    """Alignment targets extracted at the preparation site.
-
-    ``occlusal_axis`` is the standardized occlusal direction: +z in the
-    canonical frame; the caller flips it for upper-jaw work so it points
-    toward the antagonist.
-    """
-
-    v_mesial_robust: np.ndarray
-    v_buccal_robust: np.ndarray
-    prep_centroid: np.ndarray
-    occlusal_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        for name in ("v_mesial_robust", "v_buccal_robust", "occlusal_axis"):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(3)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be unit length")
-            object.__setattr__(self, name, _freeze(v))
-        object.__setattr__(
-            self, "prep_centroid",
-            _freeze(np.asarray(self.prep_centroid, dtype=np.float64).reshape(3)),
-        )
-
-
-def align_crown(crown: CrownTemplate, targets: TargetVectors) -> tuple[RigidTransform, list]:
-    """Sequential crown alignment: translate, mesial, buccal-about-mesial,
-    occlusal. Returns the composed rigid transform plus a per-step trace of
-    ``{name, angle_deg, achieved_dot}`` dicts.
+def align_crown(crown: LabeledMesh, v_mesial, v_buccal, prep_centroid,
+                occlusal_axis) -> tuple[RigidTransform, list]:
+    """Sequential alignment of a region-labelled crown onto unit targets:
+    translate its centroid onto ``prep_centroid``, rotate its mesial normal
+    onto ``v_mesial``, rotate about that axis to fix buccal, then rotate its
+    occlusal normal onto ``occlusal_axis``. Returns the composed rigid
+    transform plus a per-step trace of ``{name, angle_deg, achieved_dot}``
+    dicts.
 
     The buccal step rotates only about the mesial target axis, so mesial
     alignment survives it exactly; the final occlusal step may disturb both
     (the sequence is strict, no re-orthogonalization pass).
     """
-    centroid = crown.mesh.centroid()
-    n_mesial = crown.mesial_normal
-    n_buccal = crown.buccal_normal
-    n_occlusal = crown.occlusal_normal
+    centroid = crown.centroid()
+    n_mesial, n_buccal, n_occlusal = region_normals(crown)
 
     # (i) translation: crown centroid onto the prep centroid
     r_total = np.eye(3)
     steps = [("translate", 0.0, 1.0)]  # (name, angle_deg, achieved_dot)
 
     # (ii) minimal rotation: mesial normal onto the robust mesial target
-    r1 = RigidTransform.rotation_between(n_mesial, targets.v_mesial_robust)
+    r1 = RigidTransform.rotation_between(n_mesial, v_mesial)
     r_total = r1 @ r_total
     m = r_total @ n_mesial
     steps.append(("mesial", RigidTransform(r1).rotation_angle_deg(),
-                  float(m @ targets.v_mesial_robust)))
+                  float(m @ v_mesial)))
 
     # (iii) rotation about the mesial axis matching the buccal projections
-    axis = targets.v_mesial_robust
+    axis = v_mesial
     b_now = r_total @ n_buccal
     b_proj = b_now - (b_now @ axis) * axis
-    t_proj = targets.v_buccal_robust - (targets.v_buccal_robust @ axis) * axis
+    t_proj = v_buccal - (v_buccal @ axis) * axis
     nb = np.linalg.norm(b_proj)
     nt = np.linalg.norm(t_proj)
     if nb < 1e-12 or nt < 1e-12:
@@ -255,11 +198,11 @@ def align_crown(crown: CrownTemplate, targets: TargetVectors) -> tuple[RigidTran
 
     # (iv) minimal rotation: occlusal normal onto the occlusal axis
     o_now = r_total @ n_occlusal
-    r3 = RigidTransform.rotation_between(o_now, targets.occlusal_axis)
+    r3 = RigidTransform.rotation_between(o_now, occlusal_axis)
     r_total = r3 @ r_total
     o_after = r_total @ n_occlusal
     steps.append(("occlusal", RigidTransform(r3).rotation_angle_deg(),
-                  float(o_after @ targets.occlusal_axis)))
+                  float(o_after @ occlusal_axis)))
 
-    transform = RigidTransform(r_total, targets.prep_centroid - r_total @ centroid)
+    transform = RigidTransform(r_total, prep_centroid - r_total @ centroid)
     return transform, [{"name": n, "angle_deg": a, "achieved_dot": d} for n, a, d in steps]

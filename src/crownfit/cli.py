@@ -124,12 +124,10 @@ def retrieve_cmd(ctx, scan, fdi):
 @click.pass_context
 def align_cmd(ctx, scan, crown_path, fdi, out_path):
     """Spline-guided sequential alignment of a crown template."""
-    from .alignment import CrownTemplate
-
     mesh = with_normals(load_mesh(scan))
     if mesh.face_labels is None:
         raise click.UsageError("align needs a labeled canonical scan")
-    crown = CrownTemplate.from_mesh(with_normals(load_mesh(crown_path)))
+    crown = with_normals(load_mesh(crown_path))
     aligned, payload = stage_align(mesh, mesh.face_labels, fdi, crown, _load_cfg(ctx))
     save_mesh(aligned, out_path, "PLY")
     for step in payload["steps"]:
@@ -205,14 +203,15 @@ def evaluate_cmd(ctx, pred_path, gt_path, mesh_path, prep_fdi, report_path):
 
 @main.command("fixtures")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--population", type=int, default=4)
-@click.option("--donor-jaws", type=int, default=6)
+@click.option("--population", type=int, default=None)
+@click.option("--donor-jaws", type=int, default=None)
 @click.pass_context
 def fixtures_cmd(ctx, out_dir, population, donor_jaws):
-    """Regenerate the synthetic fixture corpus."""
-    cfg = _load_cfg(ctx)
-    manifest = generate_fixture_corpus(out_dir, seed=cfg.seed, population=population,
-                                       donor_jaws=donor_jaws)
+    """Regenerate the synthetic fixture corpus (the sizes default to
+    ``generate_fixture_corpus``'s)."""
+    sizes = {"population": population, "donor_jaws": donor_jaws}
+    manifest = generate_fixture_corpus(out_dir, seed=_load_cfg(ctx).seed,
+                                       **{k: v for k, v in sizes.items() if v is not None})
     click.echo(json.dumps({k: v for k, v in manifest.items() if k != "case"},
                           indent=2, sort_keys=True))
 

@@ -1,6 +1,6 @@
-"""Intersection-driven crown fitting: interproximal scaling against a volume
-threshold, geometric centering between the neighbors, and two-mode occlusal
-correction (posterior cusp tap-down, anterior global shift).
+"""Intersection-driven crown fitting: geometric centering between the
+neighbors, interproximal scaling against a volume threshold, and two-mode
+occlusal correction (posterior cusp tap-down, anterior global shift).
 
 The crown is a watertight solid; interproximal scaling and
 ``intersection_volume`` reject any other. The neighbours and the antagonist
@@ -15,14 +15,15 @@ Every ray-parity test comes from one ray-crossing kernel, ``_ray_hits``,
 which runs Moller-Trumbore only on the (origin, triangle) pairs that a grid
 across the ray puts together, so its cost follows the origins near the mesh
 rather than origins x triangles. A mesh's projected triangle boxes
-(``_Triangles``) are derived once per mesh and ray direction, so an
-obstacle's are derived once per fit, not at every scaling step; edge
-vectors are computed per call, only for the triangles the origins can
-reach. It has two callers. Points are tested along a fixed skewed ray
-(``points_inside_mesh``). The overlap volume casts +z rays from below the
-meshes, one per column of a shared voxel grid, and counts the voxel
-centres with odd crossing parity toward the occlusal side in both meshes;
-the crown's columns are cast only where the obstacle has an inside voxel.
+(``_Triangles``) are derived once per mesh and ray direction: the
+neighbours' once per interproximal scaling, not at every scaling step, and
+once more for the residual overlap; edge vectors are computed per call,
+only for the triangles the origins can reach. It has two callers. Points
+are tested along a fixed skewed ray (``points_inside_mesh``). The overlap
+volume casts +z rays from below the meshes, one per column of a shared
+voxel grid, and counts the voxel centres with odd crossing parity toward
+the occlusal side in both meshes; the crown's columns are cast only where
+the obstacle has an inside voxel.
 The error of the voxel estimate is O(surface area x resolution); the 1e-6
 mm^3 threshold therefore acts as "no detectable overlap" at the configured
 resolution.
@@ -31,7 +32,6 @@ resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -211,27 +211,6 @@ def _component_columns(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[_Tria
     return [_triangles(part, _UP) for part in parts]
 
 
-@dataclass(frozen=True)
-class _Obstacle:
-    """A mesh the crown must not enter, tested from its occlusal side."""
-
-    mesh: LabeledMesh
-    side: np.ndarray            # toward its occlusal side
-
-    def inside(self, points) -> np.ndarray:
-        return points_inside_mesh(points, self.mesh, self.side)
-
-    @cached_property
-    def solids(self) -> list[_Triangles]:
-        """Its components' +z column triangles, derived on the first overlap
-        volume and reused by every later one."""
-        return _component_columns(self.mesh, connected_components(self.mesh))
-
-
-def _obstacle(mesh: LabeledMesh, occlusal_dir) -> _Obstacle:
-    return _Obstacle(mesh, np.asarray(occlusal_dir, dtype=np.float64))
-
-
 def _crown_components(crown: LabeledMesh) -> list[np.ndarray]:
     """Face index arrays of the crown's components; scaling keeps them."""
     if not is_watertight(crown):
@@ -246,18 +225,19 @@ def intersection_volume(crown: LabeledMesh, other: LabeledMesh, occlusal_dir,
     ``occlusal_dir`` points to."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    return _overlap_volume(crown, _crown_components(crown), _obstacle(other, occlusal_dir),
-                           resolution)
+    return _overlap_volume(_component_columns(crown, _crown_components(crown)),
+                           _component_columns(other, connected_components(other)),
+                           occlusal_dir, resolution)
 
 
-def _overlap_volume(crown: LabeledMesh, comps: list[np.ndarray], obstacle: _Obstacle,
-                    resolution: float) -> float:
+def _overlap_volume(crown_columns: list[_Triangles], other_columns: list[_Triangles],
+                    occlusal_dir, resolution: float) -> float:
     # per component pair: disjoint solids make the volumes additive and keep
     # the voxel grid tight around each actual overlap region
-    up = bool(obstacle.side[2] > 0)
+    up = bool(occlusal_dir[2] > 0)
     total = 0.0
-    for fa in _component_columns(crown, comps):
-        for fb in obstacle.solids:
+    for fa in crown_columns:
+        for fb in other_columns:
             total += _voxel_overlap(fa, fb, up, resolution)
     return total
 
@@ -314,10 +294,11 @@ def interproximal_adapt(
     if trace is None:
         trace = []  # the trace also rides on any non-convergence error
     comps = _crown_components(crown)
-    neighbor = _obstacle(neighbors, occlusal_dir)
+    neighbor_columns = _component_columns(neighbors, connected_components(neighbors))
 
     def volume(mesh):
-        return _overlap_volume(mesh, comps, neighbor, params.voxel_resolution)
+        return _overlap_volume(_component_columns(mesh, comps), neighbor_columns, occlusal_dir,
+                               params.voxel_resolution)
 
     v = volume(current)
     trace.append({"phase": "initial", "scale": scale, "volume": v})
@@ -389,11 +370,12 @@ def detect_cusps(crown: LabeledMesh, occlusal_dir,
     return apexes[order][: params.cusp_count]
 
 
-def _interfering(points, obstacle: _Obstacle, index: SpatialIndex,
+def _interfering(points, opposing: LabeledMesh, side, index: SpatialIndex,
                  params: FittingParams) -> np.ndarray:
-    """Mask of the points inside the obstacle or, when none is, of the points
-    within ``proximity_dist`` of its vertices (``index``)."""
-    hit = obstacle.inside(points)
+    """Mask of the points inside ``opposing``, tested from ``side``, or, when
+    none is, of the points within ``proximity_dist`` of its vertices
+    (``index``)."""
+    hit = points_inside_mesh(points, opposing, side)
     if hit.any():
         return hit
     _, dist = index.nearest(points)
@@ -422,11 +404,10 @@ def occlusal_correct_posterior(
     sigma = params.falloff_radius / 2.0
     if trace is None:
         trace = []
-    obstacle = _obstacle(opposing, -d)
     index = SpatialIndex(opposing.vertices)
     for round_no in range(params.max_tap_rounds):
         current = LabeledMesh(vertices, crown.faces, None, labels)
-        coll = tips[_interfering(vertices[tips], obstacle, index, params)]
+        coll = tips[_interfering(vertices[tips], opposing, -d, index, params)]
         trace.append({"round": round_no, "colliding": [int(c) for c in coll]})
         if len(coll) == 0:
             return current
@@ -453,13 +434,12 @@ def occlusal_correct_anterior(
     """Mode B: rigid global shifts away from the antagonist until clear."""
     d = np.asarray(occlusal_dir, dtype=np.float64)
     d = d / np.linalg.norm(d)
-    obstacle = _obstacle(opposing, -d)
     index = SpatialIndex(opposing.vertices)
     current = crown
     if trace is None:
         trace = []
     for step in range(params.max_shift_iters + 1):
-        if not _interfering(current.vertices, obstacle, index, params).any():
+        if not _interfering(current.vertices, opposing, -d, index, params).any():
             trace.append({"shifts": step, "offset": step * params.delta})
             return current
         current = current.with_vertices(current.vertices - params.delta * d)

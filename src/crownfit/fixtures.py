@@ -37,17 +37,17 @@ def build_crown_library(directory) -> None:
     manifest = {"templates": {}}
     embeddings, keys = [], []
     for name, (kind, dims) in sorted(CROWN_KINDS.items()):
-        template, _ = generate_crown_fixture(kind, dims)
+        mesh, _ = generate_crown_fixture(kind, dims)
         filename = f"{name}.ply"
-        save_mesh(template.mesh, directory / filename, "PLY")
+        save_mesh(mesh, directory / filename, "PLY")
         manifest["templates"][name] = filename
-        embeddings.append(geometric_embedding(template.mesh))
+        embeddings.append(geometric_embedding(mesh))
         keys.append({"template": name})
     save_embedding_store(embeddings, keys, directory / "crowns.bin")
     (directory / "crowns.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def build_donor_store(path, n_jaws: int = 6, seed: int = 0) -> None:
+def build_donor_store(path, n_jaws: int, seed: int) -> None:
     embeddings, keys = [], []
     for j in range(n_jaws):
         for jaw in ("Upper", "Lower"):

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import (CrownTemplate, TargetVectors, align_crown, fit_arch_spline,
-                        robust_target, spline_frame_at)
+from .alignment import align_crown, fit_arch_spline, robust_target, spline_frame_at
 from .classify import ScanClass, baseline_geometric_classify, read_classification_sidecar
 from .config import PipelineConfig
 from .errors import NonConvergenceError, PipelineError
@@ -196,7 +195,7 @@ def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
 
 
 def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
-                   config: PipelineConfig) -> tuple[CrownTemplate, dict]:
+                   config: PipelineConfig) -> tuple[LabeledMesh, dict]:
     """The crown template retrieved for ``fdi`` from its context teeth."""
     rc = config.retrieval
     if rc.jaw_store is None or rc.crown_dir is None:
@@ -213,7 +212,7 @@ def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
 
     manifest = json.loads((crown_dir / "crowns.json").read_text())
     mesh = load_mesh(crown_dir / manifest["templates"][template_id], "PLY")
-    return CrownTemplate.from_mesh(with_normals(mesh)), {
+    return with_normals(mesh), {
         "donor_jaw": donor_jaw,
         "jaw_score": jaw_score,
         "template_id": template_id,
@@ -248,8 +247,9 @@ def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
 
 
 def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
-                crown: CrownTemplate, config: PipelineConfig) -> tuple[LabeledMesh, dict]:
-    """The crown moved onto the preparation by spline-guided alignment."""
+                crown: LabeledMesh, config: PipelineConfig) -> tuple[LabeledMesh, dict]:
+    """The region-labelled crown moved onto the preparation by spline-guided
+    alignment."""
     seq, prep_centroid = arch_centroid_sequence(labels, canonical, fdi)
     v_m_ref, v_b_ref = spline_frame_at(fit_arch_spline(seq), prep_centroid, fdi)
 
@@ -258,16 +258,12 @@ def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
     prep_vertices = np.unique(canonical.faces[prep_mask])
     prep_normals = canonical.vertex_normals[prep_vertices]
 
-    targets = TargetVectors(
-        v_mesial_robust=robust_target(prep_normals, v_m_ref, config.alignment),
-        v_buccal_robust=robust_target(prep_normals, v_b_ref, config.alignment),
-        prep_centroid=prep_centroid,
-        occlusal_axis=occlusal_direction(fdi),
-    )
-    transform, steps = align_crown(crown, targets)
-    return crown.mesh.transformed(transform), {
+    transform, steps = align_crown(crown, robust_target(prep_normals, v_m_ref, config.alignment),
+                                   robust_target(prep_normals, v_b_ref, config.alignment),
+                                   prep_centroid, occlusal_direction(fdi))
+    return crown.transformed(transform), {
         "steps": steps,
-        "prep_centroid": targets.prep_centroid.tolist(),
+        "prep_centroid": prep_centroid.tolist(),
     }
 
 

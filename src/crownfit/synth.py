@@ -425,10 +425,10 @@ def generate_crown_fixture(kind: str, dims: CrownDims = CrownDims()):
     """Closed crown shell with region labels and (for posterior) analytic cusps.
 
     Local frame: mesial +x, buccal +y, occlusal +z. Returns the
-    CrownTemplate and its apexes: each bump's exact apex vertex index mapped
+    region-labelled mesh and its apexes: each bump's exact apex vertex index mapped
     to its height, in bump order (none for the anterior kind).
     """
-    from .alignment import CrownTemplate, LABEL_MESIAL, LABEL_BUCCAL, LABEL_OCCLUSAL
+    from .alignment import LABEL_MESIAL, LABEL_BUCCAL, LABEL_OCCLUSAL
 
     if dims.half_mesial <= 0 or dims.half_buccal <= 0 or dims.base_height <= 0:
         raise ValueError("crown dimensions must be positive")
@@ -472,4 +472,4 @@ def generate_crown_fixture(kind: str, dims: CrownDims = CrownDims()):
 
     mesh = estimate_vertex_normals(LabeledMesh(vertices, faces, None, labels))
     apexes = {i * (n + 1) + j: float(h[i, j]) for i, j, _ in bump_centers}
-    return CrownTemplate.from_mesh(mesh), apexes
+    return mesh, apexes

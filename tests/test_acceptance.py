@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crownfit.alignment import AlignmentParams, TargetVectors, align_crown, robust_target
+from crownfit.alignment import AlignmentParams, align_crown, robust_target
 from crownfit.classify import ScanClass
 from crownfit.fitting import (FittingParams, detect_cusps, fit_crown, interproximal_adapt,
                               intersection_volume, occlusal_correct_anterior,
@@ -277,11 +277,8 @@ def test_crown_alignment_steps():
         v_m /= np.linalg.norm(v_m)
         v_b = np.cross(v_m, r.normal(size=3))
         v_b /= np.linalg.norm(v_b)
-        targets = TargetVectors(
-            v_mesial_robust=v_m, v_buccal_robust=v_b,
-            prep_centroid=r.uniform(-20, 20, size=3),
-        )
-        steps = {s["name"]: s["achieved_dot"] for s in align_crown(crown, targets)[1]}
+        _, trace = align_crown(crown, v_m, v_b, r.uniform(-20, 20, size=3), np.array([0.0, 0, 1]))
+        steps = {s["name"]: s["achieved_dot"] for s in trace}
         worst_mesial = min(worst_mesial, steps["mesial"])
         err = np.arccos(np.clip(steps["buccal"], -1, 1))
         worst_buccal_rad = max(worst_buccal_rad, err)
@@ -323,7 +320,7 @@ def test_crown_fitting_invariants():
             half_buccal=float(r.uniform(3.0, 4.4)),
             base_height=float(r.uniform(5.2, 6.6)),
         )
-        crown = generate_crown_fixture("bumped_posterior", dims)[0].mesh
+        crown = generate_crown_fixture("bumped_posterior", dims)[0]
         width = 2 * dims.half_mesial
         gap = width * float(r.uniform(0.92, 1.08))  # both Case A and Case B occur
         walls = two_walls(gap)
@@ -345,7 +342,7 @@ def test_crown_fitting_invariants():
     # Mode-B rigidity on anterior cases
     rigid_ok = True
     for case in range(5):
-        crown = generate_crown_fixture("smooth_anterior")[0].mesh
+        crown = generate_crown_fixture("smooth_anterior")[0]
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.3 + 3.0), (14.0, 14.0, 3.0))
         out = occlusal_correct_anterior(crown, plate, (0, 0, 1), params)
@@ -368,12 +365,12 @@ def test_crown_fitting_invariants():
 
 def test_cusp_detection():
     five, apexes5 = generate_crown_fixture("bumped_posterior")
-    got5 = detect_cusps(five.mesh, (0, 0, 1))
+    got5 = detect_cusps(five, (0, 0, 1))
     exact5 = sorted(got5.tolist()) == sorted(apexes5)
     smooth, _ = generate_crown_fixture("smooth_anterior")
-    none_on_ramp = len(detect_cusps(smooth.mesh, (0, 0, 1))) == 0
+    none_on_ramp = len(detect_cusps(smooth, (0, 0, 1))) == 0
     seven, apexes7 = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
-    got7 = detect_cusps(seven.mesh, (0, 0, 1))
+    got7 = detect_cusps(seven, (0, 0, 1))
     tallest = sorted(apexes7, key=lambda v: -apexes7[v])[:5]
     top5 = sorted(got7.tolist()) == sorted(tallest)
     ok = exact5 and none_on_ramp and top5

@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from crownfit.alignment import (AlignmentParams, CrownTemplate, TargetVectors,
+from crownfit.alignment import (LABEL_BUCCAL, LABEL_MESIAL, AlignmentParams,
                                 _closest_parameter, align_crown, fit_arch_spline,
-                                robust_target, spline_frame_at)
+                                region_normals, robust_target, spline_frame_at)
 from crownfit.errors import AlignmentWarning, DegenerateGeometryError
-from crownfit.mesh import RigidTransform
+from crownfit.mesh import LabeledMesh, RigidTransform
 from crownfit.pipeline import arch_centroid_sequence
 from crownfit.synth import (ArchSpec, _centerline_tangent, _outward, _s_at_arc,
                             generate_arch, generate_crown_fixture, partial_spec)
@@ -22,14 +22,15 @@ def posterior_crown():
     return generate_crown_fixture("bumped_posterior")[0]
 
 
-def aligned_targets(crown, occlusal=None):
-    """Targets equal to the crown's own normals: the fixed-point setup."""
-    return TargetVectors(
-        v_mesial_robust=crown.mesial_normal,
-        v_buccal_robust=crown.buccal_normal,
-        prep_centroid=crown.mesh.centroid(),
-        occlusal_axis=crown.occlusal_normal if occlusal is None else occlusal,
-    )
+UP = np.array([0.0, 0.0, 1.0])
+
+
+def aligned_targets(crown):
+    """Targets equal to the crown's own normals and centroid: the fixed-point
+    setup, as ``align_crown``'s (v_mesial, v_buccal, prep_centroid,
+    occlusal_axis)."""
+    n_mesial, n_buccal, n_occlusal = region_normals(crown)
+    return n_mesial, n_buccal, crown.centroid(), n_occlusal
 
 
 def unit_tangent(spline, t):
@@ -174,7 +175,7 @@ class TestRobustTarget:
 
 class TestAlignCrown:
     def test_already_aligned_identity(self, posterior_crown):
-        transform, _ = align_crown(posterior_crown, aligned_targets(posterior_crown))
+        transform, _ = align_crown(posterior_crown, *aligned_targets(posterior_crown))
         assert transform.rotation_angle_deg() < 1e-9
         assert np.linalg.norm(transform.translation) < 1e-9
 
@@ -182,8 +183,8 @@ class TestAlignCrown:
         crown = posterior_crown
         targets = aligned_targets(crown)
         rot = RigidTransform.from_axis_angle((0, 0, 1), np.radians(30.0))
-        rotated = CrownTemplate.from_mesh(crown.mesh.transformed(rot))
-        transform, _ = align_crown(rotated, targets)
+        rotated = crown.transformed(rot)
+        transform, _ = align_crown(rotated, *targets)
         # the composition of the applied 30-degree turn and the alignment is identity
         residual = transform.compose(rot)
         assert residual.rotation_angle_deg() < 1e-6
@@ -197,11 +198,7 @@ class TestAlignCrown:
             helper = r.normal(size=3)
             v_b = np.cross(v_m, helper)
             v_b /= np.linalg.norm(v_b)
-            targets = TargetVectors(
-                    v_mesial_robust=v_m, v_buccal_robust=v_b,
-                prep_centroid=r.normal(size=3) * 10,
-            )
-            transform, trace = align_crown(crown, targets)
+            transform, trace = align_crown(crown, v_m, v_b, r.normal(size=3) * 10, UP)
             steps = {s["name"]: s for s in trace}
             assert steps["mesial"]["achieved_dot"] >= 1.0 - 1e-9
             buccal_err_rad = np.arccos(np.clip(steps["buccal"]["achieved_dot"], -1, 1))
@@ -215,12 +212,9 @@ class TestAlignCrown:
         crown = posterior_crown
         v_m = np.array([0.0, 1.0, 0.0])
         v_b = np.array([0.0, 0.0, 1.0])
-        targets = TargetVectors(
-            v_mesial_robust=v_m, v_buccal_robust=v_b,
-            prep_centroid=[0, 0, 0],
-        )
-        r1 = RigidTransform.rotation_between(crown.mesial_normal, v_m)
-        b_now = r1 @ crown.buccal_normal
+        n_mesial, n_buccal, _ = region_normals(crown)
+        r1 = RigidTransform.rotation_between(n_mesial, v_m)
+        b_now = r1 @ n_buccal
         b_proj = b_now - (b_now @ v_m) * v_m
         t_proj = v_b - (v_b @ v_m) * v_m
         angle = np.arctan2(np.dot(np.cross(b_proj / np.linalg.norm(b_proj),
@@ -228,58 +222,48 @@ class TestAlignCrown:
                            np.dot(b_proj / np.linalg.norm(b_proj),
                                   t_proj / np.linalg.norm(t_proj)))
         r2 = RigidTransform.from_axis_angle(v_m, angle).rotation
-        m_after = r2 @ (r1 @ crown.mesial_normal)
+        m_after = r2 @ (r1 @ n_mesial)
         assert np.dot(m_after, v_m) >= 1.0 - 1e-9
 
     def test_translation_takes_centroid_to_prep(self, posterior_crown):
-        targets = aligned_targets(posterior_crown)
-        targets = TargetVectors(
-            v_mesial_robust=targets.v_mesial_robust,
-            v_buccal_robust=targets.v_buccal_robust,
-            prep_centroid=[5.0, -3.0, 2.0],
-            occlusal_axis=targets.occlusal_axis,
-        )
-        transform, _ = align_crown(posterior_crown, targets)
-        moved = posterior_crown.mesh.transformed(transform)
+        v_m, v_b, _, occlusal = aligned_targets(posterior_crown)
+        transform, _ = align_crown(posterior_crown, v_m, v_b, [5.0, -3.0, 2.0], occlusal)
+        moved = posterior_crown.transformed(transform)
         assert np.allclose(moved.centroid(), [5.0, -3.0, 2.0], atol=1e-9)
 
     def test_antiparallel_mesial_deterministic(self, posterior_crown):
-        targets = TargetVectors(
-            v_mesial_robust=-posterior_crown.mesial_normal,
-            v_buccal_robust=posterior_crown.buccal_normal,
-            prep_centroid=[0, 0, 0],
-        )
-        a, steps = align_crown(posterior_crown, targets)
-        b, _ = align_crown(posterior_crown, targets)
+        n_mesial, n_buccal, _ = region_normals(posterior_crown)
+        targets = (-n_mesial, n_buccal, [0, 0, 0], UP)
+        a, steps = align_crown(posterior_crown, *targets)
+        b, _ = align_crown(posterior_crown, *targets)
         assert np.array_equal(a.rotation, b.rotation)
         assert [s["name"] for s in steps] == ["translate", "mesial", "buccal", "occlusal"]
         assert steps[1]["achieved_dot"] >= 1.0 - 1e-9
 
     def test_buccal_parallel_to_mesial_degenerate(self, posterior_crown):
-        v = posterior_crown.buccal_normal
-        targets = TargetVectors(
-            v_mesial_robust=posterior_crown.buccal_normal,  # mesial target = buccal normal
-            v_buccal_robust=v,
-            prep_centroid=[0, 0, 0],
-        )
+        v = region_normals(posterior_crown)[1]
         with pytest.raises(DegenerateGeometryError):
-            align_crown(posterior_crown, targets)
+            align_crown(posterior_crown, v, v, [0, 0, 0], UP)  # mesial target = buccal normal
 
 
-class TestCrownTemplate:
-    def test_region_masks_disjoint_and_nonempty(self, posterior_crown):
-        a = set(posterior_crown.mesial_faces.tolist())
-        b = set(posterior_crown.buccal_faces.tolist())
-        c = set(posterior_crown.occlusal_faces.tolist())
-        assert a and b and c
-        assert not (a & b or a & c or b & c)
+class TestRegionNormals:
+    def test_swapping_mesial_and_buccal_labels_swaps_their_normals(self, posterior_crown):
+        labels = posterior_crown.face_labels
+        swapped = np.where(labels == LABEL_MESIAL, LABEL_BUCCAL,
+                           np.where(labels == LABEL_BUCCAL, LABEL_MESIAL, labels))
+        mesial, buccal, occlusal = region_normals(posterior_crown)
+        got = region_normals(posterior_crown.with_labels(swapped))
+        assert np.array_equal(got[0], buccal)
+        assert np.array_equal(got[1], mesial)
+        assert np.array_equal(got[2], occlusal)
+
+    def test_empty_region_rejected_by_name(self, posterior_crown):
+        labels = posterior_crown.face_labels
+        no_mesial = np.where(labels == LABEL_MESIAL, 0, labels)
+        with pytest.raises(ValueError, match="mesial"):
+            region_normals(posterior_crown.with_labels(no_mesial))
 
     def test_unlabeled_mesh_rejected(self, posterior_crown):
-        from crownfit.mesh import LabeledMesh
-        bare = LabeledMesh(posterior_crown.mesh.vertices, posterior_crown.mesh.faces)
-        with pytest.raises(ValueError):
-            CrownTemplate.from_mesh(bare)
-
-    def test_targets_validation(self):
-        with pytest.raises(ValueError, match="unit length"):
-            TargetVectors([2, 0, 0], [0, 1, 0], [0, 0, 0])
+        bare = LabeledMesh(posterior_crown.vertices, posterior_crown.faces)
+        with pytest.raises(ValueError, match="region labels"):
+            region_normals(bare)

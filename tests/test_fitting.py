@@ -175,7 +175,7 @@ def inside_probe_points(mesh, rng):
 ORACLE_MESHES = {
     "box": lambda: make_box((0.3, -0.2, 0.1), (1.0, 2.0, 0.5)),
     "sphere": lambda: make_uv_sphere((1, 2, 3), 2.0, 24, 32),
-    "crown": lambda: generate_crown_fixture("bumped_posterior")[0].mesh,
+    "crown": lambda: generate_crown_fixture("bumped_posterior")[0],
     "cap": lambda: open_cap((0.3, -0.2, 0.1), (1.0, 2.0, 0.5), spacing=0.5),
 }
 
@@ -334,29 +334,29 @@ class TestCentering:
 
 class TestCusps:
     def test_five_bump_apexes_found_exactly(self):
-        fixture, apexes = generate_crown_fixture("bumped_posterior")
-        cusps = detect_cusps(fixture.mesh, (0, 0, 1))
+        crown, apexes = generate_crown_fixture("bumped_posterior")
+        cusps = detect_cusps(crown, (0, 0, 1))
         assert sorted(cusps.tolist()) == sorted(apexes)
 
     def test_monotone_ramp_no_cusps(self):
-        fixture, _ = generate_crown_fixture("smooth_anterior")
-        assert len(detect_cusps(fixture.mesh, (0, 0, 1))) == 0
+        crown, _ = generate_crown_fixture("smooth_anterior")
+        assert len(detect_cusps(crown, (0, 0, 1))) == 0
 
     def test_seven_bumps_top_five_selected(self):
-        fixture, apexes = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
-        cusps = detect_cusps(fixture.mesh, (0, 0, 1))
+        crown, apexes = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
+        cusps = detect_cusps(crown, (0, 0, 1))
         assert len(cusps) == 5
         tallest = sorted(apexes, key=lambda v: -apexes[v])[:5]
         assert sorted(cusps.tolist()) == sorted(tallest)
 
     def test_heights_descending(self):
-        fixture, _ = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
-        cusps = detect_cusps(fixture.mesh, (0, 0, 1))
-        assert np.all(np.diff(fixture.mesh.vertices[cusps, 2]) <= 0)
+        crown, _ = generate_crown_fixture("bumped_posterior", CrownDims(n_bumps=7))
+        cusps = detect_cusps(crown, (0, 0, 1))
+        assert np.all(np.diff(crown.vertices[cusps, 2]) <= 0)
 
     def test_normals_required(self):
-        fixture, _ = generate_crown_fixture("bumped_posterior")
-        bare = LabeledMesh(fixture.mesh.vertices, fixture.mesh.faces)
+        crown, _ = generate_crown_fixture("bumped_posterior")
+        bare = LabeledMesh(crown.vertices, crown.faces)
         with pytest.raises(ValueError, match="normals"):
             detect_cusps(bare, (0, 0, 1))
 
@@ -367,8 +367,7 @@ class TestModeA:
         return make_box((0, 0, top - clearance + 3.0), (12.0, 12.0, 3.0))
 
     def test_single_penetrating_cusp_resolved_locally(self):
-        fixture, _ = generate_crown_fixture("bumped_posterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("bumped_posterior")
         # the plate's bottom at 7.11 mm clips the three tallest cusps, at
         # 7.26, 7.20 and 7.14 mm; the tallest takes two rounds to clear
         plate = self.plate_above(crown, 0.15)
@@ -390,15 +389,13 @@ class TestModeA:
         assert np.array_equal(out.vertices[far], crown.vertices[far])
 
     def test_no_collision_no_change(self):
-        fixture, _ = generate_crown_fixture("bumped_posterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("bumped_posterior")
         plate = self.plate_above(crown, -5.0)  # far above
         out = occlusal_correct_posterior(crown, plate, (0, 0, 1), FittingParams())
         assert np.array_equal(out.vertices, crown.vertices)
 
     def test_all_cusps_colliding_bounded_neighborhood(self):
-        fixture, apex_heights = generate_crown_fixture("bumped_posterior")
-        crown = fixture.mesh
+        crown, apex_heights = generate_crown_fixture("bumped_posterior")
         plate = self.plate_above(crown, 0.6)  # clips all five cusps
         params = FittingParams()
         out = occlusal_correct_posterior(crown, plate, (0, 0, 1), params)
@@ -413,8 +410,7 @@ class TestModeA:
         assert d.max() <= params.falloff_radius + max_drop + 1e-12
 
     def test_non_convergence_raises(self):
-        fixture, _ = generate_crown_fixture("bumped_posterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("bumped_posterior")
         plate = self.plate_above(crown, 3.0)  # hopeless within 2 rounds
         with pytest.raises(NonConvergenceError):
             occlusal_correct_posterior(crown, plate, (0, 0, 1),
@@ -422,8 +418,7 @@ class TestModeA:
 
 
     def test_open_plate_tap_down(self):
-        fixture, apexes = generate_crown_fixture("bumped_posterior")
-        crown = fixture.mesh
+        crown, apexes = generate_crown_fixture("bumped_posterior")
         plate_z = crown.vertices[:, 2].max() - 0.15
         plate = open_plate(plate_z)  # clips the three tallest cusps
         params = FittingParams()
@@ -460,8 +455,7 @@ def oracle_shifts(crown, plate, params):
 
 class TestModeB:
     def test_shift_count_matches_penetration_depth(self):
-        fixture, _ = generate_crown_fixture("smooth_anterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("smooth_anterior")
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.25 + 3.0), (12.0, 12.0, 3.0))
         trace = []
@@ -471,8 +465,7 @@ class TestModeB:
         assert np.isclose(crown.vertices[0, 2] - out.vertices[0, 2], 0.3)
 
     def test_no_interference_zero_shifts(self):
-        fixture, _ = generate_crown_fixture("smooth_anterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("smooth_anterior")
         plate = make_box((0, 0, crown.vertices[:, 2].max() + 10.0), (12, 12, 3))
         trace = []
         out = occlusal_correct_anterior(crown, plate, (0, 0, 1), FittingParams(),
@@ -481,8 +474,7 @@ class TestModeB:
         assert np.array_equal(out.vertices, crown.vertices)
 
     def test_rigidity_pairwise_distances(self, rng):
-        fixture, _ = generate_crown_fixture("smooth_anterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("smooth_anterior")
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.4 + 3.0), (12.0, 12.0, 3.0))
         out = occlusal_correct_anterior(crown, plate, (0, 0, 1), FittingParams())
@@ -493,8 +485,7 @@ class TestModeB:
 
 
     def test_open_plate_shift_count_matches_oracle(self):
-        fixture, _ = generate_crown_fixture("smooth_anterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("smooth_anterior")
         plate_z = crown.vertices[:, 2].max() - 0.25
         plate = open_plate(plate_z)
         params = FittingParams()
@@ -507,7 +498,7 @@ class TestModeB:
 
     def test_obstacle_derived_once_over_many_steps(self, monkeypatch):
         # shaped like a pipeline fit: open neighbour patches, a closed antagonist
-        crown = generate_crown_fixture("smooth_anterior")[0].mesh
+        crown = generate_crown_fixture("smooth_anterior")[0]
         width = np.ptp(crown.vertices[:, 0])
         neighbors = two_caps(0.95 * width)
         # 1 mm into the crown before scaling, so the crown still reaches it after
@@ -535,8 +526,7 @@ class TestModeB:
 
 class TestFitCrown:
     def posterior_case(self):
-        fixture, _ = generate_crown_fixture("bumped_posterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("bumped_posterior")
         walls = two_walls(8.6, half=(1.0, 6.0, 6.0))
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.1 + 3.0), (14.0, 14.0, 3.0))
@@ -555,7 +545,7 @@ class TestFitCrown:
     def test_upper_mirror_fits_like_lower(self):
         # a lower molar between open neighbour patches under an open
         # antagonist patch, and the same scene z-mirrored as an upper molar
-        crown = generate_crown_fixture("bumped_posterior")[0].mesh
+        crown = generate_crown_fixture("bumped_posterior")[0]
         scene = (crown, two_caps(0.97 * np.ptp(crown.vertices[:, 0])),
                  open_plate(crown.vertices[:, 2].max() - 0.15))
         params = FittingParams(voxel_resolution=0.05)
@@ -568,8 +558,7 @@ class TestFitCrown:
         assert np.allclose(mirror_z(upper).vertices, lower.vertices, atol=1e-9)
 
     def test_anterior_mode_routing_rigid(self):
-        fixture, _ = generate_crown_fixture("smooth_anterior")
-        crown = fixture.mesh
+        crown, _ = generate_crown_fixture("smooth_anterior")
         walls = two_walls(7.4, half=(1.0, 5.0, 5.0))
         top = crown.vertices[:, 2].max()
         plate = make_box((0, 0, top - 0.2 + 3.0), (14.0, 14.0, 3.0))
@@ -580,7 +569,7 @@ class TestFitCrown:
     def test_unequal_walls_centering_then_scaling_clears_both(self):
         # walls 1 mm and 2 mm thick: their centroids' midpoint sits 0.25 mm off
         # the middle of a gap only 2% wider than the crown
-        crown = generate_crown_fixture("bumped_posterior")[0].mesh
+        crown = generate_crown_fixture("bumped_posterior")[0]
         lo, hi = crown.vertices[:, 0].min(), crown.vertices[:, 0].max()
         mid, gap = (lo + hi) / 2, 1.02 * (hi - lo)
         thin = make_box((mid - gap / 2 - 0.5, 0, 0), (0.5, 6.0, 6.0))

@@ -92,7 +92,7 @@ class TestSlabMesher:
     @pytest.mark.parametrize("kind", ["bumped_posterior", "smooth_anterior"])
     def test_crown_matches_loops(self, kind):
         dims = CrownDims()
-        mesh = generate_crown_fixture(kind, dims)[0].mesh
+        mesh = generate_crown_fixture(kind, dims)[0]
         cells = np.full((dims.cells, dims.cells), LABEL_OCCLUSAL, dtype=np.int64)
         faces, labels = loop_slab(cells, LABEL_BUCCAL, LABEL_MESIAL)
         assert mesh.faces.tobytes() == faces.tobytes()
@@ -228,23 +228,21 @@ class TestPerturbPose:
 
 class TestCrownFixtures:
     def test_posterior_has_exact_cusp_apexes(self):
-        fixture, apexes = generate_crown_fixture("bumped_posterior")
+        mesh, apexes = generate_crown_fixture("bumped_posterior")
         assert len(apexes) == 5
         for vertex, height in apexes.items():
-            assert fixture.mesh.vertices[vertex, 2] == height
-        assert is_watertight(fixture.mesh)
+            assert mesh.vertices[vertex, 2] == height
+        assert is_watertight(mesh)
 
     def test_smooth_anterior_has_no_bumps(self):
-        fixture, apexes = generate_crown_fixture("smooth_anterior")
+        mesh, apexes = generate_crown_fixture("smooth_anterior")
         assert apexes == {}
-        assert is_watertight(fixture.mesh)
+        assert is_watertight(mesh)
 
-    def test_region_masks_disjoint_nonempty(self):
-        fixture, _ = generate_crown_fixture("bumped_posterior")
-        masks = [set(fixture.mesial_faces.tolist()), set(fixture.buccal_faces.tolist()),
-                 set(fixture.occlusal_faces.tolist())]
-        assert all(masks)
-        assert not (masks[0] & masks[1] or masks[0] & masks[2] or masks[1] & masks[2])
+    def test_every_region_nonempty(self):
+        mesh, _ = generate_crown_fixture("bumped_posterior")
+        for label in (LABEL_MESIAL, LABEL_BUCCAL, LABEL_OCCLUSAL):
+            assert np.any(mesh.face_labels == label)
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -255,7 +253,7 @@ class TestCrownFixtures:
     def test_deterministic(self):
         a, apexes_a = generate_crown_fixture("bumped_posterior")
         b, apexes_b = generate_crown_fixture("bumped_posterior")
-        assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
+        assert np.array_equal(a.vertices, b.vertices)
         assert apexes_a == apexes_b
 
 

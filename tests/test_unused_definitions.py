@@ -5,7 +5,8 @@ A definition that only tests reach belongs in ``tests/helpers.py``, or goes:
 tests read the data it would wrap. A reference is any name, attribute or
 import of the definition's name in ``src/crownfit`` or ``perfbench/``
 outside the definition itself; click commands are reached through their
-group, and dunder methods through the language, so they need none.
+group, and dunder methods through the language, so they need none. Every
+module-level import is read by the module that makes it.
 """
 
 import ast
@@ -62,3 +63,24 @@ def test_every_definition_has_a_caller():
                        for other, tree in trees.items()):
                 unused.append(f"{path.name}: {qualname}")
     assert not unused, f"defined but never referenced outside tests: {unused}"
+
+
+def test_every_import_is_used():
+    """Every module-level import of ``src/crownfit`` is read by its module;
+    ``from __future__`` imports and the names a module lists in ``__all__``
+    are exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}: {alias.asname or alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    assert not unused, f"imported but never read: {unused}"
