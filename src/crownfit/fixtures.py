@@ -126,7 +126,7 @@ def generate_fixture_corpus(out_dir, seed: int = 0, population: int = 4,
     )
     save_config(config, out / "config.json")
     # the templates' registration clouds, for the registration this config runs
-    store_prepared_templates(out / "templates", config.registration)
+    store_prepared_templates(library, out / "templates", config.registration)
 
     manifest = {
         "templates": "templates",

@@ -151,10 +151,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def transformed(self, transform: "RigidTransform") -> "PointCloud":
-        n = None if self.normals is None else self.normals @ transform.rotation.T
-        return PointCloud(transform.apply(self.points), n)
-
 
 @dataclass(frozen=True)
 class RigidTransform:

@@ -28,10 +28,10 @@ from .mesh import (NUM_CLASSES, PREPARED, LabeledMesh, bounding_box_diagonal,
                    estimate_vertex_normals, face_adjacency)
 from .meshio import load_mesh, save_mesh
 from .metrics import centroid_error, class_metrics, macro_average, summarize
-from .registration import register_with_routing
+from .registration import load_template_library, register_with_routing
 from .retrieval import geometric_embedding, load_embedding_index, match_context, retrieve_crown
 from .synth import fdi_is_valid, fdi_to_class
-from .templates import extract_tooth_centroids, load_template_library
+from .templates import extract_tooth_centroids
 
 REPORT_SCHEMA_VERSION = 2
 STAGES = ("classify", "register", "refine", "retrieve", "align", "fit")
@@ -107,8 +107,8 @@ def stage_register(scan: LabeledMesh, scan_class: ScanClass,
     counts are the chosen template's."""
     if config.template_dir is None:
         raise PipelineError("registration needs template_dir configured")
-    library = load_template_library(config.template_dir)
-    reg = register_with_routing(scan, scan_class, library, config.registration)
+    templates = load_template_library(config.template_dir, config.registration)
+    reg = register_with_routing(scan, scan_class, templates, config.registration)
     return scan.transformed(reg.transform), {
         "fitness": reg.fitness,
         "inlier_rmse": reg.inlier_rmse,

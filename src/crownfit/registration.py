@@ -14,18 +14,21 @@ cover more of the wrong jaw's template, at a worse fit.
 
 Nothing is derived twice: ``prepare_cloud`` downsamples a cloud and computes
 its FPFH once, as one ``(cloud, FPFH rows)`` pair (the scan once, however
-many templates it meets), templates arrive as the same pair from the
-library's store (``store_prepared_templates``), and a template's PLY is read
-only when its cloud must be prepared here; ``register_pair`` matches
-features, picks a coarse pose and runs ICP once per pair. Each
-correspondence search serves every number taken at its pose: the coarse
-polish re-fits on the winning group's search, and ICP's fitness and RMSE
-come from its last accepted objective.
+many templates it meets). Registration meets templates only as such pairs,
+by template key. A saved library (``load_template_library``) serves each
+template it is asked for from ``prepared.npz``, the store that
+``store_prepared_templates`` writes with the ``voxel`` and ``fpfh_radius``
+it was prepared with; without a store of those parameters it prepares the
+template from its PLY. ``register_pair`` matches features, picks a coarse
+pose and runs ICP once per pair. Each correspondence search serves every
+number taken at its pose: the coarse polish re-fits on the winning group's
+search, and ICP's fitness and RMSE come from its last accepted objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -35,8 +38,7 @@ from .errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
 from .features import compute_fpfh
 from .mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
 from .spatial import SpatialIndex
-from .templates import (TemplateLibrary, load_template_library, save_prepared_clouds,
-                        template_key)
+from .templates import load_template, template_key
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,6 @@ class RegistrationResult:
     iterations: int = 0
     evaluations: int = 0     # ICP objective evaluations, each a correspondence search
     objective_trace: tuple = ()
-
-    def __post_init__(self):
-        if not 0.0 <= self.fitness <= 1.0:
-            raise ValueError("fitness must lie in [0, 1]")
-        if self.inlier_rmse < 0:
-            raise ValueError("inlier_rmse must be non-negative")
 
 
 def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> tuple:
@@ -393,26 +389,58 @@ def register_pair(
     return fine_register(source[0], target[0], coarse.transform, params)
 
 
-def _template_cloud(library: TemplateLibrary, key: str, params: RegistrationParams) -> tuple:
-    """The library's stored ``(cloud, FPFH rows)`` for template ``key`` when
-    the store was prepared with ``params``' ``voxel`` and ``fpfh_radius``,
-    else ``prepare_cloud``."""
-    if library.prepared_key == (params.voxel, params.fpfh_radius):
-        return library.prepared_cloud(key)
-    return prepare_cloud(library.meshes[key].to_point_cloud(), params)
+PREPARED_NAME = "prepared.npz"
 
 
-def store_prepared_templates(directory, params: RegistrationParams) -> None:
-    """Prepare every template of the library saved in ``directory`` and store
-    the clouds with it, keyed by ``params``' ``voxel`` and ``fpfh_radius``.
+def store_prepared_templates(library: dict, directory, params: RegistrationParams) -> None:
+    """Store the registration cloud of each template of ``library`` (template
+    key -> mesh), as saved in ``directory``, in ``prepared.npz`` there,
+    together with ``params``' ``voxel`` and ``fpfh_radius``, its key.
 
-    The library is the one ``load_template_library`` returns, so the stored
-    clouds are exactly what registration would prepare from it.
+    A saved PLY holds the meshes' doubles, so the stored clouds are exactly
+    what registration would prepare from the saved library.
     """
-    library = load_template_library(directory)
-    clouds = {key: prepare_cloud(mesh.to_point_cloud(), params)
-              for key, mesh in library.meshes.items()}
-    save_prepared_clouds(directory, (params.voxel, params.fpfh_radius), clouds)
+    arrays = {"voxel": params.voxel, "fpfh_radius": params.fpfh_radius}
+    for key, mesh in library.items():
+        cloud, fpfh = prepare_cloud(mesh.to_point_cloud(), params)
+        arrays.update({f"{key}.points": cloud.points, f"{key}.normals": cloud.normals,
+                       f"{key}.fpfh": fpfh})
+    np.savez(Path(directory) / PREPARED_NAME, **arrays)
+
+
+@dataclass(frozen=True)
+class _SavedTemplates:
+    """Template key -> ``(cloud, FPFH rows)`` of a saved library: read from
+    ``store``, or without one prepared from the template's PLY."""
+    directory: Path
+    params: RegistrationParams
+    store: Path | None
+
+    def __getitem__(self, key: str) -> tuple:
+        if self.store is None:
+            return prepare_cloud(load_template(self.directory, key).to_point_cloud(), self.params)
+        with np.load(self.store) as arrays:
+            return (PointCloud(arrays[f"{key}.points"], arrays[f"{key}.normals"]),
+                    arrays[f"{key}.fpfh"])
+
+
+def load_template_library(directory, params: RegistrationParams) -> _SavedTemplates:
+    """The templates of the library saved in ``directory``, each read when
+    registration meets it, so a case holds only the templates it meets.
+
+    They come from the store when its key equals ``params``' ``(voxel,
+    fpfh_radius)``. A store with another key, or without one, is not used:
+    each template is then prepared from its PLY.
+    """
+    directory = Path(directory)
+    store = directory / PREPARED_NAME
+    key = ()
+    if store.exists():
+        with np.load(store) as arrays:
+            key = tuple(float(arrays[name]) for name in ("voxel", "fpfh_radius")
+                        if name in arrays)
+    return _SavedTemplates(directory, params,
+                           store if key == (params.voxel, params.fpfh_radius) else None)
 
 
 # the templates each scan class registers against, first candidate first on ties
@@ -428,12 +456,14 @@ ROUTES = {
 def register_with_routing(
     scan: LabeledMesh,
     scan_class: ScanClass,
-    library: TemplateLibrary,
+    templates,
     params: RegistrationParams = RegistrationParams(),
 ) -> RegistrationResult:
     """Register a scan, which carries vertex normals, against each template
     its class routes to (``ROUTES``): a full class's master, or a partial
-    class's Upper and Lower partials of its side.
+    class's Upper and Lower partials of its side. ``templates`` maps each
+    template key to its prepared ``(cloud, FPFH rows)`` pair: a dict, or a
+    saved library from ``load_template_library``.
 
     The lowest final ICP objective (``objective_trace[-1]``) wins, the first
     candidate on exact ties. Fitness is not the criterion: the wrong jaw's
@@ -447,7 +477,7 @@ def register_with_routing(
     failures = []
     for key in ROUTES[scan_class]:
         try:
-            result = register_pair(source, _template_cloud(library, key, params), params)
+            result = register_pair(source, templates[key], params)
         except CoarseRegistrationError as exc:
             failures.append(f"{key}: {exc}")
             continue

@@ -130,17 +130,16 @@ def geometric_embedding(mesh: LabeledMesh, face_indices=None) -> np.ndarray:
     A stand-in for the trained feature extractor: a fixed seeded projection
     of scale/shape moments (extents, central second moments, height profile,
     surface area). Similar shapes map to nearby vectors; the output depends
-    only on the geometry.
+    only on the geometry. The region is the faces ``face_indices`` of
+    ``mesh``, all of them by default, and only its faces are measured.
     """
-    if face_indices is None:
-        faces = np.arange(mesh.n_faces)
-    else:
-        faces = np.asarray(face_indices, dtype=np.int64)
-    if faces.size == 0:
+    region = mesh if face_indices is None else LabeledMesh(
+        mesh.vertices, mesh.faces[np.asarray(face_indices, dtype=np.int64)])
+    if region.n_faces == 0:
         raise ValueError("cannot embed an empty face set")
-    areas = mesh.face_areas()[faces]
+    areas = region.face_areas()
     total = areas.sum()
-    local = mesh.face_centroids()[faces] - mesh.centroid(faces)
+    local = region.face_centroids() - region.centroid()
     cov = (local * areas[:, None]).T @ local / total
     eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
     extents = local.max(axis=0) - local.min(axis=0)

@@ -20,15 +20,7 @@ class SpatialIndex:
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         if len(points) == 0:
             raise ValueError("cannot index an empty point set")
-        self._points = points
         self._tree = cKDTree(points)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
 
     def nearest(self, query):
         """``(indices, distances)``, shaped (n,), of the nearest indexed point
@@ -43,9 +35,9 @@ class SpatialIndex:
 
         A query whose nearest point is at most ``max_dist`` away (inclusive)
         gets the same answer as from ``nearest``; callers gate on
-        ``distance <= max_dist``. A query with nothing in reach gets index
-        ``len(self)`` and distance inf. scipy's bound is strict, hence the
-        next float above ``max_dist``.
+        ``distance <= max_dist``. A query with nothing in reach gets the
+        number of indexed points as its index, and distance inf. scipy's
+        bound is strict, hence the next float above ``max_dist``.
         """
         query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
         dist, idx = self._tree.query(query, k=1,

@@ -1,6 +1,7 @@
-"""Test-only helpers: simple solids, a mirrored mesh, a probability-file
-writer, the registration round trip's pose ranges, a per-face centroid
-oracle and a traced memory peak. The pipeline never needs them."""
+"""Test-only helpers: simple solids, a mirrored mesh, a moved point cloud,
+a probability-file writer, the registration round trip's pose ranges, a
+per-face centroid oracle and a traced memory peak. The pipeline never needs
+them."""
 
 import json
 import struct
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from crownfit.labels import _PROB_MAGIC
-from crownfit.mesh import GINGIVA, LabeledMesh
+from crownfit.mesh import GINGIVA, LabeledMesh, PointCloud
 from crownfit.synth import PerturbSpec
 
 
@@ -84,6 +85,12 @@ def mirror_x(mesh: LabeledMesh) -> LabeledMesh:
         n = mesh.vertex_normals.copy()
         n[:, 0] *= -1.0
     return LabeledMesh(v, mesh.faces[:, [0, 2, 1]], n, mesh.face_labels)
+
+
+def transformed_cloud(cloud: PointCloud, transform) -> PointCloud:
+    """``cloud`` moved by the rigid ``transform``, normals rotated."""
+    n = None if cloud.normals is None else cloud.normals @ transform.rotation.T
+    return PointCloud(transform.apply(cloud.points), n)
 
 
 def save_probabilities(probs: np.ndarray, path) -> None:

@@ -22,7 +22,8 @@ from crownfit.fitting import (FittingParams, detect_cusps, fit_crown, interproxi
 from crownfit.labels import RefineParams, graphcut_refine, labeling_energy, pairwise_weights
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, face_adjacency, voxel_downsample
 from crownfit.metrics import bootstrap_ci, centroid_error, class_metrics
-from crownfit.registration import RegistrationParams, fine_register, register_with_routing
+from crownfit.registration import (RegistrationParams, fine_register, prepare_cloud,
+                                   register_with_routing)
 from crownfit.retrieval import EMBEDDING_DIM, cosine, retrieve_crown
 from crownfit.synth import (ArchSpec, CrownDims, generate_arch, generate_crown_fixture,
                             partial_spec, perturb_pose)
@@ -37,11 +38,13 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def template_library():
+    """Template key -> registration's ``(cloud, FPFH rows)``, prepared once."""
     upper = [generate_arch(ArchSpec.standard("Upper", "full", seed=s,
                                              jitter_sigma=0.3))[0] for s in range(3)]
     lower = [generate_arch(ArchSpec.standard("Lower", "full", seed=s,
                                              jitter_sigma=0.3))[0] for s in range(3)]
-    return build_template_library(upper, lower)
+    return {key: prepare_cloud(mesh.to_point_cloud(), RegistrationParams())
+            for key, mesh in build_template_library(upper, lower).items()}
 
 
 @pytest.fixture(scope="module")

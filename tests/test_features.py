@@ -12,7 +12,7 @@ from crownfit.features import FPFH_BINS, compute_fpfh
 from crownfit.mesh import (LabeledMesh, PointCloud, RigidTransform, estimate_vertex_normals,
                            voxel_downsample)
 from crownfit.synth import ArchSpec, generate_arch
-from helpers import traced_peak_mb
+from helpers import traced_peak_mb, transformed_cloud
 
 
 def random_cloud(n, seed, scale=3.0):
@@ -292,7 +292,7 @@ class TestFpfh:
             r = np.random.default_rng(seed)
             t = RigidTransform.from_axis_angle(r.normal(size=3), r.uniform(0.2, 2.8),
                                                r.uniform(-10, 10, size=3))
-            h1 = compute_fpfh(cloud.transformed(t), 2.5)
+            h1 = compute_fpfh(transformed_cloud(cloud, t), 2.5)
             assert np.abs(h1 - h0).max() < 1e-5
 
     def test_coplanar_identical_normals_concentrate(self):

@@ -470,7 +470,8 @@ class TestCli:
             "--population", "2", "--donor-jaws", "2",
         ])
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "fx" / "templates" / "templates.json").exists()
+        assert (tmp_path / "fx" / "templates" / "prepared.npz").exists()
+        assert not (tmp_path / "fx" / "templates" / "templates.json").exists()
         assert (tmp_path / "fx" / "crowns" / "crowns.bin").exists()
         assert (tmp_path / "fx" / "config.json").exists()
 

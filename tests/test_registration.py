@@ -1,6 +1,4 @@
-import json
 import shutil
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +11,13 @@ from crownfit.errors import CoarseRegistrationError, RankDeficiencyError, Routin
 from crownfit.features import compute_fpfh
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
 from crownfit.registration import (RegistrationParams, RegistrationResult,
-                                   coarse_register, edge_gate, fine_register, match_features,
-                                   prepare_cloud, register_pair, register_with_routing,
+                                   coarse_register, edge_gate, fine_register,
+                                   load_template_library, match_features, prepare_cloud,
+                                   register_pair, register_with_routing,
                                    store_prepared_templates, template_key)
 from crownfit.synth import ArchSpec, generate_arch, partial_spec, perturb_pose
-from crownfit.templates import (MANIFEST_NAME, build_template_library, load_template_library,
-                                save_template_library)
-from helpers import registration_perturb, traced_peak_mb
+from crownfit.templates import build_template_library, load_template, save_template_library
+from helpers import registration_perturb, traced_peak_mb, transformed_cloud
 
 PARAMS = RegistrationParams()
 
@@ -40,21 +38,29 @@ def library():
 
 
 @pytest.fixture(scope="module")
+def prepared(library):
+    """Template key -> ``(cloud, FPFH rows)`` of ``library``, prepared once."""
+    return {key: prepare_cloud(mesh.to_point_cloud(), PARAMS) for key, mesh in library.items()}
+
+
+@pytest.fixture(scope="module")
 def saved_library(library, tmp_path_factory):
     """Directory of ``library`` saved with its store of prepared clouds."""
     directory = tmp_path_factory.mktemp("templates")
     save_template_library(library, directory)
-    store_prepared_templates(directory, PARAMS)
+    store_prepared_templates(library, directory, PARAMS)
     return directory
 
 
 def edited_copy(directory, tmp_path, edit):
-    """Copy of a saved library whose manifest ``edit`` rewrites in place."""
+    """Copy of a saved library whose store's arrays (name -> array) ``edit``
+    rewrites in place."""
     copy = tmp_path / "templates"
     shutil.copytree(directory, copy)
-    manifest = json.loads((copy / MANIFEST_NAME).read_text())
-    edit(manifest)
-    (copy / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with np.load(copy / "prepared.npz") as store:
+        arrays = dict(store)
+    edit(arrays)
+    np.savez(copy / "prepared.npz", **arrays)
     return copy
 
 
@@ -117,7 +123,7 @@ class TestCoarse:
 
     def test_recovers_known_transform(self, arch_cloud):
         applied = RigidTransform.from_axis_angle((0, 0, 1), np.pi / 2, (10.0, 0, 0))
-        moved = arch_cloud.transformed(applied)
+        moved = transformed_cloud(arch_cloud, applied)
         result = coarse(moved, arch_cloud, PARAMS)
         rot, trans = pose_errors(result.transform, applied.inverse(),
                                  moved.points.mean(axis=0))
@@ -127,7 +133,7 @@ class TestCoarse:
     def test_recovers_pose_with_half_the_matches_redirected(self, arch_cloud):
         rng = np.random.default_rng(17)
         applied = RigidTransform.from_axis_angle((0.3, -0.2, 1.0), 2.0, (-6.0, 4.0, 2.0))
-        moved = arch_cloud.transformed(applied)
+        moved = transformed_cloud(arch_cloud, applied)
         src, tgt = prepare_cloud(moved, PARAMS), prepare_cloud(arch_cloud, PARAMS)
         corr, pool = match_features(src, tgt)
         corr = corr.copy()
@@ -164,7 +170,7 @@ class TestCoarse:
 
     def test_two_calls_bitwise_equal(self, arch_cloud):
         applied = RigidTransform.from_axis_angle((0, 0, 1), 1.0, (5.0, -3.0, 1.0))
-        moved = arch_cloud.transformed(applied)
+        moved = transformed_cloud(arch_cloud, applied)
         a = coarse(moved, arch_cloud, PARAMS)
         b = coarse(moved, arch_cloud, PARAMS)
         assert a.transform.matrix().tobytes() == b.transform.matrix().tobytes()
@@ -184,7 +190,7 @@ class TestFine:
         tgt = voxel_downsample(arch_cloud, PARAMS.voxel)
         applied = RigidTransform.from_axis_angle((0.2, 0.3, 1.0), np.radians(5.0),
                                                  (1.2, -1.0, 0.8))
-        src = tgt.transformed(applied)
+        src = transformed_cloud(tgt, applied)
         result = fine_register(src, tgt, RigidTransform(), PARAMS)
         rot, trans = pose_errors(result.transform, applied.inverse(),
                                  src.points.mean(axis=0))
@@ -195,7 +201,7 @@ class TestFine:
         rng = np.random.default_rng(3)
         tgt = voxel_downsample(arch_cloud, PARAMS.voxel)
         applied = RigidTransform.from_axis_angle((0, 0, 1), np.radians(4.0), (1.0, 0.5, -0.5))
-        src = tgt.transformed(applied)
+        src = transformed_cloud(tgt, applied)
         clean = fine_register(src, tgt, RigidTransform(), PARAMS)
 
         pts = src.points.copy()
@@ -216,7 +222,7 @@ class TestFine:
         tgt = voxel_downsample(arch_cloud, PARAMS.voxel)
         applied = RigidTransform.from_axis_angle((0.1, 0.2, 0.9), np.radians(5.0),
                                                  (1.5, 1.0, -0.5))
-        src = tgt.transformed(applied)
+        src = transformed_cloud(tgt, applied)
         trace = fine_register(src, tgt, RigidTransform(), PARAMS).objective_trace
         assert len(trace) >= 2
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
@@ -229,7 +235,7 @@ class TestFine:
         other, _ = generate_arch(ArchSpec.standard("Lower", "full", seed=3, jitter_sigma=0.3))
         applied = RigidTransform.from_axis_angle((0.1, 0.2, 0.9), np.radians(5.0),
                                                  (1.5, 1.0, -0.5))
-        src = voxel_downsample(other.to_point_cloud(), PARAMS.voxel).transformed(applied)
+        src = transformed_cloud(voxel_downsample(other.to_point_cloud(), PARAMS.voxel), applied)
         searches, tried = [], []  # (Gauss-Newton step, first candidate), (base, xi, moved)
         solve, apply = registration._gauss_newton_step, registration._apply_increment
 
@@ -281,10 +287,10 @@ class TestFine:
     def test_equivariance_under_source_pre_rotation(self, arch_cloud):
         tgt = voxel_downsample(arch_cloud, PARAMS.voxel)
         applied = RigidTransform.from_axis_angle((0, 0, 1), np.radians(3.0), (0.5, 0.4, 0.1))
-        src = tgt.transformed(applied)
+        src = transformed_cloud(tgt, applied)
         base = fine_register(src, tgt, RigidTransform(), PARAMS)
         q = RigidTransform.from_axis_angle((0, 1, 0), np.radians(2.0), (0.7, 0, 0))
-        pre = src.transformed(q)
+        pre = transformed_cloud(src, q)
         composed = fine_register(pre, tgt, base.transform.compose(q.inverse()), PARAMS)
         want = base.transform.compose(q.inverse())
         rot = composed.transform.rotation_distance_deg(want)
@@ -295,33 +301,33 @@ class TestFine:
 
 
 class TestRouting:
-    def test_lower_left_partial_chooses_lower_template(self, library):
+    def test_lower_left_partial_chooses_lower_template(self, prepared):
         mesh, _ = generate_arch(partial_spec("Lower", "left", seed=9, jitter_sigma=0.3))
         moved, _ = perturb_pose(mesh, registration_perturb(seed=4))
-        result = register_with_routing(moved, ScanClass.PARTIAL_LEFT, library, PARAMS)
+        result = register_with_routing(moved, ScanClass.PARTIAL_LEFT, prepared, PARAMS)
         assert result.chosen_template == "partial_lower_left"
         # fitness and objective margins over the competing upper template
         upper = register_pair(
             prepare_cloud(moved.to_point_cloud(), PARAMS),
-            prepare_cloud(library.meshes["partial_upper_left"].to_point_cloud(), PARAMS),
+            prepared["partial_upper_left"],
             PARAMS)
         assert result.fitness - upper.fitness > 0.05
         assert result.objective_trace[-1] < upper.objective_trace[-1]
 
-    def test_lower_objective_beats_higher_fitness(self, library):
+    def test_lower_objective_beats_higher_fitness(self, prepared):
         # the wrong (Upper) template overlaps more of this lower center scan,
         # at fitness 0.537 against 0.510, but its final ICP objective is
         # higher: 0.0320 against 0.0259
         mesh, _ = generate_arch(partial_spec("Lower", "center", seed=85, jitter_sigma=0.3))
         moved, pose = perturb_pose(mesh, registration_perturb(seed=85))
-        result = register_with_routing(moved, ScanClass.PARTIAL_CENTER, library, PARAMS)
+        result = register_with_routing(moved, ScanClass.PARTIAL_CENTER, prepared, PARAMS)
         assert result.chosen_template == "partial_lower_center"
         rot, trans = pose_errors(result.transform, pose.transform.inverse(),
                                  moved.vertices.mean(axis=0))
         assert rot < 2.0
         assert trans < 0.5
 
-    def test_full_scan_single_attempt(self, library, monkeypatch):
+    def test_full_scan_single_attempt(self, prepared, monkeypatch):
         calls = []
         original = registration.register_pair
 
@@ -331,11 +337,11 @@ class TestRouting:
 
         monkeypatch.setattr(registration, "register_pair", counting)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        result = register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
+        result = register_with_routing(mesh, ScanClass.FULL_UPPER, prepared, PARAMS)
         assert len(calls) == 1
         assert result.chosen_template == "master_upper"
 
-    def test_partial_scan_two_attempts(self, library, monkeypatch):
+    def test_partial_scan_two_attempts(self, prepared, monkeypatch):
         calls = []
         original = registration.register_pair
 
@@ -345,27 +351,27 @@ class TestRouting:
 
         monkeypatch.setattr(registration, "register_pair", counting)
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
+        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, prepared, PARAMS)
         assert len(calls) == 2
 
-    def test_identical_templates_tie_break_upper(self, library, monkeypatch):
+    def test_identical_templates_tie_break_upper(self, prepared, monkeypatch):
         mesh, _ = generate_arch(partial_spec("Lower", "center", seed=2, jitter_sigma=0.3))
 
         fixed = RegistrationResult(RigidTransform(), 0.5, 0.1, objective_trace=(0.03,))
         monkeypatch.setattr(registration, "register_pair",
                             lambda *args, **kwargs: fixed)
-        result = register_with_routing(mesh, ScanClass.PARTIAL_CENTER, library, PARAMS)
+        result = register_with_routing(mesh, ScanClass.PARTIAL_CENTER, prepared, PARAMS)
         assert result.chosen_template == "partial_upper_center"
 
-    def test_scan_too_small_keeps_error_type(self, library):
+    def test_scan_too_small_keeps_error_type(self, prepared):
         # three vertices inside one voxel downsample to a single point; the
         # scan is prepared before routing, so every class raises the same
         tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
         for scan_class in ScanClass:
             with pytest.raises(CoarseRegistrationError, match="after downsampling"):
-                register_with_routing(tiny, scan_class, library, PARAMS)
+                register_with_routing(tiny, scan_class, prepared, PARAMS)
 
-    def test_both_partials_failing_raise_routing_error(self, library, monkeypatch):
+    def test_both_partials_failing_raise_routing_error(self, prepared, monkeypatch):
         def no_match(source, target, params):
             raise CoarseRegistrationError("no match")
 
@@ -374,9 +380,9 @@ class TestRouting:
         tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
         with pytest.raises(RoutingError,
                            match="partial_upper_left: no match; partial_lower_left: no match"):
-            register_with_routing(tiny, ScanClass.PARTIAL_LEFT, library, PARAMS)
+            register_with_routing(tiny, ScanClass.PARTIAL_LEFT, prepared, PARAMS)
 
-    def test_full_scan_failing_raises_routing_error(self, library, monkeypatch):
+    def test_full_scan_failing_raises_routing_error(self, prepared, monkeypatch):
         # a full class routes through the same loop as a partial one
         def no_match(source, target, params):
             raise CoarseRegistrationError("no match")
@@ -385,7 +391,7 @@ class TestRouting:
         monkeypatch.setattr(registration, "register_pair", no_match)
         tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
         with pytest.raises(RoutingError, match="master_lower: no match$"):
-            register_with_routing(tiny, ScanClass.FULL_LOWER, library, PARAMS)
+            register_with_routing(tiny, ScanClass.FULL_LOWER, prepared, PARAMS)
 
     def test_template_key_format(self):
         assert template_key("Upper", None) == "master_upper"
@@ -451,27 +457,31 @@ class TestFeatureCorrespondences:
 
 
 class TestTemplateStore:
-    def test_store_equals_prepare_cloud_on_reloaded_library(self, saved_library):
-        loaded = load_template_library(saved_library)
-        assert loaded.prepared_key == (PARAMS.voxel, PARAMS.fpfh_radius)
-        for key, mesh in loaded.meshes.items():
-            fresh_cloud, fresh_fpfh = prepare_cloud(mesh.to_point_cloud(), PARAMS)
-            cloud, fpfh = loaded.prepared_cloud(key)
+    def test_store_equals_prepare_cloud_on_reloaded_library(self, saved_library, library):
+        loaded = load_template_library(saved_library, PARAMS)
+        with np.load(saved_library / "prepared.npz") as store:
+            assert (store["voxel"], store["fpfh_radius"]) == (PARAMS.voxel, PARAMS.fpfh_radius)
+        for key in library:
+            fresh_cloud, fresh_fpfh = prepare_cloud(
+                load_template(saved_library, key).to_point_cloud(), PARAMS)
+            cloud, fpfh = loaded[key]
             assert cloud.points.tobytes() == fresh_cloud.points.tobytes()
             assert cloud.normals.tobytes() == fresh_cloud.normals.tobytes()
             assert fpfh.tobytes() == fresh_fpfh.tobytes()
 
     @pytest.mark.parametrize("jaw, side, scan_class", [
         ("Upper", "full", ScanClass.FULL_UPPER), ("Lower", "left", ScanClass.PARTIAL_LEFT)])
-    def test_routing_identical_with_and_without_store(self, saved_library, jaw, side,
+    def test_routing_identical_with_and_without_store(self, saved_library, tmp_path, jaw, side,
                                                       scan_class):
-        stored = load_template_library(saved_library)
-        bare = replace(stored, prepared_file=None, prepared_key=None)
+        bare = tmp_path / "templates"
+        shutil.copytree(saved_library, bare)
+        (bare / "prepared.npz").unlink()
         spec = (ArchSpec.standard(jaw, "full", seed=5, jitter_sigma=0.3) if side == "full"
                 else partial_spec(jaw, side, seed=5, jitter_sigma=0.3))
         mesh, _ = generate_arch(spec)
-        a = register_with_routing(mesh, scan_class, stored, PARAMS)
-        b = register_with_routing(mesh, scan_class, bare, PARAMS)
+        a = register_with_routing(mesh, scan_class, load_template_library(saved_library, PARAMS),
+                                  PARAMS)
+        b = register_with_routing(mesh, scan_class, load_template_library(bare, PARAMS), PARAMS)
         assert a.transform.matrix().tobytes() == b.transform.matrix().tobytes()
         assert (a.fitness, a.inlier_rmse, a.chosen_template) == \
             (b.fitness, b.inlier_rmse, b.chosen_template)
@@ -497,20 +507,20 @@ class TestDerivedOnce:
             monkeypatch.setattr(module, name, counting)
         return counts
 
-    def test_full_scan_one_coarse_pass(self, library, counts):
+    def test_full_scan_one_coarse_pass(self, prepared, counts):
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
-        assert counts == {"compute_fpfh": 2, "voxel_downsample": 2, "coarse_register": 1,
+        register_with_routing(mesh, ScanClass.FULL_UPPER, prepared, PARAMS)
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 1,
                           "load_mesh": 0}
 
-    def test_partial_scan_shares_source(self, library, counts):
+    def test_partial_scan_shares_source(self, prepared, counts):
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
-        assert counts == {"compute_fpfh": 3, "voxel_downsample": 3, "coarse_register": 2,
+        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, prepared, PARAMS)
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 2,
                           "load_mesh": 0}
 
     def test_stored_templates_full_scan_prepares_only_the_scan(self, saved_library, counts):
-        library = load_template_library(saved_library)
+        library = load_template_library(saved_library, PARAMS)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
         assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 1,
@@ -518,40 +528,50 @@ class TestDerivedOnce:
 
     def test_stored_templates_partial_scan_prepares_only_the_scan(self, saved_library,
                                                                   counts):
-        library = load_template_library(saved_library)
+        library = load_template_library(saved_library, PARAMS)
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
         assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 2,
                           "load_mesh": 0}
 
     def test_store_of_other_voxel_recomputes(self, saved_library, tmp_path, counts):
-        def other_voxel(manifest):
-            manifest["prepared"]["voxel"] = PARAMS.voxel + 0.1
+        def other_voxel(arrays):
+            arrays["voxel"] = PARAMS.voxel + 0.1
 
-        library = load_template_library(edited_copy(saved_library, tmp_path, other_voxel))
-        assert library.prepared_file is not None
+        library = load_template_library(edited_copy(saved_library, tmp_path, other_voxel),
+                                        PARAMS)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
         assert (counts["compute_fpfh"], counts["voxel_downsample"], counts["load_mesh"]) == \
             (2, 2, 1)
 
-    def test_manifest_without_store_loads_and_recomputes(self, saved_library, tmp_path,
-                                                         counts):
-        copy = edited_copy(saved_library, tmp_path, lambda manifest: manifest.pop("prepared"))
+    def test_library_without_store_recomputes(self, saved_library, tmp_path, counts):
+        copy = tmp_path / "templates"
+        shutil.copytree(saved_library, copy)
         (copy / "prepared.npz").unlink()
-        library = load_template_library(copy)
-        assert (library.prepared_file, library.prepared_key) == (None, None)
+        library = load_template_library(copy, PARAMS)
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
         register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
         assert (counts["compute_fpfh"], counts["voxel_downsample"], counts["load_mesh"]) == \
             (2, 2, 1)
 
+    def test_store_without_key_is_not_used(self, saved_library, tmp_path, counts):
+        # a store written before it carried its key holds only the clouds;
+        # registration prepares the template it meets from its PLY instead
+        def drop_key(arrays):
+            del arrays["voxel"], arrays["fpfh_radius"]
 
-def test_registration_result_validation():
-    with pytest.raises(ValueError):
-        RegistrationResult(RigidTransform(), 1.2, 0.0)
-    with pytest.raises(ValueError):
-        RegistrationResult(RigidTransform(), 0.5, -1.0)
+        mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
+        keyed = register_with_routing(mesh, ScanClass.FULL_UPPER,
+                                      load_template_library(saved_library, PARAMS), PARAMS)
+        assert counts["load_mesh"] == 0
+        unkeyed = register_with_routing(
+            mesh, ScanClass.FULL_UPPER,
+            load_template_library(edited_copy(saved_library, tmp_path, drop_key), PARAMS),
+            PARAMS)
+        assert counts["load_mesh"] == 1
+        assert unkeyed.transform.matrix().tobytes() == keyed.transform.matrix().tobytes()
+        assert unkeyed.chosen_template == keyed.chosen_template
 
 
 def test_params_validation():

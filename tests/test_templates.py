@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,8 @@ from crownfit.errors import DegenerateGeometryError
 from crownfit.mesh import GINGIVA, PREPARED, LabeledMesh, PointCloud, RigidTransform
 from crownfit.synth import (ArchSpec, coverage_classes, fdi_to_class, generate_arch,
                             partial_spec)
-from crownfit.templates import (JAWS, SIDES, TemplateLibrary, build_average_curve,
-                                build_template_library, derive_partials,
-                                extract_tooth_centroids, load_template_library,
+from crownfit.templates import (JAWS, SIDES, build_average_curve, build_template_library,
+                                derive_partials, extract_tooth_centroids, load_template,
                                 save_template_library, select_canonical, template_key,
                                 DEFAULT_CUT_SPECS)
 from helpers import face_accumulated_centroids
@@ -176,67 +173,40 @@ def library():
 
 class TestLibrary:
     def test_six_partials(self, library):
-        assert list(library.meshes) == [
+        assert list(library) == [
             "master_upper", "partial_upper_left", "partial_upper_right", "partial_upper_center",
             "master_lower", "partial_lower_left", "partial_lower_right", "partial_lower_center"]
 
-    def test_incomplete_library_rejected(self, library):
-        meshes = dict(library.meshes)
-        del meshes["partial_lower_center"]
-        with pytest.raises(ValueError, match="template library holds"):
-            TemplateLibrary(meshes)
-
     def test_partials_keep_what_a_partial_scan_covers(self, library):
         for jaw in JAWS:
-            master = library.meshes[template_key(jaw, None)]
+            master = library[template_key(jaw, None)]
             teeth = set(np.unique(master.face_labels).tolist()) - {GINGIVA}
             for side in SIDES:
-                kept = set(np.unique(library.meshes[template_key(jaw, side)].face_labels)
+                kept = set(np.unique(library[template_key(jaw, side)].face_labels)
                            .tolist()) - {GINGIVA}
                 assert kept == teeth & set(coverage_classes(side.lower())), (jaw, side)
 
     def test_partial_registers_back_with_high_fitness(self, library):
         from crownfit.registration import RegistrationParams, fine_register
         from crownfit.mesh import estimate_vertex_normals, voxel_downsample
-        master = estimate_vertex_normals(library.meshes["master_lower"])
-        partial = library.meshes["partial_lower_left"]
+        master = estimate_vertex_normals(library["master_lower"])
+        partial = library["partial_lower_left"]
         src = voxel_downsample(PointCloud(partial.vertices), 0.8)
         tgt = voxel_downsample(master.to_point_cloud(), 0.8)
         result = fine_register(src, tgt, RigidTransform(), RegistrationParams())
         assert result.fitness >= 0.99
 
     def test_persistence_round_trip(self, library, tmp_path):
+        # the saved library is its 8 PLYs, each named by its template key
         save_template_library(library, tmp_path / "lib")
-        back = load_template_library(tmp_path / "lib")
-        assert list(back.meshes) == list(library.meshes)
-        for key, mesh in library.meshes.items():
-            assert np.array_equal(back.meshes[key].vertices, mesh.vertices)
-            assert np.array_equal(back.meshes[key].faces, mesh.faces)
-            assert np.array_equal(back.meshes[key].face_labels, mesh.face_labels)
-
-    def test_manifest_layout(self, library, tmp_path):
-        # masters by template key, partials by <jaw>/<side>, each in <key>.ply
-        save_template_library(library, tmp_path / "lib")
-        manifest = json.loads((tmp_path / "lib" / "templates.json").read_text())
-        assert manifest == {
-            "version": 1,
-            "masters": {"master_upper": "master_upper.ply", "master_lower": "master_lower.ply"},
-            "partials": {f"{jaw}/{side}": f"{template_key(jaw, side)}.ply"
-                         for jaw in JAWS for side in SIDES},
-        }
-        assert len(list((tmp_path / "lib").glob("*.ply"))) == 8
-
-    def test_manifest_with_cut_specs_still_loads(self, library, tmp_path):
-        # older manifests also listed the cut specs; the entry is not read
-        save_template_library(library, tmp_path / "lib")
-        path = tmp_path / "lib" / "templates.json"
-        manifest = json.loads(path.read_text())
-        assert "cut_specs" not in manifest
-        manifest["cut_specs"] = {side: [99] for side in DEFAULT_CUT_SPECS}
-        path.write_text(json.dumps(manifest))
-        back = load_template_library(tmp_path / "lib")
-        for key, mesh in library.meshes.items():
-            assert np.array_equal(back.meshes[key].faces, mesh.faces)
+        assert sorted(path.name for path in (tmp_path / "lib").iterdir()) == \
+            sorted(f"{key}.ply" for key in library)
+        for key, mesh in library.items():
+            back = load_template(tmp_path / "lib", key)
+            assert np.array_equal(back.vertices, mesh.vertices)
+            assert np.array_equal(back.faces, mesh.faces)
+            assert np.array_equal(back.face_labels, mesh.face_labels)
+            assert np.array_equal(back.vertex_normals, mesh.vertex_normals)
 
 
 def test_prepared_tooth_class_present(prepared_lower_arch):
