@@ -15,8 +15,15 @@ cover more of the wrong jaw's template, at a worse fit.
 Nothing is derived twice: ``prepare_cloud`` downsamples a cloud and computes
 its FPFH once, as one ``(cloud, FPFH rows)`` pair (the scan once, however
 many templates it meets). Registration meets templates only as such pairs,
-by template key. A saved library (``load_template_library``) serves each
-template it is asked for from ``prepared.npz``, the store that
+by template key, and prepares a full scan at its master's density: a scan
+whose 0.8 mm voxel cloud is denser than the master's (a scanner mesh finer
+than the library's) is downsampled instead at the least larger voxel whose
+median nearest-neighbour spacing reaches the master's. So a full scan's
+FPFH, the matching and every coarse and ICP query stop growing with scanner
+resolution; the FPFH radius and every threshold stay tied to ``voxel``, and
+a partial scan keeps its voxel cloud (``MASTERS``). A saved library
+(``load_template_library``) serves each template it is asked for from
+``prepared.npz``, the store that
 ``store_prepared_templates`` writes with the ``voxel`` and ``fpfh_radius``
 it was prepared with; without a store of those parameters it prepares the
 template from its PLY. ``register_pair`` matches features, picks a coarse
@@ -75,16 +82,64 @@ class RegistrationResult:
     objective_trace: tuple = ()
 
 
-def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> tuple:
+_THIN_STEP = 1.05  # least factor by which thinning grows a voxel short of the spacing
+_THIN_TOL = 1.03   # thinning's voxel is the least reaching the spacing, to this factor
+
+
+def prepare_cloud(cloud: PointCloud, params: RegistrationParams, spacing: float = 0.0) -> tuple:
     """``(downsampled cloud, its FPFH rows)``: downsample once and compute
     FPFH once, for every template the cloud is registered against.
 
-    Raises CoarseRegistrationError when fewer than 3 points remain.
+    The cloud is voxel-downsampled at ``params.voxel``. When that leaves a
+    median nearest-neighbour spacing below ``spacing`` (a full scan denser
+    than its master), ``cloud`` is downsampled instead at the least
+    larger voxel, found to within ``_THIN_TOL``, whose cloud reaches
+    ``spacing`` (``_thinned``). A cloud that sparse already, like every
+    cloud at the default ``spacing`` of 0, is the ``params.voxel`` cloud.
+    FPFH runs once, on the final cloud, at ``params.fpfh_radius`` whatever
+    the voxel.
+
+    Raises CoarseRegistrationError when fewer than 3 points remain, or when
+    the voxel would outgrow the FPFH radius before the spacing is reached.
     """
-    down = voxel_downsample(cloud, params.voxel)
+    down = _downsampled(cloud, params.voxel)
+    if spacing > 0:
+        down = _thinned(cloud, down, params, spacing)
+    return down, compute_fpfh(down, params.fpfh_radius)
+
+
+def _downsampled(cloud: PointCloud, voxel: float) -> PointCloud:
+    down = voxel_downsample(cloud, voxel)
     if len(down) < 3:
         raise CoarseRegistrationError(f"need >=3 points after downsampling, got {len(down)}")
-    return down, compute_fpfh(down, params.fpfh_radius)
+    return down
+
+
+def _thinned(cloud: PointCloud, down: PointCloud, params: RegistrationParams,
+             spacing: float) -> PointCloud:
+    """``down``, ``cloud``'s ``params.voxel`` cloud, if its median spacing
+    reaches ``spacing``; otherwise ``cloud`` at the least voxel that reaches
+    it, to within ``_THIN_TOL``. A dense cloud's voxel centroids space out
+    about in proportion to the voxel, so the voxel first grows by the
+    spacing's shortfall (by ``_THIN_STEP`` at least) until it reaches the
+    spacing, then the last voxel short of it and the first reaching it are
+    bisected."""
+    short, voxel = None, params.voxel
+    while (reached := SpatialIndex(down.points).median_spacing()) < spacing:
+        short = voxel
+        voxel *= max(spacing / reached, _THIN_STEP) if reached > 0 else _THIN_STEP
+        if voxel > params.fpfh_radius:
+            raise CoarseRegistrationError(
+                f"no voxel up to the FPFH radius thins the cloud to {spacing:.3f} mm spacing")
+        down = _downsampled(cloud, voxel)
+    while short is not None and voxel / short > _THIN_TOL:
+        middle = (short * voxel) ** 0.5
+        trial = _downsampled(cloud, middle)
+        if SpatialIndex(trial.points).median_spacing() >= spacing:
+            voxel, down = middle, trial
+        else:
+            short = middle
+    return down
 
 
 def edge_gate(src_len: np.ndarray, tgt_len: np.ndarray, similarity: float,
@@ -453,6 +508,16 @@ ROUTES = {
 }
 
 
+# The templates a scan's cloud is thinned to. A partial template is cropped
+# from its jaw's master, and its cloud's spacing reads its region's shape as
+# well as the mesh resolution (0.74-0.75 mm in the fixture library against
+# 0.68 mm for the masters). A partial scan keeps its voxel cloud: thinning it
+# lowered the share of true matches in its FPFH pool and cost round trips at
+# 2x and 4x in the registration surveys (ROADMAP item 3), and a partial
+# scan's route and pose hang on that pool.
+MASTERS = (template_key("Upper", None), template_key("Lower", None))
+
+
 def register_with_routing(
     scan: LabeledMesh,
     scan_class: ScanClass,
@@ -468,16 +533,23 @@ def register_with_routing(
     The lowest final ICP objective (``objective_trace[-1]``) wins, the first
     candidate on exact ties. Fitness is not the criterion: the wrong jaw's
     template can overlap more of a partial scan at a worse fit. The scan is
-    prepared once, before routing, so a scan too small to prepare raises
-    ``CoarseRegistrationError`` whatever its class; a class whose every
-    candidate fails coarse registration raises ``RoutingError``.
+    prepared once, before routing: each candidate is read once, first, and
+    a full scan's cloud is thinned to its master's median spacing
+    (``prepare_cloud``); a partial scan keeps its voxel cloud (``MASTERS``).
+    A scan too small to prepare raises ``CoarseRegistrationError`` whatever
+    its class; a class whose every candidate fails coarse registration
+    raises ``RoutingError``.
     """
-    source = prepare_cloud(scan.to_point_cloud(), params)
+    keys = ROUTES[scan_class]
+    targets = [templates[key] for key in keys]
+    spacing = max((SpatialIndex(cloud.points).median_spacing()
+                   for key, (cloud, _) in zip(keys, targets) if key in MASTERS), default=0.0)
+    source = prepare_cloud(scan.to_point_cloud(), params, spacing)
     results = []
     failures = []
-    for key in ROUTES[scan_class]:
+    for key, target in zip(keys, targets):
         try:
-            result = register_pair(source, templates[key], params)
+            result = register_pair(source, target, params)
         except CoarseRegistrationError as exc:
             failures.append(f"{key}: {exc}")
             continue

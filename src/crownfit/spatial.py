@@ -2,7 +2,8 @@
 
 Thin wrapper around a k-d tree; nearest-neighbour results are exact and
 deterministically ordered so they can be compared against linear scans;
-``nearest_within`` prunes the search at a gate distance.
+``nearest_within`` prunes the search at a gate distance, and
+``median_spacing`` measures a point set's density.
 ``radius_pairs`` returns each unordered pair within a radius once, unsorted,
 as int32 indices; FPFH derives both directions, their distances and its
 summation order from it. The index is read-only after construction and safe
@@ -43,6 +44,13 @@ class SpatialIndex:
         dist, idx = self._tree.query(query, k=1,
                                      distance_upper_bound=np.nextafter(max_dist, np.inf))
         return idx, dist
+
+    def median_spacing(self) -> float:
+        """Median, over the indexed points, of the distance from each to its
+        nearest other indexed point: coincident points are 0 apart, and a
+        single point, which has no other, is inf."""
+        dist, _ = self._tree.query(self._tree.data, k=2)
+        return float(np.median(dist[:, 1]))
 
     def radius_pairs(self, radius: float):
         """``(i, j)`` int32 arrays of every pair of distinct indexed points at

@@ -1,10 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from crownfit.mesh import estimate_vertex_normals, voxel_downsample
 from crownfit.synth import ArchSpec, generate_arch, partial_spec
+from helpers import at_resolution
 
 
 @pytest.fixture(scope="session")
@@ -34,9 +33,8 @@ def arch_2x_cloud():
     """Registration's downsampled cloud of a lower arch meshed at twice the
     standard resolution (about 30k faces and 5k points), the size at which
     FPFH sees about 550k neighbour pairs."""
-    spec = ArchSpec.standard("Lower", "full", prepared=(36,), seed=4, jitter_sigma=0.3)
-    spec = replace(spec, cells_per_mm=2 * spec.cells_per_mm, cross_cells=2 * spec.cross_cells)
-    mesh, _ = generate_arch(spec)
+    mesh, _ = generate_arch(at_resolution(
+        ArchSpec.standard("Lower", "full", prepared=(36,), seed=4, jitter_sigma=0.3), 2))
     return voxel_downsample(estimate_vertex_normals(mesh).to_point_cloud(), 0.8)
 
 

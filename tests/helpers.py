@@ -1,18 +1,20 @@
 """Test-only helpers: simple solids, a mirrored mesh, a moved point cloud,
-a probability-file writer, the registration round trip's pose ranges, a
-per-face centroid oracle and a traced memory peak. The pipeline never needs
+a probability-file writer, the registration round trip's pose ranges, an
+arch spec at scanner resolution, a per-face centroid oracle and a traced
+memory peak. The pipeline never needs
 them."""
 
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from crownfit.labels import _PROB_MAGIC
 from crownfit.mesh import GINGIVA, LabeledMesh, PointCloud
-from crownfit.synth import PerturbSpec
+from crownfit.synth import ArchSpec, PerturbSpec
 
 
 def fdi_jaw(fdi: int) -> str:
@@ -109,6 +111,13 @@ def save_probabilities(probs: np.ndarray, path) -> None:
 def registration_perturb(seed: int = 0) -> PerturbSpec:
     """Round-trip ranges: up to +-180 deg about z and +-20 mm translation."""
     return PerturbSpec((0.0, 0.0, 180.0), (20.0, 20.0, 20.0), (1.0, 1.0), seed)
+
+
+def at_resolution(spec: ArchSpec, factor: int) -> ArchSpec:
+    """``spec`` meshed ``factor`` times finer along and across the arch: at
+    4x a full arch has about 115k faces, a scanner mesh's size."""
+    return replace(spec, cells_per_mm=factor * spec.cells_per_mm,
+                   cross_cells=factor * spec.cross_cells)
 
 
 def face_accumulated_centroids(mesh: LabeledMesh, labels) -> dict:

@@ -10,14 +10,15 @@ from crownfit.classify import ScanClass
 from crownfit.errors import CoarseRegistrationError, RankDeficiencyError, RoutingError
 from crownfit.features import compute_fpfh
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, voxel_downsample
-from crownfit.registration import (RegistrationParams, RegistrationResult,
+from crownfit.registration import (ROUTES, RegistrationParams, RegistrationResult,
                                    coarse_register, edge_gate, fine_register,
                                    load_template_library, match_features, prepare_cloud,
                                    register_pair, register_with_routing,
                                    store_prepared_templates, template_key)
+from crownfit.spatial import SpatialIndex
 from crownfit.synth import ArchSpec, generate_arch, partial_spec, perturb_pose
 from crownfit.templates import build_template_library, load_template, save_template_library
-from helpers import registration_perturb, traced_peak_mb, transformed_cloud
+from helpers import at_resolution, registration_perturb, traced_peak_mb, transformed_cloud
 
 PARAMS = RegistrationParams()
 
@@ -73,6 +74,21 @@ def pose_errors(recovered: RigidTransform, ideal: RigidTransform, probe):
     rot = recovered.rotation_distance_deg(ideal)
     trans = np.linalg.norm(recovered.apply(probe) - ideal.apply(probe))
     return rot, float(trans)
+
+
+def spacing(cloud: PointCloud) -> float:
+    return SpatialIndex(cloud.points).median_spacing()
+
+
+class CountedReads:
+    """A template mapping that records the key of each template read."""
+
+    def __init__(self, templates):
+        self.templates, self.reads = templates, []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return self.templates[key]
 
 
 class TestEdgeGate:
@@ -375,7 +391,7 @@ class TestRouting:
         def no_match(source, target, params):
             raise CoarseRegistrationError("no match")
 
-        monkeypatch.setattr(registration, "prepare_cloud", lambda cloud, params: None)
+        monkeypatch.setattr(registration, "prepare_cloud", lambda cloud, params, spacing: None)
         monkeypatch.setattr(registration, "register_pair", no_match)
         tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
         with pytest.raises(RoutingError,
@@ -387,7 +403,7 @@ class TestRouting:
         def no_match(source, target, params):
             raise CoarseRegistrationError("no match")
 
-        monkeypatch.setattr(registration, "prepare_cloud", lambda cloud, params: None)
+        monkeypatch.setattr(registration, "prepare_cloud", lambda cloud, params, spacing: None)
         monkeypatch.setattr(registration, "register_pair", no_match)
         tiny = LabeledMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
         with pytest.raises(RoutingError, match="master_lower: no match$"):
@@ -396,6 +412,93 @@ class TestRouting:
     def test_template_key_format(self):
         assert template_key("Upper", None) == "master_upper"
         assert template_key("Lower", "Left") == "partial_lower_left"
+
+
+class TestThinning:
+    """``prepare_cloud`` thins a cloud denser than the spacing it is given
+    (a scan finer than its templates) and leaves a sparser one as it is."""
+
+    @pytest.fixture(scope="class")
+    def master_spacing(self, prepared):
+        return spacing(prepared["master_lower"][0])
+
+    @pytest.fixture(scope="class", params=[2, 4])
+    def dense_cloud(self, request):
+        spec = ArchSpec.standard("Lower", "full", seed=4, jitter_sigma=0.3)
+        return generate_arch(at_resolution(spec, request.param))[0].to_point_cloud()
+
+    def test_cloud_no_denser_than_template_is_the_voxel_cloud(self, arch_cloud,
+                                                              master_spacing):
+        down = voxel_downsample(arch_cloud, PARAMS.voxel)
+        fpfh = compute_fpfh(down, PARAMS.fpfh_radius)
+        assert spacing(down) >= master_spacing
+        for target in (master_spacing, spacing(down)):  # the bound is inclusive
+            cloud, rows = prepare_cloud(arch_cloud, PARAMS, target)
+            assert cloud.points.tobytes() == down.points.tobytes()
+            assert cloud.normals.tobytes() == down.normals.tobytes()
+            assert rows.tobytes() == fpfh.tobytes()
+
+    def test_dense_cloud_reaches_template_spacing(self, dense_cloud, master_spacing):
+        plain = voxel_downsample(dense_cloud, PARAMS.voxel)
+        assert spacing(plain) < master_spacing
+        cloud, rows = prepare_cloud(dense_cloud, PARAMS, master_spacing)
+        assert spacing(cloud) >= master_spacing
+        assert len(cloud) < len(plain)
+        assert rows.tobytes() == compute_fpfh(cloud, PARAMS.fpfh_radius).tobytes()
+
+    def test_two_calls_bitwise_equal(self, dense_cloud, master_spacing):
+        (a, a_rows), (b, b_rows) = (prepare_cloud(dense_cloud, PARAMS, master_spacing)
+                                    for _ in range(2))
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.normals.tobytes() == b.normals.tobytes()
+        assert a_rows.tobytes() == b_rows.tobytes()
+
+    def test_coincident_points_raise(self):
+        cloud = PointCloud(np.full((50, 3), 2.0), np.tile([0.0, 0.0, 1.0], (50, 1)))
+        with pytest.raises(CoarseRegistrationError, match="after downsampling"):
+            prepare_cloud(cloud, PARAMS, 0.7)
+
+    def test_fewer_than_3_points_raise(self):
+        pair = PointCloud([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]] * 2)
+        with pytest.raises(CoarseRegistrationError, match="after downsampling"):
+            prepare_cloud(pair, PARAMS, 0.7)
+
+    def test_line_thins_to_the_spacing(self):
+        x = np.linspace(0.05, 30.05, 601)  # 0.05 mm apart: 0.8 mm centroids
+        line = PointCloud(np.column_stack([x, np.zeros_like(x), np.zeros_like(x)]),
+                          np.tile([0.0, 0.0, 1.0], (len(x), 1)))
+        assert spacing(voxel_downsample(line, PARAMS.voxel)) < 2.0
+        cloud, _ = prepare_cloud(line, PARAMS, 2.0)
+        assert spacing(cloud) >= 2.0
+
+    def test_spacing_out_of_reach_raises(self, rng):
+        normals = np.tile([0.0, 0.0, 1.0], (500, 1))
+        # a cloud across the origin keeps a centroid per octant however large
+        # the voxel, and those stay about 3 mm apart
+        across = PointCloud(rng.uniform(-3, 3, size=(500, 3)), normals)
+        with pytest.raises(CoarseRegistrationError, match="FPFH radius"):
+            prepare_cloud(across, PARAMS, 50.0)
+        # one inside a 1 mm cube collapses to a point first
+        within = PointCloud(rng.uniform(0.01, 1, size=(500, 3)), normals)
+        with pytest.raises(CoarseRegistrationError, match="after downsampling"):
+            prepare_cloud(within, PARAMS, 3.0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("factor", [2, 4])
+@pytest.mark.parametrize("jaw", ["Lower", "Upper"])
+def test_scanner_resolution_routes_to_master(prepared, jaw, factor):
+    """Full arches at 2x and 4x (seeds 0-2, fixed in advance) register to
+    their jaw's master within 2 deg / 0.5 mm at round-trip poses."""
+    scan_class = ScanClass.FULL_UPPER if jaw == "Upper" else ScanClass.FULL_LOWER
+    for seed in range(3):
+        spec = at_resolution(ArchSpec.standard(jaw, "full", seed=seed, jitter_sigma=0.3), factor)
+        moved, pose = perturb_pose(generate_arch(spec)[0], registration_perturb(seed=seed))
+        result = register_with_routing(moved, scan_class, prepared, PARAMS)
+        rot, trans = pose_errors(result.transform, pose.transform.inverse(),
+                                 moved.vertices.mean(axis=0))
+        assert result.chosen_template == template_key(jaw, None)
+        assert rot < 2.0 and trans < 0.5, (seed, rot, trans)
 
 
 class TestFeatureCorrespondences:
@@ -489,8 +592,10 @@ class TestTemplateStore:
 
 class TestDerivedOnce:
     """Downsampling and FPFH run once per cloud, however many templates the
-    cloud meets; the coarse stage runs once per template; a saved template's
-    PLY is read only when registration prepares that template itself."""
+    cloud meets, apart from a full scan's thinning passes; each candidate
+    template is read once; the coarse stage runs once per template; a saved
+    template's PLY is read only when registration prepares that template
+    itself."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -507,53 +612,93 @@ class TestDerivedOnce:
             monkeypatch.setattr(module, name, counting)
         return counts
 
-    def test_full_scan_one_coarse_pass(self, prepared, counts):
+    @pytest.fixture
+    def passes(self, counts, monkeypatch):
+        """``(points in, voxel)`` of each downsampling registration runs."""
+        passes = []
+        downsample = registration.voxel_downsample
+
+        def recording(cloud, voxel):
+            passes.append((len(cloud), voxel))
+            return downsample(cloud, voxel)
+
+        monkeypatch.setattr(registration, "voxel_downsample", recording)
+        return passes
+
+    @staticmethod
+    def scan_passes(passes, scan):
+        """The passes over ``scan``: the voxel, then distinct larger thinning
+        voxels."""
+        ours = [voxel for n, voxel in passes if n == scan.n_vertices]
+        assert ours[0] == PARAMS.voxel and min(ours[1:], default=np.inf) > PARAMS.voxel
+        assert len(set(ours)) == len(ours)
+        return ours
+
+    def register(self, mesh, scan_class, library):
+        reads = CountedReads(library)
+        register_with_routing(mesh, scan_class, reads, PARAMS)
+        assert reads.reads == list(ROUTES[scan_class])
+
+    def test_full_scan_one_coarse_pass(self, prepared, counts, passes):
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.FULL_UPPER, prepared, PARAMS)
-        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 1,
-                          "load_mesh": 0}
+        self.register(mesh, ScanClass.FULL_UPPER, prepared)
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": len(passes),
+                          "coarse_register": 1, "load_mesh": 0}
+        assert len(self.scan_passes(passes, mesh)) == len(passes)
 
     def test_partial_scan_shares_source(self, prepared, counts):
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, prepared, PARAMS)
+        self.register(mesh, ScanClass.PARTIAL_RIGHT, prepared)
         assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 2,
                           "load_mesh": 0}
 
-    def test_stored_templates_full_scan_prepares_only_the_scan(self, saved_library, counts):
-        library = load_template_library(saved_library, PARAMS)
+    def test_dense_partial_scan_keeps_its_voxel_cloud(self, prepared, counts, passes):
+        spec = at_resolution(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3), 2)
+        mesh, _ = generate_arch(spec)
+        self.register(mesh, ScanClass.PARTIAL_RIGHT, prepared)
+        assert passes == [(mesh.n_vertices, PARAMS.voxel)]
+        assert counts["compute_fpfh"] == 1
+
+    def test_stored_templates_full_scan_prepares_only_the_scan(self, saved_library, counts,
+                                                               passes):
         mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
-        assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 1,
-                          "load_mesh": 0}
+        self.register(mesh, ScanClass.FULL_UPPER, load_template_library(saved_library, PARAMS))
+        assert counts == {"compute_fpfh": 1, "voxel_downsample": len(passes),
+                          "coarse_register": 1, "load_mesh": 0}
+        assert len(self.scan_passes(passes, mesh)) == len(passes)
 
     def test_stored_templates_partial_scan_prepares_only_the_scan(self, saved_library,
                                                                   counts):
-        library = load_template_library(saved_library, PARAMS)
         mesh, _ = generate_arch(partial_spec("Upper", "right", seed=6, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.PARTIAL_RIGHT, library, PARAMS)
+        self.register(mesh, ScanClass.PARTIAL_RIGHT,
+                      load_template_library(saved_library, PARAMS))
         assert counts == {"compute_fpfh": 1, "voxel_downsample": 1, "coarse_register": 2,
                           "load_mesh": 0}
 
-    def test_store_of_other_voxel_recomputes(self, saved_library, tmp_path, counts):
+    def recomputes_one_template(self, directory, meshes, counts, passes):
+        """The saved library in ``directory`` prepares ``master_upper`` from
+        its PLY: one PLY read, one downsampling and one FPFH, before the
+        scan's."""
+        mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
+        self.register(mesh, ScanClass.FULL_UPPER, load_template_library(directory, PARAMS))
+        assert (counts["compute_fpfh"], counts["load_mesh"]) == (2, 1)
+        assert passes[0] == (meshes["master_upper"].n_vertices, PARAMS.voxel)
+        assert counts["voxel_downsample"] == len(passes) == 1 + len(self.scan_passes(passes, mesh))
+
+    def test_store_of_other_voxel_recomputes(self, saved_library, library, tmp_path, counts,
+                                             passes):
         def other_voxel(arrays):
             arrays["voxel"] = PARAMS.voxel + 0.1
 
-        library = load_template_library(edited_copy(saved_library, tmp_path, other_voxel),
-                                        PARAMS)
-        mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
-        assert (counts["compute_fpfh"], counts["voxel_downsample"], counts["load_mesh"]) == \
-            (2, 2, 1)
+        self.recomputes_one_template(edited_copy(saved_library, tmp_path, other_voxel), library,
+                                     counts, passes)
 
-    def test_library_without_store_recomputes(self, saved_library, tmp_path, counts):
+    def test_library_without_store_recomputes(self, saved_library, library, tmp_path, counts,
+                                              passes):
         copy = tmp_path / "templates"
         shutil.copytree(saved_library, copy)
         (copy / "prepared.npz").unlink()
-        library = load_template_library(copy, PARAMS)
-        mesh, _ = generate_arch(ArchSpec.standard("Upper", "full", seed=5, jitter_sigma=0.3))
-        register_with_routing(mesh, ScanClass.FULL_UPPER, library, PARAMS)
-        assert (counts["compute_fpfh"], counts["voxel_downsample"], counts["load_mesh"]) == \
-            (2, 2, 1)
+        self.recomputes_one_template(copy, library, counts, passes)
 
     def test_store_without_key_is_not_used(self, saved_library, tmp_path, counts):
         # a store written before it carried its key holds only the clouds;

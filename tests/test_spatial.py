@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from crownfit.spatial import SpatialIndex
 
@@ -91,6 +92,40 @@ def test_radius_pairs_once_with_exact_distances(rng):
     assert {(a, b) for a, b, d in zip(i.tolist(), j.tolist(), dist) if d == 0} == {
         (3, 7), (3, 150), (7, 150)}
     assert dist[(i == 20) & (j == 21)].tolist() == [0.25]  # the radius is inclusive
+
+
+def pdist_median_spacing(points):
+    """Median nearest-other-point distance by brute force over all pairs."""
+    d = squareform(pdist(points))
+    np.fill_diagonal(d, np.inf)
+    return float(np.median(d.min(axis=1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 51, 400])
+def test_median_spacing_matches_pdist(rng, n):
+    pts = rng.uniform(-5, 5, size=(n, 3))
+    assert SpatialIndex(pts).median_spacing() == pytest.approx(pdist_median_spacing(pts),
+                                                               rel=1e-12)
+
+
+def test_median_spacing_with_coincident_points(rng):
+    pts = rng.uniform(0, 1, size=(60, 3))
+    pts[10] = pts[11] = pts[12]  # a coincident triple
+    pts[30] = pts[31]
+    assert SpatialIndex(pts).median_spacing() == pytest.approx(pdist_median_spacing(pts),
+                                                               rel=1e-12)
+    pts[:31] = pts[0]  # most points coincide: the median is 0
+    assert SpatialIndex(pts).median_spacing() == pdist_median_spacing(pts) == 0.0
+    assert SpatialIndex(np.zeros((5, 3))).median_spacing() == 0.0
+
+
+def test_median_spacing_of_one_point_is_inf():
+    assert SpatialIndex([[1.0, 2.0, 3.0]]).median_spacing() == np.inf
+
+
+def test_median_spacing_on_a_line():
+    pts = np.column_stack([np.arange(10) * 0.5, np.zeros(10), np.zeros(10)])
+    assert SpatialIndex(pts).median_spacing() == 0.5
 
 
 def test_empty_input_rejected():
