@@ -1,11 +1,13 @@
 """Spline-guided sequential crown alignment.
 
 Step 1 fits a 2-D cubic spline through the arch tooth centroids and reads the
-reference mesial and buccal directions at the preparation site from its unit
-tangent. The canonical frame fixes which way they point: the centroids run
-from the right distal tooth to the left distal one, anterior is +y and the
-patient's left +x, so the outside of the arch always lies on the left of the
-direction of travel. Buccal is the tangent turned +90 degrees; mesial is the
+reference mesial and buccal directions from its unit tangent at the
+preparation's knot: the prepared tooth's centroid is one of the centroids,
+so the spline passes through it there, at either end of the arch too. The
+canonical frame fixes which way they point: the centroids run from the right
+distal tooth to the left distal one, anterior is +y and the patient's left
++x, so the outside of the arch always lies on the left of the direction of
+travel. Buccal is the tangent turned +90 degrees; mesial is the
 tangent on the right side and its negation on the left. Step 2 hardens the
 references into robust targets by averaging the prepared tooth's vertex
 normals that pass the dot threshold. Step 3 aligns the crown, a
@@ -44,46 +46,16 @@ def fit_arch_spline(centroids) -> CubicSpline:
     return CubicSpline(np.concatenate([[0.0], np.cumsum(seg)]), pts, bc_type="natural")
 
 
-def _closest_parameter(spline: CubicSpline, point_xy) -> float:
-    """Parameter of the closest spline point (dense sampling + refinement)."""
-    p = np.asarray(point_xy, dtype=np.float64).reshape(2)
-    ts = np.linspace(spline.x[0], spline.x[-1], 4096)
-    d2 = np.sum((spline(ts) - p) ** 2, axis=1)
-    i = int(np.argmin(d2))
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(len(ts) - 1, i + 1)]
-    # golden-section refinement on the bracket
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    for _ in range(60):
-        fc = np.sum((spline(c) - p) ** 2)
-        fd = np.sum((spline(d) - p) ** 2)
-        if fc < fd:
-            b = d
-        else:
-            a = c
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-    return float((a + b) / 2.0)
-
-
-def spline_frame_at(spline: CubicSpline, c_prep, fdi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference mesial and buccal unit vectors (z = 0) at the prep site of
-    tooth ``fdi``, from the spline's unit tangent at the closest point.
+def spline_frame_at(spline: CubicSpline, t: float, fdi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference mesial and buccal unit vectors (z = 0) for tooth ``fdi``,
+    from the spline's unit tangent at parameter ``t``, the knot of the
+    preparation's centroid.
 
     Buccal is the tangent turned +90 degrees, outward for a spline that
     runs from the right distal tooth to the left distal one. Mesial is the
     tangent for a right-side tooth (FDI quadrants 1 and 4) and its negation
     for a left-side one: toward the midline either way.
     """
-    c_prep = np.asarray(c_prep, dtype=np.float64).reshape(-1)
-    t = _closest_parameter(spline, c_prep[:2])
-    t_min, t_max = float(spline.x[0]), float(spline.x[-1])
-    edge = 1e-9 * (t_max - t_min)
-    if t <= t_min + edge or t >= t_max - edge:
-        warnings.warn("prep projection clamped to the spline range", AlignmentWarning, stacklevel=2)
     d = spline.derivative()(t)
     tan = d / np.linalg.norm(d, axis=-1, keepdims=True)
     v_b = np.array([-tan[1], tan[0], 0.0])

@@ -65,4 +65,5 @@ class MeshWarning(UserWarning):
 
 
 class AlignmentWarning(UserWarning):
-    """Non-fatal alignment irregularity (empty robust-normal filter, clamping, ...)."""
+    """Non-fatal alignment irregularity: no normal passes a robust target's
+    dot gate."""

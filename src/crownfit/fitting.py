@@ -3,11 +3,12 @@ neighbors, interproximal scaling against a volume threshold, and two-mode
 occlusal correction (posterior cusp tap-down, anterior global shift).
 
 The crown is a watertight solid; interproximal scaling and
-``intersection_volume`` reject any other. The neighbours and the antagonist
-are obstacles, open or watertight, and every inside test against one is the
-parity of crossings on a ray from the point toward the obstacle's occlusal
-side: the side facing the crown's jaw for the antagonist, the side facing
-the antagonist for the neighbours. A neighbour patch cut from a scan is open
+``intersection_volume`` reject any other. The neighbours arrive as a list
+of meshes, one per tooth. The neighbours and the antagonist are obstacles,
+open or watertight, and every inside test against one is the parity of
+crossings on a ray from the point toward the obstacle's occlusal side: the
+side facing the crown's jaw for the antagonist, the side facing the
+antagonist for the neighbours. A neighbour patch cut from a scan is open
 only at its gum line, on the other side, so the ray never leaves through the
 hole; a watertight mesh gives the same parity along any ray.
 
@@ -20,10 +21,13 @@ neighbours' once per interproximal scaling, not at every scaling step, and
 once more for the residual overlap; edge vectors are computed per call,
 only for the triangles the origins can reach. It has two callers. Points
 are tested along a fixed skewed ray (``points_inside_mesh``). The overlap
-volume casts +z rays from below the meshes, one per column of a shared
-voxel grid, and counts the voxel centres with odd crossing parity toward
-the occlusal side in both meshes; the crown's columns are cast only where
-the obstacle has an inside voxel.
+volume is summed over the neighbour teeth, each on a voxel grid shared by
+the crown and that tooth alone. It casts +z rays from below the meshes, one
+per grid column, and counts the voxel centres with odd crossing parity
+toward the occlusal side in both meshes; the crown's columns are cast only
+where the tooth has an inside voxel. Parity needs no split of a mesh into
+its pieces: a union of disjoint solids holds exactly the centres that one
+of them holds.
 The error of the voxel estimate is O(surface area x resolution); the 1e-6
 mm^3 threshold therefore acts as "no detectable overlap" at the configured
 resolution.
@@ -36,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .mesh import (LabeledMesh, component_ids, estimate_vertex_normals, is_watertight,
-                   mesh_edges)
+from .mesh import LabeledMesh, estimate_vertex_normals, is_watertight, mesh_edges
 from .spatial import SpatialIndex
 
 # deterministic sub-voxel grid offsets and ray skew: keep sample lines off
@@ -205,40 +208,26 @@ def _column_inside(columns: _Triangles, xy: np.ndarray, zs: np.ndarray, up: bool
     return below[:, :-1] ^ below[:, -1:] if up else below[:, :-1]
 
 
-def _component_columns(mesh: LabeledMesh, comps: list[np.ndarray]) -> list[_Triangles]:
-    """Each component's triangles along the +z column rays."""
-    parts = [mesh] if len(comps) <= 1 else [mesh.submesh(c) for c in comps]
-    return [_triangles(part, _UP) for part in parts]
-
-
-def _crown_components(crown: LabeledMesh) -> list[np.ndarray]:
-    """Face index arrays of the crown's components; scaling keeps them."""
-    if not is_watertight(crown):
-        raise ValueError("the crown must be a watertight solid")
-    return connected_components(crown)
-
-
-def intersection_volume(crown: LabeledMesh, other: LabeledMesh, occlusal_dir,
+def intersection_volume(crown: LabeledMesh, others: list[LabeledMesh], occlusal_dir,
                         resolution: float) -> float:
-    """Volume of the overlap of a watertight crown with another mesh, mm^3:
-    the shared-grid voxel centres inside both, ``other`` tested from the side
-    ``occlusal_dir`` points to."""
+    """Volume of the overlap of a watertight crown with a list of meshes,
+    mm^3: the sum over the meshes of the shared-grid voxel centres inside
+    both, each mesh tested from the side ``occlusal_dir`` points to."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    return _overlap_volume(_component_columns(crown, _crown_components(crown)),
-                           _component_columns(other, connected_components(other)),
+    if not is_watertight(crown):
+        raise ValueError("the crown must be a watertight solid")
+    return _overlap_volume(_triangles(crown, _UP), [_triangles(m, _UP) for m in others],
                            occlusal_dir, resolution)
 
 
-def _overlap_volume(crown_columns: list[_Triangles], other_columns: list[_Triangles],
-                    occlusal_dir, resolution: float) -> float:
-    # per component pair: disjoint solids make the volumes additive and keep
-    # the voxel grid tight around each actual overlap region
+def _overlap_volume(crown: _Triangles, others: list[_Triangles], occlusal_dir,
+                    resolution: float) -> float:
+    # a grid per obstacle stays tight around that obstacle's overlap
     up = bool(occlusal_dir[2] > 0)
     total = 0.0
-    for fa in crown_columns:
-        for fb in other_columns:
-            total += _voxel_overlap(fa, fb, up, resolution)
+    for other in others:
+        total += _voxel_overlap(crown, other, up, resolution)
     return total
 
 
@@ -275,7 +264,7 @@ def scale_about(mesh: LabeledMesh, factor: float, center) -> LabeledMesh:
 
 def interproximal_adapt(
     crown: LabeledMesh,
-    neighbors: LabeledMesh,
+    neighbors: list[LabeledMesh],
     occlusal_dir,
     params: FittingParams = FittingParams(),
     trace: list | None = None,
@@ -285,19 +274,21 @@ def interproximal_adapt(
     Case A (initial overlap): shrink by the shrink factor until the
     intersection volume drops to the threshold. Case B: grow until contact
     appears. Either way a final shrink opens the functional gap. The
-    neighbours are tested from ``occlusal_dir``, the side facing the
-    antagonist. Returns the scaled crown and the cumulative scale factor.
+    neighbour teeth, one mesh each, are tested from ``occlusal_dir``, the
+    side facing the antagonist. Returns the scaled crown and the cumulative
+    scale factor.
     """
     center = crown.centroid()
     scale = 1.0
     current = crown
     if trace is None:
         trace = []  # the trace also rides on any non-convergence error
-    comps = _crown_components(crown)
-    neighbor_columns = _component_columns(neighbors, connected_components(neighbors))
+    if not is_watertight(crown):
+        raise ValueError("the crown must be a watertight solid")
+    neighbor_columns = [_triangles(n, _UP) for n in neighbors]
 
     def volume(mesh):
-        return _overlap_volume(_component_columns(mesh, comps), neighbor_columns, occlusal_dir,
+        return _overlap_volume(_triangles(mesh, _UP), neighbor_columns, occlusal_dir,
                                params.voxel_resolution)
 
     v = volume(current)
@@ -324,25 +315,15 @@ def interproximal_adapt(
     return current, scale
 
 
-def connected_components(mesh: LabeledMesh) -> list[np.ndarray]:
-    """Face index arrays of the mesh's vertex-connected components, ordered
-    by their lowest face index."""
-    face_comp = component_ids(mesh.n_vertices, mesh_edges(mesh))[mesh.faces[:, 0]]
-    _, first = np.unique(face_comp, return_index=True)
-    return [np.nonzero(face_comp == face_comp[f])[0] for f in np.sort(first)]
+def center_between_neighbors(crown: LabeledMesh, neighbors: list[LabeledMesh]) -> LabeledMesh:
+    """Translate the crown so its centroid XY hits the XY midpoint of the
+    two neighbour teeth's centroids.
 
-
-def center_between_neighbors(crown: LabeledMesh, neighbors: LabeledMesh) -> LabeledMesh:
-    """Translate the crown so its centroid XY hits the neighbor midpoint XY.
-
-    The z coordinate is left unchanged; the two neighbors must form exactly
-    two connected components.
+    The z coordinate is left unchanged; ``neighbors`` must hold exactly the
+    two teeth, each one mesh however many pieces it has.
     """
-    comps = connected_components(neighbors)
-    if len(comps) != 2:
-        raise ValueError(f"expected exactly 2 neighbor components, found {len(comps)}")
-    mids = [neighbors.submesh(c).centroid() for c in comps]
-    midpoint = (mids[0] + mids[1]) / 2.0
+    mesial, distal = neighbors
+    midpoint = (mesial.centroid() + distal.centroid()) / 2.0
     shift = midpoint - crown.centroid()
     shift[2] = 0.0
     return crown.with_vertices(crown.vertices + shift)
@@ -464,7 +445,7 @@ def occlusal_direction(fdi: int) -> np.ndarray:
 
 def fit_crown(
     crown: LabeledMesh,
-    neighbors: LabeledMesh,
+    neighbors: list[LabeledMesh],
     opposing: LabeledMesh | None,
     fdi: int,
     params: FittingParams = FittingParams(),
@@ -479,14 +460,12 @@ def fit_crown(
     of the gap, so centering a crown already scaled to clear both neighbours
     could push it back into one.
     A missing antagonist skips the occlusal step (report ``mode`` "skipped");
-    centering requires exactly two neighbor components and is skipped with a
-    flag otherwise.
+    centering requires two neighbour teeth, one mesh each, and is skipped
+    with a flag otherwise.
     """
-    centering_applied = True
-    try:
+    centering_applied = len(neighbors) == 2
+    if centering_applied:
         crown = center_between_neighbors(crown, neighbors)
-    except ValueError:
-        centering_applied = False
 
     d = occlusal_direction(fdi)
     scale_trace: list = []

@@ -220,62 +220,59 @@ def stage_retrieve(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
     }
 
 
-def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh,
-                           target_fdi: int) -> tuple[list, np.ndarray]:
+def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh, target_fdi: int,
+                           prep_cls: int) -> tuple[list, int]:
     """Tooth centroids ordered from the right distal tooth (class 8) to the
-    left distal one (class 16), and the prep centroid.
+    left distal one (class 16), and the index of the preparation's centroid
+    in that sequence.
 
     In the canonical frame this order runs with the outside of the arch on
     its left, which is what ``spline_frame_at`` reads buccal from. The
-    prepared region (class 17 when present, else the target class) takes
-    the target position's slot in the ordering.
+    prepared region, class ``prep_cls``, takes the target position's slot in
+    the ordering.
     """
     cents = extract_tooth_centroids(mesh.with_labels(labels))
-    target_cls = fdi_to_class(target_fdi)
-    if PREPARED in cents:
-        prep_centroid = cents.pop(PREPARED)
-    elif target_cls in cents:
-        prep_centroid = cents[target_cls]
-    else:
+    if prep_cls not in cents:
         raise PipelineError(f"no faces labeled for the target FDI {target_fdi}")
-    cents[target_cls] = prep_centroid
-    order = list(range(8, 0, -1)) + list(range(9, 17))
-    seq = [cents[cls] for cls in order if cls in cents]
-    if len(seq) < 3:
-        raise PipelineError(f"arch spline needs >=3 tooth centroids, found {len(seq)}")
-    return seq, prep_centroid
+    target_cls = fdi_to_class(target_fdi)
+    cents[target_cls] = cents.pop(prep_cls)
+    order = [cls for cls in list(range(8, 0, -1)) + list(range(9, 17)) if cls in cents]
+    if len(order) < 3:
+        raise PipelineError(f"arch spline needs >=3 tooth centroids, found {len(order)}")
+    return [cents[cls] for cls in order], order.index(target_cls)
 
 
 def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
                 crown: LabeledMesh, config: PipelineConfig) -> tuple[LabeledMesh, dict]:
     """The region-labelled crown moved onto the preparation by spline-guided
-    alignment."""
-    seq, prep_centroid = arch_centroid_sequence(labels, canonical, fdi)
-    v_m_ref, v_b_ref = spline_frame_at(fit_arch_spline(seq), prep_centroid, fdi)
+    alignment. The preparation is the faces labelled prepared (class 17)
+    when there are any, else those of the target's class."""
+    prep_cls = PREPARED if np.any(labels == PREPARED) else fdi_to_class(fdi)
+    seq, i = arch_centroid_sequence(labels, canonical, fdi, prep_cls)
+    spline = fit_arch_spline(seq)
+    v_m_ref, v_b_ref = spline_frame_at(spline, spline.x[i], fdi)
 
-    target_cls = fdi_to_class(fdi)
-    prep_mask = labels == (PREPARED if np.any(labels == PREPARED) else target_cls)
-    prep_vertices = np.unique(canonical.faces[prep_mask])
+    prep_vertices = np.unique(canonical.faces[labels == prep_cls])
     prep_normals = canonical.vertex_normals[prep_vertices]
 
     transform, steps = align_crown(crown, robust_target(prep_normals, v_m_ref, config.alignment),
                                    robust_target(prep_normals, v_b_ref, config.alignment),
-                                   prep_centroid, occlusal_direction(fdi))
+                                   seq[i], occlusal_direction(fdi))
     return crown.transformed(transform), {
         "steps": steps,
-        "prep_centroid": prep_centroid.tolist(),
+        "prep_centroid": seq[i].tolist(),
     }
 
 
 def stage_fit(aligned: LabeledMesh, canonical: LabeledMesh, labels: np.ndarray,
               fdi: int, antagonist_path, config: PipelineConfig) -> tuple[LabeledMesh, dict]:
-    """The aligned crown fitted between its neighbors and, when an antagonist
-    path is given, against the antagonist loaded from it."""
+    """The aligned crown fitted between its neighbour teeth, one mesh each,
+    and, when an antagonist path is given, against the antagonist loaded
+    from it."""
     antagonist = load_mesh(antagonist_path) if antagonist_path is not None else None
-    faces = context_faces(labels, fdi)
-    if not faces:
+    neighbors = [canonical.submesh(faces) for faces in context_faces(labels, fdi).values()]
+    if not neighbors:
         raise PipelineError("no neighbor faces found for fitting")
-    neighbors = canonical.submesh(np.concatenate(list(faces.values())))
     return fit_crown(aligned, neighbors, antagonist, fdi, config.fitting)
 
 

@@ -1,8 +1,8 @@
 """Test-only helpers: simple solids, a mirrored mesh, a moved point cloud,
 a probability-file writer, the registration round trip's pose ranges, an
-arch spec at scanner resolution, a per-face centroid oracle and a traced
-memory peak. The pipeline never needs
-them."""
+arch spec at scanner resolution, a per-face centroid oracle, a traced
+memory peak and a nearest-point search along a spline. The pipeline never
+needs them."""
 
 import json
 import struct
@@ -148,3 +148,23 @@ def traced_peak_mb(fn) -> float:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def closest_parameter(spline, point_xy) -> float:
+    """Parameter of the point of the 2-D ``spline`` closest to ``point_xy``:
+    the nearest of 4,096 samples, refined by 60 golden-section steps on the
+    bracket of its two neighbouring samples. The reference for the knot that
+    alignment reads the preparation's frame at."""
+    p = np.asarray(point_xy, dtype=np.float64).reshape(2)
+    ts = np.linspace(spline.x[0], spline.x[-1], 4096)
+    i = int(np.argmin(np.sum((spline(ts) - p) ** 2, axis=1)))
+    a, b = ts[max(0, i - 1)], ts[min(len(ts) - 1, i + 1)]
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    for _ in range(60):
+        if np.sum((spline(c) - p) ** 2) < np.sum((spline(d) - p) ** 2):
+            b = d
+        else:
+            a = c
+        c, d = b - gr * (b - a), a + gr * (b - a)
+    return float((a + b) / 2.0)

@@ -307,10 +307,8 @@ def test_crown_alignment_steps():
 
 
 def two_walls(gap, half=(1.0, 6.0, 6.0)):
-    w1 = make_box((-(gap / 2 + half[0]), 0, 0), half)
-    w2 = make_box((gap / 2 + half[0], 0, 0), half)
-    return LabeledMesh(np.concatenate([w1.vertices, w2.vertices]),
-                       np.concatenate([w1.faces, w2.faces + 8]))
+    return [make_box((-(gap / 2 + half[0]), 0, 0), half),
+            make_box((gap / 2 + half[0], 0, 0), half)]
 
 
 def test_crown_fitting_invariants():

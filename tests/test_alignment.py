@@ -1,16 +1,18 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from crownfit.alignment import (LABEL_BUCCAL, LABEL_MESIAL, AlignmentParams,
-                                _closest_parameter, align_crown, fit_arch_spline,
-                                region_normals, robust_target, spline_frame_at)
+from crownfit.alignment import (LABEL_BUCCAL, LABEL_MESIAL, AlignmentParams, align_crown,
+                                fit_arch_spline, region_normals, robust_target,
+                                spline_frame_at)
 from crownfit.errors import AlignmentWarning, DegenerateGeometryError
 from crownfit.mesh import LabeledMesh, RigidTransform
 from crownfit.pipeline import arch_centroid_sequence
-from crownfit.synth import (ArchSpec, _centerline_tangent, _outward, _s_at_arc,
+from crownfit.synth import (ArchSpec, _centerline_tangent, _outward, _s_at_arc, fdi_to_class,
                             generate_arch, generate_crown_fixture, partial_spec)
+from helpers import closest_parameter
 
 
 def z3(xy_points):
@@ -58,7 +60,7 @@ class TestArchSpline:
         spline = fit_arch_spline(pts)
         for xm in (xs[:-1] + xs[1:]) / 2.0:
             target = np.array([xm, xm**2 / 20.0])
-            t = _closest_parameter(spline, target)
+            t = closest_parameter(spline, target)
             assert np.linalg.norm(spline(t) - target) < 0.05
 
     def test_too_few_points_rejected(self):
@@ -84,19 +86,42 @@ def first_molar_frames():
             for tooth in spec.teeth:
                 if tooth.fdi % 10 != 6:
                     continue
-                seq, prep = arch_centroid_sequence(gt.labels, mesh, tooth.fdi)
-                v_m, v_b = spline_frame_at(fit_arch_spline(seq), prep, tooth.fdi)
+                seq, i = arch_centroid_sequence(gt.labels, mesh, tooth.fdi,
+                                                fdi_to_class(tooth.fdi))
+                spline = fit_arch_spline(seq)
+                v_m, v_b = spline_frame_at(spline, spline.x[i], tooth.fdi)
                 s = _s_at_arc(spec, tooth.arc_pos)
                 yield (tooth.fdi, v_m[:2], v_b[:2], _outward(spec, s),
                        _centerline_tangent(spec, s))
+
+
+@pytest.fixture(scope="module")
+def knot_cases():
+    """(FDI, centroid sequence, preparation index) for seeds 0-4, both jaws
+    and every coverage, at each of 11, 16, 21, 26, 31, 36, 41 and 46 that
+    the arch holds, from its ground-truth labels."""
+    cases = []
+    for seed, jaw, coverage in itertools.product(range(5), ("Upper", "Lower"),
+                                                 ("full", "left", "right", "center")):
+        spec = (ArchSpec.standard(jaw, "full", seed=seed, jitter_sigma=0.3)
+                if coverage == "full" else partial_spec(jaw, coverage, seed=seed,
+                                                        jitter_sigma=0.3))
+        mesh, gt = generate_arch(spec)
+        for tooth in spec.teeth:
+            if tooth.fdi in (11, 16, 21, 26, 31, 36, 41, 46):
+                seq, i = arch_centroid_sequence(gt.labels, mesh, tooth.fdi,
+                                                fdi_to_class(tooth.fdi))
+                cases.append((tooth.fdi, seq, i))
+    return cases
 
 
 class TestSplineFrame:
     def test_straight_line_buccal_is_anterior(self):
         # a line from the patient's right (-x) to the left (+x)
         spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]]))
-        v_m_right, v_b = spline_frame_at(spline, [2.0, 1.0, 0.0], 46)
-        v_m_left, _ = spline_frame_at(spline, [2.0, 1.0, 0.0], 36)
+        t = closest_parameter(spline, [2.0, 1.0])
+        v_m_right, v_b = spline_frame_at(spline, t, 46)
+        v_m_left, _ = spline_frame_at(spline, t, 36)
         assert np.allclose(v_b, [0, 1, 0], atol=1e-12)
         assert np.allclose(v_m_right, [1, 0, 0], atol=1e-12)
         assert np.allclose(v_m_left, [-1, 0, 0], atol=1e-12)
@@ -113,7 +138,7 @@ class TestSplineFrame:
         xs = np.arange(-20, 21, 5, dtype=float)
         pts = np.column_stack([xs, xs**2 / 20.0, np.linspace(-3, 3, len(xs))])
         spline = fit_arch_spline(pts)
-        v_m, v_b = spline_frame_at(spline, [5.0, 2.0, 7.0], 36)
+        v_m, v_b = spline_frame_at(spline, closest_parameter(spline, [5.0, 2.0]), 36)
         assert v_m[2] == 0.0
         assert v_b[2] == 0.0
 
@@ -122,15 +147,36 @@ class TestSplineFrame:
         xs = np.linspace(-20, 20, 11)
         pts = z3(np.column_stack([xs, 30.0 * (1 - (xs / 20.0) ** 2)]))
         spline = fit_arch_spline(pts)
-        v_m_right, _ = spline_frame_at(spline, [-15.0, 30.0 * (1 - 0.5625), 0.0], 46)
-        v_m_left, _ = spline_frame_at(spline, [15.0, 30.0 * (1 - 0.5625), 0.0], 36)
+        v_m_right, _ = spline_frame_at(
+            spline, closest_parameter(spline, [-15.0, 30.0 * (1 - 0.5625)]), 46)
+        v_m_left, _ = spline_frame_at(
+            spline, closest_parameter(spline, [15.0, 30.0 * (1 - 0.5625)]), 36)
         assert v_m_right[0] > 0  # right side: mesial goes toward +x (midline)
         assert v_m_left[0] < 0
 
-    def test_projection_outside_range_warns(self):
-        spline = fit_arch_spline(z3([[0, 0], [1, 0], [2, 0]]))
-        with pytest.warns(AlignmentWarning, match="clamped"):
-            spline_frame_at(spline, [10.0, 0.0, 0.0], 46)
+    def test_knot_matches_nearest_point_reference(self, knot_cases):
+        assert len(knot_cases) == 100
+        for fdi, seq, i in knot_cases:
+            spline = fit_arch_spline(seq)
+            t = closest_parameter(spline, seq[i][:2])
+            assert abs(spline.x[i] - t) <= 1e-9, fdi
+            for got, want in zip(spline_frame_at(spline, spline.x[i], fdi),
+                                 spline_frame_at(spline, t, fdi)):
+                assert np.abs(got - want).max() <= 1e-12, fdi
+
+    def test_end_of_arch_reads_end_knot_without_warning(self, knot_cases):
+        # side scans start or end at their central incisor
+        ends = [(fdi, seq, i) for fdi, seq, i in knot_cases if i in (0, len(seq) - 1)]
+        assert len(ends) == 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fdi, seq, i in ends:
+                spline = fit_arch_spline(seq)
+                v_m, v_b = spline_frame_at(spline, spline.x[i], fdi)
+                tan = unit_tangent(spline, spline.x[-1] if i else spline.x[0])
+                assert np.allclose(v_b[:2], [-tan[1], tan[0]], atol=1e-12), fdi
+                mesial = tan if fdi // 10 in (1, 4) else -tan
+                assert np.allclose(v_m[:2], mesial, atol=1e-12), fdi
 
 
 class TestRobustTarget:

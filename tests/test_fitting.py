@@ -3,9 +3,8 @@ import pytest
 
 from crownfit import fitting
 from crownfit.errors import NonConvergenceError
-from crownfit.fitting import (FittingParams, center_between_neighbors,
-                              connected_components, detect_cusps, fit_crown,
-                              interproximal_adapt, intersection_volume, is_posterior,
+from crownfit.fitting import (FittingParams, center_between_neighbors, detect_cusps,
+                              fit_crown, interproximal_adapt, intersection_volume, is_posterior,
                               occlusal_correct_anterior, occlusal_correct_posterior,
                               occlusal_direction, points_inside_mesh, scale_about)
 from crownfit.mesh import LabeledMesh, estimate_vertex_normals
@@ -43,10 +42,16 @@ def mirror_z(mesh):
 
 
 def two_walls(gap, half=(1.0, 6.0, 6.0), wall=make_box):
-    """Two walls a gap apart along x: closed boxes, or ``wall(center, half)``."""
-    w1, w2 = (wall((side * (gap / 2 + half[0]), 0, 0), half) for side in (-1, 1))
-    return LabeledMesh(np.concatenate([w1.vertices, w2.vertices]),
-                       np.concatenate([w1.faces, w2.faces + w1.n_vertices]))
+    """Two walls a gap apart along x, one mesh each: closed boxes, or
+    ``wall(center, half)``."""
+    return [wall((side * (gap / 2 + half[0]), 0, 0), half) for side in (-1, 1)]
+
+
+def joined(*meshes):
+    """One mesh of several disjoint pieces."""
+    offsets = np.cumsum([0] + [m.n_vertices for m in meshes[:-1]])
+    return LabeledMesh(np.concatenate([m.vertices for m in meshes]),
+                       np.concatenate([m.faces + k for m, k in zip(meshes, offsets)]))
 
 
 def two_caps(gap, half=(1.0, 6.0, 6.0)):
@@ -64,17 +69,17 @@ class TestIntersectionVolume:
     def test_disjoint_cubes_zero(self):
         a = make_box((0, 0, 0), (0.5, 0.5, 0.5))
         b = make_box((10, 0, 0), (0.5, 0.5, 0.5))
-        assert intersection_volume(a, b, UP, 0.05) == 0.0
+        assert intersection_volume(a, [b], UP, 0.05) == 0.0
 
     def test_half_overlap_slab(self):
         a = make_box((0, 0, 0), (0.5, 0.5, 0.5))
         b = make_box((0.5, 0, 0), (0.5, 0.5, 0.5))
-        v = intersection_volume(a, b, UP, 0.02)
+        v = intersection_volume(a, [b], UP, 0.02)
         assert abs(v - 0.5) / 0.5 < 0.05
 
     def test_identical_cubes_full_volume(self):
         a = make_box((0, 0, 0), (0.5, 0.5, 0.5))
-        v = intersection_volume(a, make_box((0, 0, 0), (0.5, 0.5, 0.5)), UP, 0.02)
+        v = intersection_volume(a, [make_box((0, 0, 0), (0.5, 0.5, 0.5))], UP, 0.02)
         assert abs(v - 1.0) < 0.05
 
     def test_sphere_cube_overlap_against_analytic_cap(self):
@@ -83,20 +88,35 @@ class TestIntersectionVolume:
         box = make_box((0, 0, 5.0), (4.0, 4.0, 5.0))  # z in [0, 10]
         cap_h = 0.5
         analytic = np.pi * cap_h**2 * (3 * 2.0 - cap_h) / 3.0
-        v = intersection_volume(sphere, box, UP, 0.02)
+        v = intersection_volume(sphere, [box], UP, 0.02)
         assert abs(v - analytic) / analytic < 0.05
+
+    def test_list_sums_each_neighbour(self):
+        sphere = make_uv_sphere((0, 0, 0), 5.0, 36, 48)
+        a, b = two_walls(9.6)
+        want = sum(intersection_volume(sphere, [wall], UP, 0.02) for wall in (a, b))
+        assert want > 0
+        assert intersection_volume(sphere, [a, b], UP, 0.02) == want
+
+    def test_crown_of_two_disjoint_boxes(self):
+        # one grid over both boxes: parity counts the centres inside either
+        boxes = [make_box((x, 0, 0), (0.5, 0.5, 0.5)) for x in (0.0, 3.0)]
+        obstacle = [make_box((1.5, 0, 0), (4.0, 2.0, 2.0))]
+        want = sum(intersection_volume(box, obstacle, UP, 0.05) for box in boxes)
+        assert abs(want - 2.0) < 1e-9
+        assert intersection_volume(joined(*boxes), obstacle, UP, 0.05) == want
 
     def test_bad_arguments(self):
         a = make_box((0, 0, 0), (1, 1, 1))
         with pytest.raises(ValueError):
-            intersection_volume(a, a, UP, 0.0)
+            intersection_volume(a, [a], UP, 0.0)
 
 
     def test_open_crown_rejected(self):
         box = make_box((0, 0, 0), (1, 1, 1))
         open_box = box.submesh(np.arange(1, box.n_faces))
         with pytest.raises(ValueError, match="watertight"):
-            intersection_volume(open_box, make_box((0.5, 0, 0), (1, 1, 1)), UP, 0.05)
+            intersection_volume(open_box, [make_box((0.5, 0, 0), (1, 1, 1))], UP, 0.05)
 
     @pytest.mark.parametrize("facing", [1, -1])
     def test_open_cap_matches_closed_box(self, facing):
@@ -106,9 +126,9 @@ class TestIntersectionVolume:
         box, cap = make_box(center, half), open_cap(center, half, facing)
         for crown in (make_uv_sphere((0.9, 0.4, 0.3 + 0.9 * facing), 0.8, 24, 32),
                       make_uv_sphere((-0.5, 1.2, 0.3 - 0.9 * facing), 0.7, 24, 32)):
-            want = intersection_volume(crown, box, (0, 0, facing), 0.02)
+            want = intersection_volume(crown, [box], (0, 0, facing), 0.02)
             assert want > 0.01
-            assert intersection_volume(crown, cap, (0, 0, facing), 0.02) == want
+            assert intersection_volume(crown, [cap], (0, 0, facing), 0.02) == want
         pts = np.random.default_rng(3).uniform([-2, -2, -1], [2, 2, 2], size=(2000, 3))
         pts = pts[facing * (pts[:, 2] - 0.3) > -0.8]
         want = points_inside_mesh(pts, box, (0, 0, facing))
@@ -255,8 +275,7 @@ class TestInterproximal:
 
     def test_scaling_keeps_centroid_fixed(self):
         sphere = make_uv_sphere((2.0, -1.0, 3.0), 5.0, 36, 48)
-        walls = two_walls(9.9)
-        walls = walls.with_vertices(walls.vertices + [2.0, -1.0, 3.0])
+        walls = [w.with_vertices(w.vertices + [2.0, -1.0, 3.0]) for w in two_walls(9.9)]
         fitted, _ = interproximal_adapt(sphere, walls, UP, FittingParams(voxel_resolution=0.02))
         drift = np.linalg.norm(fitted.centroid() - sphere.centroid())
         assert drift <= 1e-9
@@ -318,18 +337,8 @@ class TestCentering:
 
     def test_single_neighbor_rejected(self):
         crown = make_uv_sphere((0, 0, 0), 3.0, 16, 24)
-        with pytest.raises(ValueError, match="2 neighbor components"):
-            center_between_neighbors(crown, make_box((5, 0, 0), (1, 1, 1)))
-
-    def test_connected_components_counts(self):
-        assert len(connected_components(two_walls(10.0))) == 2
-        assert len(connected_components(make_box((0, 0, 0), (1, 1, 1)))) == 1
-
-    def test_connected_components_ordered_by_lowest_face(self):
-        walls = two_walls(10.0)
-        faces = np.concatenate([walls.faces[12:], walls.faces[:12]])
-        comps = connected_components(LabeledMesh(walls.vertices, faces))
-        assert [c.tolist() for c in comps] == [list(range(12)), list(range(12, 24))]
+        with pytest.raises(ValueError, match="expected 2"):
+            center_between_neighbors(crown, [make_box((5, 0, 0), (1, 1, 1))])
 
 
 class TestCusps:
@@ -550,7 +559,9 @@ class TestFitCrown:
                  open_plate(crown.vertices[:, 2].max() - 0.15))
         params = FittingParams(voxel_resolution=0.05)
         lower, low = fit_crown(*scene, fdi=36, params=params)
-        upper, up = fit_crown(*(mirror_z(m) for m in scene), fdi=16, params=params)
+        crown, neighbors, plate = scene
+        upper, up = fit_crown(mirror_z(crown), [mirror_z(n) for n in neighbors], mirror_z(plate),
+                              fdi=16, params=params)
         assert low["scale_trace"][0]["volume"] > 0
         assert [(t["phase"], t["scale"]) for t in up["scale_trace"]] == \
             [(t["phase"], t["scale"]) for t in low["scale_trace"]]
@@ -574,13 +585,36 @@ class TestFitCrown:
         mid, gap = (lo + hi) / 2, 1.02 * (hi - lo)
         thin = make_box((mid - gap / 2 - 0.5, 0, 0), (0.5, 6.0, 6.0))
         thick = make_box((mid + gap / 2 + 1.0, 0, 0), (1.0, 6.0, 6.0))
-        walls = LabeledMesh(np.concatenate([thin.vertices, thick.vertices]),
-                            np.concatenate([thin.faces, thick.faces + 8]))
+        walls = [thin, thick]
         params = FittingParams(voxel_resolution=0.02)
         fitted, report = fit_crown(crown, walls, None, fdi=36, params=params)
         assert report["centering_applied"]
         assert report["residual_neighbor_volume"] <= params.v_int_threshold
         assert intersection_volume(fitted, walls, UP, 0.02) <= params.v_int_threshold
+
+    def test_neighbour_in_two_pieces_is_centred_on(self):
+        # a tooth whose labels came apart arrives as one mesh of two pieces;
+        # centering uses its area-weighted centroid
+        crown = make_uv_sphere((1.0, 0.5, 2.0), 4.5, 24, 32)
+        split = joined(make_box((-6.0, -3.0, 0), (1.0, 2.0, 6.0)),
+                       make_box((-6.0, 3.0, 0), (1.0, 1.0, 6.0)))
+        distal = make_box((6.0, 0, 0), (1.0, 6.0, 6.0))
+        fitted, report = fit_crown(crown, [split, distal], None, fdi=36)
+        assert report["centering_applied"]
+        midpoint = (split.centroid() + distal.centroid()) / 2.0
+        assert midpoint[1] != 0.0
+        assert np.allclose(fitted.centroid(), [*midpoint[:2], 2.0], atol=1e-9)
+        assert report["residual_neighbor_volume"] <= FittingParams().v_int_threshold
+
+    def test_single_neighbour_skips_centering_and_still_scales(self):
+        crown = make_uv_sphere((1.0, 0.5, 2.0), 4.5, 24, 32)
+        wall = make_box((6.0, 0, 0), (1.0, 6.0, 6.0))  # 0.5 mm into the crown
+        fitted, report = fit_crown(crown, [wall], None, fdi=36)
+        assert not report["centering_applied"]
+        assert "shrink" in {t["phase"] for t in report["scale_trace"]}
+        assert report["final_scale"] < 1.0
+        assert np.allclose(fitted.centroid(), crown.centroid(), atol=1e-9)
+        assert report["residual_neighbor_volume"] <= FittingParams().v_int_threshold
 
     def test_missing_opposing_skips_step3(self):
         crown, walls, _ = self.posterior_case()

@@ -163,9 +163,8 @@ class TestRunPipeline:
         fitted = load_mesh(out_dir / "fitted_crown.ply")
         refined = load_mesh(out_dir / "refined_labels.ply")
         labels = refined.face_labels
-        mesial, distal = neighbor_fdis(manifest["case"]["target_fdi"])
-        faces = np.nonzero(np.isin(labels, [fdi_to_class(mesial), fdi_to_class(distal)]))[0]
-        neighbors = refined.submesh(faces)
+        neighbors = [refined.submesh(labels == fdi_to_class(fdi))
+                     for fdi in neighbor_fdis(manifest["case"]["target_fdi"])]
         up = occlusal_direction(manifest["case"]["target_fdi"])
         v = intersection_volume(fitted, neighbors, up, cfg.fitting.voxel_resolution)
         assert v <= cfg.fitting.v_int_threshold

@@ -10,11 +10,8 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from crownfit.config import load_config
 from crownfit.fixtures import generate_fixture_corpus
-from crownfit.mesh import LabeledMesh
 from helpers import make_box
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -50,9 +47,7 @@ def test_trace_targets_install_and_restore():
 def test_traced_fit_reaches_every_fitting_layer():
     fitting = importlib.import_module("crownfit.fitting")
     crown = make_box((0, 0, 0), (2.0, 2.0, 2.0))
-    walls = [make_box((x, 0, 0), (1.0, 3.0, 3.0)) for x in (-3.2, 3.2)]
-    neighbors = LabeledMesh(np.concatenate([w.vertices for w in walls]),
-                            np.concatenate([walls[0].faces, walls[1].faces + 8]))
+    neighbors = [make_box((x, 0, 0), (1.0, 3.0, 3.0)) for x in (-3.2, 3.2)]
     plate = make_box((0, 0, 2.9), (3.0, 3.0, 1.0))  # 0.1 mm into the crown's top
     tracer = load_tracing().Tracer()
     try:
