@@ -18,6 +18,8 @@ and its pairwise terms fold into the t-links of its band neighbours. What
 is exact:
 - each move: max-flow finds the lowest-energy labeling that switches part
   of the band to alpha;
+- each move's energy change, summed over its band: faces outside it keep
+  their labels, so that is the whole labeling's change;
 - accepting a move only when it lowers the energy, so the refined energy
   never exceeds the argmax labeling's.
 What is not: a full-graph move may also switch faces outside the band. A
@@ -75,14 +77,6 @@ def pairwise_weights(mesh: LabeledMesh, pairs: np.ndarray, params: RefineParams)
     cos = np.einsum("ij,ij->i", normals[pairs[:, 0]], normals[pairs[:, 1]])
     cos = np.clip(cos, -1.0, 1.0)
     return params.smoothness * np.exp(-params.dihedral_sharpness * (1.0 - cos))
-
-
-def labeling_energy(unary: np.ndarray, pairs: np.ndarray, weights: np.ndarray,
-                    labels: np.ndarray) -> float:
-    e = float(unary[np.arange(len(labels)), labels].sum())
-    if len(pairs):
-        e += float(weights[labels[pairs[:, 0]] != labels[pairs[:, 1]]].sum())
-    return e
 
 
 def _min_cut_assignment(cost0: np.ndarray, cost1: np.ndarray, pair_caps: np.ndarray,
@@ -150,9 +144,10 @@ def _expansion_band(unary: np.ndarray, nbr: np.ndarray, labels: np.ndarray,
 
 
 def _band_move(unary: np.ndarray, nbr: np.ndarray, wtab: np.ndarray, labels: np.ndarray,
-               alpha: int, band: np.ndarray) -> np.ndarray:
-    """The lowest-energy labels that switch a subset of ``band`` to alpha
-    and keep every other face's label: an exact min cut over the band."""
+               alpha: int, band: np.ndarray) -> tuple[np.ndarray, float]:
+    """The faces of ``band`` to switch to alpha, with every other face's
+    label kept, for the lowest energy (an exact min cut over the band), and
+    the energy change of that switch."""
     nodes = np.flatnonzero(band)
     nb, w = nbr[:, nodes], wtab[:, nodes]
     own, other = labels[nodes], labels[nb]
@@ -164,23 +159,24 @@ def _band_move(unary: np.ndarray, nbr: np.ndarray, wtab: np.ndarray, labels: np.
     cost0 = unary[nodes, own] + (fixed * (other != own)).sum(axis=0)
     cost1 = unary[nodes, alpha] + (fixed * (other != alpha)).sum(axis=0)
     # each pair inside the band once; a face's padding is itself, so never
-    # above it
-    local = np.full(len(labels), -1)
-    local[nodes] = np.arange(len(nodes))
+    # above it. ``nodes`` is sorted: a partner's rank in it is its local index
     slot, a = np.nonzero(band[nb] & (nb > nodes))
-    b = local[nb[slot, a]]
+    b = np.searchsorted(nodes, nb[slot, a])
     w = w[slot, a]
     # Potts expansion: A=w[la!=lb], B=w[la!=alpha], C=w[alpha!=lb], D=0;
     # neither end is alpha, so B=C=w
     a_cost = w * (own[a] != own[b])
     ends = np.concatenate([a, b])
     lin = np.concatenate([w - a_cost, -w])   # coefficients of x_a (C-A), x_b (D-C)
-    cost0 = cost0 + np.bincount(ends, np.maximum(-lin, 0.0), len(nodes))
-    cost1 = cost1 + np.bincount(ends, np.maximum(lin, 0.0), len(nodes))
-    x = _min_cut_assignment(cost0, cost1, 2 * w - a_cost, np.column_stack([a, b]))
-    new_labels = labels.copy()
-    new_labels[nodes[x == 1]] = alpha
-    return new_labels
+    x = _min_cut_assignment(cost0 + np.bincount(ends, np.maximum(-lin, 0.0), len(nodes)),
+                            cost1 + np.bincount(ends, np.maximum(lin, 0.0), len(nodes)),
+                            2 * w - a_cost, np.column_stack([a, b]))
+    # every term the switch changes is a band face's or an in-band pair's: a
+    # pair with one end switched goes from A to w, one with both from A to 0
+    switch = x == 1
+    moved = switch[a] | switch[b]
+    change = (cost1 - cost0)[switch].sum() + ((switch[a] != switch[b]) * w - a_cost)[moved].sum()
+    return nodes[switch], float(change)
 
 
 def graphcut_refine(
@@ -204,9 +200,7 @@ def graphcut_refine(
     if params.smoothness == 0 or mesh.n_faces == 0:
         return labels
     unary = -np.log(np.clip(probs, PROB_CLAMP, 1.0))
-    weights = pairwise_weights(mesh, pairs, params)
-    energy = labeling_energy(unary, pairs, weights, labels)
-    nbr, wtab = _neighbour_table(len(labels), pairs, weights)
+    nbr, wtab = _neighbour_table(len(labels), pairs, pairwise_weights(mesh, pairs, params))
 
     for _ in range(_MAX_SWEEPS):
         improved = False
@@ -214,11 +208,9 @@ def graphcut_refine(
             band = _expansion_band(unary, nbr, labels, alpha)
             if not band.any():
                 continue
-            new_labels = _band_move(unary, nbr, wtab, labels, alpha, band)
-            new_energy = labeling_energy(unary, pairs, weights, new_labels)
-            if new_energy < energy - 1e-12:
-                labels = new_labels
-                energy = new_energy
+            switch, change = _band_move(unary, nbr, wtab, labels, alpha, band)
+            if change < -1e-12:
+                labels[switch] = alpha
                 improved = True
         if not improved:
             break

@@ -320,14 +320,18 @@ def mesh_edges(mesh: LabeledMesh) -> np.ndarray:
     return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
 
 
+def _edge_keys(a: np.ndarray, b: np.ndarray, n_vertices: int) -> np.ndarray:
+    """One int64 key per undirected edge (a, b), far cheaper to sort than rows."""
+    return np.minimum(a, b) * n_vertices + np.maximum(a, b)
+
+
 def is_watertight(mesh: LabeledMesh) -> bool:
     """True when every edge is shared by exactly two consistently wound faces."""
     if mesh.n_faces == 0:
         return False
     a, b = mesh_edges(mesh).T
     n = mesh.n_vertices
-    # 1-D int64 edge keys: sorting them is far cheaper than unique rows
-    _, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
+    _, counts = np.unique(_edge_keys(a, b, n), return_counts=True)
     if not np.all(counts == 2):
         return False
     # consistent winding: no directed edge may repeat
@@ -344,17 +348,14 @@ def component_ids(n_nodes: int, pairs) -> np.ndarray:
 
 def face_adjacency(mesh: LabeledMesh) -> np.ndarray:
     """Pairs of face indices sharing an edge used by exactly two faces, shape (k, 2)."""
-    edges = np.sort(mesh_edges(mesh), axis=1)
-    face_ids = np.tile(np.arange(mesh.n_faces), 3)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    face_ids = face_ids[order]
-    same = np.all(edges[:-1] == edges[1:], axis=1)
-    # runs of identical edges; keep only runs of length exactly 2
-    run_start = np.concatenate([[True], ~same])
-    run_id = np.cumsum(run_start) - 1
-    run_sizes = np.bincount(run_id)
-    pair_mask = same & (run_sizes[run_id[:-1]] == 2)
-    a = face_ids[:-1][pair_mask]
-    b = face_ids[1:][pair_mask]
-    return np.stack([a, b], axis=1)
+    keys = _edge_keys(*mesh_edges(mesh).T, mesh.n_vertices)
+    # stable, so the faces of one edge stay in the order of ``mesh_edges``,
+    # whose row i is an edge of face i mod n_faces
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    face_ids = order % mesh.n_faces
+    # sorted rows i and i+1 pair up when they share a key that neither
+    # neighbouring row shares: an edge of exactly two faces
+    same = np.concatenate([[False], keys[1:] == keys[:-1], [False]])
+    pair_mask = same[1:-1] & ~same[:-2] & ~same[2:]
+    return np.stack([face_ids[:-1][pair_mask], face_ids[1:][pair_mask]], axis=1)

@@ -68,6 +68,11 @@ def context_faces(labels: np.ndarray, fdi: int) -> dict[int, np.ndarray]:
     return out
 
 
+def prepared_class(labels: np.ndarray, fdi: int) -> int:
+    """Prepared (class 17) when any face carries it, else the class of ``fdi``."""
+    return PREPARED if np.any(labels == PREPARED) else fdi_to_class(fdi)
+
+
 @dataclass
 class RunReport:
     schema_version: int = REPORT_SCHEMA_VERSION
@@ -172,7 +177,7 @@ def segmentation_metrics(pred: np.ndarray, gt: np.ndarray, mesh: LabeledMesh,
     if prep_fdi is not None:
         mesial, distal = neighbor_fdis(prep_fdi)
         regions = {
-            "prepared": PREPARED if np.any(gt == PREPARED) else fdi_to_class(prep_fdi),
+            "prepared": prepared_class(gt, prep_fdi),
             "adjacent_mesial": fdi_to_class(mesial),
             "adjacent_distal": fdi_to_class(distal) if distal is not None else None,
         }
@@ -244,10 +249,9 @@ def arch_centroid_sequence(labels: np.ndarray, mesh: LabeledMesh, target_fdi: in
 
 def stage_align(canonical: LabeledMesh, labels: np.ndarray, fdi: int,
                 crown: LabeledMesh, config: PipelineConfig) -> tuple[LabeledMesh, dict]:
-    """The region-labelled crown moved onto the preparation by spline-guided
-    alignment. The preparation is the faces labelled prepared (class 17)
-    when there are any, else those of the target's class."""
-    prep_cls = PREPARED if np.any(labels == PREPARED) else fdi_to_class(fdi)
+    """The region-labelled crown moved onto the preparation, the faces of
+    ``prepared_class``, by spline-guided alignment."""
+    prep_cls = prepared_class(labels, fdi)
     seq, i = arch_centroid_sequence(labels, canonical, fdi, prep_cls)
     spline = fit_arch_spline(seq)
     v_m_ref, v_b_ref = spline_frame_at(spline, spline.x[i], fdi)

@@ -1,8 +1,8 @@
 """Test-only helpers: simple solids, a mirrored mesh, a moved point cloud,
-a probability-file writer, the registration round trip's pose ranges, an
-arch spec at scanner resolution, a per-face centroid oracle, a traced
-memory peak and a nearest-point search along a spline. The pipeline never
-needs them."""
+a probability-file writer, the energy of a labeling, the registration
+round trip's pose ranges, an arch spec at scanner resolution, a per-face
+centroid oracle, a traced memory peak and a nearest-point search along a
+spline. The pipeline never needs them."""
 
 import json
 import struct
@@ -106,6 +106,17 @@ def save_probabilities(probs: np.ndarray, path) -> None:
         return
     header = _PROB_MAGIC + struct.pack("<II", n_faces, n_classes)
     path.write_bytes(header + probs.astype("<f4").tobytes())
+
+
+def labeling_energy(unary: np.ndarray, pairs: np.ndarray, weights: np.ndarray,
+                    labels: np.ndarray) -> float:
+    """Graph-cut energy of the whole labeling ``labels``: its faces' unary
+    costs plus the weight of every adjacent pair whose labels differ. The
+    oracle for the energy change each banded move reports."""
+    e = float(unary[np.arange(len(labels)), labels].sum())
+    if len(pairs):
+        e += float(weights[labels[pairs[:, 0]] != labels[pairs[:, 1]]].sum())
+    return e
 
 
 def registration_perturb(seed: int = 0) -> PerturbSpec:

@@ -19,7 +19,7 @@ from crownfit.classify import ScanClass
 from crownfit.fitting import (FittingParams, detect_cusps, fit_crown, interproximal_adapt,
                               intersection_volume, occlusal_correct_anterior,
                               points_inside_mesh)
-from crownfit.labels import RefineParams, graphcut_refine, labeling_energy, pairwise_weights
+from crownfit.labels import RefineParams, graphcut_refine, pairwise_weights
 from crownfit.mesh import LabeledMesh, PointCloud, RigidTransform, face_adjacency, voxel_downsample
 from crownfit.metrics import bootstrap_ci, centroid_error, class_metrics
 from crownfit.registration import (RegistrationParams, fine_register, prepare_cloud,
@@ -28,7 +28,7 @@ from crownfit.retrieval import EMBEDDING_DIM, cosine, retrieve_crown
 from crownfit.synth import (ArchSpec, CrownDims, generate_arch, generate_crown_fixture,
                             partial_spec, perturb_pose)
 from crownfit.templates import build_template_library
-from helpers import make_box, make_uv_sphere, registration_perturb
+from helpers import labeling_energy, make_box, make_uv_sphere, registration_perturb
 
 
 def report(name: str, ok: bool, detail: str) -> None:

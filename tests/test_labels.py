@@ -11,10 +11,11 @@ from crownfit.errors import MeshFormatError
 from crownfit.labels import (PROB_CLAMP, RefineParams, _band_move,
                              _expansion_band, _min_cut_assignment,
                              _neighbour_table, corrupt_labels, graphcut_refine,
-                             labeling_energy, load_probabilities, pairwise_weights,
+                             load_probabilities, pairwise_weights,
                              reassign_small_components, tune_smoothness)
 from crownfit.mesh import GINGIVA, LabeledMesh, face_adjacency
-from helpers import save_probabilities
+from crownfit.synth import ArchSpec, generate_arch
+from helpers import at_resolution, labeling_energy, save_probabilities
 
 
 def strip_mesh(n_faces, seed=0, flat=False):
@@ -66,28 +67,46 @@ def full_graph_move(unary, pairs, weights, labels, alpha, keep):
     return np.where(x == 1, alpha, labels)
 
 
-def full_expansion_refine(mesh, probs, params):
-    """Alpha-expansion with every move solved over the whole graph: the
-    reference the banded moves are checked against. Same sweeps, same
-    accept-only-if-lower rule."""
+def banded_move(unary, pairs, weights, labels, alpha):
+    """The labels after the banded move for ``alpha``: its switch applied
+    to a copy."""
+    nbr, wtab = _neighbour_table(len(labels), pairs, weights)
+    band = _expansion_band(unary, nbr, labels, alpha)
+    moved = labels.copy()
+    if band.any():
+        switch, _ = _band_move(unary, nbr, wtab, labels, alpha, band)
+        moved[switch] = alpha
+    return moved
+
+
+def whole_energy_refine(mesh, probs, params, move):
+    """Alpha-expansion that accepts a move on the energy of the whole
+    labeling, summed afresh after every move. ``move(unary, pairs, weights,
+    labels, alpha)`` returns the labels after the move for alpha. Same
+    sweeps and the same accept-only-if-lower threshold as
+    ``graphcut_refine``: with ``banded_move`` it is the reference for the
+    energy change each move reports; with ``full_graph_move`` over no kept
+    faces, the reference the banded moves are checked against."""
     pairs = face_adjacency(mesh)
     unary = -np.log(np.clip(probs, PROB_CLAMP, 1.0))
     weights = pairwise_weights(mesh, pairs, params)
     labels = probs.argmax(axis=1)
     energy = labeling_energy(unary, pairs, weights, labels)
-    no_keep = np.zeros(len(labels), dtype=bool)
     for _ in range(labels_module._MAX_SWEEPS):
         improved = False
         for alpha in range(probs.shape[1]):
-            if np.all(labels == alpha):
-                continue
-            new_labels = full_graph_move(unary, pairs, weights, labels, alpha, no_keep)
+            new_labels = move(unary, pairs, weights, labels, alpha)
             new_energy = labeling_energy(unary, pairs, weights, new_labels)
             if new_energy < energy - 1e-12:
                 labels, energy, improved = new_labels, new_energy, True
         if not improved:
             break
     return labels
+
+
+def full_move(unary, pairs, weights, labels, alpha):
+    return full_graph_move(unary, pairs, weights, labels, alpha,
+                           np.zeros(len(labels), dtype=bool))
 
 
 class TestProbabilities:
@@ -250,7 +269,7 @@ class TestBandedExpansion:
         unary = -np.log(np.clip(probs, PROB_CLAMP, 1.0))
         w = pairwise_weights(mesh, pairs, params)
         banded = graphcut_refine(mesh, probs, params, pairs)
-        full = full_expansion_refine(mesh, probs, params)
+        full = whole_energy_refine(mesh, probs, params, full_move)
         assert abs(labeling_energy(unary, pairs, w, banded)
                    - labeling_energy(unary, pairs, w, full)) <= 1e-9
 
@@ -271,7 +290,9 @@ class TestBandedExpansion:
             band = _expansion_band(unary, nbr, labels, alpha)
             if not band.any():
                 continue
-            moved = _band_move(unary, nbr, wtab, labels, alpha, band)
+            switch, change = _band_move(unary, nbr, wtab, labels, alpha, band)
+            moved = labels.copy()
+            moved[switch] = alpha
             assert np.array_equal(
                 moved, full_graph_move(unary, pairs, weights, labels, alpha, ~band))
             nodes = np.flatnonzero(band)
@@ -281,6 +302,8 @@ class TestBandedExpansion:
                 trial[nodes[np.array(switch)]] = alpha
                 best = min(best, labeling_energy(unary, pairs, weights, trial))
             assert labeling_energy(unary, pairs, weights, moved) == best
+            assert change == (labeling_energy(unary, pairs, weights, moved)
+                              - labeling_energy(unary, pairs, weights, labels))
 
     def test_accepted_moves_change_only_their_band(self, lower_arch, monkeypatch):
         mesh, gt = lower_arch
@@ -289,21 +312,42 @@ class TestBandedExpansion:
         moves = []
 
         def recorded(unary, nbr, wtab, labels, alpha, band):
-            out = _band_move(unary, nbr, wtab, labels, alpha, band)
-            moves.append((labels, out, band))
-            return out
+            switch, change = _band_move(unary, nbr, wtab, labels, alpha, band)
+            after = labels.copy()
+            after[switch] = alpha
+            # the labels change in place once a move is accepted: keep copies
+            moves.append((labels.copy(), after, band))
+            return switch, change
 
         monkeypatch.setattr(labels_module, "_band_move", recorded)
         refined = graphcut_refine(mesh, probs, RefineParams(smoothness=5.0), pairs)
-        # a move is accepted when the next move starts from its labels
+        # a move is accepted when the next move starts from its labels and
+        # they differ from its own start (a move that switches nothing
+        # changes no energy, so it is never accepted)
         starts = [before for before, _, _ in moves[1:]] + [refined]
         accepted = [(before, after, band) for (before, after, band), nxt in zip(moves, starts)
-                    if after is nxt]
+                    if np.array_equal(after, nxt) and not np.array_equal(after, before)]
         assert accepted
         for before, after, band in accepted:
             assert not np.any(before[~band] != after[~band])
             assert np.any(before[band] != after[band])
         assert not np.array_equal(refined, probs.argmax(axis=1))
+
+    @pytest.mark.parametrize("seed, factor", [
+        (0, 1), (1, 1), (0, 2), (1, 2),
+        pytest.param(11, 4, marks=pytest.mark.slow),   # 115k faces, a scanner mesh's size
+    ])
+    def test_same_labels_as_whole_energy_reference(self, seed, factor):
+        """Accepting a move on its reported energy change accepts the same
+        moves as summing the whole labeling's energy after each one."""
+        mesh, gt = generate_arch(at_resolution(ArchSpec.standard("Lower", "full", seed=seed),
+                                               factor))
+        probs = corrupt_labels(gt.labels, 18, flip_fraction=0.08, softness=0.35, seed=seed)
+        pairs = face_adjacency(mesh)
+        for lam in (5.0, 30.0):
+            params = RefineParams(smoothness=lam)
+            assert np.array_equal(graphcut_refine(mesh, probs, params, pairs),
+                                  whole_energy_refine(mesh, probs, params, banded_move))
 
 
 def cut_energy(x, cost0, cost1, pairs, caps):
